@@ -36,7 +36,6 @@ from .synthsim import (
     ScattererField,
     gen_scatterers,
     simulate_frame,
-    travel_time,
 )
 from .tomo import (
     PathMatrix,

@@ -1,8 +1,8 @@
 """Command-line entry point for the full pipeline.
 
 Subcommands: simulate, calibrate, estimate, reconstruct, report.
-Exit codes: 0 success, 2 config error, 3 numerical/solver error,
-4 missing input.
+Exit codes: 0 success, 2 config error, 3 numerical/solver error
+(including a delay pattern or fit without enough data), 4 missing input.
 """
 
 from __future__ import annotations
@@ -15,6 +15,11 @@ from pathlib import Path
 from . import pipeline
 from .calibrate import CalibrationError, OffsetOutOfRangeError
 from .pipeline import ConfigError, PipelineConfig, apply_quick, load_config
+from .regress import (
+    EmptyPatternError,
+    InsufficientDataError,
+    RankDeficiencyError,
+)
 from .tomo import SolverError
 
 EXIT_CONFIG = 2
@@ -126,7 +131,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_NUMERICAL
-    except (CalibrationError, SolverError, ArithmeticError) as e:
+    except (CalibrationError, SolverError, ArithmeticError, EmptyPatternError,
+            InsufficientDataError, RankDeficiencyError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as e:

@@ -469,16 +469,12 @@ def simulate_frames(cfg: PipelineConfig,
         )
 
     # the receive leg does not depend on the transmit: its tables are
-    # built once, one contiguous block of elements per thread
+    # built once per field and shared by every transmit
+    t_rx = receive_travel_times(fld, medium, cfg.array)
     if cfg.threads > 1:
-        blocks = np.array_split(np.arange(cfg.array.num_elements), cfg.threads)
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            t_rx = np.concatenate(list(pool.map(
-                lambda e: receive_travel_times(fld, medium, cfg.array, e),
-                blocks)))
             frames = list(pool.map(one, txs))
     else:
-        t_rx = receive_travel_times(fld, medium, cfg.array)
         frames = [one(tx) for tx in txs]
     return {fr.tx_element: fr for fr in frames}
 

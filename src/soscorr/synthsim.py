@@ -1,9 +1,12 @@
 """Geometric ray-based forward simulator for diverging-wave channel data.
 
 Scatterer echoes are delayed by straight-ray travel times through a
-piecewise-constant speed-of-sound map, so the simulator is the exact
-forward model of the straight-path delay equations the rest of the
-pipeline relies on. No diffraction, refraction or attenuation.
+piecewise-constant speed-of-sound map. The times are exact chord
+lengths through each inclusion, so the simulator is the exact forward
+model of the straight-path delay equations the rest of the pipeline
+relies on. The transmit pulse is read from a table oversampled
+PULSE_TABLE_STEPS times per sample. No diffraction, refraction or
+attenuation.
 """
 
 from __future__ import annotations
@@ -25,6 +28,13 @@ FRAME_VERSION = 1
 
 # spreading floor: below this radius the 1/(r_tx*r_rx) factor is clamped
 R_MIN = 1.0e-3
+
+# rays traced per block in travel_times
+TRACE_CHUNK = 1 << 16
+
+# pulse table rows per sample period: simulate_frame interpolates the
+# pulse linearly between rows, within 1e-7 of its peak at the default pulse
+PULSE_TABLE_STEPS = 256
 
 
 class ConfigurationError(ValueError):
@@ -55,13 +65,52 @@ class Inclusion:
             return ((x - cx) / hx) ** 2 + ((z - cz) / hz) ** 2 <= 1.0
         return (np.abs(x - cx) <= hx) & (np.abs(z - cz) <= hz)
 
+    def crossing(
+        self, p: np.ndarray, d: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ray parameters (t_in, t_out), each shape (n, 1), between which
+        the points p + t*d of the (n, 2) rays lie inside the inclusion.
+
+        t_in >= t_out when a ray's line misses it; t may lie outside
+        [0, 1]. An ellipse solves the line-ellipse quadratic, a
+        rectangle clips the ray to its two slabs (Amanatides & Woo 1987).
+        """
+        cx, cz = self.center
+        hx, hz = self.half_axes
+        if self.shape == "ellipse":
+            u, v = (p[:, 0] - cx) / hx, (p[:, 1] - cz) / hz
+            du, dv = d[:, 0] / hx, d[:, 1] / hz
+            a = du**2 + dv**2
+            b = u * du + v * dv
+            root = np.sqrt(np.maximum(b**2 - a * (u**2 + v**2 - 1.0), 0.0))
+            # a is 0 only for a zero-length ray, whose cuts fall at t = 0
+            a = np.where(a > 0.0, a, np.inf)
+            return ((-b - root) / a)[:, None], ((-b + root) / a)[:, None]
+        t_in = np.full((p.shape[0], 1), -np.inf)
+        t_out = np.full((p.shape[0], 1), np.inf)
+        for k, (c, h) in enumerate(((cx, hx), (cz, hz))):
+            lo = c - h - p[:, k, None]
+            hi = c + h - p[:, k, None]
+            dk = d[:, k, None]
+            # a ray parallel to a slab is inside it everywhere or nowhere;
+            # on its edge counts as inside, as in contains
+            parallel = dk == 0.0
+            t_par = np.where((lo <= 0.0) & (hi >= 0.0), -np.inf, np.inf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = np.where(parallel, t_par, lo / dk)
+                t2 = np.where(parallel, np.inf, hi / dk)
+            t_in = np.maximum(t_in, np.minimum(t1, t2))
+            t_out = np.minimum(t_out, np.maximum(t1, t2))
+        return t_in, t_out
+
 
 @dataclass(frozen=True)
 class MediumSpec:
     """Piecewise-constant SoS medium: background plus ordered inclusions.
 
     When inclusions overlap, the last one listed wins at that point.
-    The grid fixes the rasterized map export and the quadrature step.
+    The grid fixes the rasterized map export and the bounds that
+    travel-time end points must lie in.
     """
 
     background_sos: float
@@ -203,14 +252,16 @@ def travel_times(
     p_from: np.ndarray,
     p_to: np.ndarray,
     medium: MediumSpec,
-    step: float | None = None,
 ) -> np.ndarray:
     """Straight-ray travel time(s) between point pairs, in seconds.
 
-    Integrates slowness along each segment with the trapezoidal rule at
-    a step of at most half the medium grid spacing. Broadcasts over
-    leading dimensions of (..., 2) point arrays. For homogeneous media
-    the integral collapses to distance / c.
+    Exact for the piecewise-constant medium: each ray is cut at the
+    points where it enters and leaves every inclusion (Siddon 1985),
+    and each piece between two cuts is charged the slowness at its
+    midpoint, so overlapping inclusions resolve as in
+    :meth:`MediumSpec.sos_at` (the last one listed wins). Broadcasts
+    over leading dimensions of (..., 2) point arrays. For homogeneous
+    media the integral collapses to distance / c.
     """
     p_from = np.atleast_2d(np.asarray(p_from, dtype=float))
     p_to = np.atleast_2d(np.asarray(p_to, dtype=float))
@@ -222,43 +273,28 @@ def travel_times(
     dist = np.hypot(delta[..., 0], delta[..., 1])
     if medium.is_homogeneous:
         return dist / medium.background_sos
-
-    if step is None:
-        step = min(medium.grid.dx, medium.grid.dz) / 2.0
-    max_dist = float(dist.max(initial=0.0))
-    if max_dist == 0.0:
+    if float(dist.max(initial=0.0)) == 0.0:
         return np.zeros_like(dist)
-    n = max(int(np.ceil(max_dist / step)), 1) + 1
 
     out = np.zeros_like(dist)
     flat_from = p_from.reshape(-1, 2)
     flat_delta = delta.reshape(-1, 2)
-    flat_dist = dist.reshape(-1)
     flat_out = out.reshape(-1)
-
-    # chunk so the (paths x quadrature) sample block stays small
-    chunk = max(1, int(4_000_000 // n))
-    t = np.linspace(0.0, 1.0, n)
-    w = np.full(n, 1.0)
-    w[0] = w[-1] = 0.5
-    for i0 in range(0, flat_from.shape[0], chunk):
-        sl = slice(i0, min(i0 + chunk, flat_from.shape[0]))
-        px = flat_from[sl, 0, None] + flat_delta[sl, 0, None] * t
-        pz = flat_from[sl, 1, None] + flat_delta[sl, 1, None] * t
-        slowness = 1.0 / medium.sos_at(px, pz)
-        dl = flat_dist[sl] / (n - 1)
-        flat_out[sl] = (slowness @ w) * dl
-    return out
-
-
-def travel_time(
-    p_from: tuple[float, float],
-    p_to: tuple[float, float],
-    medium: MediumSpec,
-    step: float | None = None,
-) -> float:
-    """Scalar convenience wrapper around :func:`travel_times`."""
-    return float(travel_times(np.array(p_from), np.array(p_to), medium, step)[0])
+    # chunk so the (paths x cuts) blocks stay small
+    for i0 in range(0, flat_from.shape[0], TRACE_CHUNK):
+        sl = slice(i0, i0 + TRACE_CHUNK)
+        p, d = flat_from[sl], flat_delta[sl]
+        ends = np.zeros((p.shape[0], 1))
+        cuts = [ends, ends + 1.0]
+        for inc in medium.inclusions:
+            cuts.extend(inc.crossing(p, d))
+        # cuts outside the ray clip to its ends, where they are harmless
+        t = np.sort(np.clip(np.column_stack(cuts), 0.0, 1.0), axis=1)
+        mid = 0.5 * (t[:, 1:] + t[:, :-1])
+        c = medium.sos_at(p[:, 0, None] + d[:, 0, None] * mid,
+                          p[:, 1, None] + d[:, 1, None] * mid)
+        flat_out[sl] = (np.diff(t, axis=1) / c).sum(axis=1)
+    return out * dist
 
 
 def required_samples(
@@ -284,25 +320,18 @@ def required_samples(
 
 
 def receive_travel_times(
-    field: ScattererField,
-    medium: MediumSpec,
-    array: TransducerArray,
-    rx_elements: np.ndarray | None = None,
+    field: ScattererField, medium: MediumSpec, array: TransducerArray
 ) -> np.ndarray:
-    """Scatterer-to-element travel times, shape (len(rx_elements), n).
+    """Scatterer-to-element travel times, shape (num_elements, n).
 
-    One :func:`travel_times` call per receive element, so each row
-    uses that element's own quadrature; rx_elements defaults to the
-    whole array.
+    One broadcast :func:`travel_times` call over every (element,
+    scatterer) pair. Each ray is traced on its own, so the table equals
+    a per-element loop of calls byte for byte.
     """
-    ex = array.element_x()
-    if rx_elements is None:
-        rx_elements = range(array.num_elements)
     s = field.positions
-    rows = [
-        travel_times(s, np.array([[ex[rx], 0.0]]), medium) for rx in rx_elements
-    ]
-    return np.array(rows).reshape(len(rows), s.shape[0])
+    ex = array.element_x()
+    rx = np.column_stack([ex, np.zeros_like(ex)])
+    return travel_times(s[None, :, :], rx[:, None, :], medium)
 
 
 def _element_directivity(
@@ -369,6 +398,11 @@ def simulate_frame(
 
         half = int(np.ceil(pulse.support_halfwidth * fs))
         offs = np.arange(-half, half + 1)
+        # the pulse is read at offs + (k0 - t*fs) samples, with that
+        # fraction in [-1/2, 1/2]: tabulate it once on a fine fraction grid
+        steps = PULSE_TABLE_STEPS
+        frac = np.arange(steps + 1) / steps - 0.5
+        table = pulse.waveform((offs[None, :] + frac[:, None]) / fs)
         ex = array.element_x()
         if t_rx is None:
             t_rx = receive_travel_times(field, medium, array)
@@ -380,17 +414,26 @@ def simulate_frame(
                 spreading = spreading * d_tx * _element_directivity(
                     s[:, 0] - rx_pos[0], r_rx, array.pitch, wavelength
                 )
-            t_total = t_tx + t_rx[rx]
-            k0 = np.rint(t_total * fs).astype(np.int64)
-            # (n_sc, support) sample indices and pulse arguments
-            idx = k0[:, None] + offs[None, :]
-            t_arg = idx / fs - t_total[:, None]
-            vals = (field.amplitudes * spreading)[:, None] * pulse.waveform(t_arg)
-            valid = (idx >= 0) & (idx < num_samples)
-            samples[rx] = np.bincount(
-                idx[valid].ravel(), weights=vals[valid].ravel(),
-                minlength=num_samples,
-            )
+            k_exact = (t_tx + t_rx[rx]) * fs
+            k0 = np.rint(k_exact)
+            pos = (k0 - k_exact + 0.5) * steps
+            row = np.minimum(pos.astype(np.int64), steps - 1)
+            w = pos - row
+            weight = field.amplitudes * spreading
+            # (n_sc, support) sample indices and weighted pulse values,
+            # interpolated linearly between table rows
+            idx = k0.astype(np.int64)[:, None] + offs[None, :]
+            vals = table[row]
+            vals *= (weight * (1.0 - w))[:, None]
+            upper = table[row + 1]
+            upper *= (weight * w)[:, None]
+            vals += upper
+            if k0.min() - half >= 0 and k0.max() + half < num_samples:
+                idx, vals = idx.ravel(), vals.ravel()
+            else:
+                valid = (idx >= 0) & (idx < num_samples)
+                idx, vals = idx[valid], vals[valid]
+            samples[rx] = np.bincount(idx, weights=vals, minlength=num_samples)
 
     if noise_snr_db is not None:
         power = float(np.mean(samples**2))

@@ -14,7 +14,13 @@ from soscorr.pipeline import (
     load_config,
     recon_search_radius,
 )
+from soscorr import pipeline
 from soscorr.geometry import ImagingGrid
+from soscorr.regress import (
+    EmptyPatternError,
+    InsufficientDataError,
+    RankDeficiencyError,
+)
 from soscorr.synthsim import SOS_MAX, SOS_MIN, Inclusion
 from soscorr.tomo import build_path_matrix
 
@@ -260,6 +266,28 @@ class TestCLIExitCodes:
             "--c-bf", "1500",
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("error", [
+        EmptyPatternError, InsufficientDataError, RankDeficiencyError,
+    ])
+    def test_regression_error_is_three(self, workspace, capsys, monkeypatch,
+                                       error):
+        """Pattern and fit errors subclass ValueError but are numerical."""
+        root, cfg_path = workspace
+
+        def fail(*args, **kwargs):
+            raise error("no usable delay pattern")
+
+        monkeypatch.setattr(pipeline, "cmd_estimate", fail)
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(root / "est"),
+            "--quick", "estimate",
+            "--frames", str(root / "frames"),
+            "--model", str(root / "narrow_model.txt"),
+            "--c-bf", "1500",
+        ])
+        assert rc == 3
+        assert "numerical error" in capsys.readouterr().err
 
     def test_missing_input_is_four(self, workspace, capsys):
         root, cfg_path = workspace

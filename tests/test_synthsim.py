@@ -5,6 +5,8 @@ import pytest
 
 from soscorr.geometry import ImagingGrid, TransducerArray, element_position
 from soscorr.synthsim import (
+    R_MIN,
+    TRACE_CHUNK,
     ChannelFrame,
     ConfigurationError,
     Inclusion,
@@ -18,11 +20,11 @@ from soscorr.synthsim import (
     receive_travel_times,
     required_samples,
     simulate_frame,
-    travel_time,
     travel_times,
     write_frame,
     write_frame_set,
 )
+from soscorr import synthsim
 
 
 def make_medium(inclusions=(), background=1500.0):
@@ -67,14 +69,29 @@ class TestScatterers:
             gen_scatterers(self.grid(), 0.0, seed=1)
 
 
+def trapezoid_travel_times(p_from, p_to, medium, step):
+    """Reference: slowness integrated by the trapezoid rule at <= step."""
+    p_from, p_to = np.broadcast_arrays(np.atleast_2d(p_from),
+                                       np.atleast_2d(p_to))
+    delta = p_to - p_from
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    n = max(int(np.ceil(dist.max() / step)), 1) + 1
+    t = np.linspace(0.0, 1.0, n)
+    w = np.full(n, 1.0)
+    w[0] = w[-1] = 0.5
+    px = p_from[..., 0, None] + delta[..., 0, None] * t
+    pz = p_from[..., 1, None] + delta[..., 1, None] * t
+    return (1.0 / medium.sos_at(px, pz)) @ w * dist / (n - 1)
+
+
 class TestTravelTimes:
     def test_homogeneous_vertical(self):
         m = make_medium()
-        assert travel_time((0, 0), (0, 0.015), m) == pytest.approx(1.0e-5)
+        assert travel_times([0, 0], [0, 0.015], m)[0] == pytest.approx(1.0e-5)
 
     def test_homogeneous_3_4_5(self):
         m = make_medium(background=1540.0)
-        t = travel_time((0, 0), (0.003, 0.004), m)
+        t = travel_times([0, 0], [0.003, 0.004], m)[0]
         assert t == pytest.approx(0.005 / 1540.0)
         assert t == pytest.approx(3.2468e-6, rel=1e-4)
 
@@ -83,14 +100,14 @@ class TestTravelTimes:
         inc = Inclusion(shape="rectangle", center=(0.0, 7.5e-3),
                         half_axes=(0.02, 2.5e-3), sos=1550.0)
         m = make_medium([inc])
-        t = travel_time((0, 0), (0, 0.01), m)
+        t = travel_times([0, 0], [0, 0.01], m)[0]
         expected = 0.005 / 1500.0 + 0.005 / 1550.0
         assert expected == pytest.approx(6.5591e-6, rel=1e-4)
         assert t == pytest.approx(expected, rel=1e-3)
 
     def test_zero_length(self):
         m = make_medium([Inclusion("ellipse", (0, 0.01), (2e-3, 2e-3), 1550.0)])
-        assert travel_time((0.001, 0.001), (0.001, 0.001), m) == 0.0
+        assert travel_times([0.001, 0.001], [0.001, 0.001], m)[0] == 0.0
 
     def test_broadcasting(self):
         m = make_medium()
@@ -102,7 +119,153 @@ class TestTravelTimes:
     def test_out_of_extent_raises(self):
         m = make_medium()
         with pytest.raises(ValueError):
-            travel_time((0, 0), (0, 0.5), m)
+            travel_times([0, 0], [0, 0.5], m)
+
+
+class TestExactTravelTimes:
+    """Chord lengths against closed forms and the trapezoid rule."""
+
+    ELLIPSE = Inclusion("ellipse", (-2e-3, 0.015), (5e-3, 3e-3), 1540.0)
+    RECTANGLE = Inclusion("rectangle", (3e-3, 0.02), (4e-3, 2.5e-3), 1460.0)
+
+    @pytest.mark.parametrize("inc", [ELLIPSE, RECTANGLE],
+                             ids=["ellipse", "rectangle"])
+    def test_trapezoid_rule_converges_to_exact(self, inc):
+        m = make_medium([inc])
+        rng = np.random.default_rng(3)
+        p_from = np.column_stack([rng.uniform(-0.015, 0.015, 300),
+                                  rng.uniform(0.005, 0.03, 300)])
+        p_to = np.column_stack([rng.uniform(-0.019, 0.019, 300),
+                                np.zeros(300)])
+        exact = travel_times(p_from, p_to, m)
+        fs = PulseSpec().sampling_frequency
+        jump = abs(1.0 / inc.sos - 1.0 / m.background_sos)
+        errors = []
+        for k in (2, 10, 40):
+            step = m.grid.dx / k
+            err = np.abs(trapezoid_travel_times(p_from, p_to, m, step) - exact)
+            # the rule misplaces each of the two boundary crossings by at
+            # most half a step
+            assert np.all(err <= step * jump * (1 + 1e-6) + 1e-18)
+            errors.append(err.max() * fs)
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] < 0.02  # samples
+
+    def test_ellipse_chord(self):
+        # vertical ray through the centre of a circle of radius 3 mm
+        inc = Inclusion("ellipse", (0.0, 0.01), (3e-3, 3e-3), 1550.0)
+        t = travel_times([0, 0], [0, 0.02], make_medium([inc]))[0]
+        assert t == pytest.approx(0.014 / 1500.0 + 0.006 / 1550.0, rel=1e-12)
+
+    def test_overlapping_inclusions_last_wins(self):
+        outer = Inclusion("ellipse", (0, 0.01), (3e-3, 3e-3), 1550.0)
+        inner = Inclusion("ellipse", (0, 0.01), (1e-3, 1e-3), 1450.0)
+        t = travel_times([0, 0], [0, 0.02], make_medium([outer, inner]))[0]
+        assert t == pytest.approx(
+            0.014 / 1500.0 + 0.004 / 1550.0 + 0.002 / 1450.0, rel=1e-12)
+        # listed the other way round, the outer one covers the inner one
+        t = travel_times([0, 0], [0, 0.02], make_medium([inner, outer]))[0]
+        assert t == pytest.approx(0.014 / 1500.0 + 0.006 / 1550.0, rel=1e-12)
+
+    def test_overlapping_rectangle_and_ellipse(self):
+        # horizontal ray: rectangle over x in [-2, 4] mm, then an
+        # ellipse over x in [1, 7] mm listed after it
+        rect = Inclusion("rectangle", (1e-3, 0.01), (3e-3, 1e-3), 1450.0)
+        ell = Inclusion("ellipse", (4e-3, 0.01), (3e-3, 2e-3), 1600.0)
+        t = travel_times([-0.01, 0.01], [0.01, 0.01],
+                         make_medium([rect, ell]))[0]
+        expected = 0.011 / 1500.0 + 0.003 / 1450.0 + 0.006 / 1600.0
+        assert t == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("inc", [
+        Inclusion("ellipse", (0, 0.01), (3e-3, 3e-3), 1550.0),
+        Inclusion("rectangle", (0, 0.01), (3e-3, 3e-3), 1550.0),
+    ], ids=["ellipse", "rectangle"])
+    def test_ray_starting_or_ending_inside(self, inc):
+        m = make_medium([inc])
+        expected = 0.003 / 1550.0 + 0.007 / 1500.0
+        out = travel_times([0, 0.01], [0, 0.02], m)[0]
+        back = travel_times([0, 0.02], [0, 0.01], m)[0]
+        assert out == pytest.approx(expected, rel=1e-12)
+        assert back == pytest.approx(expected, rel=1e-12)
+        # both ends inside
+        inside = travel_times([-1e-3, 0.009], [1e-3, 0.011], m)[0]
+        assert inside == pytest.approx(np.hypot(2e-3, 2e-3) / 1550.0,
+                                       rel=1e-12)
+
+    def test_vertical_and_horizontal_rays(self):
+        rect = Inclusion("rectangle", (0.0, 0.02), (2e-3, 1e-3), 1540.0)
+        ell = Inclusion("ellipse", (-8e-3, 0.01), (2e-3, 1e-3), 1460.0)
+        m = make_medium([rect, ell])
+        # horizontal through the rectangle, outside its slab, and
+        # through the ellipse's long axis
+        t = travel_times([[-0.005, 0.02], [-0.005, 0.0225], [-0.015, 0.01]],
+                         [[0.005, 0.02], [0.005, 0.0225], [-0.001, 0.01]], m)
+        assert t[0] == pytest.approx(0.006 / 1500.0 + 0.004 / 1540.0,
+                                     rel=1e-12)
+        assert t[1] == pytest.approx(0.010 / 1500.0, rel=1e-12)
+        assert t[2] == pytest.approx(0.010 / 1500.0 + 0.004 / 1460.0,
+                                     rel=1e-12)
+        # vertical through both, and along x outside the rectangle
+        t = travel_times([[0.0, 0.0], [-8e-3, 0.0], [0.0025, 0.0]],
+                         [[0.0, 0.03], [-8e-3, 0.03], [0.0025, 0.03]], m)
+        assert t[0] == pytest.approx(0.028 / 1500.0 + 0.002 / 1540.0,
+                                     rel=1e-12)
+        assert t[1] == pytest.approx(0.028 / 1500.0 + 0.002 / 1460.0,
+                                     rel=1e-12)
+        assert t[2] == pytest.approx(0.030 / 1500.0, rel=1e-12)
+
+    def test_ray_along_rectangle_edge(self):
+        # edges belong to the inclusion, as in MediumSpec.sos_at; powers
+        # of two keep the edge coordinates exact
+        cz, hx, hz = 2.0**-6, 2.0**-9, 2.0**-10
+        rect = Inclusion("rectangle", (0.0, cz), (hx, hz), 1540.0)
+        m = make_medium([rect])
+        t = travel_times([[hx, 0.0], [-0.005, cz - hz]],
+                         [[hx, 0.03], [0.005, cz - hz]], m)
+        assert t[0] == pytest.approx((0.03 - 2 * hz) / 1500.0
+                                     + 2 * hz / 1540.0, rel=1e-12)
+        assert t[1] == pytest.approx((0.01 - 2 * hx) / 1500.0
+                                     + 2 * hx / 1540.0, rel=1e-12)
+
+    def test_ray_tangent_to_ellipse(self):
+        inc = Inclusion("ellipse", (0.0, 0.01), (3e-3, 2e-3), 1550.0)
+        m = make_medium([inc])
+        # horizontal ray touching the top of the ellipse
+        t = travel_times([-0.01, 0.008], [0.01, 0.008], m)[0]
+        assert t == pytest.approx(0.02 / 1500.0, rel=1e-12)
+
+    def test_zero_length_rays_in_a_batch(self):
+        rect = Inclusion("rectangle", (0.0, 0.01), (2e-3, 2e-3), 1540.0)
+        ell = Inclusion("ellipse", (5e-3, 0.01), (2e-3, 2e-3), 1460.0)
+        m = make_medium([rect, ell])
+        p = np.array([[0.0, 0.01], [5e-3, 0.01], [-0.01, 0.02], [0.0, 0.0]])
+        q = np.array([[0.0, 0.01], [5e-3, 0.01], [-0.01, 0.02], [0.0, 0.02]])
+        with np.errstate(all="raise"):
+            t = travel_times(p, q, m)
+        assert np.array_equal(t[:3], np.zeros(3))
+        assert t[3] == pytest.approx(0.016 / 1500.0 + 0.004 / 1540.0,
+                                     rel=1e-12)
+
+    def test_receive_tables_equal_per_element_loop(self):
+        """One broadcast call equals a per-element loop, byte for byte,
+        also where the rays span several trace blocks."""
+        m = make_medium([self.ELLIPSE, self.RECTANGLE])
+        array = TransducerArray()
+        n = TRACE_CHUNK // array.num_elements + 7
+        rng = np.random.default_rng(5)
+        field = ScattererField(
+            positions=np.column_stack([rng.uniform(-0.019, 0.019, n),
+                                       rng.uniform(0.003, 0.03, n)]),
+            amplitudes=np.ones(n), rng_seed=5,
+        )
+        table = receive_travel_times(field, m, array)
+        loop = np.array([
+            travel_times(field.positions, np.array([[x, 0.0]]), m)
+            for x in array.element_x()
+        ])
+        assert table.shape == (array.num_elements, n)
+        assert table.tobytes() == loop.tobytes()
 
 
 class TestMediumSpec:
@@ -209,19 +372,90 @@ class TestSimulateFrame:
         assert np.array_equal(noisy1.samples, noisy2.samples)
 
 
-class TestSimulateFrames:
-    def test_shared_receive_tables_match_per_receiver_travel_times(self):
-        """simulate_frames builds the receive tables once per field, one
-        block of elements per thread. Each table row must be the
-        element's own travel_times call, and each frame must equal the
-        frame simulated from those rows, byte for byte."""
-        from soscorr.pipeline import PipelineConfig, apply_quick, simulate_frames
+def direct_frame(tx, field, medium, pulse, array, num_samples, t_rx):
+    """Reference frame: the pulse evaluated per sample, no table."""
+    fs = pulse.sampling_frequency
+    s = field.positions
+    tx_pos = np.array(element_position(array, tx))
+    t_tx = travel_times(tx_pos[None, :], s, medium)
+    r_tx = np.hypot(s[:, 0] - tx_pos[0], s[:, 1] - tx_pos[1])
+    wavelength = medium.background_sos / pulse.center_frequency
+    d_tx = synthsim._element_directivity(s[:, 0] - tx_pos[0], r_tx,
+                                         array.pitch, wavelength)
+    half = int(np.ceil(pulse.support_halfwidth * fs))
+    offs = np.arange(-half, half + 1)
+    out = np.zeros((array.num_elements, num_samples))
+    for rx, x in enumerate(array.element_x()):
+        r_rx = np.hypot(s[:, 0] - x, s[:, 1])
+        weight = field.amplitudes * d_tx * synthsim._element_directivity(
+            s[:, 0] - x, r_rx, array.pitch, wavelength
+        ) / np.maximum(r_tx * r_rx, R_MIN**2)
+        t_total = t_tx + t_rx[rx]
+        idx = np.rint(t_total * fs).astype(np.int64)[:, None] + offs
+        vals = weight[:, None] * pulse.waveform(idx / fs - t_total[:, None])
+        valid = (idx >= 0) & (idx < num_samples)
+        out[rx] = np.bincount(idx[valid], weights=vals[valid],
+                              minlength=num_samples)
+    return out
 
-        cfg = apply_quick(PipelineConfig(
-            scatterer_density=0.1, threads=2,
+
+class TestPulseTable:
+    def setup_method(self):
+        self.array = TransducerArray()
+        self.pulse = PulseSpec()
+        self.medium = make_medium(
+            [Inclusion("ellipse", (0.0, 0.012), (3e-3, 2e-3), 1540.0)])
+
+    def frames(self, positions, tx):
+        field = ScattererField(positions=np.array(positions),
+                               amplitudes=np.linspace(1.0, -0.5,
+                                                      len(positions)),
+                               rng_seed=0)
+        n = required_samples(tx, field, self.medium, self.pulse, self.array)
+        t_rx = receive_travel_times(field, self.medium, self.array)
+        frame = simulate_frame(tx, field, self.medium, self.pulse,
+                               self.array, n, t_rx=t_rx)
+        ref = direct_frame(tx, field, self.medium, self.pulse, self.array,
+                           n, t_rx)
+        return frame.samples, ref
+
+    def test_matches_direct_pulse(self):
+        samples, ref = self.frames(
+            [(0.0, 0.02), (-3e-3, 0.011), (4e-3, 0.016)], tx=50)
+        peak = np.abs(ref).max()
+        assert np.abs(samples - ref).max() <= 1e-6 * peak
+
+    def test_pulse_cut_at_record_start(self):
+        # 0.2 mm below the transmit element: the echo arrives after 43
+        # samples, while the pulse reaches 64 samples before its centre
+        x_tx = self.array.element_x()[63]
+        samples, ref = self.frames([(x_tx, 2e-4), (0.0, 0.02)], tx=63)
+        half = int(np.ceil(self.pulse.support_halfwidth
+                           * self.pulse.sampling_frequency))
+        assert 2 * 2e-4 / 1500.0 * self.pulse.sampling_frequency < half
+        assert samples[63, 0] != 0.0  # the record starts mid-pulse
+        peak = np.abs(ref).max()
+        assert np.abs(samples - ref).max() <= 1e-6 * peak
+
+
+class TestSimulateFrames:
+    def cfg(self, threads):
+        from soscorr.pipeline import PipelineConfig, apply_quick
+
+        return apply_quick(PipelineConfig(
+            scatterer_density=0.1, threads=threads,
             inclusions=(Inclusion("ellipse", (-2e-3, 15e-3), (4e-3, 3e-3),
                                   1540.0),),
         ))
+
+    def test_shared_receive_tables_match_per_receiver_travel_times(self):
+        """simulate_frames builds the receive tables once per field. Each
+        table row must be the element's own travel_times call, and each
+        frame must equal the frame simulated from those rows, byte for
+        byte."""
+        from soscorr.pipeline import simulate_frames
+
+        cfg = self.cfg(threads=2)
         txs = [40, 55, 88]
         frames = simulate_frames(cfg, tx_list=txs)
         field = gen_scatterers(cfg.scatterer_grid(), cfg.scatterer_density,
@@ -239,6 +473,16 @@ class TestSimulateFrames:
                                    frames[tx].num_samples,
                                    noise_seed=cfg.seed + tx, t_rx=t_rx)
             assert frames[tx].samples.tobytes() == alone.samples.tobytes()
+
+    def test_thread_count_does_not_change_frames(self):
+        from soscorr.pipeline import simulate_frames
+
+        txs = [40, 55, 88]
+        one = simulate_frames(self.cfg(threads=1), tx_list=txs)
+        two = simulate_frames(self.cfg(threads=2), tx_list=txs)
+        assert sorted(one) == sorted(two) == txs
+        for tx in txs:
+            assert one[tx].samples.tobytes() == two[tx].samples.tobytes()
 
 
 class TestFrameIO:

@@ -1,6 +1,6 @@
 """Delay-and-sum beamforming of diverging-wave frames.
 
-Dynamic receive focusing with full aperture by default; the transmit
+Dynamic receive focusing with full aperture; the transmit
 delay is measured from the single transmitting element with t = 0 at
 the pulse center, so matched-SoS beamforming focuses scatterers at
 their true positions and any residual constant offset cancels in the
@@ -10,7 +10,6 @@ differential delay measurements downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -18,20 +17,22 @@ from .geometry import ImagingGrid, TransducerArray, element_position
 from .synthsim import ChannelFrame, SOS_MAX, SOS_MIN
 
 
+# Distance table holds at most this many nx*nz images; one receiver adds
+# at most nx distinct offsets, so a group of this many receivers fits.
+TABLE_IMAGES = 16
+
+
 @dataclass(frozen=True)
 class BFConfig:
     c_bf: float
     grid: ImagingGrid
     apodization: str = "none"  # "none" | "hann"
-    f_number: float = 0.0  # 0 = full aperture
 
     def __post_init__(self):
         if not SOS_MIN <= self.c_bf <= SOS_MAX:
             raise ValueError(f"c_bf {self.c_bf} outside [{SOS_MIN}, {SOS_MAX}]")
         if self.apodization not in ("none", "hann"):
             raise ValueError(f"unknown apodization {self.apodization!r}")
-        if self.f_number < 0:
-            raise ValueError("f_number must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,16 @@ def das_beamform(
 ) -> BeamformedFrame:
     """Delay-and-sum with dynamic receive focusing.
 
-    rf(p) = sum_rx a(rx, p) * interp(samples[rx], t(p, rx) * fs) with
+    rf(p) = sum_rx a(rx) * interp(samples[rx], t(p, rx) * fs) with
     t(p, rx) = (|p - tx| + |p - rx|) / c_bf. Linear interpolation;
     out-of-range sample times contribute zero.
+
+    |p - e| depends only on |x_p - x_e| and z_p, so the receive
+    distances are gathered from a table of hypot over the distinct
+    lateral offsets of a group of receivers. Images are built column
+    by column, (nx, nz), so each gather is a contiguous row copy. The
+    arithmetic per pixel and the receiver order of the sum are those of
+    the direct formula, so the output does not depend on the table.
     """
     if frame.num_rx != array.num_elements:
         raise ValueError(
@@ -57,47 +65,63 @@ def das_beamform(
             f"{array.num_elements} elements"
         )
     grid = cfg.grid
-    X, Z = grid.meshgrid()
+    xc = grid.x_coords()
+    z = grid.z_coords()
     tx_x, _ = element_position(array, frame.tx_element)
-    d_tx = np.hypot(X - tx_x, Z)
+    d_tx = np.hypot(np.abs(xc - tx_x)[:, None], z[None, :])
 
-    ex = array.element_x()
     n_el = array.num_elements
     ns = frame.num_samples
     fs = frame.fs
-    rf = np.zeros_like(X)
+    apod = np.hanning(n_el) if cfg.apodization == "hann" else None
+    offsets = np.abs(xc[None, :] - array.element_x()[:, None])
+    n_rows = np.unique(offsets).size
+    group = n_el
+    if n_rows > TABLE_IMAGES * grid.nx:
+        n_rows, group = TABLE_IMAGES * grid.nx, TABLE_IMAGES
+    table = np.empty((n_rows, grid.nz))
 
-    static_apod = None
-    if cfg.apodization == "hann" and cfg.f_number == 0:
-        static_apod = np.hanning(n_el)
-
-    for rx in range(n_el):
-        d_rx = np.hypot(X - ex[rx], Z)
-        s = ((d_tx + d_rx) / cfg.c_bf - frame.t0) * fs
-        i0 = np.floor(s).astype(np.int64)
-        frac = s - i0
-        valid = (i0 >= 0) & (i0 < ns - 1)
-        i0c = np.where(valid, i0, 0)
-        ch = frame.samples[rx]
-        val = (1.0 - frac) * ch[i0c] + frac * ch[np.minimum(i0c + 1, ns - 1)]
-        val = np.where(valid, val, 0.0)
-
-        if cfg.f_number > 0:
-            half_ap = Z / (2.0 * cfg.f_number)
-            inside = np.abs(X - ex[rx]) <= half_ap
-            if cfg.apodization == "hann":
-                arg = np.clip((X - ex[rx]) / np.maximum(half_ap, 1e-12), -1, 1)
-                w = np.where(inside, 0.5 * (1 + np.cos(np.pi * arg)), 0.0)
-            else:
-                w = inside.astype(float)
-            val = val * w
-        elif static_apod is not None:
-            val = val * static_apod[rx]
-
-        rf += val
+    shape = (grid.nx, grid.nz)
+    rf = np.zeros(shape)
+    s = np.empty(shape)
+    fl = np.empty(shape)
+    frac = np.empty(shape)
+    val = np.empty(shape)
+    g = np.empty(shape)
+    idx = np.empty(shape, dtype=np.int64)
+    for start in range(0, n_el, group):
+        u, inv = np.unique(offsets[start:start + group], return_inverse=True)
+        inv = inv.reshape(-1, grid.nx)
+        np.hypot(u[:, None], z[None, :], out=table[:u.size])
+        for k, rx in enumerate(range(start, min(start + group, n_el))):
+            # s = ((d_tx + d_rx) / c_bf - t0) * fs, i0 = floor(s)
+            np.take(table, inv[k], axis=0, out=s, mode="clip")
+            np.add(d_tx, s, out=s)
+            s /= cfg.c_bf
+            s -= frame.t0
+            s *= fs
+            np.floor(s, out=fl)
+            np.subtract(s, fl, out=frac)
+            idx[...] = fl
+            # (1 - frac) * ch[i0] + frac * ch[min(i0 + 1, ns - 1)]; clipped
+            # indices only occur where the sample is masked to zero below
+            ch = frame.samples[rx].astype(np.float64)
+            np.take(ch, idx, out=g, mode="clip")
+            np.subtract(1.0, frac, out=val)
+            val *= g
+            ch[:-1] = ch[1:]
+            np.take(ch, idx, out=g, mode="clip")
+            g *= frac
+            val += g
+            if fl.min() < 0 or fl.max() >= ns - 1:
+                val[(fl < 0) | (fl >= ns - 1)] = 0.0
+            if apod is not None:
+                val *= apod[rx]
+            rf += val
 
     return BeamformedFrame(
-        tx_element=frame.tx_element, rf=rf, c_bf_used=cfg.c_bf, grid=grid
+        tx_element=frame.tx_element, rf=np.ascontiguousarray(rf.T),
+        c_bf_used=cfg.c_bf, grid=grid,
     )
 
 
@@ -111,17 +135,3 @@ def echo_shift_model(c: float, c_bf: float, d: float) -> float:
         raise ValueError("speeds must be positive")
     return (1.0 / c - 1.0 / c_bf) * d
 
-
-def export_frame(path: Path, frame: BeamformedFrame) -> None:
-    """Flat binary f32 grid plus a text sidecar describing it."""
-    path = Path(path)
-    np.ascontiguousarray(frame.rf, dtype="<f4").tofile(path)
-    g = frame.grid
-    sidecar = (
-        f"tx_element {frame.tx_element}\n"
-        f"c_bf {frame.c_bf_used!r}\n"
-        f"x0 {g.x0!r}\nz0 {g.z0!r}\ndx {g.dx!r}\ndz {g.dz!r}\n"
-        f"nx {g.nx}\nnz {g.nz}\n"
-        "layout row-major nz x nx, float32 little-endian\n"
-    )
-    path.with_suffix(path.suffix + ".txt").write_text(sidecar)

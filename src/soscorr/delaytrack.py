@@ -144,9 +144,9 @@ def track_delays(
         ea[x] = np.einsum("ij,ij->i", a_sel, a_sel)
         eb_all = np.einsum("ij,ij->i", bwd, bwd)
         for li, lag in enumerate(lags):
-            idx = zs + lag
-            dots[x, li] = np.einsum("ij,ij->i", a_sel, bwd[idx])
-            eb[x, li] = eb_all[idx]
+            rows = slice(z_first + lag, z_last + lag + 1, cfg.axial_step)
+            dots[x, li] = np.einsum("ij,ij->i", a_sel, bwd[rows])
+            eb[x, li] = eb_all[rows]
 
     delays = np.zeros((n_nodes, xs.size))
     nccs = np.zeros((n_nodes, xs.size))

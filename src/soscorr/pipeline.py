@@ -501,20 +501,6 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
     return out_dir
 
 
-def beamform_pair(
-    frames: dict[int, ChannelFrame],
-    pair: tuple[int, int],
-    c_bf: float,
-    grid: ImagingGrid,
-    cfg: PipelineConfig,
-) -> tuple[BeamformedFrame, BeamformedFrame]:
-    bf = BFConfig(c_bf=c_bf, grid=grid)
-    return (
-        das_beamform(frames[pair[0]], cfg.array, bf),
-        das_beamform(frames[pair[1]], cfg.array, bf),
-    )
-
-
 def estimate_slope(
     frames: dict[int, ChannelFrame], c_bf: float, cfg: PipelineConfig
 ):

@@ -1,11 +1,17 @@
 """Delay-and-sum beamforming and the echo-shift reference model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from soscorr.beamform import BFConfig, das_beamform, echo_shift_model
+from soscorr.beamform import (
+    BFConfig,
+    das_beamform,
+    echo_shift_model,
+)
 from soscorr.delaytrack import TrackConfig, track_delays
-from soscorr.geometry import ImagingGrid, TransducerArray
+from soscorr.geometry import ImagingGrid, TransducerArray, element_position
 from soscorr.synthsim import (
     ChannelFrame,
     MediumSpec,
@@ -67,8 +73,6 @@ class TestDASBeamform:
             BFConfig(c_bf=900.0, grid=grid)
         with pytest.raises(ValueError):
             BFConfig(c_bf=1500.0, grid=grid, apodization="tukey")
-        with pytest.raises(ValueError):
-            BFConfig(c_bf=1500.0, grid=grid, f_number=-1.0)
 
     def test_zero_offset_pair_tracks_to_null(self, full_cfg, null_estimate):
         """Matched BF-SoS leaves the (55, 65) pair with near-zero delays."""
@@ -85,6 +89,123 @@ class TestDASBeamform:
         assert np.all(dmap.valid)
         assert np.allclose(dmap.delays, 0.0)
         assert np.allclose(dmap.ncc, 1.0)
+
+
+def reference_das(frame, array, cfg):
+    """Reference rf: per-receiver DAS with np.hypot on the pixel mesh.
+
+    das_beamform does the same arithmetic on tabulated distances, so
+    the two must agree byte for byte.
+    """
+    X, Z = cfg.grid.meshgrid()
+    tx_x, _ = element_position(array, frame.tx_element)
+    d_tx = np.hypot(X - tx_x, Z)
+    ex = array.element_x()
+    n_el = array.num_elements
+    ns = frame.num_samples
+    fs = frame.fs
+    rf = np.zeros_like(X)
+    static_apod = np.hanning(n_el) if cfg.apodization == "hann" else None
+    for rx in range(n_el):
+        d_rx = np.hypot(X - ex[rx], Z)
+        s = ((d_tx + d_rx) / cfg.c_bf - frame.t0) * fs
+        i0 = np.floor(s).astype(np.int64)
+        frac = s - i0
+        valid = (i0 >= 0) & (i0 < ns - 1)
+        i0c = np.where(valid, i0, 0)
+        ch = frame.samples[rx]
+        val = (1.0 - frac) * ch[i0c] + frac * ch[np.minimum(i0c + 1, ns - 1)]
+        val = np.where(valid, val, 0.0)
+        if static_apod is not None:
+            val = val * static_apod[rx]
+        rf += val
+    return rf
+
+
+ALIGNED = ImagingGrid(x0=-6e-3, z0=4e-3, dx=1.5e-4, dz=5e-5, nx=81, nz=120)
+# dx does not divide the pitch and x0 is off the element lattice, so
+# nearly every element-column offset is distinct
+UNALIGNED = ImagingGrid(x0=-7.3127e-3, z0=4e-3, dx=2.137e-4, dz=5e-5,
+                        nx=70, nz=120)
+
+
+def noise_frame(tx, num_samples, t0=1e-7, fs=4e7, seed=0):
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((128, num_samples)).astype(np.float32)
+    return ChannelFrame(tx_element=tx, samples=samples, t0=t0, fs=fs)
+
+
+def sample_index_range(frame, array, cfg):
+    """Smallest and largest interpolation index the grid asks for."""
+    X, Z = cfg.grid.meshgrid()
+    tx_x, _ = element_position(array, frame.tx_element)
+    d = np.hypot(X - tx_x, Z)[..., None] + np.hypot(
+        X[..., None] - array.element_x(), Z[..., None])
+    s = np.floor((d / cfg.c_bf - frame.t0) * frame.fs)
+    return s.min(), s.max()
+
+
+class TestDistanceTableKernel:
+    """das_beamform against reference_das, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "tx, num_samples, grid, apodization, inside",
+        [
+            (63, 1600, ALIGNED, "none", True),
+            (63, 700, ALIGNED, "none", False),
+            (63, 1600, ALIGNED, "hann", True),
+            (63, 1600, UNALIGNED, "none", True),
+            (0, 1600, ALIGNED, "none", True),
+            (127, 700, UNALIGNED, "hann", False),
+        ],
+        ids=["inside", "past-record-end", "hann", "unaligned", "tx0",
+             "tx127-unaligned-hann-past-end"],
+    )
+    @pytest.mark.parametrize("c_bf", [1400.0, 1522.5])
+    def test_matches_reference(self, tx, num_samples, grid, apodization,
+                               inside, c_bf):
+        array = TransducerArray()
+        frame = noise_frame(tx, num_samples)
+        cfg = BFConfig(c_bf=c_bf, grid=grid, apodization=apodization)
+        lo, hi = sample_index_range(frame, array, cfg)
+        assert lo >= 0
+        assert (hi < num_samples - 1) == inside
+        out = das_beamform(frame, array, cfg)
+        ref = reference_das(frame, array, cfg)
+        assert out.rf.shape == ref.shape == (grid.nz, grid.nx)
+        assert out.rf.dtype == ref.dtype
+        assert out.rf.flags.c_contiguous
+        assert out.rf.tobytes() == ref.tobytes()
+
+    def test_record_start_is_masked(self):
+        """Pixels whose echo time precedes the first sample read zero."""
+        array = TransducerArray()
+        frame = noise_frame(63, 1200, t0=1.5e-5)
+        cfg = BFConfig(c_bf=1500.0, grid=ALIGNED)
+        lo, _ = sample_index_range(frame, array, cfg)
+        assert lo < 0
+        out = das_beamform(frame, array, cfg)
+        assert out.rf.tobytes() == reference_das(frame, array, cfg).tobytes()
+
+    def test_table_memory_is_bounded_on_unaligned_grid(self):
+        array = TransducerArray()
+        frame = noise_frame(40, 1200)
+        cfg = BFConfig(c_bf=1500.0, grid=UNALIGNED)
+        offsets = np.abs(UNALIGNED.x_coords()[None, :]
+                         - array.element_x()[:, None])
+        # one table for all receivers would hold ~128 images
+        assert np.unique(offsets).size > 100 * UNALIGNED.nx
+        image = UNALIGNED.nx * UNALIGNED.nz * 8
+        tracemalloc.start()
+        try:
+            das_beamform(frame, array, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a table of TABLE_IMAGES = 16 images plus about 12 images of
+        # buffers, offsets and output; the per-receiver loop it replaced
+        # peaked at 14 images
+        assert peak < 32 * image
 
 
 class TestEchoShiftModel:

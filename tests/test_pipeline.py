@@ -13,6 +13,8 @@ from soscorr.pipeline import (
     dump_config,
     load_config,
     recon_search_radius,
+    run_calibration_sweep,
+    simulate_frames,
 )
 from soscorr import pipeline
 from soscorr.geometry import ImagingGrid
@@ -184,6 +186,28 @@ class TestSimulateStage:
         cmd_simulate(replace(cfg, seed=8), b)
         assert (a / "frame_tx055.sosc").read_bytes() != \
             (b / "frame_tx055.sosc").read_bytes()
+
+
+class TestCalibrationSweep:
+    def test_thread_count_does_not_change_sweep(self):
+        """The sweep's worker threads share nothing that changes a fit."""
+        from dataclasses import replace
+
+        cfg = apply_quick(PipelineConfig(threads=1))
+        frames = simulate_frames(cfg, tx_list=list(cfg.estimation_pair))
+        runs = [
+            run_calibration_sweep(
+                replace(cfg, threads=t), frames, delta_c_min=-20.0,
+                delta_c_max=20.0, step=20.0, degrees=(1,),
+                train_selector="every-2",
+            )
+            for t in (1, 2)
+        ]
+        one, two = (r.dataset.entries for r in runs)
+        assert [e.delta_c for e in one] == [-20.0, 0.0, 20.0]
+        assert [(e.slope, e.r_squared) for e in one] == \
+            [(e.slope, e.r_squared) for e in two]
+        assert np.all(np.diff([e.slope for e in one]) > 0)
 
 
 class TestReport:

@@ -16,7 +16,6 @@ from .geometry import (
     PolarROI,
     TransducerArray,
     element_position,
-    pixel_to_polar,
 )
 from .metrics import RegionLabels, cnr_db, cnr_linear, rmse_map
 from .regress import (

@@ -73,9 +73,6 @@ class ImagingGrid:
     def z_coords(self) -> np.ndarray:
         return self.z0 + np.arange(self.nz) * self.dz
 
-    def pixel_center(self, ix: int, iz: int) -> tuple[float, float]:
-        return (self.x0 + ix * self.dx, self.z0 + iz * self.dz)
-
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Z) pixel-center coordinate arrays of shape (nz, nx)."""
         return np.meshgrid(self.x_coords(), self.z_coords())
@@ -134,24 +131,12 @@ class PolarROI:
         return 0.5 * (edges[:-1] + edges[1:])
 
 
-def pixel_to_polar(p: tuple[float, float], roi: PolarROI) -> tuple[float, float]:
-    """Polar coordinates (r, theta) of point p in the ROI's frame.
-
-    r is the distance from the apex (reference_x, 0); theta = atan2(x - ref, z)
-    so theta = 0 points straight down and pixels right of the apex get
-    theta > 0.
-    """
-    x, z = p
-    if z <= 0:
-        raise ValueError("pixel_to_polar requires z > 0")
-    dx = x - roi.reference_x
-    return (float(np.hypot(dx, z)), float(np.arctan2(dx, z)))
-
-
 def polar_coords(
     x: np.ndarray, z: np.ndarray, reference_x: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (r, theta) for arrays of pixel coordinates."""
+    """Polar (r, theta) of pixel coordinates in the frame apexed at
+    (reference_x, 0): theta = atan2(x - reference_x, z), so theta = 0
+    points straight down and pixels right of the apex get theta > 0."""
     dx = np.asarray(x) - reference_x
     z = np.asarray(z)
     return np.hypot(dx, z), np.arctan2(dx, z)

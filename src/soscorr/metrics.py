@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -69,20 +67,3 @@ def cnr_db(sos_map: np.ndarray, labels: RegionLabels) -> float:
         return float("inf")
     return float(10.0 * np.log10(lin))
 
-
-def write_metrics_csv(path: Path, rows: list[dict]) -> None:
-    """Per-case metrics table; mirrors the before/after comparison layout."""
-    fields = [
-        "case_id",
-        "rmse_before",
-        "rmse_after",
-        "cnr_before_linear",
-        "cnr_after_linear",
-        "cnr_before_db",
-        "cnr_after_db",
-    ]
-    with open(path, "w", newline="") as f:
-        wr = csv.DictWriter(f, fieldnames=fields, extrasaction="ignore")
-        wr.writeheader()
-        for row in rows:
-            wr.writerow(row)

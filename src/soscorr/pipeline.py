@@ -13,6 +13,7 @@ import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -220,232 +221,160 @@ def apply_quick(cfg: PipelineConfig) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # plain-text config files (INI sections, unknown keys rejected)
 
-_SCHEMA = {
-    "array": {"num_elements", "pitch"},
-    "pulse": {"center_frequency", "half_cycles", "sampling_frequency"},
-    "medium": {"background_sos"},  # plus inclusionN keys, validated below
-    "scatterers": {"density", "seed"},
-    "simulation": {"noise_snr_db"},
-    "grids": {"bf_dx", "bf_dz", "bf_z0", "bf_depth", "slow_nx", "slow_nz"},
-    "tracking": {"window_len", "search_radius", "axial_step", "lateral_step",
-                 "min_ncc"},
-    "roi": {"depth_min", "depth_max", "theta_min", "theta_max", "num_bins",
-            "reference"},
-    "regression": {"method"},
-    "estimation": {"pair", "window_len", "apodization"},
-    "reconstruction": {"pairs", "lam", "tv_axial_weight", "tv_lateral_weight",
-                       "l1_epsilon", "max_iter", "axial_step", "lateral_step"},
-    "calibration": {"degree"},
-}
+
+def _choice(parse, *allowed):
+    def parse_choice(text):
+        value = parse(text)
+        if value not in allowed:
+            raise ValueError(f"must be one of {', '.join(map(str, allowed))}")
+        return value
+    return parse_choice
 
 
-def _parse_inclusion(value: str) -> Inclusion:
-    parts = value.split()
+def _parse_pair(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("a pair is two element indices 'a,b'")
+    return int(parts[0]), int(parts[1])
+
+
+def _parse_inclusion(text: str) -> Inclusion:
+    parts = text.split()
     if len(parts) != 6:
-        raise ConfigError(
-            f"inclusion must be 'shape cx cz hx hz sos', got {value!r}"
-        )
-    return Inclusion(
-        shape=parts[0],
-        center=(float(parts[1]), float(parts[2])),
-        half_axes=(float(parts[3]), float(parts[4])),
-        sos=float(parts[5]),
-    )
+        raise ValueError("inclusion must be 'shape cx cz hx hz sos'")
+    cx, cz, hx, hz, sos = map(float, parts[1:])
+    return Inclusion(shape=parts[0], center=(cx, cz), half_axes=(hx, hz),
+                     sos=sos)
+
+
+def _format_inclusion(inc: Inclusion) -> str:
+    return (f"{inc.shape} {inc.center[0]!r} {inc.center[1]!r} "
+            f"{inc.half_axes[0]!r} {inc.half_axes[1]!r} {inc.sos!r}")
+
+
+def _format_pair(pair: tuple[int, int]) -> str:
+    return f"{pair[0]},{pair[1]}"
+
+
+# (section, key, PipelineConfig field path, parse, format), in file order.
+# "inclusionN" stands for inclusion1, inclusion2, ...: one key per entry
+# of the tuple, applied in numeric order.
+_FIELDS = (
+    ("array", "num_elements", "array.num_elements", int, str),
+    ("array", "pitch", "array.pitch", float, repr),
+    ("pulse", "center_frequency", "pulse.center_frequency", float, repr),
+    ("pulse", "half_cycles", "pulse.half_cycles", int, str),
+    ("pulse", "sampling_frequency", "pulse.sampling_frequency", float, repr),
+    ("medium", "background_sos", "background_sos", float, repr),
+    ("medium", "inclusionN", "inclusions", _parse_inclusion, _format_inclusion),
+    ("scatterers", "density", "scatterer_density", float, repr),
+    ("scatterers", "seed", "seed", int, str),
+    ("simulation", "noise_snr_db", "noise_snr_db",
+     lambda s: float(s) if s else None, lambda v: "" if v is None else repr(v)),
+    ("grids", "bf_dx", "bf_dx", float, repr),
+    ("grids", "bf_dz", "bf_dz", float, repr),
+    ("grids", "bf_z0", "bf_z0", float, repr),
+    ("grids", "bf_depth", "bf_depth", float, repr),
+    ("grids", "slow_nx", "slow_nx", int, str),
+    ("grids", "slow_nz", "slow_nz", int, str),
+    ("tracking", "window_len", "tracking.window_len", int, str),
+    ("tracking", "search_radius", "tracking.search_radius", int, str),
+    ("tracking", "axial_step", "tracking.axial_step", int, str),
+    ("tracking", "lateral_step", "tracking.lateral_step", int, str),
+    ("tracking", "min_ncc", "tracking.min_ncc", float, repr),
+    ("roi", "depth_min", "roi_depth_min", float, repr),
+    ("roi", "depth_max", "roi_depth_max", float, repr),
+    ("roi", "theta_min", "roi_theta_min", float, repr),
+    ("roi", "theta_max", "roi_theta_max", float, repr),
+    ("roi", "num_bins", "roi_num_bins", int, str),
+    ("roi", "reference", "roi_reference",
+     _choice(str, "pair_midpoint", "probe_center"), str),
+    ("regression", "method", "regression_method", _choice(str, *FITTERS), str),
+    ("estimation", "pair", "estimation_pair", _parse_pair, _format_pair),
+    ("estimation", "window_len", "estimation_window_len", int, str),
+    ("estimation", "apodization", "estimation_apodization", str, str),
+    ("reconstruction", "pairs", "recon_pairs",
+     lambda s: tuple(map(_parse_pair, s.split())),
+     lambda pairs: " ".join(map(_format_pair, pairs))),
+    ("reconstruction", "lam", "recon.lam", float, repr),
+    ("reconstruction", "tv_axial_weight", "recon.tv_axial_weight", float, repr),
+    ("reconstruction", "tv_lateral_weight", "recon.tv_lateral_weight",
+     float, repr),
+    ("reconstruction", "l1_epsilon", "recon.l1_epsilon", float, repr),
+    ("reconstruction", "max_iter", "recon.max_iter", int, str),
+    ("reconstruction", "axial_step", "recon_axial_step", int, str),
+    ("reconstruction", "lateral_step", "recon_lateral_step", int, str),
+    ("calibration", "degree", "calibration_degree", _choice(int, 1, 3, 5), str),
+)
+_ROWS = {(row[0], row[1]): row for row in _FIELDS}
 
 
 def load_config(path: Path) -> PipelineConfig:
-    """Parse the sectioned key/value config file; unknown keys are errors."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    """Parse the sectioned key/value config file; unknown keys are errors.
+
+    Values for a nested object (array, pulse, tracking, recon) are applied
+    together, so its checks see every value the file sets.
+    """
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as err:
+        raise ConfigError(str(err)) from err
     if not read:
         raise FileNotFoundError(f"config file {path} not found")
-    cfg = PipelineConfig()
+    values: dict[str, dict] = {}  # owner ("" = PipelineConfig) -> field -> value
+    sections: dict[str, str] = {}
+    inclusions = []
+    known_sections = {section for section, _ in _ROWS}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in known_sections:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
+        for key, text in cp[section].items():
+            name = key
             if section == "medium" and key.startswith("inclusion"):
-                continue
-            if key not in _SCHEMA[section]:
+                name = "inclusionN"
+            if (section, name) not in _ROWS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-    g = cp
-    if g.has_section("array"):
-        cfg.array = TransducerArray(
-            num_elements=g.getint("array", "num_elements",
-                                  fallback=cfg.array.num_elements),
-            pitch=g.getfloat("array", "pitch", fallback=cfg.array.pitch),
-        )
-    if g.has_section("pulse"):
-        cfg.pulse = PulseSpec(
-            center_frequency=g.getfloat("pulse", "center_frequency",
-                                        fallback=cfg.pulse.center_frequency),
-            half_cycles=g.getint("pulse", "half_cycles",
-                                 fallback=cfg.pulse.half_cycles),
-            sampling_frequency=g.getfloat("pulse", "sampling_frequency",
-                                          fallback=cfg.pulse.sampling_frequency),
-        )
-    if g.has_section("medium"):
-        cfg.background_sos = g.getfloat("medium", "background_sos",
-                                        fallback=cfg.background_sos)
-        incs = []
-        for key in sorted(g["medium"]):
-            if key.startswith("inclusion"):
-                incs.append(_parse_inclusion(g.get("medium", key)))
-        cfg.inclusions = tuple(incs)
-    if g.has_section("scatterers"):
-        cfg.scatterer_density = g.getfloat("scatterers", "density",
-                                           fallback=cfg.scatterer_density)
-        cfg.seed = g.getint("scatterers", "seed", fallback=cfg.seed)
-    if g.has_section("simulation") and g.get("simulation", "noise_snr_db",
-                                             fallback="") != "":
-        cfg.noise_snr_db = g.getfloat("simulation", "noise_snr_db")
-    if g.has_section("grids"):
-        for key in ("bf_dx", "bf_dz", "bf_z0", "bf_depth"):
-            if g.has_option("grids", key):
-                setattr(cfg, key, g.getfloat("grids", key))
-        for key in ("slow_nx", "slow_nz"):
-            if g.has_option("grids", key):
-                setattr(cfg, key, g.getint("grids", key))
-    if g.has_section("tracking"):
-        t = cfg.tracking
-        cfg.tracking = TrackConfig(
-            window_len=g.getint("tracking", "window_len", fallback=t.window_len),
-            search_radius=g.getint("tracking", "search_radius",
-                                   fallback=t.search_radius),
-            axial_step=g.getint("tracking", "axial_step", fallback=t.axial_step),
-            lateral_step=g.getint("tracking", "lateral_step",
-                                  fallback=t.lateral_step),
-            min_ncc=g.getfloat("tracking", "min_ncc", fallback=t.min_ncc),
-        )
-    if g.has_section("roi"):
-        cfg.roi_depth_min = g.getfloat("roi", "depth_min", fallback=cfg.roi_depth_min)
-        cfg.roi_depth_max = g.getfloat("roi", "depth_max", fallback=cfg.roi_depth_max)
-        cfg.roi_theta_min = g.getfloat("roi", "theta_min", fallback=cfg.roi_theta_min)
-        cfg.roi_theta_max = g.getfloat("roi", "theta_max", fallback=cfg.roi_theta_max)
-        cfg.roi_num_bins = g.getint("roi", "num_bins", fallback=cfg.roi_num_bins)
-        cfg.roi_reference = g.get("roi", "reference", fallback=cfg.roi_reference)
-    if g.has_section("regression"):
-        cfg.regression_method = g.get("regression", "method",
-                                      fallback=cfg.regression_method)
-        if cfg.regression_method not in FITTERS:
-            raise ConfigError(
-                f"unknown regression method {cfg.regression_method!r}"
-            )
-    if g.has_section("estimation"):
-        if g.has_option("estimation", "pair"):
-            a, b = g.get("estimation", "pair").split(",")
-            cfg.estimation_pair = (int(a), int(b))
-        cfg.estimation_window_len = g.getint(
-            "estimation", "window_len", fallback=cfg.estimation_window_len
-        )
-        cfg.estimation_apodization = g.get(
-            "estimation", "apodization", fallback=cfg.estimation_apodization
-        )
-    if g.has_section("reconstruction"):
-        if g.has_option("reconstruction", "pairs"):
-            pairs = []
-            for tok in g.get("reconstruction", "pairs").split():
-                a, b = tok.split(",")
-                pairs.append((int(a), int(b)))
-            cfg.recon_pairs = tuple(pairs)
-        r = cfg.recon
-        cfg.recon = ReconConfig(
-            lam=g.getfloat("reconstruction", "lam", fallback=r.lam),
-            tv_axial_weight=g.getfloat("reconstruction", "tv_axial_weight",
-                                       fallback=r.tv_axial_weight),
-            tv_lateral_weight=g.getfloat("reconstruction", "tv_lateral_weight",
-                                         fallback=r.tv_lateral_weight),
-            l1_epsilon=g.getfloat("reconstruction", "l1_epsilon",
-                                  fallback=r.l1_epsilon),
-            max_iter=g.getint("reconstruction", "max_iter", fallback=r.max_iter),
-        )
-        cfg.recon_axial_step = g.getint("reconstruction", "axial_step",
-                                        fallback=cfg.recon_axial_step)
-        cfg.recon_lateral_step = g.getint("reconstruction", "lateral_step",
-                                          fallback=cfg.recon_lateral_step)
-    if g.has_section("calibration"):
-        cfg.calibration_degree = g.getint("calibration", "degree",
-                                          fallback=cfg.calibration_degree)
-    return cfg
+            _, _, fpath, parse, _ = _ROWS[section, name]
+            try:
+                value = parse(text)
+            except ValueError as err:
+                raise ConfigError(f"[{section}] {key} = {text!r}: {err}") from err
+            if name == "inclusionN":
+                number = key[len("inclusion"):]
+                if not number.isdigit():
+                    raise ConfigError(f"[medium] {key}: inclusion keys are "
+                                      "'inclusion' and a number")
+                inclusions.append((int(number), value))
+                continue
+            owner, _, attr = fpath.rpartition(".")
+            values.setdefault(owner, {})[attr] = value
+            sections[owner] = section
+    cfg = PipelineConfig()
+    top = values.pop("", {})
+    inclusions.sort(key=lambda item: item[0])
+    top["inclusions"] = tuple(inc for _, inc in inclusions)
+    for owner, fields in values.items():
+        try:
+            top[owner] = replace(getattr(cfg, owner), **fields)
+        except ValueError as err:
+            raise ConfigError(f"[{sections[owner]}] {err}") from err
+    return replace(cfg, **top)
 
 
 def dump_config(cfg: PipelineConfig) -> str:
     """Fully-resolved config in the same sectioned format."""
-    lines = [
-        "[array]",
-        f"num_elements = {cfg.array.num_elements}",
-        f"pitch = {cfg.array.pitch!r}",
-        "",
-        "[pulse]",
-        f"center_frequency = {cfg.pulse.center_frequency!r}",
-        f"half_cycles = {cfg.pulse.half_cycles}",
-        f"sampling_frequency = {cfg.pulse.sampling_frequency!r}",
-        "",
-        "[medium]",
-        f"background_sos = {cfg.background_sos!r}",
-    ]
-    for i, inc in enumerate(cfg.inclusions, 1):
-        lines.append(
-            f"inclusion{i} = {inc.shape} {inc.center[0]!r} {inc.center[1]!r} "
-            f"{inc.half_axes[0]!r} {inc.half_axes[1]!r} {inc.sos!r}"
-        )
-    lines += [
-        "",
-        "[scatterers]",
-        f"density = {cfg.scatterer_density!r}",
-        f"seed = {cfg.seed}",
-        "",
-        "[simulation]",
-        "noise_snr_db = "
-        + ("" if cfg.noise_snr_db is None else repr(cfg.noise_snr_db)),
-        "",
-        "[grids]",
-        f"bf_dx = {cfg.bf_dx!r}",
-        f"bf_dz = {cfg.bf_dz!r}",
-        f"bf_z0 = {cfg.bf_z0!r}",
-        f"bf_depth = {cfg.bf_depth!r}",
-        f"slow_nx = {cfg.slow_nx}",
-        f"slow_nz = {cfg.slow_nz}",
-        "",
-        "[tracking]",
-        f"window_len = {cfg.tracking.window_len}",
-        f"search_radius = {cfg.tracking.search_radius}",
-        f"axial_step = {cfg.tracking.axial_step}",
-        f"lateral_step = {cfg.tracking.lateral_step}",
-        f"min_ncc = {cfg.tracking.min_ncc!r}",
-        "",
-        "[roi]",
-        f"depth_min = {cfg.roi_depth_min!r}",
-        f"depth_max = {cfg.roi_depth_max!r}",
-        f"theta_min = {cfg.roi_theta_min!r}",
-        f"theta_max = {cfg.roi_theta_max!r}",
-        f"num_bins = {cfg.roi_num_bins}",
-        f"reference = {cfg.roi_reference}",
-        "",
-        "[regression]",
-        f"method = {cfg.regression_method}",
-        "",
-        "[estimation]",
-        f"pair = {cfg.estimation_pair[0]},{cfg.estimation_pair[1]}",
-        f"window_len = {cfg.estimation_window_len}",
-        f"apodization = {cfg.estimation_apodization}",
-        "",
-        "[reconstruction]",
-        "pairs = " + " ".join(f"{a},{b}" for a, b in cfg.recon_pairs),
-        f"lam = {cfg.recon.lam!r}",
-        f"tv_axial_weight = {cfg.recon.tv_axial_weight!r}",
-        f"tv_lateral_weight = {cfg.recon.tv_lateral_weight!r}",
-        f"l1_epsilon = {cfg.recon.l1_epsilon!r}",
-        f"max_iter = {cfg.recon.max_iter}",
-        f"axial_step = {cfg.recon_axial_step}",
-        f"lateral_step = {cfg.recon_lateral_step}",
-        "",
-        "[calibration]",
-        f"degree = {cfg.calibration_degree}",
-        "",
-    ]
-    return "\n".join(lines)
+    lines = []
+    for section, key, fpath, _, fmt in _FIELDS:
+        if f"[{section}]" not in lines:
+            lines += ["", f"[{section}]"]
+        value = reduce(getattr, fpath.split("."), cfg)
+        if key == "inclusionN":
+            lines += [f"inclusion{i} = {fmt(inc)}"
+                      for i, inc in enumerate(value, 1)]
+        else:
+            lines.append(f"{key} = {fmt(value)}")
+    return "\n".join(lines[1:]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +543,11 @@ def cmd_calibrate(
     degrees: tuple[int, ...] = (1, 3, 5),
 ) -> SweepResult:
     """Full calibration stage with persistence of model, sweep and report."""
+    if cfg.calibration_degree not in degrees:
+        raise ConfigError(
+            f"[calibration] degree = {cfg.calibration_degree} is not among "
+            f"the fitted degrees {degrees}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if frames is None:
@@ -955,12 +889,10 @@ def cmd_report(run_dir: Path, out_dir: Path | None = None) -> dict:
 
     summary = {"cases": 0, "missing": missing, "outputs": []}
     if metrics_files:
-        import csv as _csv
-
         rows = []
         for mf in metrics_files:
             with open(mf) as f:
-                rows.extend(list(_csv.DictReader(f)))
+                rows.extend(list(csv.DictReader(f)))
         if rows:
             num_fields = [k for k in rows[0] if k != "case_id"]
             mean_row = {"case_id": "mean"}
@@ -969,7 +901,7 @@ def cmd_report(run_dir: Path, out_dir: Path | None = None) -> dict:
                         if r[k] not in ("", "inf", "-inf")]
                 mean_row[k] = f"{np.mean(vals):.6f}" if vals else ""
             with open(out_dir / "metrics_table.csv", "w", newline="") as f:
-                wr = _csv.DictWriter(f, fieldnames=list(rows[0].keys()))
+                wr = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
                 wr.writeheader()
                 for r in rows:
                     wr.writerow(r)

@@ -9,7 +9,6 @@ from soscorr.geometry import (
     PolarROI,
     TransducerArray,
     element_position,
-    pixel_to_polar,
     polar_coords,
 )
 
@@ -84,30 +83,25 @@ class TestImagingGrid:
 
 
 class TestPolarROI:
-    def roi(self, ref=0.0):
+    def roi(self):
         return PolarROI(depth_min=7.5e-3, depth_max=15e-3, theta_min=-0.4,
-                        theta_max=0.4, num_bins=40, reference_x=ref)
+                        theta_max=0.4, num_bins=40)
 
     def test_on_axis_point(self):
-        r, th = pixel_to_polar((0.0, 0.01), self.roi())
+        r, th = polar_coords(0.0, 0.01, 0.0)
         assert r == pytest.approx(0.01)
         assert th == pytest.approx(0.0)
 
     def test_45_degree_point(self):
-        r, th = pixel_to_polar((0.01, 0.01), self.roi())
+        r, th = polar_coords(0.01, 0.01, 0.0)
         assert r == pytest.approx(0.01 * np.sqrt(2))
         assert th == pytest.approx(np.pi / 4)
 
     def test_3_4_5_triangle_point(self):
-        roi = self.roi(ref=0.002)
-        r, th = pixel_to_polar((0.002 - 0.005, 0.012), roi)
+        r, th = polar_coords(0.002 - 0.005, 0.012, 0.002)
         assert r == pytest.approx(0.013)
         assert th == pytest.approx(np.arctan2(-0.005, 0.012))
         assert th == pytest.approx(-0.39479, abs=1e-5)
-
-    def test_rejects_nonpositive_depth(self):
-        with pytest.raises(ValueError):
-            pixel_to_polar((0.0, 0.0), self.roi())
 
     def test_bin_edges_and_centers(self):
         roi = self.roi()
@@ -134,18 +128,7 @@ class TestPolarROI:
     )
     def test_polar_roundtrip_property(self, x, z, ref):
         """r, theta always reproduce the Cartesian point exactly."""
-        roi = PolarROI(depth_min=1e-3, depth_max=0.05, theta_min=-1.5,
-                       theta_max=1.5, num_bins=10, reference_x=ref)
-        r, th = pixel_to_polar((x, z), roi)
+        r, th = polar_coords(x, z, ref)
         assert r * np.sin(th) + ref == pytest.approx(x, abs=1e-12)
         assert r * np.cos(th) == pytest.approx(z, abs=1e-12)
 
-    def test_vectorized_matches_scalar(self):
-        roi = self.roi(ref=0.001)
-        xs = np.array([-0.004, 0.0, 0.003])
-        zs = np.array([0.01, 0.012, 0.02])
-        r, th = polar_coords(xs, zs, roi.reference_x)
-        for i in range(xs.size):
-            rs, ths = pixel_to_polar((xs[i], zs[i]), roi)
-            assert r[i] == pytest.approx(rs)
-            assert th[i] == pytest.approx(ths)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from soscorr.metrics import RegionLabels, cnr_db, cnr_linear, rmse_map, \
-    write_metrics_csv
+from soscorr.metrics import RegionLabels, cnr_db, cnr_linear, rmse_map
 
 
 def labels_top_bottom(shape=(4, 4)):
@@ -73,20 +72,3 @@ class TestCNR:
         bkg = ~inc
         with pytest.raises(ValueError):
             cnr_linear(img, RegionLabels(inclusion=inc, background=bkg))
-
-
-class TestMetricsCSV:
-    def test_writes_expected_columns(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, [{
-            "case_id": "caseA", "rmse_before": 10.0, "rmse_after": 3.0,
-            "cnr_before_linear": 1.0, "cnr_after_linear": 2.0,
-            "cnr_before_db": 0.0, "cnr_after_db": 3.0103,
-            "ignored_extra": 1,
-        }])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",") == [
-            "case_id", "rmse_before", "rmse_after", "cnr_before_linear",
-            "cnr_after_linear", "cnr_before_db", "cnr_after_db",
-        ]
-        assert lines[1].startswith("caseA,10.0,3.0,")

@@ -1,7 +1,12 @@
 """Config files, stage orchestration, reporting, and the CLI contract."""
 
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from soscorr.cli import main as cli_main
 from soscorr.pipeline import (
@@ -19,11 +24,12 @@ from soscorr.pipeline import (
 from soscorr import pipeline
 from soscorr.geometry import ImagingGrid
 from soscorr.regress import (
+    FITTERS,
     EmptyPatternError,
     InsufficientDataError,
     RankDeficiencyError,
 )
-from soscorr.synthsim import SOS_MAX, SOS_MIN, Inclusion
+from soscorr.synthsim import SOS_MAX, SOS_MIN, Inclusion, PulseSpec
 from soscorr.tomo import build_path_matrix
 
 CHEAP_CONFIG = """\
@@ -37,6 +43,76 @@ pair = 55,65
 [reconstruction]
 pairs = 55,65
 """
+
+
+def roundtrip(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.ini"
+        path.write_text(dump_config(cfg))
+        return load_config(path)
+
+
+def with_field(cfg, path, value):
+    owner, _, attr = path.rpartition(".")
+    if owner:
+        value = replace(getattr(cfg, owner), **{attr: value})
+        attr = owner
+    return replace(cfg, **{attr: value})
+
+
+lengths = st.floats(1e-5, 1e-3)
+element_pairs = st.tuples(st.integers(0, 127), st.integers(0, 127))
+inclusions = st.builds(
+    Inclusion,
+    shape=st.sampled_from(["ellipse", "rectangle"]),
+    center=st.tuples(st.floats(-0.02, 0.02), st.floats(0.0, 0.04)),
+    half_axes=st.tuples(st.floats(1e-4, 0.01), st.floats(1e-4, 0.01)),
+    sos=st.floats(SOS_MIN, SOS_MAX),
+)
+# a valid value for every field the config file sets, by field path
+FIELD_VALUES = {
+    "array.num_elements": st.integers(2, 512),
+    "array.pitch": lengths,
+    # the other pulse field keeps its default: sampling 1.6e8, center 5e6
+    "pulse.center_frequency": st.floats(1e5, 1.6e7),
+    "pulse.half_cycles": st.integers(1, 16),
+    "pulse.sampling_frequency": st.floats(5e7, 1e10),
+    "background_sos": st.floats(SOS_MIN, SOS_MAX),
+    "inclusions": st.lists(inclusions, max_size=3).map(tuple),
+    "scatterer_density": st.floats(0.01, 20.0),
+    "seed": st.integers(0, 2**32),
+    "noise_snr_db": st.none() | st.floats(-20.0, 80.0),
+    "bf_dx": lengths,
+    "bf_dz": lengths,
+    "bf_z0": st.floats(0.0, 0.02),
+    "bf_depth": st.floats(0.005, 0.08),
+    "slow_nx": st.integers(2, 128),
+    "slow_nz": st.integers(2, 128),
+    "tracking.window_len": st.integers(8, 512),
+    "tracking.search_radius": st.integers(1, 64),
+    "tracking.axial_step": st.integers(1, 16),
+    "tracking.lateral_step": st.integers(1, 16),
+    "tracking.min_ncc": st.floats(0.0, 1.0),
+    "roi_depth_min": st.floats(0.0, 0.01),
+    "roi_depth_max": st.floats(0.01, 0.05),
+    "roi_theta_min": st.floats(-1.0, 0.0),
+    "roi_theta_max": st.floats(0.0, 1.0),
+    "roi_num_bins": st.integers(2, 200),
+    "roi_reference": st.sampled_from(["pair_midpoint", "probe_center"]),
+    "regression_method": st.sampled_from(sorted(FITTERS)),
+    "estimation_pair": element_pairs,
+    "estimation_window_len": st.integers(8, 512),
+    "estimation_apodization": st.sampled_from(["none", "hann"]),
+    "recon_pairs": st.lists(element_pairs, min_size=1, max_size=8).map(tuple),
+    "recon.lam": st.floats(0.0, 10.0),
+    "recon.tv_axial_weight": st.floats(0.0, 10.0),
+    "recon.tv_lateral_weight": st.floats(0.0, 10.0),
+    "recon.l1_epsilon": st.floats(1e-6, 1.0),
+    "recon.max_iter": st.integers(1, 5000),
+    "recon_axial_step": st.integers(1, 16),
+    "recon_lateral_step": st.integers(1, 16),
+    "calibration_degree": st.sampled_from([1, 3, 5]),
+}
 
 
 def cheap_cfg():
@@ -81,6 +157,78 @@ class TestConfigFiles:
         assert back.regression_method == "weighted"
         assert back.tracking == cfg.tracking
         assert back.recon == cfg.recon
+
+    def test_every_table_field_has_a_strategy(self):
+        assert [row[2] for row in pipeline._FIELDS] == list(FIELD_VALUES)
+
+    @given(row=st.sampled_from(pipeline._FIELDS), data=st.data())
+    def test_changed_field_roundtrips(self, row, data):
+        """Any one field changed from its default dumps and loads back."""
+        path = row[2]
+        default = PipelineConfig()
+        value = data.draw(FIELD_VALUES[path])
+        cfg = with_field(default, path, value)
+        assume(cfg != default)
+        back = roundtrip(cfg)
+        assert back == cfg
+        assert dump_config(back) == dump_config(cfg)
+
+    def test_pulse_keys_apply_together(self):
+        """Each value alone breaks sampling_frequency >= 10x
+        center_frequency against the other's default; together they
+        are valid."""
+        cfg = PipelineConfig(
+            pulse=PulseSpec(center_frequency=2.0e7, sampling_frequency=2.5e8)
+        )
+        assert roundtrip(cfg) == cfg
+
+    def test_inclusions_keep_numeric_order(self):
+        """Overlapping inclusions: the last one wins, so order matters."""
+        incs = tuple(
+            Inclusion("ellipse", (0.0, 0.02), (4e-3, 3e-3), 1400.0 + 10 * i)
+            for i in range(12)
+        )
+        cfg = PipelineConfig(inclusions=incs)
+        back = roundtrip(cfg)
+        assert back.inclusions == incs
+        grid = cfg.slow_grid()
+        assert np.array_equal(back.medium().rasterize(grid),
+                              cfg.medium().rasterize(grid))
+
+    @pytest.mark.parametrize("key", ["inclusion", "inclusion_a", "inclusionx1"])
+    def test_inclusion_key_needs_a_number(self, tmp_path, key):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[medium]\n{key} = ellipse 0 0.02 0.004 0.003 1540\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize("section, line", [
+        ("estimation", "pair = 55"),
+        ("reconstruction", "pairs = 40,56 72"),
+        ("tracking", "window_len = 9.5"),
+        ("roi", "reference = probe_centre"),
+        ("calibration", "degree = 2"),
+        ("simulation", "noise_snr_db = loud"),
+        ("medium", "background_sos = 15%"),
+    ])
+    def test_bad_value_names_section_and_key(self, tmp_path, section, line):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[{section}]\n{line}\n")
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+            load_config(path)
+
+    def test_invalid_combination_names_section(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[pulse]\ncenter_frequency = 2e7\n")
+        with pytest.raises(ConfigError, match=r"\[pulse\].*sampling_frequency"):
+            load_config(path)
+
+    def test_unparseable_file_is_config_error(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[tracking]\nwindow_len = 96\nwindow_len = 128\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -177,8 +325,6 @@ class TestSimulateStage:
         assert np.allclose(gt, 1500.0)
 
     def test_different_seed_changes_frames(self, tmp_path):
-        from dataclasses import replace
-
         cfg = cheap_cfg()
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -191,8 +337,6 @@ class TestSimulateStage:
 class TestCalibrationSweep:
     def test_thread_count_does_not_change_sweep(self):
         """The sweep's worker threads share nothing that changes a fit."""
-        from dataclasses import replace
-
         cfg = apply_quick(PipelineConfig(threads=1))
         frames = simulate_frames(cfg, tx_list=list(cfg.estimation_pair))
         runs = [
@@ -267,6 +411,38 @@ class TestCLIExitCodes:
             "--config", str(bad), "--out", str(root / "x"), "simulate",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("text", [
+        "[roi]\nreference = probe_centre\n",
+        "[calibration]\ndegree = 2\n",
+    ])
+    def test_bad_config_value_is_two(self, workspace, capsys, text):
+        root, _ = workspace
+        bad = root / "bad_value.ini"
+        bad.write_text(text)
+        rc = cli_main([
+            "--config", str(bad), "--out", str(root / "x"), "simulate",
+        ])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_quick_calibrate_with_unfitted_degree_is_two(self, workspace,
+                                                         capsys, monkeypatch):
+        """--quick fits degree 1 only; degree 3 fails before the sweep."""
+        root, _ = workspace
+        cfg_path = root / "degree3.ini"
+        cfg_path.write_text(CHEAP_CONFIG + "\n[calibration]\ndegree = 3\n")
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(pipeline, "run_calibration_sweep", no_sweep)
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(root / "cal3"),
+            "--quick", "calibrate",
+        ])
+        assert rc == 2
+        assert "degree" in capsys.readouterr().err
 
     def test_numerical_error_is_three(self, workspace, capsys):
         """A model whose invertible slope range excludes the observation."""

@@ -10,7 +10,7 @@ from .calibrate import (
     corrected_sos,
     estimate_offset,
 )
-from .delaytrack import DelayMap, TrackConfig, ncc_delay_1d, track_delays
+from .delaytrack import DelayMap, TrackConfig, track_delays
 from .geometry import (
     ImagingGrid,
     PolarROI,

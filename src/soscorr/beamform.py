@@ -17,6 +17,8 @@ from .geometry import ImagingGrid, TransducerArray, element_position
 from .synthsim import ChannelFrame, SOS_MAX, SOS_MIN
 
 
+APODIZATIONS = ("none", "hann")
+
 # Distance table holds at most this many nx*nz images; one receiver adds
 # at most nx distinct offsets, so a group of this many receivers fits.
 TABLE_IMAGES = 16
@@ -26,12 +28,12 @@ TABLE_IMAGES = 16
 class BFConfig:
     c_bf: float
     grid: ImagingGrid
-    apodization: str = "none"  # "none" | "hann"
+    apodization: str = "none"  # one of APODIZATIONS
 
     def __post_init__(self):
         if not SOS_MIN <= self.c_bf <= SOS_MAX:
             raise ValueError(f"c_bf {self.c_bf} outside [{SOS_MIN}, {SOS_MAX}]")
-        if self.apodization not in ("none", "hann"):
+        if self.apodization not in APODIZATIONS:
             raise ValueError(f"unknown apodization {self.apodization!r}")
 
 

@@ -1,10 +1,14 @@
 """Axial normalized-cross-correlation delay tracking between frames.
 
-Integer-lag zero-mean NCC with 3-point parabolic subsample refinement.
-Tracked lags are converted to seconds through the two-way axial time of
-the beamformed grid, and the sign is oriented so that the reported delay
-equals the differential echo-shift model (1/c - 1/c_bf) * (d_a - d_b)
-for a frame pair (a, b).
+One kernel correlates every node, column and integer lag at once:
+window sums and energies come from running sums down each column, the
+dot products from one product over a strided view of the lagged
+windows of frame b, and the pooling over lateral_window columns from a
+running sum across columns. The peak lag is refined by a 3-point
+parabola. Tracked lags are converted to seconds through the two-way
+axial time of the beamformed grid, and the sign is oriented so that the
+reported delay equals the differential echo-shift model
+(1/c - 1/c_bf) * (d_a - d_b) for a frame pair (a, b).
 """
 
 from __future__ import annotations
@@ -63,35 +67,31 @@ def _parabolic_offset(cm1, c0, cp1):
     return np.clip(off, -1.0, 1.0)
 
 
-def ncc_delay_1d(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Best-matching fractional lag of window a inside search region b.
+def _window_stats(rf: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and de-meaned energy of every w-sample window down each column.
 
-    The lag is measured relative to the centered alignment of a in b;
-    positive lag means b's content is deeper (later) than a's. Returns
-    (lag, peak_ncc); on zero-variance input the lag is NaN and ncc 0.
+    Both come from running sums, so each costs O(1) per window start.
+    Returns two (nz - w + 1, nx) arrays indexed by window start.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if b.size < a.size + 2:
-        raise ValueError("search region must be at least window + 2 samples")
-    w = a.size
-    ad = a - a.mean()
-    na = np.sqrt(np.sum(ad * ad))
-    bw = sliding_window_view(b, w)
-    bd = bw - bw.mean(axis=1, keepdims=True)
-    nb = np.sqrt(np.sum(bd * bd, axis=1))
-    if na == 0 or np.all(nb == 0):
-        return (float("nan"), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ncc = (bd @ ad) / (na * nb)
-    ncc = np.where(nb > 0, ncc, 0.0)
-    k = int(np.argmax(ncc))
-    peak = float(ncc[k])
-    frac = 0.0
-    if 0 < k < ncc.size - 1:
-        frac = float(_parabolic_offset(ncc[k - 1], ncc[k], ncc[k + 1]))
-    center = (b.size - w) / 2.0
-    return (k + frac - center, peak)
+    head = np.zeros((1, rf.shape[1]))
+    c1 = np.concatenate([head, np.cumsum(rf, axis=0)])
+    c2 = np.concatenate([head, np.cumsum(rf * rf, axis=0)])
+    sums = c1[w:] - c1[:-w]
+    energy = (c2[w:] - c2[:-w]) - sums * sums / w
+    # rounding can leave a flat window's energy a little below zero
+    return sums, np.maximum(energy, 0.0)
+
+
+def _pool_columns(q: np.ndarray, xs: np.ndarray, h: int) -> np.ndarray:
+    """Sum of q over columns x-h..x+h, clipped to the grid, at each x in xs.
+
+    Columns run along the last axis; the sums come from a running sum.
+    """
+    c = np.cumsum(q, axis=-1)
+    c = np.concatenate([np.zeros(q.shape[:-1] + (1,)), c], axis=-1)
+    hi = np.minimum(xs + h, q.shape[-1] - 1) + 1
+    lo = np.maximum(xs - h, 0)
+    return c[..., hi] - c[..., lo]
 
 
 def track_delays(
@@ -103,8 +103,9 @@ def track_delays(
     of frame b. With lateral_window > 1 the dot products and energies
     of the columns around the node are summed before normalizing, a 2-D
     kernel that pools independent speckle columns. A node is valid when
-    its peak NCC reaches min_ncc and the peak lies inside the search
-    range: a peak at the first or last lag was not located.
+    its window of a has energy, its peak NCC reaches min_ncc and the
+    peak lies inside the search range: a peak at the first or last lag
+    was not located.
     """
     if frame_a.grid != frame_b.grid:
         raise ValueError("frames must share the same grid")
@@ -115,64 +116,54 @@ def track_delays(
     w = cfg.window_len
     r = cfg.search_radius
     h = cfg.lateral_window // 2
-    nz, nx = frame_a.rf.shape
-    z_first, z_last = r, nz - w - r
-    if z_last < z_first:
+    # NCC does not see a column's mean; removing it keeps the running
+    # sums small, so they lose no precision on a DC offset
+    a, b = (f.rf - f.rf.mean(axis=0, dtype=float) for f in (frame_a, frame_b))
+    nz, nx = a.shape
+    z_last = nz - w - r
+    if z_last < r:
         raise ValueError(
             f"grid depth ({nz} px) too small for window {w} + search {r}"
         )
-    zs = np.arange(z_first, z_last + 1, cfg.axial_step)
+    # node n's window of a starts at zs[n] = r + n * axial_step
+    zs = np.arange(r, z_last + 1, cfg.axial_step)
     xs = np.arange(0, nx, cfg.lateral_step)
     lags = np.arange(-r, r + 1)
-    n_nodes = zs.size
-    nodes = np.arange(n_nodes)
+    at_nodes = slice(r, z_last + 1, cfg.axial_step)
 
-    # per column: window energies of a and lagged dot products/energies
-    # of b; only columns that some node's lateral window covers
-    ea = np.zeros((nx, n_nodes))
-    eb = np.zeros((nx, lags.size, n_nodes))
-    dots = np.zeros((nx, lags.size, n_nodes))
-    needed = np.zeros(nx, dtype=bool)
-    for o in range(-h, h + 1):
-        needed[np.clip(xs + o, 0, nx - 1)] = True
-    for x in np.flatnonzero(needed):
-        aw = sliding_window_view(frame_a.rf[:, x], w)
-        bw = sliding_window_view(frame_b.rf[:, x], w)
-        awd = aw - aw.mean(axis=1, keepdims=True)
-        bwd = bw - bw.mean(axis=1, keepdims=True)
-        a_sel = awd[zs]
-        ea[x] = np.einsum("ij,ij->i", a_sel, a_sel)
-        eb_all = np.einsum("ij,ij->i", bwd, bwd)
-        for li, lag in enumerate(lags):
-            rows = slice(z_first + lag, z_last + lag + 1, cfg.axial_step)
-            dots[x, li] = np.einsum("ij,ij->i", a_sel, bwd[rows])
-            eb[x, li] = eb_all[rows]
+    sum_a, energy_a = _window_stats(a, w)
+    _, energy_b = _window_stats(b, w)
+    a_win = sliding_window_view(a, w, axis=0)[at_nodes]  # (nodes, nx, w)
+    a_dm = a_win - (sum_a[at_nodes] / w)[..., None]
+    # (nodes, nx, lags, w) view: lag l of node n starts at zs[n] + l; the
+    # b windows need no de-meaning, as each window of a has zero mean
+    b_win = sliding_window_view(
+        sliding_window_view(b, w + 2 * r, axis=0)[:: cfg.axial_step], w, axis=-1
+    )
+    dots = np.einsum("nxlw,nxw->nlx", b_win, a_dm)
 
-    delays = np.zeros((n_nodes, xs.size))
-    nccs = np.zeros((n_nodes, xs.size))
-    valid = np.zeros((n_nodes, xs.size), dtype=bool)
-    for j, x in enumerate(xs):
-        cols = slice(max(x - h, 0), min(x + h, nx - 1) + 1)
-        na_sel = np.sqrt(ea[cols].sum(axis=0))
-        denom = na_sel * np.sqrt(eb[cols].sum(axis=0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ncc_mat = np.where(denom > 0, dots[cols].sum(axis=0) / denom, 0.0)
+    # pooled over the lateral window: (nodes, lags, xs)
+    ea = _pool_columns(energy_a[at_nodes], xs, h)[:, None, :]
+    eb = _pool_columns(energy_b[zs[:, None] + lags], xs, h)
+    denom = np.sqrt(ea) * np.sqrt(eb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ncc = np.where(denom > 0, _pool_columns(dots, xs, h) / denom, 0.0)
 
-        am = np.argmax(ncc_mat, axis=0)
-        peak = ncc_mat[am, nodes]
-        interior = (am > 0) & (am < lags.size - 1)
-        cm1 = ncc_mat[np.maximum(am - 1, 0), nodes]
-        cp1 = ncc_mat[np.minimum(am + 1, lags.size - 1), nodes]
-        frac = np.where(interior, _parabolic_offset(cm1, peak, cp1), 0.0)
-        lag_total = lags[am] + frac
+    def ncc_at(k):
+        k = np.clip(k, 0, lags.size - 1)[:, None]
+        return np.take_along_axis(ncc, k, axis=1)[:, 0]
 
-        ok = (peak >= cfg.min_ncc) & (na_sel > 0) & interior
-        # negated so the delay matches (1/c - 1/c_bf) * (d_a - d_b)
-        delays[:, j] = np.where(
-            ok, -lag_total * (2.0 * grid.dz / frame_a.c_bf_used), 0.0
-        )
-        nccs[:, j] = peak
-        valid[:, j] = ok
+    am = np.argmax(ncc, axis=1)  # (nodes, xs)
+    peak = ncc_at(am)
+    interior = (am > 0) & (am < lags.size - 1)
+    frac = np.where(
+        interior, _parabolic_offset(ncc_at(am - 1), peak, ncc_at(am + 1)), 0.0
+    )
+    valid = (peak >= cfg.min_ncc) & (ea[:, 0] > 0) & interior
+    # negated so the delay matches (1/c - 1/c_bf) * (d_a - d_b)
+    delays = np.where(
+        valid, -(lags[am] + frac) * (2.0 * grid.dz / frame_a.c_bf_used), 0.0
+    )
 
     meas_grid = ImagingGrid(
         x0=grid.x0 + xs[0] * grid.dx,
@@ -180,11 +171,11 @@ def track_delays(
         dx=grid.dx * cfg.lateral_step,
         dz=grid.dz * cfg.axial_step,
         nx=xs.size,
-        nz=n_nodes,
+        nz=zs.size,
     )
     return DelayMap(
         delays=delays,
-        ncc=nccs,
+        ncc=peak,
         valid=valid,
         grid=meas_grid,
         frame_pair=(frame_a.tx_element, frame_b.tx_element),

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibrate as cal
-from .beamform import BFConfig, BeamformedFrame, das_beamform
+from .beamform import APODIZATIONS, BFConfig, BeamformedFrame, das_beamform
 from .delaytrack import DelayMap, TrackConfig, export_delay_map, track_delays
 from .geometry import ImagingGrid, PolarROI, TransducerArray, element_position
 from .metrics import RegionLabels, cnr_db, contrast, rmse_map
@@ -292,7 +292,8 @@ _FIELDS = (
     ("regression", "method", "regression_method", _choice(str, *FITTERS), str),
     ("estimation", "pair", "estimation_pair", _parse_pair, _format_pair),
     ("estimation", "window_len", "estimation_window_len", int, str),
-    ("estimation", "apodization", "estimation_apodization", str, str),
+    ("estimation", "apodization", "estimation_apodization",
+     _choice(str, *APODIZATIONS), str),
     ("reconstruction", "pairs", "recon_pairs",
      lambda s: tuple(map(_parse_pair, s.split())),
      lambda pairs: " ".join(map(_format_pair, pairs))),

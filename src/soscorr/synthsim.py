@@ -478,6 +478,8 @@ def read_frame(path: Path) -> ChannelFrame:
         raise ValueError(f"{path}: unsupported frame version {version}")
     off = 4 + struct.calcsize("<HHIIdd")
     samples = np.frombuffer(raw, dtype="<f4", offset=off).reshape(num_rx, num_samples)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{path}: frame has non-finite samples")
     return ChannelFrame(tx_element=tx, samples=samples.copy(), t0=t0, fs=fs)
 
 

@@ -1,11 +1,15 @@
-"""NCC delay tracking: 1-D shift oracles and 2-D delay maps."""
+"""NCC delay tracking: 1-D shift oracles, the reference tracker and 2-D
+delay maps."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from soscorr.beamform import BeamformedFrame
-from soscorr.delaytrack import TrackConfig, ncc_delay_1d, track_delays
+from soscorr.delaytrack import DelayMap, TrackConfig, track_delays
 from soscorr.geometry import ImagingGrid, element_position, polar_coords
 
 
@@ -38,12 +42,147 @@ def shifted_region(signal, i0, w, margin, shift):
     return signal[start:start + w + 2 * margin]
 
 
+def _parabolic_offset(cm1, c0, cp1):
+    """Subsample peak offset from three correlation samples."""
+    denom = cm1 - 2.0 * c0 + cp1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = 0.5 * (cm1 - cp1) / denom
+    off = np.where(np.abs(denom) > 0, off, 0.0)
+    return np.clip(off, -1.0, 1.0)
+
+
+def reference_track_delays(
+    frame_a: BeamformedFrame, frame_b: BeamformedFrame, cfg: TrackConfig
+) -> DelayMap:
+    """Reference delay map: per-column loops over the lags.
+
+    The tracker as it was before the one-pass kernel; its code is kept
+    verbatim.
+    track_delays computes the same correlation sums from running sums
+    and one strided product, so the two agree to rounding. Each node
+    correlates an axial window of frame a with lagged windows of frame
+    b. With lateral_window > 1 the dot products and energies of the
+    columns around the node are summed before normalizing. A node is
+    valid when its peak NCC reaches min_ncc and the peak lies inside
+    the search range.
+    """
+    if frame_a.grid != frame_b.grid:
+        raise ValueError("frames must share the same grid")
+    if frame_a.c_bf_used != frame_b.c_bf_used:
+        raise ValueError("frames must share the same beamforming SoS")
+
+    grid = frame_a.grid
+    w = cfg.window_len
+    r = cfg.search_radius
+    h = cfg.lateral_window // 2
+    nz, nx = frame_a.rf.shape
+    z_first, z_last = r, nz - w - r
+    if z_last < z_first:
+        raise ValueError(
+            f"grid depth ({nz} px) too small for window {w} + search {r}"
+        )
+    zs = np.arange(z_first, z_last + 1, cfg.axial_step)
+    xs = np.arange(0, nx, cfg.lateral_step)
+    lags = np.arange(-r, r + 1)
+    n_nodes = zs.size
+    nodes = np.arange(n_nodes)
+
+    # per column: window energies of a and lagged dot products/energies
+    # of b; only columns that some node's lateral window covers
+    ea = np.zeros((nx, n_nodes))
+    eb = np.zeros((nx, lags.size, n_nodes))
+    dots = np.zeros((nx, lags.size, n_nodes))
+    needed = np.zeros(nx, dtype=bool)
+    for o in range(-h, h + 1):
+        needed[np.clip(xs + o, 0, nx - 1)] = True
+    for x in np.flatnonzero(needed):
+        aw = sliding_window_view(frame_a.rf[:, x], w)
+        bw = sliding_window_view(frame_b.rf[:, x], w)
+        awd = aw - aw.mean(axis=1, keepdims=True)
+        bwd = bw - bw.mean(axis=1, keepdims=True)
+        a_sel = awd[zs]
+        ea[x] = np.einsum("ij,ij->i", a_sel, a_sel)
+        eb_all = np.einsum("ij,ij->i", bwd, bwd)
+        for li, lag in enumerate(lags):
+            rows = slice(z_first + lag, z_last + lag + 1, cfg.axial_step)
+            dots[x, li] = np.einsum("ij,ij->i", a_sel, bwd[rows])
+            eb[x, li] = eb_all[rows]
+
+    delays = np.zeros((n_nodes, xs.size))
+    nccs = np.zeros((n_nodes, xs.size))
+    valid = np.zeros((n_nodes, xs.size), dtype=bool)
+    for j, x in enumerate(xs):
+        cols = slice(max(x - h, 0), min(x + h, nx - 1) + 1)
+        na_sel = np.sqrt(ea[cols].sum(axis=0))
+        denom = na_sel * np.sqrt(eb[cols].sum(axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ncc_mat = np.where(denom > 0, dots[cols].sum(axis=0) / denom, 0.0)
+
+        am = np.argmax(ncc_mat, axis=0)
+        peak = ncc_mat[am, nodes]
+        interior = (am > 0) & (am < lags.size - 1)
+        cm1 = ncc_mat[np.maximum(am - 1, 0), nodes]
+        cp1 = ncc_mat[np.minimum(am + 1, lags.size - 1), nodes]
+        frac = np.where(interior, _parabolic_offset(cm1, peak, cp1), 0.0)
+        lag_total = lags[am] + frac
+
+        ok = (peak >= cfg.min_ncc) & (na_sel > 0) & interior
+        # negated so the delay matches (1/c - 1/c_bf) * (d_a - d_b)
+        delays[:, j] = np.where(
+            ok, -lag_total * (2.0 * grid.dz / frame_a.c_bf_used), 0.0
+        )
+        nccs[:, j] = peak
+        valid[:, j] = ok
+
+    meas_grid = ImagingGrid(
+        x0=grid.x0 + xs[0] * grid.dx,
+        z0=grid.z0 + (zs[0] + (w - 1) / 2.0) * grid.dz,
+        dx=grid.dx * cfg.lateral_step,
+        dz=grid.dz * cfg.axial_step,
+        nx=xs.size,
+        nz=n_nodes,
+    )
+    return DelayMap(
+        delays=delays,
+        ncc=nccs,
+        valid=valid,
+        grid=meas_grid,
+        frame_pair=(frame_a.tx_element, frame_b.tx_element),
+    )
+
+
+def track_1d(a, b):
+    """(lag, peak NCC, valid) of window a inside search region b.
+
+    b pads a's alignment by the same margin on both sides, and that
+    margin is the search radius. Both become one-column frames for
+    track_delays, whose one node is a's window. Positive lag means b's
+    content is deeper (later) than a's.
+    """
+    w, r = a.size, max((b.size - a.size) // 2, 1)
+    grid = ImagingGrid(x0=0.0, z0=5e-3, dx=3e-4, dz=3.75e-5, nx=1,
+                       nz=b.size)
+    col_a = np.zeros(b.size)
+    col_a[r:r + w] = a
+
+    def frame(tx, col):
+        return BeamformedFrame(tx_element=tx, rf=col[:, None],
+                               c_bf_used=1500.0, grid=grid)
+
+    dmap = track_delays(frame(55, col_a), frame(65, np.asarray(b, float)),
+                        TrackConfig(window_len=w, search_radius=r,
+                                    min_ncc=0.0))
+    one_sample = 2.0 * grid.dz / 1500.0
+    return (float(-dmap.delays[0, 0] / one_sample), float(dmap.ncc[0, 0]),
+            bool(dmap.valid[0, 0]))
+
+
 class TestNCCDelay1D:
     def test_symmetric_padding_is_zero_lag(self):
         s = speckle(256, seed=1)
         a = s[64:128]
         b = s[48:144]  # a padded by 16 on both sides
-        lag, ncc = ncc_delay_1d(a, b)
+        lag, ncc, _ = track_1d(a, b)
         # subsample refinement on asymmetric speckle sidelobes may move
         # the estimate slightly off the exact integer peak
         assert lag == pytest.approx(0.0, abs=0.05)
@@ -53,7 +192,7 @@ class TestNCCDelay1D:
         s = speckle(512, seed=2)
         a = s[200:264]
         b = shifted_region(s, 200, 64, 16, shift=3)
-        lag, ncc = ncc_delay_1d(a, b)
+        lag, ncc, _ = track_1d(a, b)
         assert lag == pytest.approx(3.0, abs=0.01)
         assert ncc >= 0.999
 
@@ -64,19 +203,19 @@ class TestNCCDelay1D:
         a = np.sin(2 * np.pi * 0.1 * k)
         j = np.arange(-m, w + m)
         b = np.sin(2 * np.pi * 0.1 * (j - 2.5))
-        lag, _ = ncc_delay_1d(a, b)
+        lag, _, _ = track_1d(a, b)
         assert lag == pytest.approx(2.5, abs=0.05)
 
     def test_zero_variance_input(self):
         a = np.zeros(32)
         b = np.zeros(64)
-        lag, ncc = ncc_delay_1d(a, b)
-        assert np.isnan(lag)
+        _, ncc, valid = track_1d(a, b)
+        assert not valid
         assert ncc == 0.0
 
     def test_region_too_small(self):
-        with pytest.raises(ValueError):
-            ncc_delay_1d(np.ones(32), np.ones(33))
+        with pytest.raises(ValueError, match="too small"):
+            track_1d(np.ones(32), np.ones(33))
 
     @given(shift=st.integers(-8, 8), seed=st.integers(0, 50))
     @settings(max_examples=40, deadline=None)
@@ -85,7 +224,8 @@ class TestNCCDelay1D:
         s = speckle(512, seed=seed)
         a = s[200:264]
         b = shifted_region(s, 200, 64, 12, shift=shift)
-        lag, ncc = ncc_delay_1d(a, b)
+        lag, ncc, valid = track_1d(a, b)
+        assert valid
         assert lag == pytest.approx(float(shift), abs=0.05)
         assert ncc >= 0.99
 
@@ -102,6 +242,81 @@ class TestTrackConfig:
             TrackConfig(min_ncc=1.5)
         with pytest.raises(ValueError):
             TrackConfig(lateral_window=2)
+
+
+def reference_case(shift, period, column):
+    """Frame pair with noise added to b, and `column` applied to both.
+
+    `column` is "zero" (column 2 set to zero), "dc" (an offset of 100
+    times the speckle std) or None.
+    """
+    fa, fb = shifted_frames(shift, period=period, nx=9)
+    rng = np.random.default_rng(abs(shift))
+    a, b = fa.rf.copy(), fb.rf + 0.3 * fb.rf.std() * rng.standard_normal(
+        fb.rf.shape)
+    if column == "zero":
+        a[:, 2] = b[:, 2] = 0.0
+    elif column == "dc":
+        dc = 100.0 * a.std()
+        a += dc
+        b += dc
+    return replace(fa, rf=a), replace(fb, rf=b)
+
+
+class TestAgainstReference:
+    """track_delays against reference_track_delays.
+
+    The correlation sums are accumulated in another order, so peak NCC
+    and delay (in samples) may differ by rounding: NCC_TOL and
+    DELAY_TOL are a few thousand ulps. Valid masks must be identical.
+    """
+
+    NCC_TOL = 1e-12
+    DELAY_TOL = 1e-12  # samples
+
+    @pytest.mark.parametrize(
+        "shift, period, column, lateral_window, lateral_step, axial_step",
+        [
+            (2, None, None, 1, 1, 1),
+            (2, None, None, 5, 2, 8),
+            (-3, None, None, 5, 1, 1),
+            (1, None, None, 1, 2, 8),
+            (7, 60, None, 1, 1, 2),
+            (7, 60, None, 5, 2, 1),
+            (2, None, "zero", 1, 1, 1),
+            (2, None, "zero", 5, 2, 8),
+            (2, None, "dc", 1, 1, 8),
+            (-3, None, "dc", 5, 2, 1),
+        ],
+        ids=["plain", "pooled-strided", "pooled", "strided",
+             "edge-peaks", "edge-peaks-pooled", "zero-column",
+             "zero-column-pooled", "dc", "dc-pooled"],
+    )
+    def test_matches_reference(self, shift, period, column, lateral_window,
+                               lateral_step, axial_step):
+        fa, fb = reference_case(shift, period, column)
+        # min_ncc near the median peak, so the masks mix valid and invalid
+        cfg = TrackConfig(window_len=64, search_radius=4, min_ncc=0.95,
+                          lateral_window=lateral_window,
+                          lateral_step=lateral_step, axial_step=axial_step)
+        out = track_delays(fa, fb, cfg)
+        ref = reference_track_delays(fa, fb, cfg)
+        assert out.grid == ref.grid
+        assert out.frame_pair == ref.frame_pair
+        assert out.delays.shape == ref.delays.shape
+        np.testing.assert_array_equal(out.valid, ref.valid)
+        one_sample = 2.0 * fa.grid.dz / fa.c_bf_used
+        np.testing.assert_allclose(out.ncc, ref.ncc, rtol=0,
+                                   atol=self.NCC_TOL)
+        np.testing.assert_allclose(out.delays / one_sample,
+                                   ref.delays / one_sample, rtol=0,
+                                   atol=self.DELAY_TOL)
+        if period is None:
+            assert 0 < np.count_nonzero(ref.valid) < ref.valid.size
+        else:
+            assert not np.any(ref.valid)
+        if column == "zero" and lateral_window == 1:
+            assert not np.any(ref.valid[:, 2 // lateral_step])
 
 
 class TestTrackDelays:

@@ -1,5 +1,6 @@
 """Config files, stage orchestration, reporting, and the CLI contract."""
 
+import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -415,6 +416,7 @@ class TestCLIExitCodes:
     @pytest.mark.parametrize("text", [
         "[roi]\nreference = probe_centre\n",
         "[calibration]\ndegree = 2\n",
+        "[estimation]\napodization = hanning\n",
     ])
     def test_bad_config_value_is_two(self, workspace, capsys, text):
         root, _ = workspace
@@ -488,6 +490,26 @@ class TestCLIExitCodes:
         ])
         assert rc == 3
         assert "numerical error" in capsys.readouterr().err
+
+    def test_non_finite_frame_is_two(self, workspace, capsys):
+        """A NaN sample would spread down its column in the tracker."""
+        root, cfg_path = workspace
+        bad = root / "nan_frames"
+        shutil.copytree(root / "frames", bad)
+        path = bad / "frame_tx055.sosc"
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(root / "est_nan"),
+            "--quick", "estimate",
+            "--frames", str(bad),
+            "--model", str(root / "narrow_model.txt"),
+            "--c-bf", "1500",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "frame_tx055.sosc" in err and "non-finite" in err
 
     def test_missing_input_is_four(self, workspace, capsys):
         root, cfg_path = workspace

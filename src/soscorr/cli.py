@@ -37,7 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=Path("soscorr_out"),
                    help="output directory")
     p.add_argument("--seed", type=int, help="override the scatterer seed")
-    p.add_argument("--threads", type=int, help="worker threads for batch stages")
+    p.add_argument("--threads", type=int,
+                   help="worker threads (>= 1) for simulation, reconstruction "
+                   "beamforming and the calibration sweep")
     p.add_argument("--quick", action="store_true",
                    help="coarse grids and low density for CI-scale runs")
     sub = p.add_subparsers(dest="command", required=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
@@ -19,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import calibrate as cal
-from .beamform import APODIZATIONS, BFConfig, BeamformedFrame, das_beamform
-from .delaytrack import DelayMap, TrackConfig, export_delay_map, track_delays
+from .beamform import APODIZATIONS, BFConfig, das_beamform
+from .delaytrack import TrackConfig, export_delay_map, track_delays
 from .geometry import ImagingGrid, PolarROI, TransducerArray, element_position
 from .metrics import RegionLabels, cnr_db, contrast, rmse_map
 from .regress import FITTERS, extract_pattern, export_pattern
@@ -36,6 +35,7 @@ from .synthsim import (
     receive_travel_times,
     required_samples,
     simulate_frame,
+    thread_map,
     write_frame_set,
 )
 from .tomo import (
@@ -107,6 +107,10 @@ class PipelineConfig:
     calibration_degree: int = 1
     threads: int = 1
     quick: bool = False
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     # ---- derived geometry -------------------------------------------------
 
@@ -384,28 +388,29 @@ def dump_config(cfg: PipelineConfig) -> str:
 
 def simulate_frames(cfg: PipelineConfig,
                     tx_list: list[int] | None = None) -> dict[int, ChannelFrame]:
-    """Channel data for the required transmits, keyed by tx element."""
+    """Channel data for the required transmits, keyed by tx element.
+
+    The transmits are simulated one after another; the receive channels
+    of each frame, and the receive travel-time table they share, are
+    split across cfg.threads worker threads.
+    """
     medium = cfg.medium()
     fld = gen_scatterers(cfg.scatterer_grid(), cfg.scatterer_density, cfg.seed)
     txs = tx_list if tx_list is not None else cfg.required_tx()
     num_samples = max(
         required_samples(tx, fld, medium, cfg.pulse, cfg.array) for tx in txs
     )
-    def one(tx):
-        return simulate_frame(
-            tx, fld, medium, cfg.pulse, cfg.array, num_samples,
-            noise_snr_db=cfg.noise_snr_db, noise_seed=cfg.seed + tx,
-            t_rx=t_rx,
-        )
-
     # the receive leg does not depend on the transmit: its tables are
     # built once per field and shared by every transmit
-    t_rx = receive_travel_times(fld, medium, cfg.array)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            frames = list(pool.map(one, txs))
-    else:
-        frames = [one(tx) for tx in txs]
+    t_rx = receive_travel_times(fld, medium, cfg.array, cfg.threads)
+    frames = [
+        simulate_frame(
+            tx, fld, medium, cfg.pulse, cfg.array, num_samples,
+            noise_snr_db=cfg.noise_snr_db, noise_seed=cfg.seed + tx,
+            t_rx=t_rx, threads=cfg.threads,
+        )
+        for tx in txs
+    ]
     return {fr.tx_element: fr for fr in frames}
 
 
@@ -480,11 +485,7 @@ def run_calibration_sweep(
             delta_c=float(dc), slope=fit.slope, r_squared=fit.r_squared
         )
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            entries = list(pool.map(one, deltas))
-    else:
-        entries = [one(dc) for dc in deltas]
+    entries = thread_map(one, deltas, cfg.threads)
 
     dataset = cal.CalibrationDataset(
         entries=tuple(entries),
@@ -664,8 +665,8 @@ def cmd_reconstruct(
     else:
         frames = frames_dir_or_frames
 
-    missing = [t for t in {e for p in cfg.recon_pairs for e in p}
-               if t not in frames]
+    txs = sorted({e for p in cfg.recon_pairs for e in p})
+    missing = [t for t in txs if t not in frames]
     if missing:
         raise FileNotFoundError(f"missing frames for tx elements {missing}")
 
@@ -678,18 +679,12 @@ def cmd_reconstruct(
         search_radius=recon_search_radius(cfg, c_bf),
         min_ncc=RECON_MIN_NCC,
     )
-    bf_cache: dict[int, BeamformedFrame] = {}
-
-    def bf(tx):
-        if tx not in bf_cache:
-            bf_cache[tx] = das_beamform(
-                frames[tx], cfg.array, BFConfig(c_bf=c_bf, grid=grid)
-            )
-        return bf_cache[tx]
-
-    dmaps: list[DelayMap] = []
-    for a, b in cfg.recon_pairs:
-        dmaps.append(track_delays(bf(a), bf(b), track_cfg))
+    bfc = BFConfig(c_bf=c_bf, grid=grid)
+    images = dict(zip(txs, thread_map(
+        lambda tx: das_beamform(frames[tx], cfg.array, bfc), txs, cfg.threads
+    )))
+    dmaps = [track_delays(images[a], images[b], track_cfg)
+             for a, b in cfg.recon_pairs]
 
     meas_grid = dmaps[0].grid
     masks = [d.valid for d in dmaps]

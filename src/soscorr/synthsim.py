@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +40,23 @@ PULSE_TABLE_STEPS = 256
 
 class ConfigurationError(ValueError):
     pass
+
+
+def thread_map(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], run on `threads` worker threads.
+
+    At threads == 1 no pool is created and the loop runs inline.
+    Results keep the order of items; a worker's exception is raised here.
+    """
+    if threads == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def _blocks(n: int, threads: int) -> list[np.ndarray]:
+    """range(n) split into contiguous blocks, one per worker thread."""
+    return np.array_split(np.arange(n), min(threads, n))
 
 
 @dataclass(frozen=True)
@@ -320,18 +338,28 @@ def required_samples(
 
 
 def receive_travel_times(
-    field: ScattererField, medium: MediumSpec, array: TransducerArray
+    field: ScattererField,
+    medium: MediumSpec,
+    array: TransducerArray,
+    threads: int = 1,
 ) -> np.ndarray:
     """Scatterer-to-element travel times, shape (num_elements, n).
 
-    One broadcast :func:`travel_times` call over every (element,
-    scatterer) pair. Each ray is traced on its own, so the table equals
-    a per-element loop of calls byte for byte.
+    One broadcast :func:`travel_times` call per contiguous block of
+    elements, one block per worker thread. Each ray is traced on its
+    own, so the table equals a per-element loop of calls byte for byte,
+    whatever the thread count.
     """
     s = field.positions
     ex = array.element_x()
     rx = np.column_stack([ex, np.zeros_like(ex)])
-    return travel_times(s[None, :, :], rx[:, None, :], medium)
+
+    def trace(block):
+        return travel_times(s[None, :, :], rx[block, None, :], medium)
+
+    return np.concatenate(
+        thread_map(trace, _blocks(array.num_elements, threads), threads)
+    )
 
 
 def _element_directivity(
@@ -358,6 +386,7 @@ def simulate_frame(
     noise_seed: int = 0,
     directivity: bool = True,
     t_rx: np.ndarray | None = None,
+    threads: int = 1,
 ) -> ChannelFrame:
     """Channel data for one diverging-wave transmit.
 
@@ -370,7 +399,10 @@ def simulate_frame(
     over the clean frame power). t_rx, shape (num_rx, n_scatterers),
     holds the receive travel times from :func:`receive_travel_times`;
     they do not depend on the transmit, so a caller simulating several
-    transmits of one field builds them once.
+    transmits of one field builds them once. The receive channels are
+    split into contiguous blocks, one per worker thread; each channel
+    is computed the same way whatever the thread count, so the frame
+    does not depend on it.
     """
     if not 0 <= tx < array.num_elements:
         raise ValueError(f"tx element {tx} out of range")
@@ -405,35 +437,47 @@ def simulate_frame(
         table = pulse.waveform((offs[None, :] + frac[:, None]) / fs)
         ex = array.element_x()
         if t_rx is None:
-            t_rx = receive_travel_times(field, medium, array)
-        for rx in range(array.num_elements):
-            rx_pos = np.array([ex[rx], 0.0])
-            r_rx = np.hypot(s[:, 0] - rx_pos[0], s[:, 1] - rx_pos[1])
-            spreading = 1.0 / np.maximum(r_tx * r_rx, R_MIN**2)
-            if directivity:
-                spreading = spreading * d_tx * _element_directivity(
-                    s[:, 0] - rx_pos[0], r_rx, array.pitch, wavelength
-                )
-            k_exact = (t_tx + t_rx[rx]) * fs
-            k0 = np.rint(k_exact)
-            pos = (k0 - k_exact + 0.5) * steps
-            row = np.minimum(pos.astype(np.int64), steps - 1)
-            w = pos - row
-            weight = field.amplitudes * spreading
-            # (n_sc, support) sample indices and weighted pulse values,
-            # interpolated linearly between table rows
-            idx = k0.astype(np.int64)[:, None] + offs[None, :]
-            vals = table[row]
-            vals *= (weight * (1.0 - w))[:, None]
-            upper = table[row + 1]
-            upper *= (weight * w)[:, None]
-            vals += upper
-            if k0.min() - half >= 0 and k0.max() + half < num_samples:
-                idx, vals = idx.ravel(), vals.ravel()
-            else:
-                valid = (idx >= 0) & (idx < num_samples)
-                idx, vals = idx[valid], vals[valid]
-            samples[rx] = np.bincount(idx, weights=vals, minlength=num_samples)
+            t_rx = receive_travel_times(field, medium, array, threads)
+
+        def receive(block):
+            # (n_sc, support) sample indices, weighted pulse values and
+            # upper-row values, allocated once per worker
+            idx = np.empty((n_sc, offs.size), dtype=np.int64)
+            vals = np.empty((n_sc, offs.size))
+            upper = np.empty((n_sc, offs.size))
+            for rx in block:
+                rx_pos = np.array([ex[rx], 0.0])
+                r_rx = np.hypot(s[:, 0] - rx_pos[0], s[:, 1] - rx_pos[1])
+                spreading = 1.0 / np.maximum(r_tx * r_rx, R_MIN**2)
+                if directivity:
+                    spreading = spreading * d_tx * _element_directivity(
+                        s[:, 0] - rx_pos[0], r_rx, array.pitch, wavelength
+                    )
+                k_exact = (t_tx + t_rx[rx]) * fs
+                k0 = np.rint(k_exact)
+                pos = (k0 - k_exact + 0.5) * steps
+                row = np.minimum(pos.astype(np.int64), steps - 1)
+                w = pos - row
+                weight = field.amplitudes * spreading
+                # the pulse interpolated linearly between table rows; row
+                # and row + 1 lie in [0, steps], so "clip" changes nothing
+                # ("raise" copies through a buffer when given out=)
+                np.add(k0.astype(np.int64)[:, None], offs[None, :], out=idx)
+                np.take(table, row, axis=0, out=vals, mode="clip")
+                vals *= (weight * (1.0 - w))[:, None]
+                np.take(table, row + 1, axis=0, out=upper, mode="clip")
+                upper *= (weight * w)[:, None]
+                vals += upper
+                if k0.min() - half >= 0 and k0.max() + half < num_samples:
+                    kept_idx, kept_vals = idx.ravel(), vals.ravel()
+                else:
+                    valid = (idx >= 0) & (idx < num_samples)
+                    kept_idx, kept_vals = idx[valid], vals[valid]
+                samples[rx] = np.bincount(kept_idx, weights=kept_vals,
+                                          minlength=num_samples)
+
+        # each worker writes its own rows of samples
+        thread_map(receive, _blocks(array.num_elements, threads), threads)
 
     if noise_snr_db is not None:
         power = float(np.mean(samples**2))

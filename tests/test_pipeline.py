@@ -14,6 +14,7 @@ from soscorr.pipeline import (
     ConfigError,
     PipelineConfig,
     apply_quick,
+    cmd_reconstruct,
     cmd_report,
     cmd_simulate,
     dump_config,
@@ -43,6 +44,18 @@ pair = 55,65
 
 [reconstruction]
 pairs = 55,65
+"""
+
+# a model whose invertible slope range excludes any observed slope
+NARROW_MODEL = """\
+soscorr calibration model v1
+convention delta_c = c_bf - c
+c_true 1500.0
+degree 1
+domain -1.0 1.0
+coefficients 0.0 1e-15
+training_indices 0 1
+sweep_metadata_hash 0
 """
 
 
@@ -355,6 +368,21 @@ class TestCalibrationSweep:
         assert np.all(np.diff([e.slope for e in one]) > 0)
 
 
+class TestReconstructStage:
+    def test_thread_count_does_not_change_map(self):
+        """Two workers beamform three recon transmits, one of them alone."""
+        cfg = replace(
+            cheap_cfg(), recon_pairs=((40, 56), (56, 72)),
+            inclusions=(Inclusion("ellipse", (0.0, 18e-3), (5e-3, 4e-3),
+                                  1540.0),),
+        )
+        frames = simulate_frames(cfg, tx_list=[40, 56, 72])
+        one, two = (cmd_reconstruct(replace(cfg, threads=t), frames, 1522.5)
+                    for t in (1, 2))
+        assert np.ptp(one.sos_map) > 0
+        assert two.sos_map.tobytes() == one.sos_map.tobytes()
+
+
 class TestReport:
     def write_case(self, root, name, rmse_before, rmse_after):
         d = root / name
@@ -388,9 +416,14 @@ class TestReport:
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
+    """(root, cfg_path): the cheap config file, the frames it simulates
+    with --quick in root / "sim" and NARROW_MODEL in root /
+    "narrow_model.txt", so each test can run alone."""
     root = tmp_path_factory.mktemp("cli")
     cfg_path = root / "cheap.ini"
     cfg_path.write_text(CHEAP_CONFIG)
+    cmd_simulate(apply_quick(load_config(cfg_path)), root / "sim")
+    (root / "narrow_model.txt").write_text(NARROW_MODEL)
     return root, cfg_path
 
 
@@ -449,22 +482,11 @@ class TestCLIExitCodes:
     def test_numerical_error_is_three(self, workspace, capsys):
         """A model whose invertible slope range excludes the observation."""
         root, cfg_path = workspace
-        model = root / "narrow_model.txt"
-        model.write_text(
-            "soscorr calibration model v1\n"
-            "convention delta_c = c_bf - c\n"
-            "c_true 1500.0\n"
-            "degree 1\n"
-            "domain -1.0 1.0\n"
-            "coefficients 0.0 1e-15\n"
-            "training_indices 0 1\n"
-            "sweep_metadata_hash 0\n"
-        )
         rc = cli_main([
             "--config", str(cfg_path), "--out", str(root / "est"),
             "--quick", "estimate",
-            "--frames", str(root / "frames"),
-            "--model", str(model),
+            "--frames", str(root / "sim"),
+            "--model", str(root / "narrow_model.txt"),
             "--c-bf", "1500",
         ])
         assert rc == 3
@@ -484,7 +506,7 @@ class TestCLIExitCodes:
         rc = cli_main([
             "--config", str(cfg_path), "--out", str(root / "est"),
             "--quick", "estimate",
-            "--frames", str(root / "frames"),
+            "--frames", str(root / "sim"),
             "--model", str(root / "narrow_model.txt"),
             "--c-bf", "1500",
         ])
@@ -495,7 +517,7 @@ class TestCLIExitCodes:
         """A NaN sample would spread down its column in the tracker."""
         root, cfg_path = workspace
         bad = root / "nan_frames"
-        shutil.copytree(root / "frames", bad)
+        shutil.copytree(root / "sim", bad)
         path = bad / "frame_tx055.sosc"
         raw = bytearray(path.read_bytes())
         raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
@@ -510,6 +532,17 @@ class TestCLIExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "frame_tx055.sosc" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_two(self, workspace, capsys, threads):
+        root, _ = workspace
+        out = root / f"threads{threads}"
+        rc = cli_main([
+            "--threads", threads, "--out", str(out), "--quick", "simulate",
+        ])
+        assert rc == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_four(self, workspace, capsys):
         root, cfg_path = workspace

@@ -1,5 +1,7 @@
 """Forward simulator: scatterers, travel times, frames and frame IO."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,24 @@ class TestExactTravelTimes:
         assert table.shape == (array.num_elements, n)
         assert table.tobytes() == loop.tobytes()
 
+    def test_receive_tables_do_not_depend_on_threads(self):
+        """Three workers trace uneven blocks of elements (43, 43, 42),
+        each over more than one trace block; the table keeps its bytes."""
+        m = make_medium([self.ELLIPSE, self.RECTANGLE])
+        array = TransducerArray()
+        assert array.num_elements % 3 != 0
+        n = TRACE_CHUNK // 40 + 7
+        rng = np.random.default_rng(6)
+        field = ScattererField(
+            positions=np.column_stack([rng.uniform(-0.019, 0.019, n),
+                                       rng.uniform(0.003, 0.03, n)]),
+            amplitudes=np.ones(n), rng_seed=6,
+        )
+        one = receive_travel_times(field, m, array, threads=1)
+        three = receive_travel_times(field, m, array, threads=3)
+        assert three.shape == (array.num_elements, n)
+        assert three.tobytes() == one.tobytes()
+
 
 class TestMediumSpec:
     def test_last_inclusion_wins(self):
@@ -483,6 +503,26 @@ class TestSimulateFrames:
         assert sorted(one) == sorted(two) == txs
         for tx in txs:
             assert one[tx].samples.tobytes() == two[tx].samples.tobytes()
+
+    def test_receiver_blocks_do_not_change_a_frame(self):
+        """One transmit leaves the receivers as the only parallel axis.
+        Three workers split the 128 receivers unevenly (43, 43, 42);
+        a short switch interval interleaves the workers' writes into the
+        shared frame as often as the interpreter allows."""
+        from soscorr.pipeline import simulate_frames
+
+        assert self.cfg(threads=1).array.num_elements % 3 != 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [simulate_frames(self.cfg(threads=t), tx_list=[55])
+                    for t in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        one = runs[0][55].samples
+        assert np.all(np.abs(one).max(axis=1) > 0)  # every channel written
+        for frames in runs[1:]:
+            assert frames[55].samples.tobytes() == one.tobytes()
 
 
 class TestFrameIO:

@@ -269,31 +269,31 @@ def tv_operator(
     return sp.vstack([d_ax, d_lat], format="csr")
 
 
-def objective_and_grad(
-    sigma: np.ndarray,
+def make_objective(
     L: sp.csr_matrix,
     delays: np.ndarray,
     D: sp.csr_matrix,
     lam_eff: float,
     eps: float,
-    LT: sp.csr_matrix | None = None,
-    DT: sp.csr_matrix | None = None,
-) -> tuple[float, np.ndarray]:
-    """Smoothed L1 data + TV objective and its analytic gradient.
+):
+    """Smoothed L1 data + TV objective: sigma -> (value, analytic gradient).
 
-    LT and DT are L.T and D.T in CSR form; an iterative solver builds
-    them once rather than transposing on every call.
+    L.T and D.T are built once in CSR form here, so an iterative solver
+    does not transpose them on every call.
     """
-    LT = L.T if LT is None else LT
-    DT = D.T if DT is None else DT
-    r = L @ sigma - delays
-    g = D @ sigma
-    # phi(t) = sqrt(t^2 + eps^2) - eps: one root serves value and gradient
-    sr = np.sqrt(r * r + eps * eps)
-    sg = np.sqrt(g * g + eps * eps)
-    f = float(np.sum(sr - eps) + lam_eff * np.sum(sg - eps))
-    grad = LT @ (r / sr) + lam_eff * (DT @ (g / sg))
-    return f, grad
+    LT, DT = L.T.tocsr(), D.T.tocsr()
+
+    def objective(sigma: np.ndarray) -> tuple[float, np.ndarray]:
+        r = L @ sigma - delays
+        g = D @ sigma
+        # phi(t) = sqrt(t^2 + eps^2) - eps: one root gives value and gradient
+        sr = np.sqrt(r * r + eps * eps)
+        sg = np.sqrt(g * g + eps * eps)
+        f = float(np.sum(sr - eps) + lam_eff * np.sum(sg - eps))
+        grad = LT @ (r / sr) + lam_eff * (DT @ (g / sg))
+        return f, grad
+
+    return objective
 
 
 def reconstruct(
@@ -331,14 +331,13 @@ def reconstruct(
     b = delays / tau
     n = A.shape[1]
     n_tv = max(D.shape[0], 1)
-    lam_eff = cfg.lam * (A.shape[0] / n_tv)
-    eps = cfg.l1_epsilon
-    AT, DT = A.T.tocsr(), D.T.tocsr()
+    objective = make_objective(A, b, D, cfg.lam * (A.shape[0] / n_tv),
+                               cfg.l1_epsilon)
 
     trace: list[float] = []
 
     def fun(x):
-        f, grad = objective_and_grad(x, A, b, D, lam_eff, eps, AT, DT)
+        f, grad = objective(x)
         if not np.isfinite(f) or not np.all(np.isfinite(grad)):
             raise SolverError("non-finite objective or gradient",
                               iterate=x * (tau / cell))

@@ -10,7 +10,7 @@ from soscorr.tomo import (
     SlownessMap,
     SolverError,
     build_path_matrix,
-    objective_and_grad,
+    make_objective,
     ray_weights,
     reconstruct,
     tv_operator,
@@ -182,15 +182,16 @@ class TestObjectiveGradient:
         x = rng.standard_normal(n)
         d = 1e-3 * rng.standard_normal(L.matrix.shape[0])
         lam_eff, eps, h = 0.3, 1e-3, 1e-5
-        _, g = objective_and_grad(x, L.matrix, d, D, lam_eff, eps)
+        objective = make_objective(L.matrix, d, D, lam_eff, eps)
+        _, g = objective(x)
         g_fd = np.zeros(n)
         for i in range(n):
             xp = x.copy()
             xp[i] += h
             xm = x.copy()
             xm[i] -= h
-            fp, _ = objective_and_grad(xp, L.matrix, d, D, lam_eff, eps)
-            fm, _ = objective_and_grad(xm, L.matrix, d, D, lam_eff, eps)
+            fp, _ = objective(xp)
+            fm, _ = objective(xm)
             g_fd[i] = (fp - fm) / (2 * h)
         # norm-based comparison: individual components may be near zero,
         # which makes a per-component relative error ill-conditioned
@@ -200,8 +201,8 @@ class TestObjectiveGradient:
         g = unit_grid(nx=3, nz=3)
         L_mat = sp.eye(9, format="csr")
         D = tv_operator(g)
-        f, grad = objective_and_grad(np.zeros(9), L_mat, np.zeros(9), D,
-                                     0.5, 1e-10)
+        f, grad = make_objective(L_mat, np.zeros(9), D, 0.5,
+                                 1e-10)(np.zeros(9))
         assert f == 0.0
         assert np.allclose(grad, 0.0)
 

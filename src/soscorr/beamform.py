@@ -19,7 +19,7 @@ from .synthsim import ChannelFrame, SOS_MAX, SOS_MIN
 
 APODIZATIONS = ("none", "hann")
 
-# Distance table holds at most this many nx*nz images; one receiver adds
+# Sample-time table holds at most this many nx*nz images; one receiver adds
 # at most nx distinct offsets, so a group of this many receivers fits.
 TABLE_IMAGES = 16
 
@@ -50,16 +50,24 @@ def das_beamform(
 ) -> BeamformedFrame:
     """Delay-and-sum with dynamic receive focusing.
 
-    rf(p) = sum_rx a(rx) * interp(samples[rx], t(p, rx) * fs) with
-    t(p, rx) = (|p - tx| + |p - rx|) / c_bf. Linear interpolation;
-    out-of-range sample times contribute zero.
+    rf(p) = sum_rx a(rx) * interp(samples[rx], s(p, rx)) at the sample
+    time s(p, rx) = (|p - tx| + |p - rx|) / c_bf * fs - t0 * fs. Linear
+    interpolation; sample times outside [0, ns - 1) contribute zero.
 
-    |p - e| depends only on |x_p - x_e| and z_p, so the receive
-    distances are gathered from a table of hypot over the distinct
-    lateral offsets of a group of receivers. Images are built column
-    by column, (nx, nz), so each gather is a contiguous row copy. The
-    arithmetic per pixel and the receiver order of the sum are those of
-    the direct formula, so the output does not depend on the table.
+    The arithmetic is in sample units, with k = fs / c_bf:
+    s = |p - rx| k + (|p - tx| k - t0 fs). |p - e| depends only on
+    |x_p - x_e| and z_p, so the receive leg is gathered from a table of
+    hypot * k over the distinct lateral offsets of a group of
+    receivers, and the transmit leg is computed once per frame. Images
+    are built column by column, (nx, nz), so each gather is a
+    contiguous row copy. With i0 = floor(s) and f = s - i0 a pixel
+    reads ch[i0] + f * (ch[i0 + 1] - ch[i0]) from a float64 copy of the
+    channel and its difference row. Float addition is monotone, so the
+    smallest and largest table entry of a receiver's rows plus those of
+    the transmit leg bound every s; only a receiver whose bound leaves
+    [0, ns - 1) builds the mask of samples outside the record. The
+    arithmetic per pixel and the receiver order of the sum do not
+    depend on the table or the bound.
     """
     if frame.num_rx != array.num_elements:
         raise ValueError(
@@ -69,12 +77,16 @@ def das_beamform(
     grid = cfg.grid
     xc = grid.x_coords()
     z = grid.z_coords()
-    tx_x, _ = element_position(array, frame.tx_element)
-    d_tx = np.hypot(np.abs(xc - tx_x)[:, None], z[None, :])
-
     n_el = array.num_elements
     ns = frame.num_samples
     fs = frame.fs
+    k = fs / cfg.c_bf
+    tx_x, _ = element_position(array, frame.tx_element)
+    s_tx = np.hypot(np.abs(xc - tx_x)[:, None], z[None, :])
+    s_tx *= k
+    s_tx -= frame.t0 * fs
+    tx_lo, tx_hi = s_tx.min(), s_tx.max()
+
     apod = np.hanning(n_el) if cfg.apodization == "hann" else None
     offsets = np.abs(xc[None, :] - array.element_x()[:, None])
     n_rows = np.unique(offsets).size
@@ -86,37 +98,37 @@ def das_beamform(
     shape = (grid.nx, grid.nz)
     rf = np.zeros(shape)
     s = np.empty(shape)
-    fl = np.empty(shape)
-    frac = np.empty(shape)
     val = np.empty(shape)
-    g = np.empty(shape)
-    idx = np.empty(shape, dtype=np.int64)
+    idx = np.empty(shape, dtype=np.intp)
+    ch = np.empty(ns)
+    diff = np.zeros(ns)
     for start in range(0, n_el, group):
         u, inv = np.unique(offsets[start:start + group], return_inverse=True)
         inv = inv.reshape(-1, grid.nx)
-        np.hypot(u[:, None], z[None, :], out=table[:u.size])
-        for k, rx in enumerate(range(start, min(start + group, n_el))):
-            # s = ((d_tx + d_rx) / c_bf - t0) * fs, i0 = floor(s)
-            np.take(table, inv[k], axis=0, out=s, mode="clip")
-            np.add(d_tx, s, out=s)
-            s /= cfg.c_bf
-            s -= frame.t0
-            s *= fs
-            np.floor(s, out=fl)
-            np.subtract(s, fl, out=frac)
-            idx[...] = fl
-            # (1 - frac) * ch[i0] + frac * ch[min(i0 + 1, ns - 1)]; clipped
-            # indices only occur where the sample is masked to zero below
-            ch = frame.samples[rx].astype(np.float64)
-            np.take(ch, idx, out=g, mode="clip")
-            np.subtract(1.0, frac, out=val)
-            val *= g
-            ch[:-1] = ch[1:]
-            np.take(ch, idx, out=g, mode="clip")
-            g *= frac
-            val += g
-            if fl.min() < 0 or fl.max() >= ns - 1:
-                val[(fl < 0) | (fl >= ns - 1)] = 0.0
+        rows = table[:u.size]
+        np.hypot(u[:, None], z[None, :], out=rows)
+        rows *= k
+        row_lo, row_hi = rows.min(axis=1), rows.max(axis=1)
+        for j, rx in enumerate(range(start, min(start + group, n_el))):
+            np.take(table, inv[j], axis=0, out=s, mode="clip")
+            s += s_tx
+            outside = None
+            if (row_lo[inv[j]].min() + tx_lo < 0
+                    or row_hi[inv[j]].max() + tx_hi >= ns - 1):
+                outside = (s < 0) | (s >= ns - 1)
+            # i0 = floor(s), and s becomes the fraction; wrapped indices
+            # only occur where the sample is outside and masked below
+            np.floor(s, out=val)
+            np.copyto(idx, val, casting="unsafe")
+            s -= val
+            ch[:] = frame.samples[rx]
+            np.subtract(ch[1:], ch[:-1], out=diff[:-1])
+            np.take(diff, idx, out=val, mode="wrap")
+            val *= s
+            np.take(ch, idx, out=s, mode="wrap")
+            val += s
+            if outside is not None:
+                val[outside] = 0.0
             if apod is not None:
                 val *= apod[rx]
             rf += val

@@ -121,7 +121,7 @@ def main(argv=None) -> int:
             msg = f"SoS map written to {args.out}"
             if res.rmse_vs_gt is not None:
                 msg += f"; RMSE vs ground truth = {res.rmse_vs_gt:.2f} m/s"
-            if not res.converged:
+            if not res.info.converged:
                 msg += " (solver did not converge)"
             print(msg)
         return 0

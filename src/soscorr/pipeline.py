@@ -40,6 +40,7 @@ from .synthsim import (
 )
 from .tomo import (
     ReconConfig,
+    ReconInfo,
     SlownessMap,
     build_path_matrix,
     reconstruct,
@@ -588,7 +589,8 @@ def cmd_estimate(
 ) -> EstimateResult:
     """Estimate the BF-SoS offset of a dataset and correct it."""
     if isinstance(frames_dir_or_frames, (str, Path)):
-        frames = read_frame_set(Path(frames_dir_or_frames))
+        frames = read_frame_set(Path(frames_dir_or_frames),
+                                cfg.estimation_pair)
     else:
         frames = frames_dir_or_frames
     if isinstance(model, (str, Path)):
@@ -627,7 +629,7 @@ def cmd_estimate(
 class ReconResult:
     sos_map: np.ndarray  # absolute SoS, m/s, on the slowness grid
     slowness: SlownessMap
-    converged: bool
+    info: ReconInfo  # the solve's health record
     rmse_vs_gt: float | None = None
 
 
@@ -655,17 +657,22 @@ def cmd_reconstruct(
     out_dir: Path | None = None,
     gt_map: np.ndarray | None = None,
 ) -> ReconResult:
-    """Tomographic local-SoS reconstruction at the given beamforming SoS."""
+    """Tomographic local-SoS reconstruction at the given beamforming SoS.
+
+    With out_dir, writes the map, its objective trace and metrics.json:
+    the solve's converged, iterations, grad_norm and message, plus
+    rmse_vs_gt_mps when a ground-truth map is known.
+    """
+    txs = sorted({e for p in cfg.recon_pairs for e in p})
     if isinstance(frames_dir_or_frames, (str, Path)):
         frames_dir = Path(frames_dir_or_frames)
-        frames = read_frame_set(frames_dir)
+        frames = read_frame_set(frames_dir, txs)
         gt_path = frames_dir / "gt_sos.csv"
         if gt_map is None and gt_path.exists():
             gt_map = np.loadtxt(gt_path, delimiter=",")
     else:
         frames = frames_dir_or_frames
 
-    txs = sorted({e for p in cfg.recon_pairs for e in p})
     missing = [t for t in txs if t not in frames]
     if missing:
         raise FileNotFoundError(f"missing frames for tx elements {missing}")
@@ -699,8 +706,7 @@ def cmd_reconstruct(
 
     rmse = rmse_map(sos_map, gt_map) if gt_map is not None else None
     result = ReconResult(
-        sos_map=sos_map, slowness=slowness, converged=info.converged,
-        rmse_vs_gt=rmse,
+        sos_map=sos_map, slowness=slowness, info=info, rmse_vs_gt=rmse,
     )
 
     if out_dir is not None:
@@ -719,11 +725,12 @@ def cmd_reconstruct(
             f.write("iteration,objective\n")
             for i, v in enumerate(info.objective_trace):
                 f.write(f"{i},{v:.9e}\n")
+        metrics = {"converged": info.converged,
+                   "iterations": info.iterations,
+                   "grad_norm": info.grad_norm, "message": info.message}
         if rmse is not None:
-            (out_dir / "metrics.json").write_text(
-                json.dumps({"rmse_vs_gt_mps": rmse,
-                            "converged": info.converged}, indent=2)
-            )
+            metrics["rmse_vs_gt_mps"] = rmse
+        (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2))
     return result
 
 
@@ -836,7 +843,7 @@ def evaluate_phantom_set(
             rmse_after=after.rmse_vs_gt,
             cnr_before_db=cnr_db(before.sos_map, labels),
             cnr_after_db=cnr_db(after.sos_map, labels),
-            converged=after.converged,
+            converged=after.info.converged,
             contrast_true=contrast(gt, labels),
             contrast_after=contrast(after.sos_map, labels),
         )

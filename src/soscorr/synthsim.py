@@ -517,10 +517,18 @@ def read_frame(path: Path) -> ChannelFrame:
     raw = Path(path).read_bytes()
     if raw[:4] != FRAME_MAGIC:
         raise ValueError(f"{path}: not a SOSC frame file")
+    off = 4 + struct.calcsize("<HHIIdd")
+    if len(raw) < off:
+        raise ValueError(f"{path}: truncated frame header")
     version, tx, num_rx, num_samples, fs, t0 = struct.unpack_from("<HHIIdd", raw, 4)
     if version != FRAME_VERSION:
         raise ValueError(f"{path}: unsupported frame version {version}")
-    off = 4 + struct.calcsize("<HHIIdd")
+    size = num_rx * num_samples * 4
+    if len(raw) - off != size:
+        raise ValueError(
+            f"{path}: payload has {len(raw) - off} bytes, header needs "
+            f"{num_rx} x {num_samples} float32 = {size}"
+        )
     samples = np.frombuffer(raw, dtype="<f4", offset=off).reshape(num_rx, num_samples)
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"{path}: frame has non-finite samples")
@@ -543,14 +551,33 @@ def write_frame_set(
     (out / "MANIFEST.txt").write_text("\n".join(lines))
 
 
-def read_frame_set(in_dir: Path) -> dict[int, ChannelFrame]:
-    """All frames of a directory, keyed by tx element."""
+def read_frame_set(in_dir: Path, txs=None) -> dict[int, ChannelFrame]:
+    """Frames that MANIFEST.txt lists, keyed by tx element; with txs,
+    only those transmits. A needed frame that the manifest does not
+    list, or that it lists but is absent, is a FileNotFoundError."""
     in_dir = Path(in_dir)
     manifest = in_dir / "MANIFEST.txt"
     if not manifest.exists():
         raise FileNotFoundError(f"no MANIFEST.txt in {in_dir}")
+    listed, section = {}, None
+    for line in manifest.read_text().splitlines():
+        if line.startswith("["):
+            section = line
+        elif section == "[frames]" and line.strip():
+            name, tx = line.split()[:2]
+            listed[int(tx.removeprefix("tx="))] = name
+    needed = sorted(listed) if txs is None else sorted(set(txs))
+    unlisted = [tx for tx in needed if tx not in listed]
+    if unlisted:
+        raise FileNotFoundError(f"{manifest} lists no frame for tx {unlisted}")
     frames = {}
-    for p in sorted(in_dir.glob("frame_tx*.sosc")):
-        fr = read_frame(p)
-        frames[fr.tx_element] = fr
+    for tx in needed:
+        path = in_dir / listed[tx]
+        if not path.exists():
+            raise FileNotFoundError(f"{path}: listed in {manifest.name} "
+                                    "but absent")
+        frames[tx] = read_frame(path)
+        if frames[tx].tx_element != tx:
+            raise ValueError(f"{path}: holds tx {frames[tx].tx_element}, "
+                             f"{manifest.name} says tx {tx}")
     return frames

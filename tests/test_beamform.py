@@ -20,6 +20,7 @@ from soscorr.synthsim import (
     required_samples,
     simulate_frame,
 )
+from soscorr.pipeline import simulate_frames
 
 
 def make_medium():
@@ -92,10 +93,43 @@ class TestDASBeamform:
 
 
 def reference_das(frame, array, cfg):
-    """Reference rf: per-receiver DAS with np.hypot on the pixel mesh.
+    """Reference rf: per-receiver DAS in sample units on the pixel mesh.
 
-    das_beamform does the same arithmetic on tabulated distances, so
-    the two must agree byte for byte.
+    s = |p - rx| k + (|p - tx| k - t0 fs) with k = fs / c_bf and
+    ch[i0] + frac * (ch[i0 + 1] - ch[i0]) on the float64 channel.
+    das_beamform does the same arithmetic on tabulated rows, so the two
+    must agree byte for byte.
+    """
+    X, Z = cfg.grid.meshgrid()
+    tx_x, _ = element_position(array, frame.tx_element)
+    k = frame.fs / cfg.c_bf
+    s_tx = np.hypot(X - tx_x, Z) * k - frame.t0 * frame.fs
+    ex = array.element_x()
+    n_el = array.num_elements
+    ns = frame.num_samples
+    rf = np.zeros_like(X)
+    static_apod = np.hanning(n_el) if cfg.apodization == "hann" else None
+    for rx in range(n_el):
+        s = np.hypot(X - ex[rx], Z) * k + s_tx
+        i0 = np.floor(s).astype(np.int64)
+        frac = s - i0
+        valid = (i0 >= 0) & (i0 < ns - 1)
+        i0c = np.where(valid, i0, 0)
+        ch = frame.samples[rx].astype(np.float64)
+        val = ch[i0c] + frac * (ch[i0c + 1] - ch[i0c])
+        val = np.where(valid, val, 0.0)
+        if static_apod is not None:
+            val = val * static_apod[rx]
+        rf += val
+    return rf
+
+
+def distance_das(frame, array, cfg):
+    """Per-receiver DAS in distance units with np.hypot on the pixel mesh.
+
+    s = ((d_tx + d_rx) / c_bf - t0) * fs and (1 - frac) * ch[i0] +
+    frac * ch[i0 + 1]: the formula of the distance-table kernel that
+    the sample-unit kernel replaced, kept as an independent check.
     """
     X, Z = cfg.grid.meshgrid()
     tx_x, _ = element_position(array, frame.tx_element)
@@ -135,32 +169,48 @@ def noise_frame(tx, num_samples, t0=1e-7, fs=4e7, seed=0):
     return ChannelFrame(tx_element=tx, samples=samples, t0=t0, fs=fs)
 
 
-def sample_index_range(frame, array, cfg):
-    """Smallest and largest interpolation index the grid asks for."""
+def sample_indices(frame, array, cfg):
+    """Interpolation index of every pixel and receiver, (nz, nx, n_el)."""
     X, Z = cfg.grid.meshgrid()
     tx_x, _ = element_position(array, frame.tx_element)
     d = np.hypot(X - tx_x, Z)[..., None] + np.hypot(
         X[..., None] - array.element_x(), Z[..., None])
-    s = np.floor((d / cfg.c_bf - frame.t0) * frame.fs)
+    return np.floor((d / cfg.c_bf - frame.t0) * frame.fs)
+
+
+def sample_index_range(frame, array, cfg):
+    """Smallest and largest interpolation index the grid asks for."""
+    s = sample_indices(frame, array, cfg)
     return s.min(), s.max()
 
 
-class TestDistanceTableKernel:
-    """das_beamform against reference_das, byte for byte."""
+KERNEL_CASES = pytest.mark.parametrize(
+    "tx, num_samples, grid, apodization, inside",
+    [
+        (63, 1600, ALIGNED, "none", True),
+        (63, 700, ALIGNED, "none", False),
+        (63, 1600, ALIGNED, "hann", True),
+        (63, 1600, UNALIGNED, "none", True),
+        (0, 1600, ALIGNED, "none", True),
+        (127, 700, UNALIGNED, "hann", False),
+    ],
+    ids=["inside", "past-record-end", "hann", "unaligned", "tx0",
+         "tx127-unaligned-hann-past-end"],
+)
 
-    @pytest.mark.parametrize(
-        "tx, num_samples, grid, apodization, inside",
-        [
-            (63, 1600, ALIGNED, "none", True),
-            (63, 700, ALIGNED, "none", False),
-            (63, 1600, ALIGNED, "hann", True),
-            (63, 1600, UNALIGNED, "none", True),
-            (0, 1600, ALIGNED, "none", True),
-            (127, 700, UNALIGNED, "hann", False),
-        ],
-        ids=["inside", "past-record-end", "hann", "unaligned", "tx0",
-             "tx127-unaligned-hann-past-end"],
-    )
+
+def assert_close_to_distance_formula(frame, array, cfg, out):
+    """The sample-unit kernel rounds differently from the distance
+    formula it replaced, by about 1e-14 of the largest rf value."""
+    old = distance_das(frame, array, cfg)
+    assert np.abs(out.rf - old).max() <= 1e-12 * np.abs(old).max()
+
+
+class TestDistanceTableKernel:
+    """das_beamform against reference_das, byte for byte, and against
+    distance_das within 1e-12 of the largest rf value."""
+
+    @KERNEL_CASES
     @pytest.mark.parametrize("c_bf", [1400.0, 1522.5])
     def test_matches_reference(self, tx, num_samples, grid, apodization,
                                inside, c_bf):
@@ -187,6 +237,41 @@ class TestDistanceTableKernel:
         out = das_beamform(frame, array, cfg)
         assert out.rf.tobytes() == reference_das(frame, array, cfg).tobytes()
 
+    @KERNEL_CASES
+    @pytest.mark.parametrize("c_bf", [1400.0, 1522.5])
+    def test_close_to_distance_formula(self, tx, num_samples, grid,
+                                       apodization, inside, c_bf):
+        array = TransducerArray()
+        frame = noise_frame(tx, num_samples)
+        cfg = BFConfig(c_bf=c_bf, grid=grid, apodization=apodization)
+        assert_close_to_distance_formula(
+            frame, array, cfg, das_beamform(frame, array, cfg))
+
+    def test_quick_recon_frame_close_to_distance_formula(self, quick_cfg):
+        frame = simulate_frames(quick_cfg, tx_list=[40])[40]
+        cfg = BFConfig(c_bf=1522.5, grid=quick_cfg.full_grid())
+        out = das_beamform(frame, quick_cfg.array, cfg)
+        assert np.abs(out.rf).max() > 0
+        assert_close_to_distance_formula(frame, quick_cfg.array, cfg, out)
+
+    def test_one_receiver_past_record_end(self):
+        """Only the receiver farthest from the deepest pixels needs the
+        mask, so a range bound that misses part of s shows."""
+        array = TransducerArray()
+        cfg = BFConfig(c_bf=1500.0, grid=ALIGNED)
+        per_rx = sample_indices(noise_frame(127, 2), array, cfg).max(
+            axis=(0, 1))
+        top = int(np.argmax(per_rx))
+        num_samples = int(per_rx[top]) - 1
+        past = np.flatnonzero(per_rx >= num_samples - 1)
+        assert past.tolist() == [top]
+        frame = noise_frame(127, num_samples)
+        assert np.count_nonzero(
+            sample_indices(frame, array, cfg)[..., top] >= num_samples - 1
+        ) > 0
+        out = das_beamform(frame, array, cfg)
+        assert out.rf.tobytes() == reference_das(frame, array, cfg).tobytes()
+
     def test_table_memory_is_bounded_on_unaligned_grid(self):
         array = TransducerArray()
         frame = noise_frame(40, 1200)
@@ -202,9 +287,9 @@ class TestDistanceTableKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a table of TABLE_IMAGES = 16 images plus about 12 images of
-        # buffers, offsets and output; the per-receiver loop it replaced
-        # peaked at 14 images
+        # a table of TABLE_IMAGES = 16 images plus about 9 images of
+        # buffers, offsets and output (25 in all); the per-receiver loop
+        # before the table peaked at 14 images
         assert peak < 32 * image
 
 

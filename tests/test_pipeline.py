@@ -1,5 +1,6 @@
 """Config files, stage orchestration, reporting, and the CLI contract."""
 
+import json
 import shutil
 import tempfile
 from dataclasses import replace
@@ -383,6 +384,38 @@ class TestReconstructStage:
         assert two.sos_map.tobytes() == one.sos_map.tobytes()
 
 
+def recon_cfg():
+    return replace(cheap_cfg(), recon_pairs=((40, 56), (56, 72)))
+
+
+class TestReconMetrics:
+    @pytest.fixture(scope="class")
+    def frames(self):
+        return simulate_frames(recon_cfg(), tx_list=[40, 56, 72])
+
+    def test_solver_health_is_written_without_ground_truth(self, frames,
+                                                           tmp_path):
+        res = cmd_reconstruct(recon_cfg(), frames, 1500.0, out_dir=tmp_path)
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics == {
+            "converged": res.info.converged,
+            "iterations": res.info.iterations,
+            "grad_norm": res.info.grad_norm,
+            "message": res.info.message,
+        }
+        assert metrics["iterations"] > 0 and metrics["message"]
+        assert res.rmse_vs_gt is None
+
+    def test_rmse_is_added_with_ground_truth(self, frames, tmp_path):
+        cfg = recon_cfg()
+        gt = cfg.medium().rasterize(cfg.slow_grid())
+        res = cmd_reconstruct(cfg, frames, 1500.0, out_dir=tmp_path,
+                              gt_map=gt)
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["rmse_vs_gt_mps"] == res.rmse_vs_gt
+        assert metrics["iterations"] == res.info.iterations
+
+
 class TestReport:
     def write_case(self, root, name, rmse_before, rmse_after):
         d = root / name
@@ -532,6 +565,39 @@ class TestCLIExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "frame_tx055.sosc" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("cut", [-4, 4], ids=["truncated", "extra"])
+    def test_frame_of_wrong_size_is_two(self, workspace, capsys, cut):
+        root, cfg_path = workspace
+        bad = root / f"size{cut}_frames"
+        shutil.copytree(root / "sim", bad)
+        path = bad / "frame_tx065.sosc"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(root / f"est{cut}"),
+            "--quick", "estimate",
+            "--frames", str(bad),
+            "--model", str(root / "narrow_model.txt"),
+            "--c-bf", "1500",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "frame_tx065.sosc" in err and "payload" in err
+
+    def test_listed_frame_deleted_is_four(self, workspace, capsys):
+        root, cfg_path = workspace
+        bad = root / "deleted_frames"
+        shutil.copytree(root / "sim", bad)
+        (bad / "frame_tx055.sosc").unlink()
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(root / "rec_deleted"),
+            "--quick", "reconstruct",
+            "--frames", str(bad),
+            "--c-bf", "1500",
+        ])
+        assert rc == 4
+        assert "frame_tx055.sosc" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_two(self, workspace, capsys, threads):

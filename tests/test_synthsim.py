@@ -574,3 +574,55 @@ class TestFrameIO:
     def test_frame_set_requires_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_frame_set(tmp_path)
+
+    @pytest.mark.parametrize("extra", [-4, 4, -8 * 32 * 4])
+    def test_payload_size_must_match_header(self, tmp_path, extra):
+        path = tmp_path / frame_filename(55)
+        write_frame(path, self.frame())
+        raw = path.read_bytes()
+        path.write_bytes(raw[:extra] if extra < 0 else raw + bytes(extra))
+        size = 8 * 32 * 4
+        with pytest.raises(ValueError, match=f"{path.name}.*{size + extra} "
+                           f"bytes.*8 x 32 float32 = {size}"):
+            read_frame(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.sosc"
+        path.write_bytes(b"SOSC" + bytes(6))
+        with pytest.raises(ValueError, match="short.sosc: truncated"):
+            read_frame(path)
+
+    def frame_set(self, tmp_path, txs=(40, 55, 65)):
+        frames = [ChannelFrame(tx_element=tx, samples=self.frame().samples,
+                               t0=0.0, fs=1.6e8) for tx in txs]
+        write_frame_set(tmp_path, frames, make_medium())
+
+    def test_frame_set_reads_only_the_transmits_asked_for(self, tmp_path):
+        self.frame_set(tmp_path)
+        (tmp_path / frame_filename(40)).unlink()  # not needed below
+        back = read_frame_set(tmp_path, [65, 55])
+        assert list(back) == [55, 65]
+        assert all(fr.tx_element == tx for tx, fr in back.items())
+
+    def test_listed_frame_that_is_absent(self, tmp_path):
+        self.frame_set(tmp_path)
+        (tmp_path / frame_filename(55)).unlink()
+        for txs in (None, [55, 65]):
+            with pytest.raises(FileNotFoundError,
+                               match="frame_tx055.sosc: listed"):
+                read_frame_set(tmp_path, txs)
+
+    def test_frame_that_holds_another_transmit(self, tmp_path):
+        self.frame_set(tmp_path)
+        path = tmp_path / frame_filename(65)
+        path.write_bytes((tmp_path / frame_filename(40)).read_bytes())
+        with pytest.raises(ValueError, match="holds tx 40.*says tx 65"):
+            read_frame_set(tmp_path, [65])
+
+    def test_unlisted_transmit(self, tmp_path):
+        self.frame_set(tmp_path)
+        # a frame file without a manifest line is not read
+        write_frame(tmp_path / frame_filename(72), self.frame())
+        assert list(read_frame_set(tmp_path)) == [40, 55, 65]
+        with pytest.raises(FileNotFoundError, match=r"no frame for tx \[72\]"):
+            read_frame_set(tmp_path, [55, 72])

@@ -1,7 +1,7 @@
 """Mean speed-of-sound estimation from diverging-wave geometric
 disparities, BF-SoS correction, and tomographic local-SoS mapping."""
 
-from .beamform import BFConfig, BeamformedFrame, das_beamform, echo_shift_model
+from .beamform import BFConfig, BeamformedFrame, das_beamform
 from .calibrate import (
     CalibrationDataset,
     CalibrationEntry,

@@ -138,14 +138,3 @@ def das_beamform(
         c_bf_used=cfg.c_bf, grid=grid,
     )
 
-
-def echo_shift_model(c: float, c_bf: float, d: float) -> float:
-    """Analytic echo shift (1/c - 1/c_bf) * d in seconds.
-
-    Reference model used by the tests; pairwise differences of this over
-    two transmit paths give the differential delay between frames.
-    """
-    if c <= 0 or c_bf <= 0:
-        raise ValueError("speeds must be positive")
-    return (1.0 / c - 1.0 / c_bf) * d
-

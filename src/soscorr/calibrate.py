@@ -68,18 +68,15 @@ class CalibrationModel:
         return np.polynomial.polynomial.polyval(delta_c, self.coefficients)
 
 
-def _train_indices(n: int, selector) -> np.ndarray:
-    """Resolve an every-k selector or an explicit index list."""
-    if isinstance(selector, str) and selector.startswith("every-"):
-        k = int(selector.split("-", 1)[1])
-        return np.arange(0, n, k)
-    if isinstance(selector, int):
-        return np.arange(0, n, selector)
-    return np.asarray(list(selector), dtype=int)
+def _train_indices(n: int, selector: str) -> np.ndarray:
+    """Indices 0, k, 2k, ... below n of an "every-k" selector."""
+    if not selector.startswith("every-"):
+        raise ValueError(f"train selector must be 'every-k', got {selector!r}")
+    return np.arange(0, n, int(selector.removeprefix("every-")))
 
 
 def build_calibration(
-    dataset: CalibrationDataset, degree: int = 1, train_selector="every-4"
+    dataset: CalibrationDataset, degree: int = 1, train_selector: str = "every-4"
 ) -> CalibrationModel:
     """Least-squares polynomial fit of slope against delta_c.
 
@@ -131,39 +128,25 @@ def estimate_offset(model: CalibrationModel, observed_slope: float) -> float:
     s_lo = float(model.predict(lo))
     s_hi = float(model.predict(hi))
     s_min, s_max = min(s_lo, s_hi), max(s_lo, s_hi)
-    span = s_max - s_min
-
-    if model.degree == 1:
-        a0, a1 = model.coefficients[0], model.coefficients[1]
-        if a1 == 0:
-            raise CalibrationError("degree-1 model has zero slope")
-        if not s_min - 0.1 * span <= observed_slope <= s_max + 0.1 * span:
-            nearest = lo if abs(observed_slope - s_lo) < abs(observed_slope - s_hi) else hi
-            raise OffsetOutOfRangeError(
-                f"observed slope {observed_slope:.3e} s/rad outside the "
-                f"invertible range [{s_min:.3e}, {s_max:.3e}] (+-10%); "
-                f"nearest boundary delta_c = {nearest:+.1f} m/s",
-                nearest,
-            )
-        return float((observed_slope - a0) / a1)
-
-    if not s_min <= observed_slope <= s_max:
+    linear = model.degree == 1
+    if linear and model.coefficients[1] == 0:
+        raise CalibrationError("degree-1 model has zero slope")
+    margin = 0.1 * (s_max - s_min) if linear else 0.0
+    if not s_min - margin <= observed_slope <= s_max + margin:
         nearest = lo if abs(observed_slope - s_lo) < abs(observed_slope - s_hi) else hi
         raise OffsetOutOfRangeError(
             f"observed slope {observed_slope:.3e} s/rad outside the "
-            f"invertible range [{s_min:.3e}, {s_max:.3e}]; "
+            f"invertible range [{s_min:.3e}, {s_max:.3e}]"
+            f"{' (+-10%)' if linear else ''}; "
             f"nearest boundary delta_c = {nearest:+.1f} m/s",
             nearest,
         )
-
-    def f(dc):
-        return float(model.predict(dc)) - observed_slope
-
-    if f(lo) == 0.0:
-        return lo
-    if f(hi) == 0.0:
-        return hi
-    return float(brentq(f, lo, hi, xtol=1e-3))
+    if linear:
+        a0, a1 = model.coefficients
+        return float((observed_slope - a0) / a1)
+    # brentq returns an end point that is a root as it is
+    return float(brentq(lambda dc: float(model.predict(dc)) - observed_slope,
+                        lo, hi, xtol=1e-3))
 
 
 def corrected_sos(c_bf_assumed: float, delta_c_hat: float) -> float:
@@ -195,6 +178,9 @@ def save_model(path: Path, model: CalibrationModel) -> None:
 
 
 def load_model(path: Path) -> CalibrationModel:
+    """Model saved by :func:`save_model`. A missing key, a degree other
+    than 1, 3 or 5, a coefficient count other than degree + 1 or a
+    domain with lo >= hi is a ValueError naming the file and the key."""
     fields: dict[str, str] = {}
     for line in Path(path).read_text().splitlines()[1:]:
         if line.strip():
@@ -202,15 +188,35 @@ def load_model(path: Path) -> CalibrationModel:
             fields[key] = val
     if fields.get("convention") != CONVENTION:
         raise ValueError(f"{path}: unexpected sign convention")
-    dom = fields["domain"].split()
+
+    def values(key, parse):
+        if key not in fields:
+            raise ValueError(f"{path}: no {key!r} line")
+        try:
+            return [parse(v) for v in fields[key].split()]
+        except ValueError as err:
+            raise ValueError(f"{path}: {key}: {err}") from None
+
+    degree = values("degree", int)
+    coefficients = values("coefficients", float)
+    domain = values("domain", float)
+    training = values("training_indices", int)
+    if degree not in ([1], [3], [5]):
+        raise ValueError(f"{path}: degree {fields['degree']!r} is not 1, 3 or 5")
+    if len(coefficients) != degree[0] + 1:
+        raise ValueError(f"{path}: coefficients has {len(coefficients)} values, "
+                         f"degree {degree[0]} needs {degree[0] + 1}")
+    if len(domain) != 2 or not domain[0] < domain[1]:
+        raise ValueError(f"{path}: domain {fields['domain']!r} is not 'lo hi' "
+                         "with lo < hi")
     meta = {"sweep_metadata_hash": fields.get("sweep_metadata_hash", "")}
     if fields.get("c_true", "unknown") != "unknown":
         meta["c_true"] = float(fields["c_true"])
     return CalibrationModel(
-        degree=int(fields["degree"]),
-        coefficients=np.array([float(c) for c in fields["coefficients"].split()]),
-        domain=(float(dom[0]), float(dom[1])),
-        training_indices=tuple(int(i) for i in fields["training_indices"].split()),
+        degree=degree[0],
+        coefficients=np.array(coefficients),
+        domain=(domain[0], domain[1]),
+        training_indices=tuple(training),
         metadata=meta,
     )
 

@@ -44,8 +44,34 @@ def element_position(array: TransducerArray, i: int) -> tuple[float, float]:
         raise ValueError(
             f"element index {i} out of range [0, {array.num_elements})"
         )
-    x = (i - (array.num_elements - 1) / 2.0) * array.pitch
-    return (x, 0.0)
+    return (float(array.element_x()[i]), 0.0)
+
+
+def slab_clip(
+    p: np.ndarray, d: np.ndarray, lo: tuple[float, float], hi: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ray parameters (t_in, t_out) between which the points p + t*d lie
+    in the axis-aligned box lo <= (x, z) <= hi.
+
+    p and d broadcast over (..., 2). t_in >= t_out when a ray's line
+    misses the box; t may lie outside [0, 1]. Each of the two slabs
+    clips the ray in turn (Amanatides & Woo 1987). A ray parallel to a
+    slab is inside it everywhere or nowhere, and on its edge counts as
+    inside.
+    """
+    t_in, t_out = -np.inf, np.inf
+    for k in range(2):
+        a = lo[k] - p[..., k]
+        b = hi[k] - p[..., k]
+        dk = d[..., k]
+        parallel = dk == 0.0
+        t_par = np.where((a <= 0.0) & (b >= 0.0), -np.inf, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = np.where(parallel, t_par, a / dk)
+            t2 = np.where(parallel, np.inf, b / dk)
+        t_in = np.maximum(t_in, np.minimum(t1, t2))
+        t_out = np.minimum(t_out, np.maximum(t1, t2))
+    return t_in, t_out
 
 
 @dataclass(frozen=True)

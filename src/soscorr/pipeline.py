@@ -22,7 +22,7 @@ from .beamform import APODIZATIONS, BFConfig, das_beamform
 from .delaytrack import TrackConfig, export_delay_map, track_delays
 from .geometry import ImagingGrid, PolarROI, TransducerArray, element_position
 from .metrics import RegionLabels, cnr_db, contrast, rmse_map
-from .regress import FITTERS, extract_pattern, export_pattern
+from .regress import FITTERS, extract_pattern, export_pattern, r_squared
 from .synthsim import (
     ChannelFrame,
     Inclusion,
@@ -41,7 +41,6 @@ from .synthsim import (
 from .tomo import (
     ReconConfig,
     ReconInfo,
-    SlownessMap,
     build_path_matrix,
     reconstruct,
     tv_operator,
@@ -107,11 +106,18 @@ class PipelineConfig:
     recon: ReconConfig = field(default_factory=ReconConfig)
     calibration_degree: int = 1
     threads: int = 1
-    quick: bool = False
 
     def __post_init__(self):
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if not self.recon_pairs:
+            raise ConfigError("[reconstruction] pairs: no transmit pair")
+        for key, pairs in (("[estimation] pair", (self.estimation_pair,)),
+                           ("[reconstruction] pairs", self.recon_pairs)):
+            for a, b in pairs:
+                if a == b:
+                    raise ConfigError(f"{key}: pair {a},{b} transmits on "
+                                      "one element twice")
 
     # ---- derived geometry -------------------------------------------------
 
@@ -206,7 +212,6 @@ def apply_quick(cfg: PipelineConfig) -> PipelineConfig:
     """Coarsen grids and speckle density for CI-scale runs."""
     return replace(
         cfg,
-        quick=True,
         scatterer_density=min(cfg.scatterer_density, 2.0),
         bf_dx=3.0e-4,
         bf_dz=3.75e-5,
@@ -415,15 +420,18 @@ def simulate_frames(cfg: PipelineConfig,
     return {fr.tx_element: fr for fr in frames}
 
 
+def _grid_sidecar(header: str, grid: ImagingGrid) -> str:
+    """Text of a map's sidecar file: header, then the grid one key a line."""
+    return (f"{header}x0 {grid.x0!r}\nz0 {grid.z0!r}\ndx {grid.dx!r}\n"
+            f"dz {grid.dz!r}\nnx {grid.nx}\nnz {grid.nz}\n")
+
+
 def write_gt_map(out_dir: Path, cfg: PipelineConfig) -> None:
     grid = cfg.slow_grid()
     gt = cfg.medium().rasterize(grid)
     np.savetxt(out_dir / "gt_sos.csv", gt, delimiter=",", fmt="%.6f")
-    (out_dir / "gt_sos.csv.txt").write_text(
-        f"ground-truth SoS in m/s on the slowness grid\n"
-        f"x0 {grid.x0!r}\nz0 {grid.z0!r}\ndx {grid.dx!r}\ndz {grid.dz!r}\n"
-        f"nx {grid.nx}\nnz {grid.nz}\n"
-    )
+    (out_dir / "gt_sos.csv.txt").write_text(_grid_sidecar(
+        "ground-truth SoS in m/s on the slowness grid\n", grid))
 
 
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
@@ -521,16 +529,13 @@ def run_calibration_sweep(
             true.append(e.delta_c)
         est = np.array(est)
         true = np.array(true)
-        resid = est - true
-        ss_tot = np.sum((true - true.mean()) ** 2)
-        r2 = 1.0 - np.sum(resid**2) / ss_tot if ss_tot > 0 else 0.0
         rows.append(
             {
                 "degree": deg,
                 "n_train": len(train),
                 "n_test": true.size,
-                "test_r2": float(r2),
-                "test_rmse_mps": float(np.sqrt(np.mean(resid**2))),
+                "test_r2": r_squared(true, est),
+                "test_rmse_mps": float(np.sqrt(np.mean((est - true)**2))),
             }
         )
     return SweepResult(dataset=dataset, models=models, report_rows=rows)
@@ -628,7 +633,6 @@ def cmd_estimate(
 @dataclass
 class ReconResult:
     sos_map: np.ndarray  # absolute SoS, m/s, on the slowness grid
-    slowness: SlownessMap
     info: ReconInfo  # the solve's health record
     rmse_vs_gt: float | None = None
 
@@ -705,22 +709,16 @@ def cmd_reconstruct(
     sos_map = slowness.to_sos(c_bf)
 
     rmse = rmse_map(sos_map, gt_map) if gt_map is not None else None
-    result = ReconResult(
-        sos_map=sos_map, slowness=slowness, info=info, rmse_vs_gt=rmse,
-    )
+    result = ReconResult(sos_map=sos_map, info=info, rmse_vs_gt=rmse)
 
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         np.savetxt(out_dir / "sos_map.csv", sos_map, delimiter=",", fmt="%.6f")
-        sg = cfg.slow_grid()
         np.ascontiguousarray(sos_map, dtype="<f4").tofile(out_dir / "sos_map.f32")
-        (out_dir / "sos_map.f32.txt").write_text(
+        (out_dir / "sos_map.f32.txt").write_text(_grid_sidecar(
             f"SoS map m/s, row-major nz x nx float32 little-endian\n"
-            f"c_bf {c_bf!r}\nconverged {info.converged}\n"
-            f"x0 {sg.x0!r}\nz0 {sg.z0!r}\ndx {sg.dx!r}\ndz {sg.dz!r}\n"
-            f"nx {sg.nx}\nnz {sg.nz}\n"
-        )
+            f"c_bf {c_bf!r}\nconverged {info.converged}\n", slowness.grid))
         with open(out_dir / "objective_trace.csv", "w") as f:
             f.write("iteration,objective\n")
             for i, v in enumerate(info.objective_trace):

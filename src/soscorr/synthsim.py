@@ -14,12 +14,12 @@ from __future__ import annotations
 import hashlib
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import ImagingGrid, TransducerArray, element_position
+from .geometry import ImagingGrid, TransducerArray, element_position, slab_clip
 
 SOS_MIN = 1300.0
 SOS_MAX = 1700.0
@@ -91,7 +91,7 @@ class Inclusion:
 
         t_in >= t_out when a ray's line misses it; t may lie outside
         [0, 1]. An ellipse solves the line-ellipse quadratic, a
-        rectangle clips the ray to its two slabs (Amanatides & Woo 1987).
+        rectangle is the box of :func:`~soscorr.geometry.slab_clip`.
         """
         cx, cz = self.center
         hx, hz = self.half_axes
@@ -104,22 +104,9 @@ class Inclusion:
             # a is 0 only for a zero-length ray, whose cuts fall at t = 0
             a = np.where(a > 0.0, a, np.inf)
             return ((-b - root) / a)[:, None], ((-b + root) / a)[:, None]
-        t_in = np.full((p.shape[0], 1), -np.inf)
-        t_out = np.full((p.shape[0], 1), np.inf)
-        for k, (c, h) in enumerate(((cx, hx), (cz, hz))):
-            lo = c - h - p[:, k, None]
-            hi = c + h - p[:, k, None]
-            dk = d[:, k, None]
-            # a ray parallel to a slab is inside it everywhere or nowhere;
-            # on its edge counts as inside, as in contains
-            parallel = dk == 0.0
-            t_par = np.where((lo <= 0.0) & (hi >= 0.0), -np.inf, np.inf)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = np.where(parallel, t_par, lo / dk)
-                t2 = np.where(parallel, np.inf, hi / dk)
-            t_in = np.maximum(t_in, np.minimum(t1, t2))
-            t_out = np.minimum(t_out, np.maximum(t1, t2))
-        return t_in, t_out
+        # on the edge counts as inside, as in contains
+        t_in, t_out = slab_clip(p, d, (cx - hx, cz - hz), (cx + hx, cz + hz))
+        return t_in[:, None], t_out[:, None]
 
 
 @dataclass(frozen=True)
@@ -127,8 +114,7 @@ class MediumSpec:
     """Piecewise-constant SoS medium: background plus ordered inclusions.
 
     When inclusions overlap, the last one listed wins at that point.
-    The grid fixes the rasterized map export and the bounds that
-    travel-time end points must lie in.
+    The grid fixes the bounds that travel-time end points must lie in.
     """
 
     background_sos: float
@@ -154,10 +140,9 @@ class MediumSpec:
             c[inc.contains(x, z)] = inc.sos
         return c
 
-    def rasterize(self, grid: ImagingGrid | None = None) -> np.ndarray:
-        """Ground-truth SoS map on pixel centers, shape (nz, nx)."""
-        g = grid if grid is not None else self.grid
-        X, Z = g.meshgrid()
+    def rasterize(self, grid: ImagingGrid) -> np.ndarray:
+        """Ground-truth SoS map on the grid's pixel centers, shape (nz, nx)."""
+        X, Z = grid.meshgrid()
         return self.sos_at(X, Z)
 
     def describe(self) -> str:
@@ -384,7 +369,6 @@ def simulate_frame(
     num_samples: int,
     noise_snr_db: float | None = None,
     noise_seed: int = 0,
-    directivity: bool = True,
     t_rx: np.ndarray | None = None,
     threads: int = 1,
 ) -> ChannelFrame:
@@ -392,7 +376,7 @@ def simulate_frame(
 
     Each scatterer contributes a delayed copy of the pulse on every
     receive channel, weighted by its amplitude, geometric spreading
-    1/max(r_tx*r_rx, R_MIN^2), and (by default) the finite-element
+    1/max(r_tx*r_rx, R_MIN^2), and the finite-element
     directivity of both the Tx and Rx elements with an effective
     element width of one pitch. Deterministic given the field;
     optional additive white Gaussian noise at the given SNR (in dB
@@ -422,11 +406,9 @@ def simulate_frame(
         t_tx = travel_times(tx_pos[None, :], s, medium)
         r_tx = np.hypot(s[:, 0] - tx_pos[0], s[:, 1] - tx_pos[1])
         wavelength = medium.background_sos / pulse.center_frequency
-        d_tx = 1.0
-        if directivity:
-            d_tx = _element_directivity(
-                s[:, 0] - tx_pos[0], r_tx, array.pitch, wavelength
-            )
+        d_tx = _element_directivity(
+            s[:, 0] - tx_pos[0], r_tx, array.pitch, wavelength
+        )
 
         half = int(np.ceil(pulse.support_halfwidth * fs))
         offs = np.arange(-half, half + 1)
@@ -448,11 +430,10 @@ def simulate_frame(
             for rx in block:
                 rx_pos = np.array([ex[rx], 0.0])
                 r_rx = np.hypot(s[:, 0] - rx_pos[0], s[:, 1] - rx_pos[1])
-                spreading = 1.0 / np.maximum(r_tx * r_rx, R_MIN**2)
-                if directivity:
-                    spreading = spreading * d_tx * _element_directivity(
-                        s[:, 0] - rx_pos[0], r_rx, array.pitch, wavelength
-                    )
+                spreading = 1.0 / np.maximum(r_tx * r_rx, R_MIN**2) * d_tx
+                spreading *= _element_directivity(
+                    s[:, 0] - rx_pos[0], r_rx, array.pitch, wavelength
+                )
                 k_exact = (t_tx + t_rx[rx]) * fs
                 k0 = np.rint(k_exact)
                 pos = (k0 - k_exact + 0.5) * steps
@@ -499,7 +480,8 @@ def frame_filename(tx: int) -> str:
     return f"frame_tx{tx:03d}.sosc"
 
 
-def write_frame(path: Path, frame: ChannelFrame) -> None:
+def write_frame(path: Path, frame: ChannelFrame) -> bytes:
+    """Write frame to path as one .sosc file; returns the bytes written."""
     header = FRAME_MAGIC + struct.pack(
         "<HHIIdd",
         FRAME_VERSION,
@@ -509,8 +491,9 @@ def write_frame(path: Path, frame: ChannelFrame) -> None:
         frame.fs,
         frame.t0,
     )
-    payload = np.ascontiguousarray(frame.samples, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    data = header + np.ascontiguousarray(frame.samples, dtype="<f4").tobytes()
+    Path(path).write_bytes(data)
+    return data
 
 
 def read_frame(path: Path) -> ChannelFrame:
@@ -544,8 +527,7 @@ def write_frame_set(
     lines = ["soscorr frame set v1", "", "[frames]"]
     for fr in frames:
         name = frame_filename(fr.tx_element)
-        write_frame(out / name, fr)
-        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+        digest = hashlib.sha256(write_frame(out / name, fr)).hexdigest()[:16]
         lines.append(f"{name} tx={fr.tx_element} sha256_16={digest}")
     lines += ["", "[medium]", medium.describe(), ""]
     (out / "MANIFEST.txt").write_text("\n".join(lines))

@@ -20,14 +20,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
-from .geometry import ImagingGrid, TransducerArray, element_position
+from .geometry import ImagingGrid, TransducerArray, element_position, slab_clip
 from .synthsim import SOS_MAX, SOS_MIN
 
 
+# L-BFGS history length (scipy's maxcor)
+LBFGS_MEMORY = 10
+
+
 class SolverError(RuntimeError):
-    def __init__(self, msg: str, iterate: np.ndarray | None = None):
-        super().__init__(msg)
-        self.iterate = iterate
+    pass
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ class ReconConfig:
     tv_axial_weight: float = 1.0
     tv_lateral_weight: float = 0.5
     l1_epsilon: float = 1e-2  # in units of the median absolute delay
-    lbfgs_memory: int = 10
     max_iter: int = 500
     grad_tol: float = 1e-9
     obj_tol: float = 1e-10
@@ -116,32 +117,16 @@ def _traverse_batch(origin: np.ndarray, targets: np.ndarray, grid: ImagingGrid):
     assembly.
     """
     ox, oz = origin
-    tx = targets[:, 0]
-    tz = targets[:, 1]
-    dx_r = tx - ox
-    dz_r = tz - oz
+    d = targets - origin
+    dx_r, dz_r = d[:, 0], d[:, 1]
     seg_len = np.hypot(dx_r, dz_r)
+    x_lo, z_lo = grid.x_min, grid.z_min
 
-    x_lo, x_hi = grid.x_min, grid.x_max
-    z_lo, z_hi = grid.z_min, grid.z_max
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        txa = np.where(dx_r != 0, (x_lo - ox) / dx_r, -np.inf)
-        txb = np.where(dx_r != 0, (x_hi - ox) / dx_r, np.inf)
-        tza = np.where(dz_r != 0, (z_lo - oz) / dz_r, -np.inf)
-        tzb = np.where(dz_r != 0, (z_hi - oz) / dz_r, np.inf)
-    t_in = np.maximum(np.minimum(txa, txb), np.minimum(tza, tzb))
-    t_out = np.minimum(np.maximum(txa, txb), np.maximum(tza, tzb))
+    t_in, t_out = slab_clip(origin, d, (x_lo, z_lo), (grid.x_max, grid.z_max))
     t_in = np.maximum(t_in, 0.0)
     t_out = np.minimum(t_out, 1.0)
-
-    # rays parallel to an axis and outside the slab never intersect
-    miss = (
-        (seg_len == 0)
-        | (t_in >= t_out)
-        | ((dx_r == 0) & ((ox < x_lo) | (ox > x_hi)))
-        | ((dz_r == 0) & ((oz < z_lo) | (oz > z_hi)))
-    )
+    # a zero-length ray inside the grid has no length to share out
+    miss = (seg_len == 0) | (t_in >= t_out)
 
     x_edges = x_lo + np.arange(grid.nx + 1) * grid.dx
     z_edges = z_lo + np.arange(grid.nz + 1) * grid.dz
@@ -339,8 +324,7 @@ def reconstruct(
     def fun(x):
         f, grad = objective(x)
         if not np.isfinite(f) or not np.all(np.isfinite(grad)):
-            raise SolverError("non-finite objective or gradient",
-                              iterate=x * (tau / cell))
+            raise SolverError("non-finite objective or gradient")
         return f, grad
 
     def cb(intermediate_result):
@@ -355,15 +339,13 @@ def reconstruct(
         method="L-BFGS-B",
         callback=cb,
         options=dict(
-            maxcor=cfg.lbfgs_memory,
+            maxcor=LBFGS_MEMORY,
             maxiter=cfg.max_iter,
             gtol=cfg.grad_tol,
             ftol=cfg.obj_tol,
         ),
     )
-    converged = bool(res.success) or res.status == 0
-    if res.nit >= cfg.max_iter:
-        converged = False
+    converged = bool(res.success) and res.nit < cfg.max_iter
     grad_norm = float(np.max(np.abs(res.jac))) if res.jac is not None else np.nan
     values = (res.x * (tau / cell)).reshape(g.nz, g.nx)
     info = ReconInfo(

@@ -1,15 +1,11 @@
-"""Delay-and-sum beamforming and the echo-shift reference model."""
+"""Delay-and-sum beamforming."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from soscorr.beamform import (
-    BFConfig,
-    das_beamform,
-    echo_shift_model,
-)
+from soscorr.beamform import BFConfig, das_beamform
 from soscorr.delaytrack import TrackConfig, track_delays
 from soscorr.geometry import ImagingGrid, TransducerArray, element_position
 from soscorr.synthsim import (
@@ -292,19 +288,3 @@ class TestDistanceTableKernel:
         # before the table peaked at 14 images
         assert peak < 32 * image
 
-
-class TestEchoShiftModel:
-    def test_matched_sos_is_zero(self):
-        assert echo_shift_model(1500.0, 1500.0, 0.03) == 0.0
-
-    def test_hand_value(self):
-        v = echo_shift_model(1500.0, 1540.0, 0.03)
-        assert v == pytest.approx(0.03 * (1540 - 1500) / (1500.0 * 1540.0))
-        assert v == pytest.approx(5.1948e-7, rel=1e-4)
-
-    def test_sign_for_underestimated_bf_sos(self):
-        assert echo_shift_model(1500.0, 1480.0, 0.02) < 0.0
-
-    def test_rejects_nonpositive_speeds(self):
-        with pytest.raises(ValueError):
-            echo_shift_model(0.0, 1500.0, 0.01)

@@ -1,4 +1,5 @@
-"""Array geometry, imaging grids and the polar ROI frame."""
+"""Array geometry, the ray/box clip, imaging grids and the polar ROI
+frame."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from soscorr.geometry import (
     TransducerArray,
     element_position,
     polar_coords,
+    slab_clip,
 )
 
 
@@ -52,6 +54,59 @@ class TestTransducerArray:
             TransducerArray(num_elements=1)
         with pytest.raises(ValueError):
             TransducerArray(pitch=0.0)
+
+
+class TestSlabClip:
+    """Hand values on the unit box; powers of two keep every t exact."""
+
+    LO, HI = (0.0, 0.0), (1.0, 1.0)
+
+    def clip(self, p, d):
+        t_in, t_out = slab_clip(np.array(p), np.array(d), self.LO, self.HI)
+        return float(t_in), float(t_out)
+
+    def test_parallel_and_inside(self):
+        assert self.clip((0.5, -1.0), (0.0, 2.0)) == (0.5, 1.0)
+        assert self.clip((-1.0, 0.25), (4.0, 0.0)) == (0.25, 0.5)
+
+    def test_parallel_and_outside(self):
+        for p in ((2.0, -1.0), (-0.5, -1.0)):
+            t_in, t_out = self.clip(p, (0.0, 2.0))
+            assert t_in >= t_out
+
+    def test_parallel_on_an_edge_is_inside(self):
+        for x in (0.0, 1.0):
+            assert self.clip((x, -1.0), (0.0, 2.0)) == (0.5, 1.0)
+        assert self.clip((-1.0, 1.0), (4.0, 0.0)) == (0.25, 0.5)
+
+    def test_zero_length_ray(self):
+        assert self.clip((0.5, 0.5), (0.0, 0.0)) == (-np.inf, np.inf)
+        assert self.clip((1.0, 0.0), (0.0, 0.0)) == (-np.inf, np.inf)
+        t_in, t_out = self.clip((2.0, 0.5), (0.0, 0.0))
+        assert t_in >= t_out
+
+    def test_miss(self):
+        # the line x - z = 2 passes below the box's corner (1, 0)
+        t_in, t_out = self.clip((2.0, 0.0), (1.0, 1.0))
+        assert t_in >= t_out
+
+    def test_diagonal_entry_and_exit(self):
+        assert self.clip((-1.0, -1.0), (4.0, 4.0)) == (0.25, 0.5)
+        assert self.clip((2.0, 2.0), (-4.0, -4.0)) == (0.25, 0.5)
+        # enters through the left edge, leaves through the bottom one
+        assert self.clip((-0.5, 0.5), (2.0, 1.0)) == (0.25, 0.5)
+
+    def test_rays_broadcast(self):
+        p = np.array([[0.5, -1.0], [-1.0, -1.0], [2.0, -1.0]])
+        d = np.array([[0.0, 2.0], [4.0, 4.0], [0.0, 2.0]])
+        t_in, t_out = slab_clip(p, d, self.LO, self.HI)
+        assert t_in.shape == t_out.shape == (3,)
+        assert list(t_in[:2]) == [0.5, 0.25] and list(t_out[:2]) == [1.0, 0.5]
+        assert t_in[2] >= t_out[2]
+        # one origin, many directions, as the slowness grid clips them
+        t_in, t_out = slab_clip(p[1], d[:2], self.LO, self.HI)
+        assert t_in[0] >= t_out[0]
+        assert (t_in[1], t_out[1]) == (0.25, 0.5)
 
 
 class TestImagingGrid:

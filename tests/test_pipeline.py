@@ -5,6 +5,7 @@ import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,7 +77,9 @@ def with_field(cfg, path, value):
 
 
 lengths = st.floats(1e-5, 1e-3)
-element_pairs = st.tuples(st.integers(0, 127), st.integers(0, 127))
+# a pair transmits on two distinct elements
+element_pairs = st.lists(st.integers(0, 127), min_size=2, max_size=2,
+                         unique=True).map(tuple)
 inclusions = st.builds(
     Inclusion,
     shape=st.sampled_from(["ellipse", "rectangle"]),
@@ -284,7 +287,6 @@ class TestDerivedConfig:
 
     def test_apply_quick_coarsens(self):
         cfg = apply_quick(PipelineConfig())
-        assert cfg.quick
         assert cfg.scatterer_density <= 2.0
         assert cfg.bf_dx == pytest.approx(3.0e-4)
         assert cfg.slow_nx == 24 and cfg.slow_nz == 24
@@ -354,19 +356,33 @@ class TestCalibrationSweep:
         """The sweep's worker threads share nothing that changes a fit."""
         cfg = apply_quick(PipelineConfig(threads=1))
         frames = simulate_frames(cfg, tx_list=list(cfg.estimation_pair))
+        # every-2 holds out -10 and +10: the held-out R^2 needs two points
         runs = [
             run_calibration_sweep(
                 replace(cfg, threads=t), frames, delta_c_min=-20.0,
-                delta_c_max=20.0, step=20.0, degrees=(1,),
+                delta_c_max=20.0, step=10.0, degrees=(1,),
                 train_selector="every-2",
             )
             for t in (1, 2)
         ]
         one, two = (r.dataset.entries for r in runs)
-        assert [e.delta_c for e in one] == [-20.0, 0.0, 20.0]
+        assert [e.delta_c for e in one] == [-20.0, -10.0, 0.0, 10.0, 20.0]
         assert [(e.slope, e.r_squared) for e in one] == \
             [(e.slope, e.r_squared) for e in two]
         assert np.all(np.diff([e.slope for e in one]) > 0)
+
+    def test_one_held_out_point_is_insufficient(self, monkeypatch):
+        """The held-out R^2 of one point is an error, not 0."""
+        def linear_fit(frames, c_bf, cfg):
+            return SimpleNamespace(slope=c_bf * 1e-9, r_squared=1.0), None, None
+
+        monkeypatch.setattr(pipeline, "estimate_slope", linear_fit)
+        with pytest.raises(InsufficientDataError):
+            run_calibration_sweep(
+                apply_quick(PipelineConfig()), {}, delta_c_min=-20.0,
+                delta_c_max=20.0, step=20.0, degrees=(1,),
+                train_selector="every-2",
+            )
 
 
 class TestReconstructStage:
@@ -483,6 +499,9 @@ class TestCLIExitCodes:
         "[roi]\nreference = probe_centre\n",
         "[calibration]\ndegree = 2\n",
         "[estimation]\napodization = hanning\n",
+        "[reconstruction]\npairs =\n",
+        "[reconstruction]\npairs = 40,56 40,40\n",
+        "[estimation]\npair = 55,55\n",
     ])
     def test_bad_config_value_is_two(self, workspace, capsys, text):
         root, _ = workspace
@@ -492,7 +511,10 @@ class TestCLIExitCodes:
             "--config", str(bad), "--out", str(root / "x"), "simulate",
         ])
         assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        section, line = text.splitlines()
+        assert "config error" in err
+        assert f"{section} {line.partition(' =')[0]}" in err
 
     def test_quick_calibrate_with_unfitted_degree_is_two(self, workspace,
                                                          capsys, monkeypatch):
@@ -523,6 +545,29 @@ class TestCLIExitCodes:
             "--c-bf", "1500",
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("domain -1.0 1.0\n", "", "domain"),
+        ("degree 1\n", "degree 4\n", "degree"),
+        ("degree 1\n", "degree 3\n", "coefficients"),
+        ("domain -1.0 1.0\n", "domain 1.0 1.0\n", "domain"),
+    ], ids=["no-domain", "degree-4", "degree-3-with-2-coefficients",
+            "empty-domain"])
+    def test_malformed_model_file_is_two(self, workspace, capsys, tmp_path,
+                                         old, new, key):
+        root, cfg_path = workspace
+        model = tmp_path / "bad_model.txt"
+        model.write_text(NARROW_MODEL.replace(old, new))
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(tmp_path / "est"),
+            "--quick", "estimate",
+            "--frames", str(root / "sim"),
+            "--model", str(model),
+            "--c-bf", "1500",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad_model.txt" in err and key in err
 
     @pytest.mark.parametrize("error", [
         EmptyPatternError, InsufficientDataError, RankDeficiencyError,

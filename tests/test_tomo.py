@@ -1,10 +1,13 @@
 """Path matrix construction, TV operator, and the L1/TV solver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from soscorr.geometry import ImagingGrid, TransducerArray, element_position
+from soscorr.pipeline import PipelineConfig, apply_quick
 from soscorr.tomo import (
     ReconConfig,
     SlownessMap,
@@ -46,6 +49,17 @@ class TestRayWeights:
         idx, lens = ray_weights((0.0, 0.01), (0.0, 0.01), g)
         assert idx.size == 0
         assert lens.size == 0
+
+    def test_ray_along_grid_edge_is_inside(self):
+        """A ray on the grid's left or top edge crosses the first column
+        or row, as slab_clip counts an edge as inside."""
+        g = unit_grid(nx=6, nz=8)
+        idx, lens = ray_weights((g.x_min, g.z_min), (g.x_min, g.z_max), g)
+        assert list(idx) == list(range(0, g.nx * g.nz, g.nx))
+        assert np.allclose(lens, g.dz)
+        idx, lens = ray_weights((g.x_max, g.z_min), (g.x_min, g.z_min), g)
+        assert sorted(idx) == list(range(g.nx))
+        assert np.allclose(lens, g.dx)
 
     def test_ray_missing_grid_is_empty(self):
         g = unit_grid()
@@ -129,6 +143,29 @@ class TestBuildPathMatrix:
         assert L.matrix.shape[0] == 5
         assert np.array_equal(L.node_index, np.flatnonzero(mask.ravel()))
         assert np.array_equal(L.pair_index, np.zeros(5, dtype=int))
+
+    @pytest.mark.parametrize("z0, digest", [
+        (0.007156249999999999, "46b6fc83d8da9d6a"),
+        (0.00723125, "900f089609eb3a19"),
+    ], ids=["c_bf-1477.5", "c_bf-1522.5"])
+    def test_criterion_4_matrices_keep_their_bytes(self, z0, digest):
+        """Quick criterion 4's path matrices before correction, all nodes.
+
+        The grids are the reconstruction tracker's measurement grids at
+        c_bf 1477.5 and 1522.5 m/s; each solve keeps a subset of these
+        rows. The digests are those of the code before slab_clip was
+        shared with the simulator.
+        """
+        cfg = apply_quick(PipelineConfig())
+        meas = ImagingGrid(x0=-0.019049999999999997, z0=z0, dx=6e-4,
+                           dz=3e-4, nx=64, nz=76)
+        m = build_path_matrix(list(cfg.recon_pairs), meas, cfg.slow_grid(),
+                              None, cfg.array).matrix
+        h = hashlib.sha256()
+        for a, dtype in ((m.data, "<f8"), (m.indices, "<i8"),
+                         (m.indptr, "<i8")):
+            h.update(a.astype(dtype).tobytes())
+        assert h.hexdigest()[:16] == digest
 
     def test_multiple_pairs_stack(self):
         pairs = [(40, 56), (56, 72), (72, 88)]

@@ -592,14 +592,17 @@ def cmd_estimate(
     c_bf_assumed: float,
     out_dir: Path | None = None,
 ) -> EstimateResult:
-    """Estimate the BF-SoS offset of a dataset and correct it."""
+    """Estimate the BF-SoS offset of a dataset and correct it.
+
+    The model is loaded before any frame is read, so a malformed model
+    fails fast and is not hidden by a missing frame directory."""
+    if isinstance(model, (str, Path)):
+        model = cal.load_model(model)
     if isinstance(frames_dir_or_frames, (str, Path)):
         frames = read_frame_set(Path(frames_dir_or_frames),
                                 cfg.estimation_pair)
     else:
         frames = frames_dir_or_frames
-    if isinstance(model, (str, Path)):
-        model = cal.load_model(model)
     fit, pattern, dmap = estimate_slope(frames, c_bf_assumed, cfg)
     dc_hat = cal.estimate_offset(model, fit.slope)
     corrected = cal.corrected_sos(c_bf_assumed, dc_hat)

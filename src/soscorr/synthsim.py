@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .geometry import ImagingGrid, TransducerArray, element_position, slab_clip
 
@@ -268,9 +269,10 @@ def travel_times(
     """
     p_from = np.atleast_2d(np.asarray(p_from, dtype=float))
     p_to = np.atleast_2d(np.asarray(p_to, dtype=float))
-    p_from, p_to = np.broadcast_arrays(p_from, p_to)
+    # checked before broadcasting, once per given point
     _check_bounds(p_from, medium)
     _check_bounds(p_to, medium)
+    p_from, p_to = np.broadcast_arrays(p_from, p_to)
 
     delta = p_to - p_from
     dist = np.hypot(delta[..., 0], delta[..., 1])
@@ -387,6 +389,17 @@ def simulate_frame(
     split into contiguous blocks, one per worker thread; each channel
     is computed the same way whatever the thread count, so the frame
     does not depend on it.
+
+    Each channel is two sparse products, with the arithmetic and the
+    summation order of a loop that gathers and weights two pulse table
+    rows per scatterer and sums them with bincount, so frames equal
+    that loop's byte for byte. A CSR matrix with weight (1 - w) at
+    column row and weight w at row + 1 of each scatterer's row, times
+    the table, gives (0 + a T[row]) + b T[row + 1]. The column sums of
+    the (scatterers, samples) matrix of those pulses, a CSC
+    matrix-vector product, add into each sample in scatterer order. A
+    channel where a pulse leaves the record sums its in-record terms
+    with bincount.
     """
     if not 0 <= tx < array.num_elements:
         raise ValueError(f"tx element {tx} out of range")
@@ -411,22 +424,22 @@ def simulate_frame(
         )
 
         half = int(np.ceil(pulse.support_halfwidth * fs))
-        offs = np.arange(-half, half + 1)
+        offs = np.arange(-half, half + 1, dtype=np.int32)
         # the pulse is read at offs + (k0 - t*fs) samples, with that
         # fraction in [-1/2, 1/2]: tabulate it once on a fine fraction grid
         steps = PULSE_TABLE_STEPS
         frac = np.arange(steps + 1) / steps - 0.5
         table = pulse.waveform((offs[None, :] + frac[:, None]) / fs)
+        # row pointers of the two sparse products: 2 and offs.size
+        # entries per scatterer
+        pair_ptr = np.arange(0, 2 * n_sc + 1, 2)
+        run_ptr = np.arange(0, offs.size * n_sc + 1, offs.size)
+        ones = np.ones(n_sc)
         ex = array.element_x()
         if t_rx is None:
             t_rx = receive_travel_times(field, medium, array, threads)
 
         def receive(block):
-            # (n_sc, support) sample indices, weighted pulse values and
-            # upper-row values, allocated once per worker
-            idx = np.empty((n_sc, offs.size), dtype=np.int64)
-            vals = np.empty((n_sc, offs.size))
-            upper = np.empty((n_sc, offs.size))
             for rx in block:
                 rx_pos = np.array([ex[rx], 0.0])
                 r_rx = np.hypot(s[:, 0] - rx_pos[0], s[:, 1] - rx_pos[1])
@@ -437,25 +450,26 @@ def simulate_frame(
                 k_exact = (t_tx + t_rx[rx]) * fs
                 k0 = np.rint(k_exact)
                 pos = (k0 - k_exact + 0.5) * steps
-                row = np.minimum(pos.astype(np.int64), steps - 1)
+                row = np.minimum(pos.astype(np.int32), steps - 1)
                 w = pos - row
                 weight = field.amplitudes * spreading
-                # the pulse interpolated linearly between table rows; row
-                # and row + 1 lie in [0, steps], so "clip" changes nothing
-                # ("raise" copies through a buffer when given out=)
-                np.add(k0.astype(np.int64)[:, None], offs[None, :], out=idx)
-                np.take(table, row, axis=0, out=vals, mode="clip")
-                vals *= (weight * (1.0 - w))[:, None]
-                np.take(table, row + 1, axis=0, out=upper, mode="clip")
-                upper *= (weight * w)[:, None]
-                vals += upper
+                # the pulse interpolated linearly between table rows
+                coef = sp.csr_matrix(
+                    (np.column_stack([weight * (1.0 - w), weight * w]).ravel(),
+                     np.column_stack([row, row + 1]).ravel(), pair_ptr),
+                    shape=(n_sc, steps + 1))
+                vals = coef @ table
+                idx = k0.astype(np.int32)[:, None] + offs
                 if k0.min() - half >= 0 and k0.max() + half < num_samples:
-                    kept_idx, kept_vals = idx.ravel(), vals.ravel()
+                    # column sums, added in scatterer order
+                    echoes = sp.csr_matrix(
+                        (vals.ravel(), idx.ravel(), run_ptr),
+                        shape=(n_sc, num_samples))
+                    samples[rx] = echoes.T @ ones
                 else:
                     valid = (idx >= 0) & (idx < num_samples)
-                    kept_idx, kept_vals = idx[valid], vals[valid]
-                samples[rx] = np.bincount(kept_idx, weights=kept_vals,
-                                          minlength=num_samples)
+                    samples[rx] = np.bincount(
+                        idx[valid], weights=vals[valid], minlength=num_samples)
 
         # each worker writes its own rows of samples
         thread_map(receive, _blocks(array.num_elements, threads), threads)

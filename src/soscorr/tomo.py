@@ -147,10 +147,14 @@ def _traverse_batch(origin: np.ndarray, targets: np.ndarray, grid: ImagingGrid):
     mids = 0.5 * (ts[:, 1:] + ts[:, :-1])
     px = ox + mids * dx_r[:, None]
     pz = oz + mids * dz_r[:, None]
-    ix = np.floor((px - x_lo) / grid.dx).astype(np.int64)
-    iz = np.floor((pz - z_lo) / grid.dz).astype(np.int64)
-    inside = (ix >= 0) & (ix < grid.nx) & (iz >= 0) & (iz < grid.nz)
-    keep = (dts > 1e-15) & inside & ~miss[:, None]
+    # every piece lies in the box, whose edges count as inside: a
+    # midpoint on the far edge falls in the last column or row, and one
+    # past an edge by rounding in the nearest cell
+    ix = np.clip(np.floor((px - x_lo) / grid.dx).astype(np.int64),
+                 0, grid.nx - 1)
+    iz = np.clip(np.floor((pz - z_lo) / grid.dz).astype(np.int64),
+                 0, grid.nz - 1)
+    keep = (dts > 1e-15) & ~miss[:, None]
 
     rows = np.broadcast_to(np.arange(n)[:, None], dts.shape)[keep]
     cols = (iz * grid.nx + ix)[keep]

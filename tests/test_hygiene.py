@@ -22,34 +22,128 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def loads(tree: ast.AST, attributes: bool) -> set[str]:
-    """Names the code reads: bare names, and with attributes also the
-    attribute of every obj.attr it reads."""
+def loads(tree: ast.AST) -> set[str]:
+    """Names the code reads: bare names and the attribute of every
+    obj.attr it reads."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif (attributes and isinstance(node, ast.Attribute)
-              and isinstance(node.ctx, ast.Load)):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
     return names
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+SCOPES = DEFINITIONS + (ast.Lambda,) + COMPREHENSIONS
+
+
+def params(function: ast.AST) -> list[ast.arg]:
+    a = function.args
+    return [p for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs,
+                        a.kwarg) if p is not None]
+
+
+def outer_parts(scope: ast.AST) -> list[ast.AST]:
+    """Parts of a scope's node that run in the enclosing scope:
+    decorators, defaults, annotations, bases, a comprehension's first
+    iterable."""
+    if isinstance(scope, FUNCTIONS):
+        parts = [*scope.args.defaults, *scope.args.kw_defaults]
+        if not isinstance(scope, ast.Lambda):
+            parts += [*scope.decorator_list, scope.returns,
+                      *(p.annotation for p in params(scope))]
+        return [p for p in parts if p is not None]
+    if isinstance(scope, ast.ClassDef):
+        return [*scope.decorator_list, *scope.bases, *scope.keywords]
+    if isinstance(scope, COMPREHENSIONS):
+        return [scope.generators[0].iter]
+    return []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Imported names that no read resolves to, scope by scope.
+
+    A read resolves to the innermost enclosing scope that binds the
+    name, skipping class bodies as Python does, so a parameter or local
+    of the same name hides an import from the reads in its scope.
+    """
+    tree = ast.parse(source)
+    binds, imports, reads, skip = {}, [], [], set()
+
+    def visit(node, chain):
+        if id(node) in skip:
+            return
+        if isinstance(node, SCOPES):
+            outer = outer_parts(node)
+            for part in outer:
+                visit(part, chain)
+            skip.update(map(id, outer))
+            if isinstance(node, DEFINITIONS):
+                binds[id(chain[-1])].add(node.name)
+            chain = chain + [node]
+            binds[id(node)] = set()
+            if isinstance(node, FUNCTIONS):
+                binds[id(node)].update(p.arg for p in params(node))
+        elif isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                reads.append((chain, node.id))
+            else:
+                binds[id(chain[-1])].add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    binds[id(chain[-1])].add(name)
+                    imports.append((chain[-1], name))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            binds[id(chain[-1])].add(node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, chain)
+
+    binds[id(tree)] = set()
+    visit(tree, [tree])
+
+    def resolve(chain, name):
+        for depth, scope in enumerate(reversed(chain)):
+            if depth and isinstance(scope, ast.ClassDef):
+                continue
+            if name in binds[id(scope)]:
+                return scope
+        return tree
+
+    used = {(id(resolve(chain, name)), name) for chain, name in reads}
+    return sorted(name for scope, name in imports
+                  if (id(scope), name) not in used)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_import(path):
-    tree = parse(path)
-    imported = {
-        alias.asname or alias.name.split(".")[0]
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        and getattr(node, "module", None) != "__future__"
-        for alias in node.names
-    }
-    assert sorted(imported - loads(tree, attributes=False)) == []
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, unused", [
+    # a parameter of the same name hides the import from its reads
+    ("from dataclasses import field\ndef f(field):\n    return field\n",
+     ["field"]),
+    ("import os\ndef f(os=None):\n    return [os for os in ()]\n", ["os"]),
+    # reads through a nested function, an annotation and a class body
+    ("import os\ndef f():\n    def g():\n        return os\n    return g\n",
+     []),
+    ("from pathlib import Path\ndef f(p: Path):\n    return p\n", []),
+    ("import os\nclass C:\n    os = 1\n    def g(self):\n        return os\n",
+     []),
+    ("def f():\n    import os\n    return os\n", []),
+], ids=["parameter", "default-and-comprehension", "nested-function",
+        "annotation", "class-body", "function-import"])
+def test_unused_imports_resolves_scopes(source, unused):
+    assert unused_imports(source) == unused
 
 
 def test_every_definition_is_loaded():
-    used = set().union(*(loads(parse(p), attributes=True) for p in USERS))
+    used = set().union(*(loads(parse(p)) for p in USERS))
     unread = [
         f"{path.stem}.{node.name}"
         for path in MODULES

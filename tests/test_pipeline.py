@@ -569,6 +569,42 @@ class TestCLIExitCodes:
         err = capsys.readouterr().err
         assert "bad_model.txt" in err and key in err
 
+    def test_malformed_model_with_missing_frames_is_two(self, workspace,
+                                                        capsys, tmp_path):
+        """The model is checked first: a missing frame directory does not
+        hide a malformed model."""
+        _, cfg_path = workspace
+        model = tmp_path / "bad_model.txt"
+        model.write_text(NARROW_MODEL.replace("degree 1\n", "degree 4\n"))
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(tmp_path / "est"),
+            "--quick", "estimate",
+            "--frames", str(tmp_path / "does_not_exist"),
+            "--model", str(model),
+            "--c-bf", "1500",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad_model.txt" in err and "degree" in err
+
+    def test_malformed_model_fails_before_frames_are_read(
+            self, workspace, capsys, tmp_path, monkeypatch):
+        root, cfg_path = workspace
+        model = tmp_path / "bad_model.txt"
+        model.write_text(NARROW_MODEL.replace("degree 1\n", "degree 4\n"))
+        reads = []
+        monkeypatch.setattr(pipeline, "read_frame_set",
+                            lambda *args: reads.append(args))
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(tmp_path / "est"),
+            "--quick", "estimate",
+            "--frames", str(root / "sim"),
+            "--model", str(model),
+            "--c-bf", "1500",
+        ])
+        assert rc == 2
+        assert reads == []
+
     @pytest.mark.parametrize("error", [
         EmptyPatternError, InsufficientDataError, RankDeficiencyError,
     ])

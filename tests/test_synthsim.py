@@ -123,6 +123,17 @@ class TestTravelTimes:
         with pytest.raises(ValueError):
             travel_times([0, 0], [0, 0.5], m)
 
+    def test_out_of_extent_point_in_a_broadcast_call(self):
+        """Bounds are checked on the given points, before broadcasting:
+        one stray scatterer of a receive table still raises."""
+        m = make_medium()
+        rx = np.array([[x, 0.0] for x in (-0.01, 0.0, 0.01)])
+        for k in range(2):
+            s = np.column_stack([np.linspace(-0.01, 0.01, 5), np.full(5, 0.01)])
+            s[3, k] = 0.5
+            with pytest.raises(ValueError, match="outside 2x imaging extent"):
+                travel_times(s[None, :, :], rx[:, None, :], m)
+
 
 class TestExactTravelTimes:
     """Chord lengths against closed forms and the trapezoid rule."""
@@ -419,6 +430,67 @@ def direct_frame(tx, field, medium, pulse, array, num_samples, t_rx):
     return out
 
 
+def table_frame(tx, field, medium, pulse, array, num_samples, t_rx):
+    """Reference frame: simulate_frame's earlier receiver loop, which
+    gathered and weighted two table rows per scatterer and summed the
+    echoes with bincount; its receive worker is kept word for word."""
+    fs = pulse.sampling_frequency
+    s = field.positions
+    n_sc = s.shape[0]
+    samples = np.zeros((array.num_elements, num_samples), dtype=np.float64)
+    tx_pos = np.array(element_position(array, tx))
+    t_tx = travel_times(tx_pos[None, :], s, medium)
+    r_tx = np.hypot(s[:, 0] - tx_pos[0], s[:, 1] - tx_pos[1])
+    wavelength = medium.background_sos / pulse.center_frequency
+    d_tx = synthsim._element_directivity(
+        s[:, 0] - tx_pos[0], r_tx, array.pitch, wavelength
+    )
+    half = int(np.ceil(pulse.support_halfwidth * fs))
+    offs = np.arange(-half, half + 1)
+    steps = synthsim.PULSE_TABLE_STEPS
+    frac = np.arange(steps + 1) / steps - 0.5
+    table = pulse.waveform((offs[None, :] + frac[:, None]) / fs)
+    ex = array.element_x()
+
+    def receive(block):
+        # (n_sc, support) sample indices, weighted pulse values and
+        # upper-row values, allocated once per worker
+        idx = np.empty((n_sc, offs.size), dtype=np.int64)
+        vals = np.empty((n_sc, offs.size))
+        upper = np.empty((n_sc, offs.size))
+        for rx in block:
+            rx_pos = np.array([ex[rx], 0.0])
+            r_rx = np.hypot(s[:, 0] - rx_pos[0], s[:, 1] - rx_pos[1])
+            spreading = 1.0 / np.maximum(r_tx * r_rx, R_MIN**2) * d_tx
+            spreading *= synthsim._element_directivity(
+                s[:, 0] - rx_pos[0], r_rx, array.pitch, wavelength
+            )
+            k_exact = (t_tx + t_rx[rx]) * fs
+            k0 = np.rint(k_exact)
+            pos = (k0 - k_exact + 0.5) * steps
+            row = np.minimum(pos.astype(np.int64), steps - 1)
+            w = pos - row
+            weight = field.amplitudes * spreading
+            # the pulse interpolated linearly between table rows; row
+            # and row + 1 lie in [0, steps], so "clip" changes nothing
+            # ("raise" copies through a buffer when given out=)
+            np.add(k0.astype(np.int64)[:, None], offs[None, :], out=idx)
+            np.take(table, row, axis=0, out=vals, mode="clip")
+            vals *= (weight * (1.0 - w))[:, None]
+            np.take(table, row + 1, axis=0, out=upper, mode="clip")
+            upper *= (weight * w)[:, None]
+            vals += upper
+            if k0.min() - half >= 0 and k0.max() + half < num_samples:
+                kept_idx, kept_vals = idx.ravel(), vals.ravel()
+            else:
+                valid = (idx >= 0) & (idx < num_samples)
+                kept_idx, kept_vals = idx[valid], vals[valid]
+            samples[rx] = np.bincount(kept_idx, weights=kept_vals,
+                                      minlength=num_samples)
+
+    receive(range(array.num_elements))
+    return samples.astype(np.float32)
+
 class TestPulseTable:
     def setup_method(self):
         self.array = TransducerArray()
@@ -427,6 +499,7 @@ class TestPulseTable:
             [Inclusion("ellipse", (0.0, 0.012), (3e-3, 2e-3), 1540.0)])
 
     def frames(self, positions, tx):
+        """The frame, the direct reference and the table-loop frame."""
         field = ScattererField(positions=np.array(positions),
                                amplitudes=np.linspace(1.0, -0.5,
                                                       len(positions)),
@@ -437,25 +510,31 @@ class TestPulseTable:
                                self.array, n, t_rx=t_rx)
         ref = direct_frame(tx, field, self.medium, self.pulse, self.array,
                            n, t_rx)
-        return frame.samples, ref
+        table = table_frame(tx, field, self.medium, self.pulse, self.array,
+                            n, t_rx)
+        return frame.samples, ref, table
 
     def test_matches_direct_pulse(self):
-        samples, ref = self.frames(
+        samples, ref, table = self.frames(
             [(0.0, 0.02), (-3e-3, 0.011), (4e-3, 0.016)], tx=50)
         peak = np.abs(ref).max()
         assert np.abs(samples - ref).max() <= 1e-6 * peak
+        assert samples.tobytes() == table.tobytes()
 
     def test_pulse_cut_at_record_start(self):
+        """The cut pulse takes the filtered bincount branch; the frame
+        still equals the table-based loop byte for byte."""
         # 0.2 mm below the transmit element: the echo arrives after 43
         # samples, while the pulse reaches 64 samples before its centre
         x_tx = self.array.element_x()[63]
-        samples, ref = self.frames([(x_tx, 2e-4), (0.0, 0.02)], tx=63)
+        samples, ref, table = self.frames([(x_tx, 2e-4), (0.0, 0.02)], tx=63)
         half = int(np.ceil(self.pulse.support_halfwidth
                            * self.pulse.sampling_frequency))
         assert 2 * 2e-4 / 1500.0 * self.pulse.sampling_frequency < half
         assert samples[63, 0] != 0.0  # the record starts mid-pulse
         peak = np.abs(ref).max()
         assert np.abs(samples - ref).max() <= 1e-6 * peak
+        assert samples.tobytes() == table.tobytes()
 
 
 class TestSimulateFrames:
@@ -523,6 +602,27 @@ class TestSimulateFrames:
         assert np.all(np.abs(one).max(axis=1) > 0)  # every channel written
         for frames in runs[1:]:
             assert frames[55].samples.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_phantom_transmit_equals_table_loop(self, threads):
+        """A quick ellipse_p40 transmit, all 2310 scatterers inside the
+        record, equals the table-based loop byte for byte."""
+        from soscorr.pipeline import (PipelineConfig, apply_quick,
+                                      default_phantom_set)
+
+        cfg = apply_quick(PipelineConfig(
+            inclusions=dict(default_phantom_set())["ellipse_p40"],
+            threads=threads))
+        field = gen_scatterers(cfg.scatterer_grid(), cfg.scatterer_density,
+                               cfg.seed)
+        medium = cfg.medium()
+        n = required_samples(55, field, medium, cfg.pulse, cfg.array)
+        t_rx = receive_travel_times(field, medium, cfg.array, threads)
+        frame = simulate_frame(55, field, medium, cfg.pulse, cfg.array, n,
+                               t_rx=t_rx, threads=threads)
+        ref = table_frame(55, field, medium, cfg.pulse, cfg.array, n, t_rx)
+        assert field.positions.shape[0] == 2310
+        assert frame.samples.tobytes() == ref.tobytes()
 
 
 class TestFrameIO:

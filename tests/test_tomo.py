@@ -61,6 +61,19 @@ class TestRayWeights:
         assert sorted(idx) == list(range(g.nx))
         assert np.allclose(lens, g.dx)
 
+    def test_rays_along_near_and_far_edges_match(self):
+        """The left and right edges each cross a full column, 8 cells and
+        8 mm; the top and bottom edges each cross a full row."""
+        g = unit_grid(nx=6, nz=8)
+        for x, col in ((g.x_min, 0), (g.x_max, g.nx - 1)):
+            idx, lens = ray_weights((x, g.z_min), (x, g.z_max), g)
+            assert list(idx) == list(range(col, g.nx * g.nz, g.nx))
+            assert lens.sum() == pytest.approx(8e-3, rel=1e-12)
+        for z, row in ((g.z_min, 0), (g.z_max, g.nz - 1)):
+            idx, lens = ray_weights((g.x_min, z), (g.x_max, z), g)
+            assert list(idx) == list(range(row * g.nx, (row + 1) * g.nx))
+            assert lens.sum() == pytest.approx(6e-3, rel=1e-12)
+
     def test_ray_missing_grid_is_empty(self):
         g = unit_grid()
         idx, _ = ray_weights((0.05, 0.001), (0.06, 0.002), g)

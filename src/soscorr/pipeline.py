@@ -83,7 +83,7 @@ class PipelineConfig:
     slow_nz: int = 32
 
     tracking: TrackConfig = field(default_factory=TrackConfig)
-    recon_axial_step: int = 4
+    recon_axial_step: int = 16  # window_len / 6: closer nodes repeat windows
     recon_lateral_step: int = 2
 
     roi_depth_min: float = 7.5e-3
@@ -218,7 +218,6 @@ def apply_quick(cfg: PipelineConfig) -> PipelineConfig:
         bf_depth=min(cfg.bf_depth, 27.0e-3),
         slow_nx=min(cfg.slow_nx, 24),
         slow_nz=min(cfg.slow_nz, 24),
-        recon_axial_step=max(cfg.recon_axial_step, 8),
         recon_lateral_step=max(cfg.recon_lateral_step, 2),
         recon_pairs=(
             cfg.recon_pairs
@@ -637,6 +636,7 @@ def cmd_estimate(
 class ReconResult:
     sos_map: np.ndarray  # absolute SoS, m/s, on the slowness grid
     info: ReconInfo  # the solve's health record
+    clamped_fraction: float  # of sos_map's cells clamped to the SoS band
     rmse_vs_gt: float | None = None
 
 
@@ -667,8 +667,10 @@ def cmd_reconstruct(
     """Tomographic local-SoS reconstruction at the given beamforming SoS.
 
     With out_dir, writes the map, its objective trace and metrics.json:
-    the solve's converged, iterations, grad_norm and message, plus
-    rmse_vs_gt_mps when a ground-truth map is known.
+    the solve's converged, iterations, grad_norm and message; its rows
+    (measurements in the solve) and valid_fraction (tracked nodes kept
+    by min_ncc); the map's clamped_fraction; and rmse_vs_gt_mps when a
+    ground-truth map is known.
     """
     txs = sorted({e for p in cfg.recon_pairs for e in p})
     if isinstance(frames_dir_or_frames, (str, Path)):
@@ -709,10 +711,11 @@ def cmd_reconstruct(
     D = tv_operator(cfg.slow_grid(), cfg.recon.tv_axial_weight,
                     cfg.recon.tv_lateral_weight)
     slowness, info = reconstruct(L, delays, D, cfg.recon)
-    sos_map = slowness.to_sos(c_bf)
+    sos_map, clamped = slowness.to_sos(c_bf)
 
     rmse = rmse_map(sos_map, gt_map) if gt_map is not None else None
-    result = ReconResult(sos_map=sos_map, info=info, rmse_vs_gt=rmse)
+    result = ReconResult(sos_map=sos_map, info=info, clamped_fraction=clamped,
+                         rmse_vs_gt=rmse)
 
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -726,9 +729,13 @@ def cmd_reconstruct(
             f.write("iteration,objective\n")
             for i, v in enumerate(info.objective_trace):
                 f.write(f"{i},{v:.9e}\n")
+        rows = L.matrix.shape[0]
         metrics = {"converged": info.converged,
                    "iterations": info.iterations,
-                   "grad_norm": info.grad_norm, "message": info.message}
+                   "grad_norm": info.grad_norm, "message": info.message,
+                   "rows": rows,
+                   "valid_fraction": rows / sum(m.size for m in masks),
+                   "clamped_fraction": clamped}
         if rmse is not None:
             metrics["rmse_vs_gt_mps"] = rmse
         (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2))
@@ -793,6 +800,9 @@ class CaseResult:
     # inclusion minus background SoS, m/s: ground truth and after map
     contrast_true: float
     contrast_after: float
+    # fractions of the before and after maps clamped to the SoS band
+    clamped_before: float
+    clamped_after: float
 
     @property
     def rmse_reduction(self) -> float:
@@ -847,6 +857,8 @@ def evaluate_phantom_set(
             converged=after.info.converged,
             contrast_true=contrast(gt, labels),
             contrast_after=contrast(after.sos_map, labels),
+            clamped_before=before.clamped_fraction,
+            clamped_after=after.clamped_fraction,
         )
         results.append(res)
         if case_dir is not None:

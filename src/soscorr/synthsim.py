@@ -12,6 +12,7 @@ attenuation.
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,6 +28,8 @@ SOS_MAX = 1700.0
 
 FRAME_MAGIC = b"SOSC"
 FRAME_VERSION = 1
+# a MANIFEST.txt [frames] line, as write_frame_set writes it
+MANIFEST_FRAME = re.compile(r"(\S+)\s+tx=(\d+)\s+sha256_16=([0-9a-f]{16})")
 
 # spreading floor: below this radius the 1/(r_tx*r_rx) factor is clamped
 R_MIN = 1.0e-3
@@ -510,8 +513,8 @@ def write_frame(path: Path, frame: ChannelFrame) -> bytes:
     return data
 
 
-def read_frame(path: Path) -> ChannelFrame:
-    raw = Path(path).read_bytes()
+def decode_frame(raw: bytes, path: Path) -> ChannelFrame:
+    """The frame a .sosc file's bytes hold; path names it in errors."""
     if raw[:4] != FRAME_MAGIC:
         raise ValueError(f"{path}: not a SOSC frame file")
     off = 4 + struct.calcsize("<HHIIdd")
@@ -550,7 +553,8 @@ def write_frame_set(
 def read_frame_set(in_dir: Path, txs=None) -> dict[int, ChannelFrame]:
     """Frames that MANIFEST.txt lists, keyed by tx element; with txs,
     only those transmits. A needed frame that the manifest does not
-    list, or that it lists but is absent, is a FileNotFoundError."""
+    list, or that it lists but is absent, is a FileNotFoundError; one
+    whose bytes do not match the manifest's sha256_16 is a ValueError."""
     in_dir = Path(in_dir)
     manifest = in_dir / "MANIFEST.txt"
     if not manifest.exists():
@@ -560,20 +564,27 @@ def read_frame_set(in_dir: Path, txs=None) -> dict[int, ChannelFrame]:
         if line.startswith("["):
             section = line
         elif section == "[frames]" and line.strip():
-            name, tx = line.split()[:2]
-            listed[int(tx.removeprefix("tx="))] = name
+            entry = MANIFEST_FRAME.fullmatch(line.strip())
+            if entry is None:
+                raise ValueError(f"{manifest}: malformed frame line {line!r}")
+            name, tx, digest = entry.groups()
+            listed[int(tx)] = (name, digest)
     needed = sorted(listed) if txs is None else sorted(set(txs))
     unlisted = [tx for tx in needed if tx not in listed]
     if unlisted:
         raise FileNotFoundError(f"{manifest} lists no frame for tx {unlisted}")
     frames = {}
     for tx in needed:
-        path = in_dir / listed[tx]
+        name, digest = listed[tx]
+        path = in_dir / name
         if not path.exists():
             raise FileNotFoundError(f"{path}: listed in {manifest.name} "
                                     "but absent")
-        frames[tx] = read_frame(path)
+        raw = path.read_bytes()
+        frames[tx] = decode_frame(raw, path)
         if frames[tx].tx_element != tx:
             raise ValueError(f"{path}: holds tx {frames[tx].tx_element}, "
                              f"{manifest.name} says tx {tx}")
+        if hashlib.sha256(raw).hexdigest()[:16] != digest:
+            raise ValueError(f"{path}: sha256 differs from {manifest.name}")
     return frames

@@ -69,16 +69,19 @@ class SlownessMap:
     values: np.ndarray  # (nz, nx)
     grid: ImagingGrid
 
-    def to_sos(self, c_bf: float) -> np.ndarray:
-        """Absolute SoS map 1/(1/c_bf + dsigma), clamped to sanity band."""
+    def to_sos(self, c_bf: float) -> tuple[np.ndarray, float]:
+        """Absolute SoS map 1/(1/c_bf + dsigma), clamped to the sanity
+        band, and the fraction of its cells that were clamped."""
         sos = 1.0 / (1.0 / c_bf + self.values)
-        if np.any(sos < SOS_MIN) or np.any(sos > SOS_MAX):
+        clamped = float(np.mean((sos < SOS_MIN) | (sos > SOS_MAX)))
+        if clamped:
             warnings.warn(
-                "reconstructed SoS left the [1300, 1700] m/s band; clamping",
+                f"reconstructed SoS left the [1300, 1700] m/s band; clamping "
+                f"{clamped:.1%} of the map",
                 RuntimeWarning,
             )
             sos = np.clip(sos, SOS_MIN, SOS_MAX)
-        return sos
+        return sos, clamped
 
 
 @dataclass

@@ -116,11 +116,15 @@ def test_criterion_4_correction_effectiveness(quick_cfg):
           and sign_ok and elapsed < 180.0)
     contrasts = ", ".join(f"{c.name} {c.contrast_after:+.1f}/{c.contrast_true:+.0f}"
                           for c in cases)
+    clamped = ", ".join(f"{c.name} {c.clamped_before:.3f}/{c.clamped_after:.3f}"
+                        for c in cases)
     report(4, ok, f"RMSE lower in {sum(c.rmse_after < c.rmse_before for c in cases)}/8 cases, "
                   f"mean reduction {mean_reduction:.0%} (>= 25%), "
                   f"CNR improved in {sum(c.cnr_after_db > c.cnr_before_db for c in over)}"
                   f"/{len(over)} overestimation cases, "
                   f"after-map contrast recovered/true m/s: {contrasts}, "
+                  f"map fraction clamped to the SoS band before/after: "
+                  f"{clamped}, "
                   f"runtime {elapsed:.0f} s (< 180 quick)")
     assert len(cases) == 8
     assert all_improve

@@ -1,5 +1,7 @@
 """Config files, stage orchestration, reporting, and the CLI contract."""
 
+import contextlib
+import io
 import json
 import shutil
 import tempfile
@@ -9,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from soscorr.cli import main as cli_main
 from soscorr.pipeline import (
@@ -292,6 +294,13 @@ class TestDerivedConfig:
         assert cfg.slow_nx == 24 and cfg.slow_nz == 24
         assert len(cfg.recon_pairs) == 3
 
+    def test_recon_nodes_are_a_sixth_of_a_window_apart(self, tmp_path):
+        for cfg in (PipelineConfig(), apply_quick(PipelineConfig())):
+            assert cfg.recon_axial_step * 6 == cfg.tracking.window_len
+        path = tmp_path / "step.ini"
+        path.write_text("[reconstruction]\naxial_step = 3\n")
+        assert apply_quick(load_config(path)).recon_axial_step == 3
+
     def test_apply_quick_keeps_small_pair_lists(self):
         cfg = apply_quick(PipelineConfig(recon_pairs=((55, 65),)))
         assert cfg.recon_pairs == ((55, 65),)
@@ -409,17 +418,32 @@ class TestReconMetrics:
     def frames(self):
         return simulate_frames(recon_cfg(), tx_list=[40, 56, 72])
 
-    def test_solver_health_is_written_without_ground_truth(self, frames,
-                                                           tmp_path):
+    def test_solver_health_is_written_without_ground_truth(
+            self, frames, tmp_path, monkeypatch):
+        built = []
+
+        def keep(pairs, meas_grid, *args):
+            built.append((len(pairs), meas_grid.nx * meas_grid.nz,
+                          build_path_matrix(pairs, meas_grid, *args)))
+            return built[-1][2]
+
+        monkeypatch.setattr(pipeline, "build_path_matrix", keep)
         res = cmd_reconstruct(recon_cfg(), frames, 1500.0, out_dir=tmp_path)
         metrics = json.loads((tmp_path / "metrics.json").read_text())
+        [(n_pairs, n_nodes, L)] = built
+        rows = L.matrix.shape[0]
         assert metrics == {
             "converged": res.info.converged,
             "iterations": res.info.iterations,
             "grad_norm": res.info.grad_norm,
             "message": res.info.message,
+            "rows": rows,
+            "valid_fraction": rows / (n_pairs * n_nodes),
+            "clamped_fraction": res.clamped_fraction,
         }
         assert metrics["iterations"] > 0 and metrics["message"]
+        assert 0 < metrics["valid_fraction"] <= 1
+        assert res.clamped_fraction == 0.0
         assert res.rmse_vs_gt is None
 
     def test_rmse_is_added_with_ground_truth(self, frames, tmp_path):
@@ -430,6 +454,7 @@ class TestReconMetrics:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["rmse_vs_gt_mps"] == res.rmse_vs_gt
         assert metrics["iterations"] == res.info.iterations
+        assert {"rows", "valid_fraction", "clamped_fraction"} <= set(metrics)
 
 
 class TestReport:
@@ -665,6 +690,36 @@ class TestCLIExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "frame_tx065.sosc" in err and "payload" in err
+
+    @given(tx=st.sampled_from([55, 65]), bit=st.integers(0, 2**40))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_flip_in_a_frame_is_two(self, workspace, tx, bit):
+        """One bit flipped anywhere in a needed frame fails the header,
+        sample or manifest digest check."""
+        root, cfg_path = workspace
+        bad = root / "flipped_frames"
+        if not bad.exists():
+            shutil.copytree(root / "sim", bad)
+        path = bad / f"frame_tx{tx:03d}.sosc"
+        raw = path.read_bytes()
+        bit %= 8 * len(raw)
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = cli_main([
+                    "--config", str(cfg_path), "--out", str(root / "est_flip"),
+                    "--quick", "estimate",
+                    "--frames", str(bad),
+                    "--model", str(root / "narrow_model.txt"),
+                    "--c-bf", "1500",
+                ])
+        finally:
+            path.write_bytes(raw)
+        assert rc == 2
+        assert path.name in err.getvalue()
 
     def test_listed_frame_deleted_is_four(self, workspace, capsys):
         root, cfg_path = workspace

@@ -15,9 +15,9 @@ from soscorr.synthsim import (
     MediumSpec,
     PulseSpec,
     ScattererField,
+    decode_frame,
     frame_filename,
     gen_scatterers,
-    read_frame,
     read_frame_set,
     receive_travel_times,
     required_samples,
@@ -639,7 +639,7 @@ class TestFrameIO:
         fr = self.frame()
         path = tmp_path / frame_filename(55)
         write_frame(path, fr)
-        back = read_frame(path)
+        back = decode_frame(path.read_bytes(), path)
         assert back.tx_element == 55
         assert back.fs == fr.fs
         assert back.t0 == fr.t0
@@ -657,7 +657,7 @@ class TestFrameIO:
         path = tmp_path / "bogus.sosc"
         path.write_bytes(b"NOPE" + bytes(32))
         with pytest.raises(ValueError, match="not a SOSC frame"):
-            read_frame(path)
+            decode_frame(path.read_bytes(), path)
 
     def test_frame_set_roundtrip_and_manifest(self, tmp_path):
         frames = [self.frame()]
@@ -684,13 +684,13 @@ class TestFrameIO:
         size = 8 * 32 * 4
         with pytest.raises(ValueError, match=f"{path.name}.*{size + extra} "
                            f"bytes.*8 x 32 float32 = {size}"):
-            read_frame(path)
+            decode_frame(path.read_bytes(), path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.sosc"
         path.write_bytes(b"SOSC" + bytes(6))
         with pytest.raises(ValueError, match="short.sosc: truncated"):
-            read_frame(path)
+            decode_frame(path.read_bytes(), path)
 
     def frame_set(self, tmp_path, txs=(40, 55, 65)):
         frames = [ChannelFrame(tx_element=tx, samples=self.frame().samples,
@@ -718,6 +718,27 @@ class TestFrameIO:
         path.write_bytes((tmp_path / frame_filename(40)).read_bytes())
         with pytest.raises(ValueError, match="holds tx 40.*says tx 65"):
             read_frame_set(tmp_path, [65])
+
+    def test_frame_that_differs_from_its_digest(self, tmp_path):
+        self.frame_set(tmp_path)
+        path = tmp_path / frame_filename(55)
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01  # a last mantissa bit: still a finite sample
+        path.write_bytes(bytes(raw))
+        assert len(read_frame_set(tmp_path, [40, 65])) == 2
+        with pytest.raises(ValueError,
+                           match="frame_tx055.sosc: sha256 differs"):
+            read_frame_set(tmp_path, [55])
+
+    @pytest.mark.parametrize("cut", [" sha256_16=", " tx="])
+    def test_malformed_manifest_line(self, tmp_path, cut):
+        self.frame_set(tmp_path)
+        manifest = tmp_path / "MANIFEST.txt"
+        text = manifest.read_text()
+        head, _, tail = text.partition(cut)
+        manifest.write_text(head + " " + tail)
+        with pytest.raises(ValueError, match="malformed frame line"):
+            read_frame_set(tmp_path)
 
     def test_unlisted_transmit(self, tmp_path):
         self.frame_set(tmp_path)

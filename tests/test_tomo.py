@@ -299,7 +299,8 @@ class TestReconstruct:
         inc = ((X - 1e-3) / 4e-3) ** 2 + ((Z - 14e-3) / 4e-3) ** 2 <= 1.0
         sigma = np.where(inc, 1.0 / 1540.0, 1.0 / 1500.0) - 1.0 / c_bf
         smap, info = reconstruct(L, L.matrix @ sigma.ravel(), D)
-        sos = smap.to_sos(c_bf)
+        sos, clamped = smap.to_sos(c_bf)
+        assert clamped == 0.0
         assert sos[inc].mean() - sos[~inc].mean() >= 0.5 * 40.0
         # one objective entry for the start and one per iteration
         assert len(info.objective_trace) == info.iterations + 1
@@ -339,17 +340,22 @@ class TestSlownessMap:
     def test_to_sos_identity_at_zero(self):
         g = unit_grid(nx=3, nz=3)
         smap = SlownessMap(values=np.zeros((3, 3)), grid=g)
-        assert np.allclose(smap.to_sos(1540.0), 1540.0)
+        assert np.allclose(smap.to_sos(1540.0)[0], 1540.0)
 
     def test_to_sos_hand_value(self):
         g = unit_grid(nx=2, nz=2)
         dsig = 1.0 / 1450.0 - 1.0 / 1500.0
         smap = SlownessMap(values=np.full((2, 2), dsig), grid=g)
-        assert np.allclose(smap.to_sos(1500.0), 1450.0)
+        assert np.allclose(smap.to_sos(1500.0)[0], 1450.0)
 
     def test_out_of_band_warns_and_clamps(self):
         g = unit_grid(nx=2, nz=2)
-        smap = SlownessMap(values=np.full((2, 2), -2e-4), grid=g)
-        with pytest.warns(RuntimeWarning):
-            sos = smap.to_sos(1500.0)
-        assert np.all(sos <= 1700.0)
+        # one cell in four far above the band, at 1500 / (1 - 0.3) m/s
+        values = np.zeros((2, 2))
+        values[0, 1] = -2e-4
+        smap = SlownessMap(values=values, grid=g)
+        with pytest.warns(RuntimeWarning, match="25.0% of the map"):
+            sos, clamped = smap.to_sos(1500.0)
+        assert clamped == 0.25
+        assert sos[0, 1] == 1700.0
+        assert np.allclose(np.delete(sos.ravel(), 1), 1500.0)

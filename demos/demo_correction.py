@@ -5,8 +5,9 @@ Simulates an inclusion phantom, deliberately beamforms with a BF-SoS
 1.5% off, estimates the offset from the (55, 65) pair pattern using a
 freshly built calibration model, and reconstructs the local SoS map
 before and after correction. RMSE against the rasterized ground truth
-and inclusion CNR are printed, and both maps (CSV + PNG if matplotlib
-is installed) land in the output directory.
+and inclusion CNR are printed; both maps (CSV and float32), the
+estimate and reconstruct records and the report.json that collects
+them land in the output directory.
 
 Run:  python demos/demo_correction.py --out /tmp/corr_demo
 """
@@ -77,8 +78,8 @@ def main():
     print(f"{'after':>10} {after.rmse_vs_gt:11.2f} "
           f"{cnr_db(after.sos_map, labels):9.2f}")
 
-    summary = cmd_report(args.out)
-    print(f"\nreport artifacts: {summary['outputs']}")
+    cmd_report(args.out)
+    print(f"\nreport: {args.out / 'report' / 'report.json'}")
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--frames", type=Path, required=True)
     pr.add_argument("--c-bf", type=float, required=True)
 
-    pp = sub.add_parser("report", help="aggregate run metrics and plots")
+    pp = sub.add_parser("report", help="collect run records into report.json")
     pp.add_argument("--run-dir", type=Path, required=True)
     return p
 
@@ -84,10 +84,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            summary = pipeline.cmd_report(args.run_dir, args.out)
-            print(f"report written: {summary['outputs']}")
-            if summary["missing"]:
-                print(f"missing inputs: {summary['missing']}")
+            report = pipeline.cmd_report(args.run_dir, args.out)
+            print(f"report written to {args.out / 'report.json'}")
+            if report["missing"]:
+                print(f"no record of: {', '.join(report['missing'])}")
             return 0
 
         cfg = _resolve_config(args)

@@ -3,13 +3,14 @@ reconstruct, report.
 
 Every stage persists its intermediates in documented open formats (CSV
 plus the described flat binaries), so any stage can be re-run from disk
-without the previous stage's in-memory state.
+without the previous stage's in-memory state. A command's metrics are
+one JSON record, <command>.json, written by write_record; cmd_report
+collects those records.
 """
 
 from __future__ import annotations
 
 import configparser
-import csv
 import json
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -213,8 +214,7 @@ def apply_quick(cfg: PipelineConfig) -> PipelineConfig:
     return replace(
         cfg,
         scatterer_density=min(cfg.scatterer_density, 2.0),
-        bf_dx=3.0e-4,
-        bf_dz=3.75e-5,
+        bf_dx=max(cfg.bf_dx, 3.0e-4),
         bf_depth=min(cfg.bf_depth, 27.0e-3),
         slow_nx=min(cfg.slow_nx, 24),
         slow_nz=min(cfg.slow_nz, 24),
@@ -391,6 +391,11 @@ def dump_config(cfg: PipelineConfig) -> str:
 # stage implementations
 
 
+def write_record(out_dir: Path, command: str, record: dict) -> None:
+    """Write a command's metrics record to out_dir/<command>.json."""
+    (Path(out_dir) / f"{command}.json").write_text(json.dumps(record, indent=2))
+
+
 def simulate_frames(cfg: PipelineConfig,
                     tx_list: list[int] | None = None) -> dict[int, ChannelFrame]:
     """Channel data for the required transmits, keyed by tx element.
@@ -549,7 +554,8 @@ def cmd_calibrate(
     step: float = 1.0,
     degrees: tuple[int, ...] = (1, 3, 5),
 ) -> SweepResult:
-    """Full calibration stage with persistence of model, sweep and report."""
+    """Full calibration stage: persists the model, the sweep and the
+    held-out report rows, as calibrate.json {"rows": report_rows}."""
     if cfg.calibration_degree not in degrees:
         raise ConfigError(
             f"[calibration] degree = {cfg.calibration_degree} is not among "
@@ -565,13 +571,7 @@ def cmd_calibrate(
     chosen = result.models[cfg.calibration_degree]
     cal.save_model(out_dir / "calibration_model.txt", chosen)
     cal.export_sweep(out_dir / "calibration_sweep.csv", result.dataset, chosen)
-    with open(out_dir / "calibration_report.csv", "w") as f:
-        f.write("degree,n_train,n_test,test_r2,test_rmse_mps\n")
-        for row in result.report_rows:
-            f.write(
-                f"{row['degree']},{row['n_train']},{row['n_test']},"
-                f"{row['test_r2']:.6f},{row['test_rmse_mps']:.6f}\n"
-            )
+    write_record(out_dir, "calibrate", {"rows": result.report_rows})
     (out_dir / "config_resolved.ini").write_text(dump_config(cfg))
     return result
 
@@ -616,19 +616,14 @@ def cmd_estimate(
         out_dir.mkdir(parents=True, exist_ok=True)
         export_pattern(out_dir / "pattern.csv", pattern, fit)
         export_delay_map(out_dir / "delay_map.csv", dmap)
-        (out_dir / "estimate.json").write_text(
-            json.dumps(
-                {
-                    "convention": cal.CONVENTION,
-                    "c_bf_assumed": c_bf_assumed,
-                    "observed_slope_s_per_rad": fit.slope,
-                    "delta_c_hat_mps": dc_hat,
-                    "corrected_sos_mps": corrected,
-                    "fit_r_squared": fit.r_squared,
-                },
-                indent=2,
-            )
-        )
+        write_record(out_dir, "estimate", {
+            "convention": cal.CONVENTION,
+            "c_bf_assumed": c_bf_assumed,
+            "observed_slope_s_per_rad": fit.slope,
+            "delta_c_hat_mps": dc_hat,
+            "corrected_sos_mps": corrected,
+            "fit_r_squared": fit.r_squared,
+        })
     return result
 
 
@@ -666,7 +661,7 @@ def cmd_reconstruct(
 ) -> ReconResult:
     """Tomographic local-SoS reconstruction at the given beamforming SoS.
 
-    With out_dir, writes the map, its objective trace and metrics.json:
+    With out_dir, writes the map, its objective trace and reconstruct.json:
     the solve's converged, iterations, grad_norm and message; its rows
     (measurements in the solve) and valid_fraction (tracked nodes kept
     by min_ncc); the map's clamped_fraction; and rmse_vs_gt_mps when a
@@ -738,7 +733,7 @@ def cmd_reconstruct(
                    "clamped_fraction": clamped}
         if rmse is not None:
             metrics["rmse_vs_gt_mps"] = rmse
-        (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2))
+        write_record(out_dir, "reconstruct", metrics)
     return result
 
 
@@ -814,16 +809,13 @@ def evaluate_phantom_set(
     model: cal.CalibrationModel,
     phantoms: list[tuple[str, tuple[Inclusion, ...]]] | None = None,
     offset_percents: tuple[float, float] = (1.5, -1.5),
-    out_dir: Path | None = None,
 ) -> list[CaseResult]:
     """Before/after-correction reconstruction metrics over a phantom batch.
 
     Each phantom is beamformed with a deliberately wrong BF-SoS (offsets
     alternate through offset_percents, as a percentage of the true
     background SoS), the offset is estimated and corrected, and both maps
-    are reconstructed and scored against the ground truth. When out_dir is
-    given, per-case subdirectories with case_metrics.csv and the two SoS
-    maps are written, ready for cmd_report aggregation.
+    are reconstructed and scored against the ground truth.
     """
     if phantoms is None:
         phantoms = default_phantom_set(base_cfg.background_sos)
@@ -836,16 +828,9 @@ def evaluate_phantom_set(
         gt = cfg.medium().rasterize(cfg.slow_grid())
         labels = region_labels(cfg)
         est = cmd_estimate(cfg, frames, model, c_bf)
-        case_dir = Path(out_dir) / name if out_dir is not None else None
-        before = cmd_reconstruct(
-            cfg, frames, c_bf, gt_map=gt,
-            out_dir=case_dir / "before" if case_dir else None,
-        )
-        after = cmd_reconstruct(
-            cfg, frames, est.corrected_sos, gt_map=gt,
-            out_dir=case_dir / "after" if case_dir else None,
-        )
-        res = CaseResult(
+        before = cmd_reconstruct(cfg, frames, c_bf, gt_map=gt)
+        after = cmd_reconstruct(cfg, frames, est.corrected_sos, gt_map=gt)
+        results.append(CaseResult(
             name=name,
             c_bf_assumed=c_bf,
             delta_c_hat=est.delta_c_hat,
@@ -859,108 +844,53 @@ def evaluate_phantom_set(
             contrast_after=contrast(after.sos_map, labels),
             clamped_before=before.clamped_fraction,
             clamped_after=after.clamped_fraction,
-        )
-        results.append(res)
-        if case_dir is not None:
-            case_dir.mkdir(parents=True, exist_ok=True)
-            with open(case_dir / "case_metrics.csv", "w", newline="") as f:
-                wr = csv.writer(f)
-                wr.writerow([
-                    "case_id", "c_bf_assumed", "delta_c_hat", "corrected_sos",
-                    "rmse_before", "rmse_after", "rmse_reduction",
-                    "cnr_before_db", "cnr_after_db",
-                ])
-                wr.writerow([
-                    res.name, f"{res.c_bf_assumed:.3f}",
-                    f"{res.delta_c_hat:.3f}", f"{res.corrected_sos:.3f}",
-                    f"{res.rmse_before:.4f}", f"{res.rmse_after:.4f}",
-                    f"{res.rmse_reduction:.4f}",
-                    f"{res.cnr_before_db:.4f}", f"{res.cnr_after_db:.4f}",
-                ])
+        ))
     return results
 
 
-def cmd_report(run_dir: Path, out_dir: Path | None = None) -> dict:
-    """Aggregate per-case metrics of a run directory into CSV tables.
+# commands that leave a metrics record, in the order report.json lists them
+RECORDED = ("calibrate", "estimate", "reconstruct")
 
-    Missing artifacts are listed rather than fatal; a partial report is
-    still produced. Plot-ready data (pattern, calibration curve, SoS
-    maps as PNG when matplotlib is available) is emitted alongside.
+
+def read_record(path: Path) -> dict:
+    """A command's record; a file that is not one JSON object is a
+    ValueError naming the file."""
+    try:
+        record = json.loads(path.read_text())
+    except ValueError as err:
+        raise ValueError(f"{path}: not a JSON record: {err}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: not a JSON record: holds no object")
+    return record
+
+
+def cmd_report(run_dir: Path, out_dir: Path | None = None) -> dict:
+    """Collect the records the commands left under run_dir into report.json.
+
+    For each recorded command the report lists every <command>.json under
+    run_dir in path order, each with "dir", its directory relative to
+    run_dir; "missing" names the commands that left no record. A run
+    directory without any record is a missing input, a record file that
+    holds no JSON object a ValueError.
     """
     run_dir = Path(run_dir)
     out_dir = Path(out_dir) if out_dir is not None else run_dir / "report"
     if not run_dir.exists():
         raise FileNotFoundError(f"run directory {run_dir} does not exist")
-    metrics_files = sorted(run_dir.glob("**/case_metrics.csv"))
-    cal_reports = sorted(run_dir.glob("**/calibration_report.csv"))
-    sweeps = sorted(run_dir.glob("**/calibration_sweep.csv"))
-    sos_maps = sorted(run_dir.glob("**/sos_map.csv"))
-    missing = []
-    if not metrics_files and not cal_reports and not sos_maps:
+    report = {
+        command: [
+            {"dir": path.parent.relative_to(run_dir).as_posix(),
+             **read_record(path)}
+            for path in sorted(run_dir.rglob(f"{command}.json"))
+        ]
+        for command in RECORDED
+    }
+    report["missing"] = [c for c in RECORDED if not report[c]]
+    if len(report["missing"]) == len(RECORDED):
         raise FileNotFoundError(
-            f"no report inputs under {run_dir}; expected case_metrics.csv, "
-            "calibration_report.csv or sos_map.csv files"
+            f"no records under {run_dir}; expected "
+            + ", ".join(f"{c}.json" for c in RECORDED)
         )
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    summary = {"cases": 0, "missing": missing, "outputs": []}
-    if metrics_files:
-        rows = []
-        for mf in metrics_files:
-            with open(mf) as f:
-                rows.extend(list(csv.DictReader(f)))
-        if rows:
-            num_fields = [k for k in rows[0] if k != "case_id"]
-            mean_row = {"case_id": "mean"}
-            for k in num_fields:
-                vals = [float(r[k]) for r in rows
-                        if r[k] not in ("", "inf", "-inf")]
-                mean_row[k] = f"{np.mean(vals):.6f}" if vals else ""
-            with open(out_dir / "metrics_table.csv", "w", newline="") as f:
-                wr = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-                wr.writeheader()
-                for r in rows:
-                    wr.writerow(r)
-                wr.writerow(mean_row)
-            summary["cases"] = len(rows)
-            summary["outputs"].append(str(out_dir / "metrics_table.csv"))
-    else:
-        missing.append("case_metrics.csv")
-
-    for src in cal_reports:
-        dst = out_dir / "calibration_report.csv"
-        dst.write_text(src.read_text())
-        summary["outputs"].append(str(dst))
-
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-
-        for sweep in sweeps:
-            data = np.genfromtxt(sweep, delimiter=",", skip_header=1,
-                                 usecols=(0, 1))
-            fig, ax = plt.subplots()
-            ax.plot(data[:, 0], data[:, 1], "o", ms=3)
-            ax.set_xlabel("delta_c (m/s), c_bf - c")
-            ax.set_ylabel("pattern slope (s/rad)")
-            fig.savefig(out_dir / (sweep.parent.name + "_calibration.png"),
-                        dpi=120)
-            plt.close(fig)
-            summary["outputs"].append(
-                str(out_dir / (sweep.parent.name + "_calibration.png")))
-        for smap in sos_maps:
-            arr = np.loadtxt(smap, delimiter=",")
-            fig, ax = plt.subplots()
-            im = ax.imshow(arr, cmap="viridis", aspect="auto")
-            fig.colorbar(im, ax=ax, label="SoS (m/s)")
-            name = smap.parent.name + "_sos_map.png"
-            fig.savefig(out_dir / name, dpi=120)
-            plt.close(fig)
-            summary["outputs"].append(str(out_dir / name))
-    except ImportError:
-        missing.append("matplotlib (plots skipped)")
-
-    (out_dir / "report_summary.json").write_text(json.dumps(summary, indent=2))
-    return summary
+    write_record(out_dir, "report", report)
+    return report

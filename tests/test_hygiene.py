@@ -152,3 +152,21 @@ def test_every_definition_is_loaded():
         and node.name not in used
     ]
     assert sorted(set(unread) - TEST_ONLY) == []
+
+
+def calls_json_dumps(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "dumps" and isinstance(n.func.value, ast.Name)
+               and n.func.value.id == "json" for n in ast.walk(node))
+
+
+def test_one_record_writer():
+    """Metrics records have one writer: json.dumps is called only inside
+    pipeline.write_record."""
+    callers = [
+        f"{path.stem}.{getattr(node, 'name', '<module>')}"
+        for path in MODULES
+        for node in parse(path).body
+        if calls_json_dumps(node)
+    ]
+    assert callers == ["pipeline.write_record"]

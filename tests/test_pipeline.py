@@ -26,6 +26,7 @@ from soscorr.pipeline import (
     recon_search_radius,
     run_calibration_sweep,
     simulate_frames,
+    write_record,
 )
 from soscorr import pipeline
 from soscorr.geometry import ImagingGrid
@@ -301,6 +302,12 @@ class TestDerivedConfig:
         path.write_text("[reconstruction]\naxial_step = 3\n")
         assert apply_quick(load_config(path)).recon_axial_step == 3
 
+    def test_apply_quick_keeps_coarser_grid_spacing(self, tmp_path):
+        path = tmp_path / "grids.ini"
+        path.write_text("[grids]\nbf_dx = 6e-4\nbf_dz = 5e-5\n")
+        cfg = apply_quick(load_config(path))
+        assert (cfg.bf_dx, cfg.bf_dz) == (6e-4, 5e-5)
+
     def test_apply_quick_keeps_small_pair_lists(self):
         cfg = apply_quick(PipelineConfig(recon_pairs=((55, 65),)))
         assert cfg.recon_pairs == ((55, 65),)
@@ -429,7 +436,7 @@ class TestReconMetrics:
 
         monkeypatch.setattr(pipeline, "build_path_matrix", keep)
         res = cmd_reconstruct(recon_cfg(), frames, 1500.0, out_dir=tmp_path)
-        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        metrics = json.loads((tmp_path / "reconstruct.json").read_text())
         [(n_pairs, n_nodes, L)] = built
         rows = L.matrix.shape[0]
         assert metrics == {
@@ -451,7 +458,7 @@ class TestReconMetrics:
         gt = cfg.medium().rasterize(cfg.slow_grid())
         res = cmd_reconstruct(cfg, frames, 1500.0, out_dir=tmp_path,
                               gt_map=gt)
-        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        metrics = json.loads((tmp_path / "reconstruct.json").read_text())
         assert metrics["rmse_vs_gt_mps"] == res.rmse_vs_gt
         assert metrics["iterations"] == res.info.iterations
         assert {"rows", "valid_fraction", "clamped_fraction"} <= set(metrics)
@@ -459,23 +466,32 @@ class TestReconMetrics:
 
 class TestReport:
     def write_case(self, root, name, rmse_before, rmse_after):
-        d = root / name
-        d.mkdir(parents=True)
-        (d / "case_metrics.csv").write_text(
-            "case_id,rmse_before,rmse_after\n"
-            f"{name},{rmse_before},{rmse_after}\n"
-        )
+        for step, rmse in (("before", rmse_before), ("after", rmse_after)):
+            d = root / name / step
+            d.mkdir(parents=True)
+            write_record(d, "reconstruct", {"rmse_vs_gt_mps": rmse})
 
-    def test_aggregates_cases_with_mean_row(self, tmp_path):
+    def test_collects_records_per_command(self, tmp_path):
         run = tmp_path / "run"
-        self.write_case(run, "caseA", 10.0, 4.0)
         self.write_case(run, "caseB", 6.0, 2.0)
-        summary = cmd_report(run)
-        assert summary["cases"] == 2
-        table = (run / "report" / "metrics_table.csv").read_text().splitlines()
-        assert len(table) == 4  # header + 2 cases + mean
-        assert table[-1].startswith("mean,")
-        assert table[-1].split(",")[1] == "8.000000"
+        self.write_case(run, "caseA", 10.0, 4.0)
+        report = cmd_report(run)
+        assert report == {
+            "calibrate": [],
+            "estimate": [],
+            "reconstruct": [
+                {"dir": "caseA/after", "rmse_vs_gt_mps": 4.0},
+                {"dir": "caseA/before", "rmse_vs_gt_mps": 10.0},
+                {"dir": "caseB/after", "rmse_vs_gt_mps": 2.0},
+                {"dir": "caseB/before", "rmse_vs_gt_mps": 6.0},
+            ],
+            "missing": ["calibrate", "estimate"],
+        }
+        saved = run / "report" / "report.json"
+        assert json.loads(saved.read_text()) == report
+        # the report directory lies inside the run directory: it is not
+        # read back in
+        assert cmd_report(run) == report
 
     def test_empty_run_dir_raises(self, tmp_path):
         d = tmp_path / "empty"
@@ -761,12 +777,77 @@ class TestCLIExitCodes:
         root, _ = workspace
         case = root / "agg" / "c1"
         case.mkdir(parents=True)
-        (case / "case_metrics.csv").write_text(
-            "case_id,rmse_before,rmse_after\nc1,5.0,2.0\n"
-        )
+        write_record(case, "reconstruct", {"rmse_vs_gt_mps": 2.0})
         rc = cli_main([
             "--out", str(root / "agg" / "report"),
             "report", "--run-dir", str(root / "agg"),
         ])
         assert rc == 0
-        assert (root / "agg" / "report" / "metrics_table.csv").exists()
+        assert (root / "agg" / "report" / "report.json").exists()
+
+    @pytest.mark.parametrize("text", ['{"rmse_vs_gt_mps": 2.0', "[2.0]"],
+                             ids=["truncated", "not-an-object"])
+    def test_malformed_record_is_two(self, workspace, capsys, tmp_path, text):
+        (tmp_path / "rec").mkdir()
+        (tmp_path / "rec" / "reconstruct.json").write_text(text)
+        rc = cli_main(["--out", str(tmp_path / "report"),
+                       "report", "--run-dir", str(tmp_path)])
+        assert rc == 2
+        assert "reconstruct.json" in capsys.readouterr().err
+
+
+class TestReportRoundTrip:
+    def test_report_holds_each_command_record(self, workspace, monkeypatch,
+                                              capsys):
+        """calibrate, estimate and reconstruct write into one run
+        directory, as in the README round trip; report collects their
+        records with the numbers the commands returned."""
+        root, cfg_path = workspace
+        run = root / "run"
+        returned = {}
+
+        def spy(name):
+            command = getattr(pipeline, name)
+
+            def call(*args, **kwargs):
+                returned[name] = command(*args, **kwargs)
+                return returned[name]
+            monkeypatch.setattr(pipeline, name, call)
+
+        for name in ("cmd_calibrate", "cmd_estimate", "cmd_reconstruct"):
+            spy(name)
+        frames = str(root / "sim")
+        for out, argv in (
+            ("cal", ["calibrate", "--range", "20", "--step", "10"]),
+            ("est", ["estimate", "--frames", frames, "--model",
+                     str(run / "cal" / "calibration_model.txt"),
+                     "--c-bf", "1510"]),
+            ("rec", ["reconstruct", "--frames", frames, "--c-bf", "1510"]),
+        ):
+            assert cli_main(["--config", str(cfg_path), "--quick",
+                             "--out", str(run / out), *argv]) == 0
+
+        rows = returned["cmd_calibrate"].report_rows
+        assert json.loads((run / "cal" / "calibrate.json").read_text()) == \
+            {"rows": rows}
+
+        report_argv = ["--out", str(run / "report"), "report",
+                       "--run-dir", str(run)]
+        assert cli_main(report_argv) == 0
+        saved = run / "report" / "report.json"
+        first = saved.read_bytes()
+        report = json.loads(first)
+        assert report["missing"] == []
+        [calibrated] = report["calibrate"]
+        assert calibrated == {"dir": "cal", "rows": rows}
+        [estimated] = report["estimate"]
+        assert estimated["dir"] == "est"
+        assert estimated["delta_c_hat_mps"] == \
+            returned["cmd_estimate"].delta_c_hat
+        [reconstructed] = report["reconstruct"]
+        assert reconstructed["dir"] == "rec"
+        assert reconstructed["rmse_vs_gt_mps"] == \
+            returned["cmd_reconstruct"].rmse_vs_gt
+
+        assert cli_main(report_argv) == 0
+        assert saved.read_bytes() == first

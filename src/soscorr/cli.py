@@ -95,6 +95,8 @@ def main(argv=None) -> int:
             out = pipeline.cmd_simulate(cfg, args.out)
             print(f"frames written to {out}")
         elif args.command == "calibrate":
+            # --quick coarsens only a step that passed the check
+            pipeline.check_sweep(-args.range, args.range, args.step)
             step = args.step if not args.quick else max(args.step, 10.0)
             degrees = (1, 3, 5) if not args.quick else (1,)
             result = pipeline.cmd_calibrate(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
@@ -396,13 +397,15 @@ def write_record(out_dir: Path, command: str, record: dict) -> None:
     (Path(out_dir) / f"{command}.json").write_text(json.dumps(record, indent=2))
 
 
-def simulate_frames(cfg: PipelineConfig,
-                    tx_list: list[int] | None = None) -> dict[int, ChannelFrame]:
-    """Channel data for the required transmits, keyed by tx element.
+def generate_frames(cfg: PipelineConfig,
+                    tx_list: list[int] | None = None) -> Iterator[ChannelFrame]:
+    """Channel data for the required transmits, one frame at a time.
 
-    The transmits are simulated one after another; the receive channels
-    of each frame, and the receive travel-time table they share, are
-    split across cfg.threads worker threads.
+    The transmits are simulated one after another, each when the caller
+    asks for it, so a caller that writes each frame before it asks for
+    the next holds one frame at a time. The receive channels of each
+    frame, and the receive travel-time table they share, are split
+    across cfg.threads worker threads.
     """
     medium = cfg.medium()
     fld = gen_scatterers(cfg.scatterer_grid(), cfg.scatterer_density, cfg.seed)
@@ -413,15 +416,18 @@ def simulate_frames(cfg: PipelineConfig,
     # the receive leg does not depend on the transmit: its tables are
     # built once per field and shared by every transmit
     t_rx = receive_travel_times(fld, medium, cfg.array, cfg.threads)
-    frames = [
-        simulate_frame(
+    for tx in txs:
+        yield simulate_frame(
             tx, fld, medium, cfg.pulse, cfg.array, num_samples,
             noise_snr_db=cfg.noise_snr_db, noise_seed=cfg.seed + tx,
             t_rx=t_rx, threads=cfg.threads,
         )
-        for tx in txs
-    ]
-    return {fr.tx_element: fr for fr in frames}
+
+
+def simulate_frames(cfg: PipelineConfig,
+                    tx_list: list[int] | None = None) -> dict[int, ChannelFrame]:
+    """The frames of :func:`generate_frames`, keyed by tx element."""
+    return {fr.tx_element: fr for fr in generate_frames(cfg, tx_list)}
 
 
 def _grid_sidecar(header: str, grid: ImagingGrid) -> str:
@@ -439,11 +445,11 @@ def write_gt_map(out_dir: Path, cfg: PipelineConfig) -> None:
 
 
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
-    """Simulate and persist all frames the configured pipeline needs."""
+    """Simulate and persist all frames the configured pipeline needs;
+    each frame is written before the next one is simulated."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    frames = simulate_frames(cfg)
-    write_frame_set(out_dir, list(frames.values()), cfg.medium())
+    write_frame_set(out_dir, generate_frames(cfg), cfg.medium())
     write_gt_map(out_dir, cfg)
     (out_dir / "config_resolved.ini").write_text(dump_config(cfg))
     return out_dir
@@ -469,6 +475,18 @@ class SweepResult:
     dataset: cal.CalibrationDataset
     models: dict[int, cal.CalibrationModel]
     report_rows: list[dict]
+
+
+def check_sweep(delta_c_min: float, delta_c_max: float, step: float) -> None:
+    """ConfigError unless the offset sweep's step and span are finite
+    and > 0."""
+    if not (np.isfinite(step) and step > 0):
+        raise ConfigError(f"calibration step must be finite and > 0, "
+                          f"got {step}")
+    span = delta_c_max - delta_c_min
+    if not (np.isfinite(span) and span > 0):
+        raise ConfigError(f"calibration range [{delta_c_min}, {delta_c_max}] "
+                          "must be finite and non-empty")
 
 
 def run_calibration_sweep(
@@ -555,7 +573,9 @@ def cmd_calibrate(
     degrees: tuple[int, ...] = (1, 3, 5),
 ) -> SweepResult:
     """Full calibration stage: persists the model, the sweep and the
-    held-out report rows, as calibrate.json {"rows": report_rows}."""
+    held-out report rows, as calibrate.json {"rows": report_rows}. The
+    sweep's arguments are checked before any frame is simulated."""
+    check_sweep(delta_c_min, delta_c_max, step)
     if cfg.calibration_degree not in degrees:
         raise ConfigError(
             f"[calibration] degree = {cfg.calibration_degree} is not among "

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,8 +35,10 @@ MANIFEST_FRAME = re.compile(r"(\S+)\s+tx=(\d+)\s+sha256_16=([0-9a-f]{16})")
 # spreading floor: below this radius the 1/(r_tx*r_rx) factor is clamped
 R_MIN = 1.0e-3
 
-# rays traced per block in travel_times
-TRACE_CHUNK = 1 << 16
+# rays traced per block in travel_times: with one inclusion a block's
+# (rays x cuts) arrays are 8192 x 4 x 8 B = 256 KB each, so its working
+# set stays within a 2 MB per-core L2 cache
+TRACE_CHUNK = 1 << 13
 
 # pulse table rows per sample period: simulate_frame interpolates the
 # pulse linearly between rows, within 1e-7 of its peak at the default pulse
@@ -268,41 +271,52 @@ def travel_times(
     midpoint, so overlapping inclusions resolve as in
     :meth:`MediumSpec.sos_at` (the last one listed wins). Broadcasts
     over leading dimensions of (..., 2) point arrays. For homogeneous
-    media the integral collapses to distance / c.
+    media the integral collapses to distance / c. Rays are traced in
+    blocks of at most TRACE_CHUNK, each with its own arithmetic, so the
+    times do not depend on the block size.
     """
     p_from = np.atleast_2d(np.asarray(p_from, dtype=float))
     p_to = np.atleast_2d(np.asarray(p_to, dtype=float))
     # checked before broadcasting, once per given point
     _check_bounds(p_from, medium)
     _check_bounds(p_to, medium)
-    p_from, p_to = np.broadcast_arrays(p_from, p_to)
+    shape = np.broadcast_shapes(p_from.shape, p_to.shape)
+    # rays as a (rows, columns) table over the last leading axis: a view
+    # for the one- and two-axis tables the package traces
+    p_from = np.broadcast_to(p_from, shape).reshape(-1, shape[-2], 2)
+    p_to = np.broadcast_to(p_to, shape).reshape(-1, shape[-2], 2)
+    out = np.empty(p_from.shape[:2])
+    # each block copies its own end points, so nothing of the table's
+    # size but out is allocated
+    for block in _ray_blocks(*out.shape):
+        p = p_from[block].reshape(-1, 2)
+        d = p_to[block].reshape(-1, 2) - p
+        dist = np.hypot(d[:, 0], d[:, 1])
+        if medium.is_homogeneous:
+            times = dist / medium.background_sos
+        else:
+            ends = np.zeros((p.shape[0], 1))
+            cuts = [ends, ends + 1.0]
+            for inc in medium.inclusions:
+                cuts.extend(inc.crossing(p, d))
+            # cuts outside the ray clip to its ends, where they are harmless
+            t = np.sort(np.clip(np.column_stack(cuts), 0.0, 1.0), axis=1)
+            mid = 0.5 * (t[:, 1:] + t[:, :-1])
+            c = medium.sos_at(p[:, 0, None] + d[:, 0, None] * mid,
+                              p[:, 1, None] + d[:, 1, None] * mid)
+            times = (np.diff(t, axis=1) / c).sum(axis=1) * dist
+        out[block] = times.reshape(out[block].shape)
+    return out.reshape(shape[:-1])
 
-    delta = p_to - p_from
-    dist = np.hypot(delta[..., 0], delta[..., 1])
-    if medium.is_homogeneous:
-        return dist / medium.background_sos
-    if float(dist.max(initial=0.0)) == 0.0:
-        return np.zeros_like(dist)
 
-    out = np.zeros_like(dist)
-    flat_from = p_from.reshape(-1, 2)
-    flat_delta = delta.reshape(-1, 2)
-    flat_out = out.reshape(-1)
-    # chunk so the (paths x cuts) blocks stay small
-    for i0 in range(0, flat_from.shape[0], TRACE_CHUNK):
-        sl = slice(i0, i0 + TRACE_CHUNK)
-        p, d = flat_from[sl], flat_delta[sl]
-        ends = np.zeros((p.shape[0], 1))
-        cuts = [ends, ends + 1.0]
-        for inc in medium.inclusions:
-            cuts.extend(inc.crossing(p, d))
-        # cuts outside the ray clip to its ends, where they are harmless
-        t = np.sort(np.clip(np.column_stack(cuts), 0.0, 1.0), axis=1)
-        mid = 0.5 * (t[:, 1:] + t[:, :-1])
-        c = medium.sos_at(p[:, 0, None] + d[:, 0, None] * mid,
-                          p[:, 1, None] + d[:, 1, None] * mid)
-        flat_out[sl] = (np.diff(t, axis=1) / c).sum(axis=1)
-    return out * dist
+def _ray_blocks(rows: int, cols: int):
+    """Slices of a (rows, cols) ray table into blocks of at most
+    TRACE_CHUNK rays: whole rows, or pieces of one row."""
+    width = max(min(cols, TRACE_CHUNK), 1)
+    height = TRACE_CHUNK // width
+    for r0 in range(0, rows, height):
+        for c0 in range(0, cols, width):
+            yield np.s_[r0:r0 + height, c0:c0 + width]
 
 
 def required_samples(
@@ -536,9 +550,12 @@ def decode_frame(raw: bytes, path: Path) -> ChannelFrame:
 
 
 def write_frame_set(
-    out_dir: Path, frames: list[ChannelFrame], medium: MediumSpec
+    out_dir: Path, frames: Iterable[ChannelFrame], medium: MediumSpec
 ) -> None:
-    """Frame directory: one .sosc file per transmit plus MANIFEST.txt."""
+    """Frame directory: one .sosc file per transmit plus MANIFEST.txt.
+
+    Each frame is written and hashed as it is taken from frames, so a
+    generator of frames is never held whole."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["soscorr frame set v1", "", "[frames]"]
@@ -546,6 +563,7 @@ def write_frame_set(
         name = frame_filename(fr.tx_element)
         digest = hashlib.sha256(write_frame(out / name, fr)).hexdigest()[:16]
         lines.append(f"{name} tx={fr.tx_element} sha256_16={digest}")
+        del fr  # not held while the next frame is simulated
     lines += ["", "[medium]", medium.describe(), ""]
     (out / "MANIFEST.txt").write_text("\n".join(lines))
 
@@ -554,7 +572,9 @@ def read_frame_set(in_dir: Path, txs=None) -> dict[int, ChannelFrame]:
     """Frames that MANIFEST.txt lists, keyed by tx element; with txs,
     only those transmits. A needed frame that the manifest does not
     list, or that it lists but is absent, is a FileNotFoundError; one
-    whose bytes do not match the manifest's sha256_16 is a ValueError."""
+    whose bytes do not match the manifest's sha256_16 is a ValueError.
+    So is a frame line whose name is not frame_filename(tx), which keeps
+    every read inside in_dir, and a transmit listed twice."""
     in_dir = Path(in_dir)
     manifest = in_dir / "MANIFEST.txt"
     if not manifest.exists():
@@ -568,15 +588,20 @@ def read_frame_set(in_dir: Path, txs=None) -> dict[int, ChannelFrame]:
             if entry is None:
                 raise ValueError(f"{manifest}: malformed frame line {line!r}")
             name, tx, digest = entry.groups()
-            listed[int(tx)] = (name, digest)
+            tx = int(tx)
+            if name != frame_filename(tx):
+                raise ValueError(f"{manifest}: frame line {line!r} does not "
+                                 f"name {frame_filename(tx)}")
+            if tx in listed:
+                raise ValueError(f"{manifest}: tx {tx} is listed twice")
+            listed[tx] = digest
     needed = sorted(listed) if txs is None else sorted(set(txs))
     unlisted = [tx for tx in needed if tx not in listed]
     if unlisted:
         raise FileNotFoundError(f"{manifest} lists no frame for tx {unlisted}")
     frames = {}
     for tx in needed:
-        name, digest = listed[tx]
-        path = in_dir / name
+        path = in_dir / frame_filename(tx)
         if not path.exists():
             raise FileNotFoundError(f"{path}: listed in {manifest.name} "
                                     "but absent")
@@ -585,6 +610,6 @@ def read_frame_set(in_dir: Path, txs=None) -> dict[int, ChannelFrame]:
         if frames[tx].tx_element != tx:
             raise ValueError(f"{path}: holds tx {frames[tx].tx_element}, "
                              f"{manifest.name} says tx {tx}")
-        if hashlib.sha256(raw).hexdigest()[:16] != digest:
+        if hashlib.sha256(raw).hexdigest()[:16] != listed[tx]:
             raise ValueError(f"{path}: sha256 differs from {manifest.name}")
     return frames

@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,7 +37,8 @@ from soscorr.regress import (
     InsufficientDataError,
     RankDeficiencyError,
 )
-from soscorr.synthsim import SOS_MAX, SOS_MIN, Inclusion, PulseSpec
+from soscorr.synthsim import (SOS_MAX, SOS_MIN, Inclusion, PulseSpec,
+                              write_frame_set)
 from soscorr.tomo import build_path_matrix
 
 CHEAP_CONFIG = """\
@@ -366,8 +368,44 @@ class TestSimulateStage:
         assert (a / "frame_tx055.sosc").read_bytes() != \
             (b / "frame_tx055.sosc").read_bytes()
 
+    def test_frames_stream_to_disk(self, tmp_path):
+        """cmd_simulate writes each transmit before it simulates the next:
+        the same manifest as writing the collected frames, at a traced
+        peak below 4 frames of 6. A frame's float64 samples and float32
+        copy take 3; holding every frame, as collecting them does, peaks
+        near 8."""
+        cfg = apply_quick(PipelineConfig(scatterer_density=0.5))
+        assert len(cfg.required_tx()) == 6
+        whole = tmp_path / "whole"
+        frames = simulate_frames(cfg)
+        write_frame_set(whole, frames.values(), cfg.medium())
+        frame_bytes = frames[cfg.required_tx()[0]].samples.nbytes
+        del frames
+        streamed = tmp_path / "streamed"
+        tracemalloc.start()
+        try:
+            cmd_simulate(cfg, streamed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (streamed / "MANIFEST.txt").read_text() \
+            == (whole / "MANIFEST.txt").read_text()
+        assert peak < 4 * frame_bytes
+
 
 class TestCalibrationSweep:
+    @pytest.mark.parametrize("kwargs", [
+        {"step": 0.0}, {"delta_c_min": 5.0, "delta_c_max": -5.0},
+    ], ids=["step", "range"])
+    def test_bad_sweep_fails_before_simulating(self, tmp_path, monkeypatch,
+                                               kwargs):
+        def no_simulation(*args, **kw):
+            raise AssertionError("no frame may be simulated")
+
+        monkeypatch.setattr(pipeline, "simulate_frame", no_simulation)
+        with pytest.raises(ConfigError, match="calibration"):
+            pipeline.cmd_calibrate(cheap_cfg(), tmp_path, **kwargs)
+
     def test_thread_count_does_not_change_sweep(self):
         """The sweep's worker threads share nothing that changes a fit."""
         cfg = apply_quick(PipelineConfig(threads=1))
@@ -575,6 +613,30 @@ class TestCLIExitCodes:
         assert rc == 2
         assert "degree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--step", "0"), ("--step", "-1"), ("--step", "nan"),
+        ("--step", "inf"), ("--range", "-5"), ("--range", "0"),
+        ("--range", "nan"), ("--range", "inf"),
+    ])
+    def test_bad_sweep_argument_is_two(self, workspace, capsys, monkeypatch,
+                                       flag, value):
+        """Checked before any frame is simulated, and before --quick
+        coarsens the step."""
+        root, cfg_path = workspace
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("no frame may be simulated")
+
+        monkeypatch.setattr(pipeline, "simulate_frame", no_simulation)
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(root / "cal_bad"),
+            "--quick", "calibrate", flag, value,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert ("step" if flag == "--step" else "range") in err
+
     def test_numerical_error_is_three(self, workspace, capsys):
         """A model whose invertible slope range excludes the observation."""
         root, cfg_path = workspace
@@ -736,6 +798,24 @@ class TestCLIExitCodes:
             path.write_bytes(raw)
         assert rc == 2
         assert path.name in err.getvalue()
+
+    def test_frame_line_naming_another_file_is_two(self, workspace, capsys):
+        """A manifest frame line must name frame_filename(tx), so no frame
+        is read from outside the frame directory."""
+        root, cfg_path = workspace
+        bad = root / "renamed_frames"
+        shutil.copytree(root / "sim", bad)
+        manifest = bad / "MANIFEST.txt"
+        manifest.write_text(manifest.read_text().replace(
+            "frame_tx055.sosc", "../sim/frame_tx055.sosc"))
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(root / "rec_renamed"),
+            "--quick", "reconstruct",
+            "--frames", str(bad),
+            "--c-bf", "1500",
+        ])
+        assert rc == 2
+        assert "does not name frame_tx055.sosc" in capsys.readouterr().err
 
     def test_listed_frame_deleted_is_four(self, workspace, capsys):
         root, cfg_path = workspace

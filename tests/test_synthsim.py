@@ -1,6 +1,7 @@
 """Forward simulator: scatterers, travel times, frames and frame IO."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,25 +261,59 @@ class TestExactTravelTimes:
         assert t[3] == pytest.approx(0.016 / 1500.0 + 0.004 / 1540.0,
                                      rel=1e-12)
 
-    def test_receive_tables_equal_per_element_loop(self):
+    @pytest.mark.parametrize("chunk", [TRACE_CHUNK, 7])
+    @pytest.mark.parametrize("incs", [[ELLIPSE], [RECTANGLE],
+                                      [ELLIPSE, RECTANGLE]],
+                             ids=["ellipse", "rectangle", "both"])
+    def test_receive_tables_equal_per_element_loop(self, monkeypatch, incs,
+                                                   chunk):
         """One broadcast call equals a per-element loop, byte for byte,
-        also where the rays span several trace blocks."""
-        m = make_medium([self.ELLIPSE, self.RECTANGLE])
+        also where the rays span several trace blocks. At 7 rays a block
+        the block edges fall inside the rows of the table, while the loop
+        traces each row in one block."""
+        m = make_medium(incs)
         array = TransducerArray()
         n = TRACE_CHUNK // array.num_elements + 7
+        assert n % 7 != 0
         rng = np.random.default_rng(5)
         field = ScattererField(
             positions=np.column_stack([rng.uniform(-0.019, 0.019, n),
                                        rng.uniform(0.003, 0.03, n)]),
             amplitudes=np.ones(n), rng_seed=5,
         )
-        table = receive_travel_times(field, m, array)
         loop = np.array([
             travel_times(field.positions, np.array([[x, 0.0]]), m)
             for x in array.element_x()
         ])
+        monkeypatch.setattr(synthsim, "TRACE_CHUNK", chunk)
+        table = receive_travel_times(field, m, array)
         assert table.shape == (array.num_elements, n)
         assert table.tobytes() == loop.tobytes()
+
+    def test_receive_table_memory_is_bounded(self):
+        """Tracing allocates nothing of the table's size but its output:
+        each block of rays copies its own end points. One quick
+        ellipse_p40 table at one thread stays below the workers' tables
+        and their concatenation plus a few (rays x cuts) arrays of one
+        block."""
+        from soscorr.pipeline import (PipelineConfig, apply_quick,
+                                      default_phantom_set)
+
+        cfg = apply_quick(PipelineConfig(
+            inclusions=dict(default_phantom_set())["ellipse_p40"]))
+        field = gen_scatterers(cfg.scatterer_grid(), cfg.scatterer_density,
+                               cfg.seed)
+        medium = cfg.medium()
+        table = cfg.array.num_elements * field.positions.shape[0] * 8
+        cuts = 2 + 2 * len(medium.inclusions)
+        block = TRACE_CHUNK * cuts * 8
+        tracemalloc.start()
+        try:
+            receive_travel_times(field, medium, cfg.array)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table + 8 * block
 
     def test_receive_tables_do_not_depend_on_threads(self):
         """Three workers trace uneven blocks of elements (43, 43, 42),
@@ -730,14 +765,21 @@ class TestFrameIO:
                            match="frame_tx055.sosc: sha256 differs"):
             read_frame_set(tmp_path, [55])
 
-    @pytest.mark.parametrize("cut", [" sha256_16=", " tx="])
-    def test_malformed_manifest_line(self, tmp_path, cut):
+    @pytest.mark.parametrize("edit, match", [
+        (lambda text: text.replace(" sha256_16=", " ", 1),
+         "malformed frame line"),
+        (lambda text: text.replace(" tx=", " ", 1), "malformed frame line"),
+        (lambda text: text.replace("frame_tx055.sosc", "../x.sosc"),
+         "does not name frame_tx055.sosc"),
+        (lambda text: text.replace("[medium]", text.splitlines()[4]
+                                   + "\n[medium]"),
+         "tx 55 is listed twice"),
+    ], ids=[" sha256_16=", " tx=", "outside", "twice"])
+    def test_malformed_manifest_line(self, tmp_path, edit, match):
         self.frame_set(tmp_path)
         manifest = tmp_path / "MANIFEST.txt"
-        text = manifest.read_text()
-        head, _, tail = text.partition(cut)
-        manifest.write_text(head + " " + tail)
-        with pytest.raises(ValueError, match="malformed frame line"):
+        manifest.write_text(edit(manifest.read_text()))
+        with pytest.raises(ValueError, match=match):
             read_frame_set(tmp_path)
 
     def test_unlisted_transmit(self, tmp_path):

@@ -39,7 +39,6 @@ class BFConfig:
 
 @dataclass(frozen=True)
 class BeamformedFrame:
-    tx_element: int
     rf: np.ndarray  # (nz, nx)
     c_bf_used: float
     grid: ImagingGrid
@@ -133,8 +132,6 @@ def das_beamform(
                 val *= apod[rx]
             rf += val
 
-    return BeamformedFrame(
-        tx_element=frame.tx_element, rf=np.ascontiguousarray(rf.T),
-        c_bf_used=cfg.c_bf, grid=grid,
-    )
+    return BeamformedFrame(rf=np.ascontiguousarray(rf.T), c_bf_used=cfg.c_bf,
+                           grid=grid)
 

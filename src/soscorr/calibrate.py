@@ -222,9 +222,9 @@ def load_model(path: Path) -> CalibrationModel:
 
 
 def export_sweep(path: Path, dataset: CalibrationDataset,
-                 model: CalibrationModel | None = None) -> None:
+                 model: CalibrationModel) -> None:
     """CSV of (delta_c, slope, split) for calibration-curve plots."""
-    train = set(model.training_indices) if model is not None else set()
+    train = set(model.training_indices)
     order = np.argsort(dataset.delta_cs())
     with open(path, "w", newline="") as f:
         wr = csv.writer(f)

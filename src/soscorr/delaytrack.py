@@ -55,7 +55,6 @@ class DelayMap:
     ncc: np.ndarray  # (nz', nx') in [-1, 1]
     valid: np.ndarray  # (nz', nx') bool
     grid: ImagingGrid  # measurement grid (node centers)
-    frame_pair: tuple[int, int]
 
 
 def _parabolic_offset(cm1, c0, cp1):
@@ -173,13 +172,7 @@ def track_delays(
         nx=xs.size,
         nz=zs.size,
     )
-    return DelayMap(
-        delays=delays,
-        ncc=peak,
-        valid=valid,
-        grid=meas_grid,
-        frame_pair=(frame_a.tx_element, frame_b.tx_element),
-    )
+    return DelayMap(delays=delays, ncc=peak, valid=valid, grid=meas_grid)
 
 
 def export_delay_map(path: Path, dmap: DelayMap) -> None:

@@ -63,6 +63,10 @@ DEFAULT_RECON_PAIRS = (
 RECON_LATERAL_WINDOW = 5
 RECON_MIN_NCC = 0.4
 
+# where the polar ROI's origin lies on the probe: between the estimation
+# pair's elements, or at the array centre
+ROI_REFERENCES = ("pair_midpoint", "probe_center")
+
 
 @dataclass
 class PipelineConfig:
@@ -93,7 +97,7 @@ class PipelineConfig:
     roi_theta_min: float = -0.4
     roi_theta_max: float = 0.4
     roi_num_bins: int = 40
-    roi_reference: str = "pair_midpoint"  # or "probe_center"
+    roi_reference: str = "pair_midpoint"  # one of ROI_REFERENCES
 
     regression_method: str = "robust"
     estimation_pair: tuple[int, int] = (55, 65)
@@ -112,6 +116,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.roi_reference not in ROI_REFERENCES:
+            raise ConfigError(f"[roi] reference = {self.roi_reference!r}: "
+                              f"must be one of {', '.join(ROI_REFERENCES)}")
         if not self.recon_pairs:
             raise ConfigError("[reconstruction] pairs: no transmit pair")
         for key, pairs in (("[estimation] pair", (self.estimation_pair,)),
@@ -297,8 +304,7 @@ _FIELDS = (
     ("roi", "theta_min", "roi_theta_min", float, repr),
     ("roi", "theta_max", "roi_theta_max", float, repr),
     ("roi", "num_bins", "roi_num_bins", int, str),
-    ("roi", "reference", "roi_reference",
-     _choice(str, "pair_midpoint", "probe_center"), str),
+    ("roi", "reference", "roi_reference", _choice(str, *ROI_REFERENCES), str),
     ("regression", "method", "regression_method", _choice(str, *FITTERS), str),
     ("estimation", "pair", "estimation_pair", _parse_pair, _format_pair),
     ("estimation", "window_len", "estimation_window_len", int, str),
@@ -566,15 +572,15 @@ def run_calibration_sweep(
 def cmd_calibrate(
     cfg: PipelineConfig,
     out_dir: Path,
-    frames: dict[int, ChannelFrame] | None = None,
     delta_c_min: float = -40.0,
     delta_c_max: float = 40.0,
     step: float = 1.0,
     degrees: tuple[int, ...] = (1, 3, 5),
 ) -> SweepResult:
-    """Full calibration stage: persists the model, the sweep and the
-    held-out report rows, as calibrate.json {"rows": report_rows}. The
-    sweep's arguments are checked before any frame is simulated."""
+    """Full calibration stage: simulates the estimation pair's frames,
+    runs the sweep and persists the model, the sweep and the held-out
+    report rows, as calibrate.json {"rows": report_rows}. The sweep's
+    arguments are checked before any frame is simulated."""
     check_sweep(delta_c_min, delta_c_max, step)
     if cfg.calibration_degree not in degrees:
         raise ConfigError(
@@ -583,8 +589,7 @@ def cmd_calibrate(
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if frames is None:
-        frames = simulate_frames(cfg, tx_list=sorted(set(cfg.estimation_pair)))
+    frames = simulate_frames(cfg, tx_list=sorted(set(cfg.estimation_pair)))
     result = run_calibration_sweep(
         cfg, frames, delta_c_min, delta_c_max, step, degrees
     )
@@ -601,7 +606,6 @@ class EstimateResult:
     observed_slope: float
     delta_c_hat: float
     corrected_sos: float
-    fit_r_squared: float
 
 
 def cmd_estimate(
@@ -629,7 +633,6 @@ def cmd_estimate(
         observed_slope=fit.slope,
         delta_c_hat=dc_hat,
         corrected_sos=corrected,
-        fit_r_squared=fit.r_squared,
     )
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -19,6 +19,10 @@ from .geometry import PolarROI, polar_coords
 
 BISQUARE_C = 4.685
 MAD_SCALE = 1.4826
+# IRLS stops after ROBUST_MAX_ITER iterations, or once no coefficient
+# moves by ROBUST_TOL (s/rad)
+ROBUST_MAX_ITER = 50
+ROBUST_TOL = 1e-10
 
 
 class EmptyPatternError(ValueError):
@@ -38,7 +42,6 @@ class DelayPattern:
     thetas: np.ndarray  # strictly increasing bin centers, radians
     median_delays: np.ndarray  # seconds
     weights: np.ndarray  # mean ncc per bin, [0, 1]
-    bin_counts: np.ndarray
     roi: PolarROI
 
 
@@ -47,8 +50,6 @@ class RegressionResult:
     slope: float  # seconds per radian
     intercept: float  # seconds
     r_squared: float
-    rmse: float
-    method: str  # "ols" | "robust" | "weighted"
     iterations: int = 0
     converged: bool = True
 
@@ -80,21 +81,18 @@ def extract_pattern(dmap: DelayMap, roi: PolarROI) -> DelayPattern:
     idx = np.clip(np.digitize(th, edges) - 1, 0, roi.num_bins - 1)
     centers = roi.bin_centers()
 
-    thetas, medians, weights, counts = [], [], [], []
+    thetas, medians, weights = [], [], []
     for b in range(roi.num_bins):
         m = idx == b
-        n = int(np.sum(m))
-        if n == 0:
+        if not np.any(m):
             continue
         thetas.append(centers[b])
         medians.append(float(np.median(dl[m])))
         weights.append(float(np.clip(np.mean(cc[m]), 0.0, 1.0)))
-        counts.append(n)
     return DelayPattern(
         thetas=np.array(thetas),
         median_delays=np.array(medians),
         weights=np.array(weights),
-        bin_counts=np.array(counts),
         roi=roi,
     )
 
@@ -124,14 +122,11 @@ def _line_fit(theta, y, w=None):
     return float(b[0]), float(b[1])
 
 
-def _result(theta, y, b0, b1, method, iterations=0, converged=True):
-    y_hat = b0 + b1 * theta
+def _result(theta, y, b0, b1, iterations=0, converged=True):
     return RegressionResult(
         slope=b1,
         intercept=b0,
-        r_squared=r_squared(y, y_hat),
-        rmse=float(np.sqrt(np.mean((y - y_hat) ** 2))),
-        method=method,
+        r_squared=r_squared(y, b0 + b1 * theta),
         iterations=iterations,
         converged=converged,
     )
@@ -143,7 +138,7 @@ def fit_ols(pattern: DelayPattern) -> RegressionResult:
     if np.unique(theta).size < 2:
         raise InsufficientDataError("need >= 2 distinct theta values")
     b0, b1 = _line_fit(theta, y)
-    return _result(theta, y, b0, b1, "ols")
+    return _result(theta, y, b0, b1)
 
 
 def fit_weighted(pattern: DelayPattern) -> RegressionResult:
@@ -157,17 +152,17 @@ def fit_weighted(pattern: DelayPattern) -> RegressionResult:
     if np.sum(keep) < 2:
         raise InsufficientDataError("need >= 2 points with positive weight")
     b0, b1 = _line_fit(theta[keep], y[keep], w[keep])
-    return _result(theta, y, b0, b1, "weighted")
+    return _result(theta, y, b0, b1)
 
 
-def fit_robust(pattern: DelayPattern, max_iter: int = 50,
-               tol: float = 1e-10) -> RegressionResult:
+def fit_robust(pattern: DelayPattern) -> RegressionResult:
     """IRLS line fit with Tukey bisquare weights.
 
     Scale is the MAD of the residuals times 1.4826, re-estimated each
     iteration; iteration stops when the largest coefficient change
-    drops below tol (s/rad) or after max_iter iterations, in which case
-    the last iterate is returned with a convergence warning.
+    drops below ROBUST_TOL (s/rad) or after ROBUST_MAX_ITER iterations,
+    in which case the last iterate is returned with a convergence
+    warning.
     """
     theta, y = pattern.thetas, pattern.median_delays
     if theta.size < 3:
@@ -178,7 +173,7 @@ def fit_robust(pattern: DelayPattern, max_iter: int = 50,
     b0, b1 = _line_fit(theta, y)
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, ROBUST_MAX_ITER + 1):
         resid = y - (b0 + b1 * theta)
         scale = MAD_SCALE * np.median(np.abs(resid - np.median(resid)))
         if scale == 0.0:
@@ -189,37 +184,34 @@ def fit_robust(pattern: DelayPattern, max_iter: int = 50,
         if np.sum(w > 0) < 2:
             break
         nb0, nb1 = _line_fit(theta, y, w)
-        if max(abs(nb0 - b0), abs(nb1 - b1)) < tol:
+        if max(abs(nb0 - b0), abs(nb1 - b1)) < ROBUST_TOL:
             b0, b1 = nb0, nb1
             converged = True
             break
         b0, b1 = nb0, nb1
     if not converged:
         warnings.warn(
-            f"robust fit did not converge in {max_iter} iterations",
+            f"robust fit did not converge in {ROBUST_MAX_ITER} iterations",
             RuntimeWarning,
         )
-    return _result(theta, y, b0, b1, "robust", iterations, converged)
+    return _result(theta, y, b0, b1, iterations, converged)
 
 
 FITTERS = {"ols": fit_ols, "weighted": fit_weighted, "robust": fit_robust}
 
 
 def export_pattern(path: Path, pattern: DelayPattern,
-                   fit: RegressionResult | None = None) -> None:
+                   fit: RegressionResult) -> None:
     """CSV of (theta, median_delay, weight, fitted_value)."""
     with open(path, "w", newline="") as f:
         wr = csv.writer(f)
         wr.writerow(["theta_rad", "median_delay_s", "weight", "fitted_value_s"])
         for i in range(pattern.thetas.size):
-            fitted = ""
-            if fit is not None:
-                fitted = f"{fit.intercept + fit.slope * pattern.thetas[i]:.9e}"
             wr.writerow(
                 [
                     f"{pattern.thetas[i]:.6f}",
                     f"{pattern.median_delays[i]:.9e}",
                     f"{pattern.weights[i]:.6f}",
-                    fitted,
+                    f"{fit.intercept + fit.slope * pattern.thetas[i]:.9e}",
                 ]
             )

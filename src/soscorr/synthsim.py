@@ -202,7 +202,6 @@ class ScattererField:
 
     positions: np.ndarray  # (n, 2) meters
     amplitudes: np.ndarray  # (n,)
-    rng_seed: int
 
 
 @dataclass(frozen=True)
@@ -236,9 +235,7 @@ def gen_scatterers(grid: ImagingGrid, density: float, seed: int) -> ScattererFie
     x = rng.uniform(grid.x_min, grid.x_max, size=count)
     z = rng.uniform(grid.z_min, grid.z_max, size=count)
     amp = rng.standard_normal(count)
-    return ScattererField(
-        positions=np.column_stack([x, z]), amplitudes=amp, rng_seed=seed
-    )
+    return ScattererField(positions=np.column_stack([x, z]), amplitudes=amp)
 
 
 def _check_bounds(points: np.ndarray, medium: MediumSpec) -> None:
@@ -262,6 +259,8 @@ def travel_times(
     p_from: np.ndarray,
     p_to: np.ndarray,
     medium: MediumSpec,
+    *,
+    threads: int = 1,
 ) -> np.ndarray:
     """Straight-ray travel time(s) between point pairs, in seconds.
 
@@ -272,8 +271,10 @@ def travel_times(
     :meth:`MediumSpec.sos_at` (the last one listed wins). Broadcasts
     over leading dimensions of (..., 2) point arrays. For homogeneous
     media the integral collapses to distance / c. Rays are traced in
-    blocks of at most TRACE_CHUNK, each with its own arithmetic, so the
-    times do not depend on the block size.
+    blocks of at most TRACE_CHUNK, shared among `threads` worker
+    threads; each block writes its own slice of the one output table
+    and each ray has its own arithmetic, so the times depend neither on
+    the block size nor on the thread count.
     """
     p_from = np.atleast_2d(np.asarray(p_from, dtype=float))
     p_to = np.atleast_2d(np.asarray(p_to, dtype=float))
@@ -286,9 +287,10 @@ def travel_times(
     p_from = np.broadcast_to(p_from, shape).reshape(-1, shape[-2], 2)
     p_to = np.broadcast_to(p_to, shape).reshape(-1, shape[-2], 2)
     out = np.empty(p_from.shape[:2])
+
     # each block copies its own end points, so nothing of the table's
     # size but out is allocated
-    for block in _ray_blocks(*out.shape):
+    def trace(block):
         p = p_from[block].reshape(-1, 2)
         d = p_to[block].reshape(-1, 2) - p
         dist = np.hypot(d[:, 0], d[:, 1])
@@ -306,6 +308,8 @@ def travel_times(
                               p[:, 1, None] + d[:, 1, None] * mid)
             times = (np.diff(t, axis=1) / c).sum(axis=1) * dist
         out[block] = times.reshape(out[block].shape)
+
+    thread_map(trace, _ray_blocks(*out.shape), threads)
     return out.reshape(shape[:-1])
 
 
@@ -349,21 +353,14 @@ def receive_travel_times(
 ) -> np.ndarray:
     """Scatterer-to-element travel times, shape (num_elements, n).
 
-    One broadcast :func:`travel_times` call per contiguous block of
-    elements, one block per worker thread. Each ray is traced on its
-    own, so the table equals a per-element loop of calls byte for byte,
-    whatever the thread count.
+    One broadcast :func:`travel_times` call on `threads` worker threads.
+    Each ray is traced on its own, so the table equals a per-element
+    loop of calls byte for byte, whatever the thread count.
     """
-    s = field.positions
     ex = array.element_x()
     rx = np.column_stack([ex, np.zeros_like(ex)])
-
-    def trace(block):
-        return travel_times(s[None, :, :], rx[block, None, :], medium)
-
-    return np.concatenate(
-        thread_map(trace, _blocks(array.num_elements, threads), threads)
-    )
+    return travel_times(field.positions[None, :, :], rx[:, None, :], medium,
+                        threads=threads)
 
 
 def _element_directivity(
@@ -409,14 +406,16 @@ def simulate_frame(
 
     Each channel is two sparse products, with the arithmetic and the
     summation order of a loop that gathers and weights two pulse table
-    rows per scatterer and sums them with bincount, so frames equal
-    that loop's byte for byte. A CSR matrix with weight (1 - w) at
-    column row and weight w at row + 1 of each scatterer's row, times
-    the table, gives (0 + a T[row]) + b T[row + 1]. The column sums of
-    the (scatterers, samples) matrix of those pulses, a CSC
-    matrix-vector product, add into each sample in scatterer order. A
-    channel where a pulse leaves the record sums its in-record terms
-    with bincount.
+    rows per scatterer and sums its in-record terms with bincount, so
+    frames equal that loop's byte for byte. A CSR matrix with weight
+    (1 - w) at column row and weight w at row + 1 of each scatterer's
+    row, times the table, gives (0 + a T[row]) + b T[row + 1]. The
+    column sums of the (scatterers, samples) matrix of those pulses, a
+    CSC matrix-vector product, add into each sample in scatterer order.
+    That matrix spans the record padded by the pulse's half-width on
+    both sides, so a pulse cut at either end of the record keeps its
+    in-record part and the padding is dropped. An echo centre outside
+    the record, which a caller's t_rx can place there, is a ValueError.
     """
     if not 0 <= tx < array.num_elements:
         raise ValueError(f"tx element {tx} out of range")
@@ -466,6 +465,11 @@ def simulate_frame(
                 )
                 k_exact = (t_tx + t_rx[rx]) * fs
                 k0 = np.rint(k_exact)
+                # csr_matrix does not check its column indices; a NaN
+                # time fails this test too
+                if not (k0.min() >= 0 and k0.max() < num_samples):
+                    raise ValueError(f"receive channel {rx}: an echo lies "
+                                     "outside the record; check t_rx")
                 pos = (k0 - k_exact + 0.5) * steps
                 row = np.minimum(pos.astype(np.int32), steps - 1)
                 w = pos - row
@@ -476,17 +480,11 @@ def simulate_frame(
                      np.column_stack([row, row + 1]).ravel(), pair_ptr),
                     shape=(n_sc, steps + 1))
                 vals = coef @ table
-                idx = k0.astype(np.int32)[:, None] + offs
-                if k0.min() - half >= 0 and k0.max() + half < num_samples:
-                    # column sums, added in scatterer order
-                    echoes = sp.csr_matrix(
-                        (vals.ravel(), idx.ravel(), run_ptr),
-                        shape=(n_sc, num_samples))
-                    samples[rx] = echoes.T @ ones
-                else:
-                    valid = (idx >= 0) & (idx < num_samples)
-                    samples[rx] = np.bincount(
-                        idx[valid], weights=vals[valid], minlength=num_samples)
+                # column sums over the padded record, added in scatterer order
+                idx = (k0.astype(np.int32) + half)[:, None] + offs
+                echoes = sp.csr_matrix((vals.ravel(), idx.ravel(), run_ptr),
+                                       shape=(n_sc, num_samples + 2 * half))
+                samples[rx] = (echoes.T @ ones)[half:half + num_samples]
 
         # each worker writes its own rows of samples
         thread_map(receive, _blocks(array.num_elements, threads), threads)

@@ -53,12 +53,9 @@ class ReconConfig:
 
 @dataclass(frozen=True)
 class PathMatrix:
-    """Sparse differential path operator with per-row provenance."""
+    """Sparse differential path operator on its slowness grid."""
 
     matrix: sp.csr_matrix  # (n_rows, nx*nz of the slowness grid), meters
-    pair_index: np.ndarray  # (n_rows,) which frame pair each row belongs to
-    node_index: np.ndarray  # (n_rows,) flat node index on the measurement grid
-    pairs: tuple[tuple[int, int], ...]
     slow_grid: ImagingGrid
 
 
@@ -175,9 +172,9 @@ def build_path_matrix(
     """Differential Tx-path matrix for a set of frame pairs.
 
     Row for (pair (a, b), node p) = ray_weights(pos_a, p) -
-    ray_weights(pos_b, p); rows for masked-out nodes are dropped.
-    Receive paths are identical between the frames of a pair and do not
-    appear.
+    ray_weights(pos_b, p); the rows of each pair follow the flat node
+    order, and rows for masked-out nodes are dropped. Receive paths are
+    identical between the frames of a pair and do not appear.
     """
     X, Z = meas_grid.meshgrid()
     nodes = np.column_stack([X.ravel(), Z.ravel()])
@@ -195,26 +192,14 @@ def build_path_matrix(
         ).tocsr()
 
     blocks = []
-    pair_idx = []
-    node_idx = []
     for m, (a, b) in enumerate(pairs):
         diff = (per_element[a] - per_element[b]).tocsr()
-        if masks is None:
-            keep = np.arange(n_nodes)
-        else:
-            keep = np.flatnonzero(np.asarray(masks[m]).ravel())
-        blocks.append(diff[keep])
-        pair_idx.append(np.full(keep.size, m))
-        node_idx.append(keep)
+        if masks is not None:
+            diff = diff[np.flatnonzero(np.asarray(masks[m]).ravel())]
+        blocks.append(diff)
 
     matrix = sp.vstack(blocks, format="csr") if blocks else sp.csr_matrix((0, n_cells))
-    return PathMatrix(
-        matrix=matrix,
-        pair_index=np.concatenate(pair_idx) if pair_idx else np.empty(0, int),
-        node_index=np.concatenate(node_idx) if node_idx else np.empty(0, int),
-        pairs=tuple((int(a), int(b)) for a, b in pairs),
-        slow_grid=slow_grid,
-    )
+    return PathMatrix(matrix=matrix, slow_grid=slow_grid)
 
 
 def tv_operator(
@@ -227,37 +212,13 @@ def tv_operator(
     """
     if w_axial < 0 or w_lateral < 0:
         raise ValueError("TV weights must be >= 0")
-    nx, nz = grid.nx, grid.nz
-    n = nx * nz
-    idx = np.arange(n).reshape(nz, nx)
 
-    a_from = idx[:-1, :].ravel()
-    a_to = idx[1:, :].ravel()
-    n_ax = a_from.size
-    d_ax = sp.coo_matrix(
-        (
-            np.concatenate([-w_axial * np.ones(n_ax), w_axial * np.ones(n_ax)]),
-            (
-                np.concatenate([np.arange(n_ax), np.arange(n_ax)]),
-                np.concatenate([a_from, a_to]),
-            ),
-        ),
-        shape=(n_ax, n),
-    )
+    def diff(n):
+        return sp.eye(n - 1, n, 1) - sp.eye(n - 1, n)
 
-    l_from = idx[:, :-1].ravel()
-    l_to = idx[:, 1:].ravel()
-    n_lat = l_from.size
-    d_lat = sp.coo_matrix(
-        (
-            np.concatenate([-w_lateral * np.ones(n_lat), w_lateral * np.ones(n_lat)]),
-            (
-                np.concatenate([np.arange(n_lat), np.arange(n_lat)]),
-                np.concatenate([l_from, l_to]),
-            ),
-        ),
-        shape=(n_lat, n),
-    )
+    # format="csr": kron's default BSR would store explicit zeros
+    d_ax = w_axial * sp.kron(diff(grid.nz), sp.eye(grid.nx), format="csr")
+    d_lat = w_lateral * sp.kron(sp.eye(grid.nz), diff(grid.nx), format="csr")
     return sp.vstack([d_ax, d_lat], format="csr")
 
 

@@ -44,7 +44,7 @@ class TestDASBeamform:
         pulse = PulseSpec()
         medium = make_medium()
         field = ScattererField(positions=np.array([[0.0, 0.02]]),
-                               amplitudes=np.array([1.0]), rng_seed=0)
+                               amplitudes=np.array([1.0]))
         n = required_samples(63, field, medium, pulse, array)
         frame = simulate_frame(63, field, medium, pulse, array, n)
         grid = ImagingGrid(x0=-2e-3, z0=18e-3, dx=1e-4, dz=5e-5, nx=41, nz=81)

@@ -32,8 +32,8 @@ def shifted_frames(shift, period=None, nz=300, nx=6):
             else np.sin(2 * np.pi * k / period + s) for s in range(nx)]
     a = np.column_stack([c[m:m + nz] for c in cols])
     b = np.column_stack([c[m - shift:m - shift + nz] for c in cols])
-    return (BeamformedFrame(tx_element=55, rf=a, c_bf_used=1500.0, grid=grid),
-            BeamformedFrame(tx_element=65, rf=b, c_bf_used=1500.0, grid=grid))
+    return (BeamformedFrame(rf=a, c_bf_used=1500.0, grid=grid),
+            BeamformedFrame(rf=b, c_bf_used=1500.0, grid=grid))
 
 
 def shifted_region(signal, i0, w, margin, shift):
@@ -142,13 +142,7 @@ def reference_track_delays(
         nx=xs.size,
         nz=n_nodes,
     )
-    return DelayMap(
-        delays=delays,
-        ncc=nccs,
-        valid=valid,
-        grid=meas_grid,
-        frame_pair=(frame_a.tx_element, frame_b.tx_element),
-    )
+    return DelayMap(delays=delays, ncc=nccs, valid=valid, grid=meas_grid)
 
 
 def track_1d(a, b):
@@ -165,11 +159,10 @@ def track_1d(a, b):
     col_a = np.zeros(b.size)
     col_a[r:r + w] = a
 
-    def frame(tx, col):
-        return BeamformedFrame(tx_element=tx, rf=col[:, None],
-                               c_bf_used=1500.0, grid=grid)
+    def frame(col):
+        return BeamformedFrame(rf=col[:, None], c_bf_used=1500.0, grid=grid)
 
-    dmap = track_delays(frame(55, col_a), frame(65, np.asarray(b, float)),
+    dmap = track_delays(frame(col_a), frame(np.asarray(b, float)),
                         TrackConfig(window_len=w, search_radius=r,
                                     min_ncc=0.0))
     one_sample = 2.0 * grid.dz / 1500.0
@@ -302,7 +295,6 @@ class TestAgainstReference:
         out = track_delays(fa, fb, cfg)
         ref = reference_track_delays(fa, fb, cfg)
         assert out.grid == ref.grid
-        assert out.frame_pair == ref.frame_pair
         assert out.delays.shape == ref.delays.shape
         np.testing.assert_array_equal(out.valid, ref.valid)
         one_sample = 2.0 * fa.grid.dz / fa.c_bf_used
@@ -356,7 +348,6 @@ class TestTrackDelays:
         assert dmap.grid.z0 == pytest.approx(expected_z0)
         assert dmap.grid.dz == pytest.approx(
             est_grid.dz * full_cfg.tracking.axial_step)
-        assert dmap.frame_pair == (55, 65)
 
     def test_zero_offset_median_below_one_sample(self, full_cfg, null_estimate):
         _, _, dmap = null_estimate

@@ -1,5 +1,6 @@
 """Source hygiene: no unused import in a package module, and no
-module-level function or class that nothing outside the tests loads."""
+module-level function or class, and no class field, that nothing
+outside the tests loads."""
 
 import ast
 from pathlib import Path
@@ -16,6 +17,9 @@ USERS = sorted(p for d in ("src", "perfbench", "demos")
 # reached only from the tests: the single-ray oracle of the path matrix
 # and the phantom-set evaluation that acceptance criterion 4 runs
 TEST_ONLY = {"tomo.ray_weights", "pipeline.evaluate_phantom_set"}
+# classes whose fields may be read only by the tests: the per-phantom
+# record of the phantom-set evaluation that acceptance criterion 4 scores
+TEST_ONLY_FIELDS = {"pipeline.CaseResult"}
 
 
 def parse(path: Path) -> ast.Module:
@@ -152,6 +156,25 @@ def test_every_definition_is_loaded():
         and node.name not in used
     ]
     assert sorted(set(unread) - TEST_ONLY) == []
+
+
+def test_every_dataclass_field_is_read():
+    """Every annotated field of a package class is read by name
+    somewhere outside the tests. The match is by name, so a field that
+    shares its name with another read does not show."""
+    used = set().union(*(loads(parse(p)) for p in USERS))
+    unread = [
+        f"{path.stem}.{node.name}.{item.target.id}"
+        for path in MODULES
+        for node in parse(path).body
+        if isinstance(node, ast.ClassDef)
+        and f"{path.stem}.{node.name}" not in TEST_ONLY_FIELDS
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and item.target.id not in used
+    ]
+    assert unread == []
 
 
 def calls_json_dumps(node: ast.AST) -> bool:

@@ -283,6 +283,21 @@ class TestConfigFiles:
 
 
 class TestDerivedConfig:
+    @pytest.mark.parametrize("reference", ["probe-centre", "probe_centre",
+                                           "", "Pair_Midpoint"])
+    def test_unknown_roi_reference_rejected(self, reference):
+        """A config built in code is checked as a config file is: an
+        unknown ROI reference does not fall back to the pair midpoint."""
+        with pytest.raises(ConfigError, match=r"\[roi\] reference"):
+            PipelineConfig(roi_reference=reference)
+
+    @pytest.mark.parametrize("reference, x", [("pair_midpoint", 3e-4),
+                                              ("probe_center", 0.0)])
+    def test_roi_reference_sets_the_origin(self, reference, x):
+        # elements 64 and 65 lie at 0.15 and 0.45 mm
+        cfg = PipelineConfig(roi_reference=reference, estimation_pair=(64, 65))
+        assert cfg.roi().reference_x == pytest.approx(x, abs=1e-12)
+
     def test_required_tx_default(self):
         cfg = PipelineConfig()
         txs = cfg.required_tx()

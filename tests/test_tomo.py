@@ -153,9 +153,13 @@ class TestBuildPathMatrix:
         mask[2, :] = True
         L = build_path_matrix([(55, 65)], self.meas, self.slow, [mask],
                               self.array)
+        full = build_path_matrix([(55, 65)], self.meas, self.slow, None,
+                                 self.array)
         assert L.matrix.shape[0] == 5
-        assert np.array_equal(L.node_index, np.flatnonzero(mask.ravel()))
-        assert np.array_equal(L.pair_index, np.zeros(5, dtype=int))
+        # the kept rows are the unmasked matrix's rows at the kept nodes
+        assert np.array_equal(
+            L.matrix.toarray(),
+            full.matrix.toarray()[np.flatnonzero(mask.ravel())])
 
     @pytest.mark.parametrize("z0, digest", [
         (0.007156249999999999, "46b6fc83d8da9d6a"),
@@ -184,8 +188,12 @@ class TestBuildPathMatrix:
         pairs = [(40, 56), (56, 72), (72, 88)]
         L = build_path_matrix(pairs, self.meas, self.slow, None, self.array)
         assert L.matrix.shape[0] == 3 * 25
-        assert L.pairs == ((40, 56), (56, 72), (72, 88))
-        assert set(L.pair_index) == {0, 1, 2}
+        # block m of rows is pair m's own matrix, in the order given
+        for m, pair in enumerate(pairs):
+            own = build_path_matrix([pair], self.meas, self.slow, None,
+                                    self.array)
+            assert np.array_equal(L.matrix[25 * m:25 * (m + 1)].toarray(),
+                                  own.matrix.toarray())
 
 
 class TestTVOperator:
@@ -218,6 +226,30 @@ class TestTVOperator:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             tv_operator(unit_grid(), w_axial=-1.0)
+
+    @pytest.mark.parametrize("nx, nz", [(5, 1), (1, 5), (3, 4)],
+                             ids=["one-row", "one-column", "3x4"])
+    def test_equals_hand_built_differences(self, nx, nz):
+        """Axial rows first, then lateral rows, each a forward difference
+        from a cell to its next neighbour, in row-major cell order."""
+        g = unit_grid(nx=nx, nz=nz)
+        w_ax, w_lat = 1.5, 0.25
+        rows = []
+        for weight, step, cells in (
+                (w_ax, nx, [(iz, ix) for iz in range(nz - 1)
+                            for ix in range(nx)]),
+                (w_lat, 1, [(iz, ix) for iz in range(nz)
+                            for ix in range(nx - 1)])):
+            for iz, ix in cells:
+                row = np.zeros(nx * nz)
+                cell = iz * nx + ix
+                row[cell], row[cell + step] = -weight, weight
+                rows.append(row)
+        expected = np.array(rows).reshape(-1, nx * nz)
+        D = tv_operator(g, w_axial=w_ax, w_lateral=w_lat)
+        assert D.format == "csr"
+        assert np.array_equal(D.toarray(), expected)
+        assert D.nnz == 2 * expected.shape[0]
 
 
 class TestObjectiveGradient:

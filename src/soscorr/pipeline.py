@@ -116,9 +116,15 @@ class PipelineConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.roi_reference not in ROI_REFERENCES:
-            raise ConfigError(f"[roi] reference = {self.roi_reference!r}: "
-                              f"must be one of {', '.join(ROI_REFERENCES)}")
+        # the allowed values of the INI parser's _choice rows
+        for key, value, allowed in (
+                ("[roi] reference", self.roi_reference, ROI_REFERENCES),
+                ("[regression] method", self.regression_method, FITTERS),
+                ("[estimation] apodization", self.estimation_apodization,
+                 APODIZATIONS)):
+            if value not in allowed:
+                raise ConfigError(f"{key} = {value!r}: "
+                                  f"must be one of {', '.join(allowed)}")
         if not self.recon_pairs:
             raise ConfigError("[reconstruction] pairs: no transmit pair")
         for key, pairs in (("[estimation] pair", (self.estimation_pair,)),

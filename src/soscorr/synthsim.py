@@ -36,7 +36,7 @@ MANIFEST_FRAME = re.compile(r"(\S+)\s+tx=(\d+)\s+sha256_16=([0-9a-f]{16})")
 R_MIN = 1.0e-3
 
 # rays traced per block in travel_times: with one inclusion a block's
-# (rays x cuts) arrays are 8192 x 4 x 8 B = 256 KB each, so its working
+# (cuts x rays) arrays are 4 x 8192 x 8 B = 256 KB each, so its working
 # set stays within a 2 MB per-core L2 cache
 TRACE_CHUNK = 1 << 13
 
@@ -93,8 +93,9 @@ class Inclusion:
     def crossing(
         self, p: np.ndarray, d: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Ray parameters (t_in, t_out), each shape (n, 1), between which
-        the points p + t*d of the (n, 2) rays lie inside the inclusion.
+        """Ray parameters (t_in, t_out), each a row of shape (n,), between
+        which the points p + t*d of the rays lie inside the inclusion;
+        p and d hold the rays' x and z as rows, shape (2, n).
 
         t_in >= t_out when a ray's line misses it; t may lie outside
         [0, 1]. An ellipse solves the line-ellipse quadratic, a
@@ -103,17 +104,16 @@ class Inclusion:
         cx, cz = self.center
         hx, hz = self.half_axes
         if self.shape == "ellipse":
-            u, v = (p[:, 0] - cx) / hx, (p[:, 1] - cz) / hz
-            du, dv = d[:, 0] / hx, d[:, 1] / hz
+            u, v = (p[0] - cx) / hx, (p[1] - cz) / hz
+            du, dv = d[0] / hx, d[1] / hz
             a = du**2 + dv**2
             b = u * du + v * dv
             root = np.sqrt(np.maximum(b**2 - a * (u**2 + v**2 - 1.0), 0.0))
             # a is 0 only for a zero-length ray, whose cuts fall at t = 0
             a = np.where(a > 0.0, a, np.inf)
-            return ((-b - root) / a)[:, None], ((-b + root) / a)[:, None]
+            return (-b - root) / a, (-b + root) / a
         # on the edge counts as inside, as in contains
-        t_in, t_out = slab_clip(p, d, (cx - hx, cz - hz), (cx + hx, cz + hz))
-        return t_in[:, None], t_out[:, None]
+        return slab_clip(p.T, d.T, (cx - hx, cz - hz), (cx + hx, cz + hz))
 
 
 @dataclass(frozen=True)
@@ -288,29 +288,48 @@ def travel_times(
     p_to = np.broadcast_to(p_to, shape).reshape(-1, shape[-2], 2)
     out = np.empty(p_from.shape[:2])
 
-    # each block copies its own end points, so nothing of the table's
-    # size but out is allocated
+    # each block copies its own end points as (2, rays) rows of x and z,
+    # so nothing of the table's size but out is allocated
     def trace(block):
-        p = p_from[block].reshape(-1, 2)
-        d = p_to[block].reshape(-1, 2) - p
-        dist = np.hypot(d[:, 0], d[:, 1])
+        p = np.moveaxis(p_from[block], -1, 0).reshape(2, -1)
+        d = np.moveaxis(p_to[block], -1, 0).reshape(2, -1) - p
+        dist = np.hypot(d[0], d[1])
         if medium.is_homogeneous:
             times = dist / medium.background_sos
         else:
-            ends = np.zeros((p.shape[0], 1))
-            cuts = [ends, ends + 1.0]
-            for inc in medium.inclusions:
-                cuts.extend(inc.crossing(p, d))
+            # one row of cuts per ray end and inclusion boundary
+            t = np.empty((2 + 2 * len(medium.inclusions), dist.size))
+            t[0], t[-1] = 0.0, 1.0
+            for k, inc in enumerate(medium.inclusions):
+                t[1 + 2 * k], t[2 + 2 * k] = inc.crossing(p, d)
             # cuts outside the ray clip to its ends, where they are harmless
-            t = np.sort(np.clip(np.column_stack(cuts), 0.0, 1.0), axis=1)
-            mid = 0.5 * (t[:, 1:] + t[:, :-1])
-            c = medium.sos_at(p[:, 0, None] + d[:, 0, None] * mid,
-                              p[:, 1, None] + d[:, 1, None] * mid)
-            times = (np.diff(t, axis=1) / c).sum(axis=1) * dist
+            inner = np.clip(t[1:-1], 0.0, 1.0, out=t[1:-1])
+            _sort_rows(inner)
+            mid = 0.5 * (t[1:] + t[:-1])
+            c = medium.sos_at(p[0] + d[0] * mid, p[1] + d[1] * mid)
+            # each ray's pieces added one after another, in order along
+            # it: np.sum may add 8 or more rows pairwise, and picks its
+            # order by the block's shape
+            pieces = np.diff(t, axis=0) / c
+            times = pieces[0]
+            for piece in pieces[1:]:
+                times += piece
+            times *= dist
         out[block] = times.reshape(out[block].shape)
 
     thread_map(trace, _ray_blocks(*out.shape), threads)
     return out.reshape(shape[:-1])
+
+
+def _sort_rows(t: np.ndarray) -> None:
+    """Sort each column of t in place: an odd-even transposition network
+    of row minima and maxima, t.shape[0] rounds (Knuth, TAOCP vol. 3,
+    5.3.4), each a whole-row pass."""
+    for r in range(t.shape[0]):
+        for i in range(r % 2, t.shape[0] - 1, 2):
+            low = np.minimum(t[i], t[i + 1])
+            np.maximum(t[i], t[i + 1], out=t[i + 1])
+            t[i] = low
 
 
 def _ray_blocks(rows: int, cols: int):
@@ -334,9 +353,16 @@ def required_samples(
     if field.positions.shape[0] == 0:
         return 1
     tx_pos = np.array(element_position(array, tx))
+    t_tx = travel_times(tx_pos[None, :], field.positions, medium)
+    return _samples_needed(t_tx, field.positions, pulse, array)
+
+
+def _samples_needed(
+    t_tx: np.ndarray, s: np.ndarray, pulse: PulseSpec, array: TransducerArray
+) -> int:
+    """required_samples, given the transmit leg's travel times t_tx to
+    the scatterers at s."""
     ex = array.element_x()
-    s = field.positions
-    t_tx = travel_times(tx_pos[None, :], s, medium)
     # farthest receive element bounds the two-way time
     d_rx_max = np.hypot(
         np.max(np.abs(s[:, 0:1] - ex[None, :]), axis=1), s[:, 1]
@@ -414,8 +440,12 @@ def simulate_frame(
     CSC matrix-vector product, add into each sample in scatterer order.
     That matrix spans the record padded by the pulse's half-width on
     both sides, so a pulse cut at either end of the record keeps its
-    in-record part and the padding is dropped. An echo centre outside
-    the record, which a caller's t_rx can place there, is a ValueError.
+    in-record part and the padding is dropped. Each worker thread
+    builds the two matrices once, their row pointers fixed, and each
+    receiver rewrites their weights, columns and pulse values in place.
+    An echo centre outside the record, which a caller's t_rx can place
+    there, is a ValueError. The record length is checked against the
+    transmit leg's own travel times, so that leg is traced once.
     """
     if not 0 <= tx < array.num_elements:
         raise ValueError(f"tx element {tx} out of range")
@@ -425,14 +455,14 @@ def simulate_frame(
     samples = np.zeros((array.num_elements, num_samples), dtype=np.float64)
 
     if n_sc > 0:
-        need = required_samples(tx, field, medium, pulse, array)
+        tx_pos = np.array(element_position(array, tx))
+        t_tx = travel_times(tx_pos[None, :], s, medium)
+        need = _samples_needed(t_tx, s, pulse, array)
         if num_samples < need:
             raise ConfigurationError(
                 f"num_samples={num_samples} too small; need at least {need} "
                 "to cover the deepest scatterer's two-way echo"
             )
-        tx_pos = np.array(element_position(array, tx))
-        t_tx = travel_times(tx_pos[None, :], s, medium)
         r_tx = np.hypot(s[:, 0] - tx_pos[0], s[:, 1] - tx_pos[1])
         wavelength = medium.background_sos / pulse.center_frequency
         d_tx = _element_directivity(
@@ -456,6 +486,20 @@ def simulate_frame(
             t_rx = receive_travel_times(field, medium, array, threads)
 
         def receive(block):
+            # the worker's two matrices, built once; each receiver
+            # rewrites their entries through views of the arrays they
+            # hold, which the constructors may have converted
+            coef = sp.csr_matrix(
+                (np.zeros(2 * n_sc), np.zeros(2 * n_sc, dtype=np.int32),
+                 pair_ptr), shape=(n_sc, steps + 1))
+            coef_w = coef.data.reshape(n_sc, 2)
+            coef_row = coef.indices.reshape(n_sc, 2)
+            # the transposed (scatterers, padded record) pulse matrix
+            echoes_t = sp.csc_matrix(
+                (np.zeros(offs.size * n_sc),
+                 np.zeros(offs.size * n_sc, dtype=np.int32), run_ptr),
+                shape=(num_samples + 2 * half, n_sc))
+            idx = echoes_t.indices.reshape(n_sc, offs.size)
             for rx in block:
                 rx_pos = np.array([ex[rx], 0.0])
                 r_rx = np.hypot(s[:, 0] - rx_pos[0], s[:, 1] - rx_pos[1])
@@ -465,8 +509,8 @@ def simulate_frame(
                 )
                 k_exact = (t_tx + t_rx[rx]) * fs
                 k0 = np.rint(k_exact)
-                # csr_matrix does not check its column indices; a NaN
-                # time fails this test too
+                # the products do not check their indices; a NaN time
+                # fails this test too
                 if not (k0.min() >= 0 and k0.max() < num_samples):
                     raise ValueError(f"receive channel {rx}: an echo lies "
                                      "outside the record; check t_rx")
@@ -475,16 +519,15 @@ def simulate_frame(
                 w = pos - row
                 weight = field.amplitudes * spreading
                 # the pulse interpolated linearly between table rows
-                coef = sp.csr_matrix(
-                    (np.column_stack([weight * (1.0 - w), weight * w]).ravel(),
-                     np.column_stack([row, row + 1]).ravel(), pair_ptr),
-                    shape=(n_sc, steps + 1))
+                np.multiply(weight, 1.0 - w, out=coef_w[:, 0])
+                np.multiply(weight, w, out=coef_w[:, 1])
+                coef_row[:, 0] = row
+                coef_row[:, 1] = row + 1
                 vals = coef @ table
                 # column sums over the padded record, added in scatterer order
-                idx = (k0.astype(np.int32) + half)[:, None] + offs
-                echoes = sp.csr_matrix((vals.ravel(), idx.ravel(), run_ptr),
-                                       shape=(n_sc, num_samples + 2 * half))
-                samples[rx] = (echoes.T @ ones)[half:half + num_samples]
+                np.add((k0.astype(np.int32) + half)[:, None], offs, out=idx)
+                echoes_t.data = vals.ravel()
+                samples[rx] = (echoes_t @ ones)[half:half + num_samples]
 
         # each worker writes its own rows of samples
         thread_map(receive, _blocks(array.num_elements, threads), threads)

@@ -291,6 +291,19 @@ class TestDerivedConfig:
         with pytest.raises(ConfigError, match=r"\[roi\] reference"):
             PipelineConfig(roi_reference=reference)
 
+    @pytest.mark.parametrize("field, value, key", [
+        ("regression_method", "lasso", r"\[regression\] method"),
+        ("regression_method", "Robust", r"\[regression\] method"),
+        ("estimation_apodization", "hanning", r"\[estimation\] apodization"),
+        ("estimation_apodization", "", r"\[estimation\] apodization"),
+    ])
+    def test_unknown_choice_rejected_at_construction(self, field, value, key):
+        """A fitter or apodization that the INI parser would refuse fails
+        when the config is built in code, naming its INI key, not later
+        inside estimate_slope."""
+        with pytest.raises(ConfigError, match=key + " = .*must be one of"):
+            PipelineConfig(**{field: value})
+
     @pytest.mark.parametrize("reference, x", [("pair_midpoint", 3e-4),
                                               ("probe_center", 0.0)])
     def test_roi_reference_sets_the_origin(self, reference, x):

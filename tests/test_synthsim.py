@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from soscorr.geometry import ImagingGrid, TransducerArray, element_position
+from soscorr.geometry import (ImagingGrid, TransducerArray, element_position,
+                              slab_clip)
 from soscorr.synthsim import (
     R_MIN,
     TRACE_CHUNK,
@@ -85,6 +86,70 @@ def trapezoid_travel_times(p_from, p_to, medium, step):
     px = p_from[..., 0, None] + delta[..., 0, None] * t
     pz = p_from[..., 1, None] + delta[..., 1, None] * t
     return (1.0 / medium.sos_at(px, pz)) @ w * dist / (n - 1)
+
+
+def column_crossing(inc, p, d):
+    """Inclusion.crossing's earlier form: columns (t_in, t_out), each
+    (n, 1), for (n, 2) rays p + t*d."""
+    cx, cz = inc.center
+    hx, hz = inc.half_axes
+    if inc.shape == "ellipse":
+        u, v = (p[:, 0] - cx) / hx, (p[:, 1] - cz) / hz
+        du, dv = d[:, 0] / hx, d[:, 1] / hz
+        a = du**2 + dv**2
+        b = u * du + v * dv
+        root = np.sqrt(np.maximum(b**2 - a * (u**2 + v**2 - 1.0), 0.0))
+        a = np.where(a > 0.0, a, np.inf)
+        return ((-b - root) / a)[:, None], ((-b + root) / a)[:, None]
+    t_in, t_out = slab_clip(p, d, (cx - hx, cz - hz), (cx + hx, cz + hz))
+    return t_in[:, None], t_out[:, None]
+
+
+def sorted_block_travel_times(p_from, p_to, medium):
+    """Reference: travel_times' earlier block formula, kept word for
+    word. Each ray is a row of a (rays, cuts) table whose cuts np.sort
+    orders and whose pieces a short axis-1 sum adds; a row's arithmetic
+    does not depend on the others, so all rays go in one block."""
+    p_from, p_to = np.broadcast_arrays(np.atleast_2d(p_from),
+                                       np.atleast_2d(p_to))
+    p = p_from.reshape(-1, 2)
+    d = p_to.reshape(-1, 2) - p
+    dist = np.hypot(d[:, 0], d[:, 1])
+    if medium.is_homogeneous:
+        times = dist / medium.background_sos
+    else:
+        ends = np.zeros((p.shape[0], 1))
+        cuts = [ends, ends + 1.0]
+        for inc in medium.inclusions:
+            cuts.extend(column_crossing(inc, p, d))
+        t = np.sort(np.clip(np.column_stack(cuts), 0.0, 1.0), axis=1)
+        mid = 0.5 * (t[:, 1:] + t[:, :-1])
+        c = medium.sos_at(p[:, 0, None] + d[:, 0, None] * mid,
+                          p[:, 1, None] + d[:, 1, None] * mid)
+        times = (np.diff(t, axis=1) / c).sum(axis=1) * dist
+    return times.reshape(p_from.shape[:-1])
+
+
+def degenerate_rays(inclusions):
+    """(p, q) rays that meet each inclusion at its edge cases: zero
+    length at its centre and on its edge, starting, ending or lying
+    wholly inside, through its centre along x and z, tangent to an
+    ellipse and along each edge of a rectangle."""
+    rays = [((0.0, 0.0), (0.0, 0.0)), ((-0.01, 0.02), (-0.01, 0.02))]
+    for inc in inclusions:
+        (cx, cz), (hx, hz) = inc.center, inc.half_axes
+        rays += [
+            ((cx, cz), (cx, cz)), ((cx + hx, cz), (cx + hx, cz)),
+            ((cx, cz), (cx + 0.01, 0.0)), ((cx + 0.01, 0.0), (cx, cz)),
+            ((cx - hx / 2, cz - hz / 2), (cx + hx / 2, cz + hz / 2)),
+            ((cx - 0.01, cz), (cx + 0.01, cz)), ((cx, 0.0), (cx, cz + 0.01)),
+        ]
+        for sign in (-1.0, 1.0):
+            # tangent to an ellipse, along the edges of a rectangle
+            rays += [((cx - 0.01, cz + sign * hz), (cx + 0.01, cz + sign * hz)),
+                     ((cx + sign * hx, 0.0), (cx + sign * hx, cz + 0.01))]
+    p, q = np.array(rays).transpose(1, 0, 2)
+    return p, q
 
 
 class TestTravelTimes:
@@ -354,6 +419,76 @@ class TestExactTravelTimes:
         finally:
             sys.setswitchinterval(interval)
         assert four.tobytes() == one.tobytes()
+
+
+class TestTraceLayout:
+    """travel_times traces each block with its rays along the last axis
+    and orders the cuts by a network of row minima and maxima; the times
+    are the bytes of the earlier (rays, cuts) formula."""
+
+    # powers of two keep the rectangle's edges exact
+    RECT = Inclusion("rectangle", (0.0, 2.0**-6), (2.0**-9, 2.0**-10), 1540.0)
+    ELLIPSE = Inclusion("ellipse", (-8e-3, 0.01), (3e-3, 2e-3), 1460.0)
+    # overlapping: a rectangle, then an ellipse listed after it, then a
+    # small ellipse inside both
+    OVER_RECT = Inclusion("rectangle", (1e-3, 0.01), (3e-3, 1e-3), 1450.0)
+    OVER_ELL = Inclusion("ellipse", (4e-3, 0.01), (3e-3, 2e-3), 1600.0)
+    INNER = Inclusion("ellipse", (2e-3, 0.01), (1e-3, 5e-4), 1480.0)
+    MEDIA = {
+        "none": (),
+        "ellipse": (ELLIPSE,),
+        "rectangle": (RECT,),
+        "rectangle+ellipse": (OVER_RECT, OVER_ELL),
+        "three": (OVER_RECT, OVER_ELL, INNER),
+    }
+
+    def rays(self, incs, n=3000):
+        rng = np.random.default_rng(11)
+        p = np.column_stack([rng.uniform(-0.019, 0.019, n),
+                             rng.uniform(0.0, 0.03, n)])
+        q = np.column_stack([rng.uniform(-0.019, 0.019, n),
+                             rng.uniform(0.0, 0.03, n)])
+        dp, dq = degenerate_rays(incs)
+        return np.concatenate([dp, p]), np.concatenate([dq, q])
+
+    @pytest.mark.parametrize("chunk", [TRACE_CHUNK, 7])
+    @pytest.mark.parametrize("name", list(MEDIA))
+    def test_equals_sorted_block_formula(self, monkeypatch, name, chunk):
+        """0 to 3 inclusions: at most 7 pieces a ray, which the earlier
+        axis-1 sum added one after another too."""
+        incs = self.MEDIA[name]
+        m = make_medium(incs)
+        p, q = self.rays(incs)
+        ref = sorted_block_travel_times(p, q, m)
+        # a receive-style table: rows of elements, columns of scatterers
+        rx = np.column_stack([np.linspace(-0.019, 0.019, 9), np.zeros(9)])
+        ref_table = sorted_block_travel_times(p[None, :, :], rx[:, None, :], m)
+        monkeypatch.setattr(synthsim, "TRACE_CHUNK", chunk)
+        with np.errstate(all="raise"):
+            t = travel_times(p, q, m)
+            table = travel_times(p[None, :, :], rx[:, None, :], m)
+        assert t.tobytes() == ref.tobytes()
+        assert table.tobytes() == ref_table.tobytes()
+        assert not np.any(np.signbit(t))
+
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_nine_or_more_pieces_are_added_in_order(self, monkeypatch, count):
+        """With 4 or more inclusions NumPy's axis-1 sum of the earlier
+        formula adds pairwise, so the last bit may differ from it; the
+        in-order sum stays within a few ulps and does not depend on the
+        block size, down to one ray a block, where an axis-0 np.sum
+        would add pairwise too."""
+        incs = (self.OVER_RECT, self.OVER_ELL, self.INNER, self.ELLIPSE,
+                self.RECT)[:count]
+        m = make_medium(incs)
+        p, q = self.rays(incs)
+        ref = sorted_block_travel_times(p, q, m)
+        t = travel_times(p, q, m)
+        assert np.allclose(t, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+        for chunk, rays in ((7, slice(None)), (1, slice(0, 300))):
+            monkeypatch.setattr(synthsim, "TRACE_CHUNK", chunk)
+            assert travel_times(p[rays], q[rays], m).tobytes() \
+                == t[rays].tobytes()
 
 
 class TestMediumSpec:
@@ -693,6 +828,73 @@ class TestSimulateFrames:
         ref = table_frame(55, field, medium, cfg.pulse, cfg.array, n, t_rx)
         assert field.positions.shape[0] == 2310
         assert frame.samples.tobytes() == ref.tobytes()
+
+
+class TestReceiveLoop:
+    """The structure of simulate_frame's receive loop, counted."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_sparse_matrices_are_built_once_per_worker(self, monkeypatch,
+                                                       threads):
+        """Each receive worker builds its CSR coefficient matrix and its
+        CSC echo matrix once and rewrites their entries per receiver: one
+        128-receiver transmit builds at most 2 compressed sparse matrices
+        per worker, however many receivers a worker runs. The frame still
+        equals the table-based loop byte for byte."""
+        import scipy.sparse._compressed as compressed
+
+        array, pulse = TransducerArray(), PulseSpec()
+        medium = make_medium(
+            [Inclusion("ellipse", (0.0, 0.012), (3e-3, 2e-3), 1540.0)])
+        rng = np.random.default_rng(8)
+        field = ScattererField(
+            positions=np.column_stack([rng.uniform(-0.019, 0.019, 300),
+                                       rng.uniform(0.003, 0.03, 300)]),
+            amplitudes=rng.standard_normal(300))
+        n = required_samples(55, field, medium, pulse, array)
+        t_rx = receive_travel_times(field, medium, array)
+        ref = table_frame(55, field, medium, pulse, array, n, t_rx)
+        built = []
+        init = compressed._cs_matrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(compressed._cs_matrix, "__init__", counting_init)
+        frame = simulate_frame(55, field, medium, pulse, array, n, t_rx=t_rx,
+                               threads=threads)
+        monkeypatch.undo()
+        assert array.num_elements == 128
+        assert 0 < len(built) <= 2 * threads
+        assert frame.samples.tobytes() == ref.tobytes()
+
+    def test_transmit_leg_is_traced_once_per_frame(self, monkeypatch):
+        """simulate_frames traces the record length's transmit legs, the
+        receive table and each frame's transmit leg: the frame checks its
+        record against its own transmit times, so one transmit is 3
+        travel_times calls."""
+        from soscorr.pipeline import PipelineConfig, apply_quick, \
+            simulate_frames
+
+        cfg = apply_quick(PipelineConfig(
+            scatterer_density=0.1,
+            inclusions=(Inclusion("ellipse", (-2e-3, 15e-3), (4e-3, 3e-3),
+                                  1540.0),)))
+        calls = []
+        trace = synthsim.travel_times
+
+        def counting_trace(*args, **kwargs):
+            calls.append(np.broadcast_shapes(np.shape(args[0]),
+                                             np.shape(args[1])))
+            return trace(*args, **kwargs)
+
+        monkeypatch.setattr(synthsim, "travel_times", counting_trace)
+        simulate_frames(cfg, tx_list=[55])
+        n_sc = gen_scatterers(cfg.scatterer_grid(), cfg.scatterer_density,
+                              cfg.seed).positions.shape[0]
+        assert calls == [(n_sc, 2), (cfg.array.num_elements, n_sc, 2),
+                         (n_sc, 2)]
 
 
 class TestFrameIO:

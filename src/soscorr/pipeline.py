@@ -35,7 +35,6 @@ from .synthsim import (
     gen_scatterers,
     read_frame_set,
     receive_travel_times,
-    required_samples,
     simulate_frame,
     thread_map,
     write_frame_set,
@@ -116,15 +115,19 @@ class PipelineConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        # the allowed values of the INI parser's _choice rows
+        if self.noise_snr_db is not None and not np.isfinite(self.noise_snr_db):
+            raise ConfigError(f"[simulation] noise_snr_db = "
+                              f"{self.noise_snr_db!r}: must be finite")
+        # the enumerated values, named by their INI keys
         for key, value, allowed in (
                 ("[roi] reference", self.roi_reference, ROI_REFERENCES),
                 ("[regression] method", self.regression_method, FITTERS),
                 ("[estimation] apodization", self.estimation_apodization,
-                 APODIZATIONS)):
+                 APODIZATIONS),
+                ("[calibration] degree", self.calibration_degree, (1, 3, 5))):
             if value not in allowed:
-                raise ConfigError(f"{key} = {value!r}: "
-                                  f"must be one of {', '.join(allowed)}")
+                raise ConfigError(f"{key} = {value!r}: must be one of "
+                                  f"{', '.join(map(str, allowed))}")
         if not self.recon_pairs:
             raise ConfigError("[reconstruction] pairs: no transmit pair")
         for key, pairs in (("[estimation] pair", (self.estimation_pair,)),
@@ -245,15 +248,6 @@ def apply_quick(cfg: PipelineConfig) -> PipelineConfig:
 # plain-text config files (INI sections, unknown keys rejected)
 
 
-def _choice(parse, *allowed):
-    def parse_choice(text):
-        value = parse(text)
-        if value not in allowed:
-            raise ValueError(f"must be one of {', '.join(map(str, allowed))}")
-        return value
-    return parse_choice
-
-
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -310,12 +304,11 @@ _FIELDS = (
     ("roi", "theta_min", "roi_theta_min", float, repr),
     ("roi", "theta_max", "roi_theta_max", float, repr),
     ("roi", "num_bins", "roi_num_bins", int, str),
-    ("roi", "reference", "roi_reference", _choice(str, *ROI_REFERENCES), str),
-    ("regression", "method", "regression_method", _choice(str, *FITTERS), str),
+    ("roi", "reference", "roi_reference", str, str),
+    ("regression", "method", "regression_method", str, str),
     ("estimation", "pair", "estimation_pair", _parse_pair, _format_pair),
     ("estimation", "window_len", "estimation_window_len", int, str),
-    ("estimation", "apodization", "estimation_apodization",
-     _choice(str, *APODIZATIONS), str),
+    ("estimation", "apodization", "estimation_apodization", str, str),
     ("reconstruction", "pairs", "recon_pairs",
      lambda s: tuple(map(_parse_pair, s.split())),
      lambda pairs: " ".join(map(_format_pair, pairs))),
@@ -327,7 +320,7 @@ _FIELDS = (
     ("reconstruction", "max_iter", "recon.max_iter", int, str),
     ("reconstruction", "axial_step", "recon_axial_step", int, str),
     ("reconstruction", "lateral_step", "recon_lateral_step", int, str),
-    ("calibration", "degree", "calibration_degree", _choice(int, 1, 3, 5), str),
+    ("calibration", "degree", "calibration_degree", int, str),
 )
 _ROWS = {(row[0], row[1]): row for row in _FIELDS}
 
@@ -417,20 +410,19 @@ def generate_frames(cfg: PipelineConfig,
     asks for it, so a caller that writes each frame before it asks for
     the next holds one frame at a time. The receive channels of each
     frame, and the receive travel-time table they share, are split
-    across cfg.threads worker threads.
+    across cfg.threads worker threads. Each frame's record ends after
+    its own transmit's latest echo (:func:`simulate_frame`), so the
+    frames of one set may differ in length.
     """
     medium = cfg.medium()
     fld = gen_scatterers(cfg.scatterer_grid(), cfg.scatterer_density, cfg.seed)
     txs = tx_list if tx_list is not None else cfg.required_tx()
-    num_samples = max(
-        required_samples(tx, fld, medium, cfg.pulse, cfg.array) for tx in txs
-    )
     # the receive leg does not depend on the transmit: its tables are
     # built once per field and shared by every transmit
     t_rx = receive_travel_times(fld, medium, cfg.array, cfg.threads)
     for tx in txs:
         yield simulate_frame(
-            tx, fld, medium, cfg.pulse, cfg.array, num_samples,
+            tx, fld, medium, cfg.pulse, cfg.array,
             noise_snr_db=cfg.noise_snr_db, noise_seed=cfg.seed + tx,
             t_rx=t_rx, threads=cfg.threads,
         )

@@ -45,10 +45,6 @@ TRACE_CHUNK = 1 << 13
 PULSE_TABLE_STEPS = 256
 
 
-class ConfigurationError(ValueError):
-    pass
-
-
 def thread_map(fn, items, threads: int) -> list:
     """[fn(item) for item in items], run on `threads` worker threads.
 
@@ -342,26 +338,13 @@ def _ray_blocks(rows: int, cols: int):
             yield np.s_[r0:r0 + height, c0:c0 + width]
 
 
-def required_samples(
-    tx: int,
-    field: ScattererField,
-    medium: MediumSpec,
-    pulse: PulseSpec,
-    array: TransducerArray,
-) -> int:
-    """Minimum num_samples covering every scatterer's two-way echo."""
-    if field.positions.shape[0] == 0:
-        return 1
-    tx_pos = np.array(element_position(array, tx))
-    t_tx = travel_times(tx_pos[None, :], field.positions, medium)
-    return _samples_needed(t_tx, field.positions, pulse, array)
-
-
 def _samples_needed(
     t_tx: np.ndarray, s: np.ndarray, pulse: PulseSpec, array: TransducerArray
 ) -> int:
-    """required_samples, given the transmit leg's travel times t_tx to
-    the scatterers at s."""
+    """Record length, in samples from t = 0, that holds every two-way
+    echo of the scatterers at s, given the transmit leg's travel times
+    t_tx to them: the receive leg to the farthest element at SOS_MIN,
+    plus the pulse's half-width."""
     ex = array.element_x()
     # farthest receive element bounds the two-way time
     d_rx_max = np.hypot(
@@ -408,7 +391,6 @@ def simulate_frame(
     medium: MediumSpec,
     pulse: PulseSpec,
     array: TransducerArray,
-    num_samples: int,
     noise_snr_db: float | None = None,
     noise_seed: int = 0,
     t_rx: np.ndarray | None = None,
@@ -421,11 +403,18 @@ def simulate_frame(
     1/max(r_tx*r_rx, R_MIN^2), and the finite-element
     directivity of both the Tx and Rx elements with an effective
     element width of one pitch. Deterministic given the field;
-    optional additive white Gaussian noise at the given SNR (in dB
-    over the clean frame power). t_rx, shape (num_rx, n_scatterers),
+    optional additive white Gaussian noise at the given finite SNR (in
+    dB over the clean frame power). t_rx, shape (num_rx, n_scatterers),
     holds the receive travel times from :func:`receive_travel_times`;
     they do not depend on the transmit, so a caller simulating several
-    transmits of one field builds them once. The receive channels are
+    transmits of one field builds them once.
+
+    The record starts at t = 0 and ends where this transmit's latest
+    echo can end: the transmit leg, already traced for the echo times,
+    plus the receive leg to the farthest element at SOS_MIN and the
+    pulse's half-width (:func:`_samples_needed`). An empty field gives
+    one sample. So the frames of one field may differ in length, each
+    as long as its own transmit needs. The receive channels are
     split into contiguous blocks, one per worker thread; each channel
     is computed the same way whatever the thread count, so the frame
     does not depend on it.
@@ -444,25 +433,22 @@ def simulate_frame(
     builds the two matrices once, their row pointers fixed, and each
     receiver rewrites their weights, columns and pulse values in place.
     An echo centre outside the record, which a caller's t_rx can place
-    there, is a ValueError. The record length is checked against the
-    transmit leg's own travel times, so that leg is traced once.
+    there, is a ValueError.
     """
     if not 0 <= tx < array.num_elements:
         raise ValueError(f"tx element {tx} out of range")
+    if noise_snr_db is not None and not np.isfinite(noise_snr_db):
+        raise ValueError(f"noise_snr_db must be finite, got {noise_snr_db}")
     fs = pulse.sampling_frequency
     s = field.positions
     n_sc = s.shape[0]
-    samples = np.zeros((array.num_elements, num_samples), dtype=np.float64)
+    samples = np.zeros((array.num_elements, 1), dtype=np.float64)
 
     if n_sc > 0:
         tx_pos = np.array(element_position(array, tx))
         t_tx = travel_times(tx_pos[None, :], s, medium)
-        need = _samples_needed(t_tx, s, pulse, array)
-        if num_samples < need:
-            raise ConfigurationError(
-                f"num_samples={num_samples} too small; need at least {need} "
-                "to cover the deepest scatterer's two-way echo"
-            )
+        num_samples = _samples_needed(t_tx, s, pulse, array)
+        samples = np.zeros((array.num_elements, num_samples), dtype=np.float64)
         r_tx = np.hypot(s[:, 0] - tx_pos[0], s[:, 1] - tx_pos[1])
         wavelength = medium.background_sos / pulse.center_frequency
         d_tx = _element_directivity(

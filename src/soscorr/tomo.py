@@ -47,6 +47,8 @@ class ReconConfig:
             raise ValueError("lam must be >= 0")
         if self.l1_epsilon <= 0:
             raise ValueError("l1_epsilon must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if self.obj_tol <= 0:
             raise ValueError("obj_tol must be > 0")
 

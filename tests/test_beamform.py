@@ -1,6 +1,8 @@
 """Delay-and-sum beamforming."""
 
 import tracemalloc
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,10 +15,9 @@ from soscorr.synthsim import (
     MediumSpec,
     PulseSpec,
     ScattererField,
-    required_samples,
     simulate_frame,
 )
-from soscorr.pipeline import simulate_frames
+from soscorr.pipeline import default_phantom_set, simulate_frames
 
 
 def make_medium():
@@ -45,8 +46,7 @@ class TestDASBeamform:
         medium = make_medium()
         field = ScattererField(positions=np.array([[0.0, 0.02]]),
                                amplitudes=np.array([1.0]))
-        n = required_samples(63, field, medium, pulse, array)
-        frame = simulate_frame(63, field, medium, pulse, array, n)
+        frame = simulate_frame(63, field, medium, pulse, array)
         grid = ImagingGrid(x0=-2e-3, z0=18e-3, dx=1e-4, dz=5e-5, nx=41, nz=81)
         out = das_beamform(frame, array, BFConfig(c_bf=1500.0, grid=grid))
         iz, ix = np.unravel_index(np.argmax(np.abs(out.rf)), out.rf.shape)
@@ -86,6 +86,29 @@ class TestDASBeamform:
         assert np.all(dmap.valid)
         assert np.allclose(dmap.delays, 0.0)
         assert np.allclose(dmap.ncc, 1.0)
+
+    def test_own_record_beamforms_as_the_padded_record(self, quick_cfg):
+        """Each frame of a set ends after its own transmit's latest echo.
+        Zero-padded to the set's longest record it beamforms to the same
+        bytes at c_bf 1477.5, 1500 and 1522.5 m/s, on the full grid and
+        on the estimation grid: nothing DAS reads lies in the padding."""
+        cfg = replace(quick_cfg,
+                      inclusions=dict(default_phantom_set())["ellipse_p40"])
+        frames = simulate_frames(cfg)
+        longest = max(fr.num_samples for fr in frames.values())
+        assert len(frames) == 6
+        assert min(fr.num_samples for fr in frames.values()) < longest
+        grids = ((cfg.full_grid(), "none"),
+                 (cfg.estimation_grid(), cfg.estimation_apodization))
+        for fr in frames.values():
+            pad = longest - fr.num_samples
+            padded = replace(fr, samples=np.pad(fr.samples, ((0, 0), (0, pad))))
+            for c_bf, (grid, apodization) in product((1477.5, 1500.0, 1522.5),
+                                                     grids):
+                bfc = BFConfig(c_bf=c_bf, grid=grid, apodization=apodization)
+                own = das_beamform(fr, cfg.array, bfc).rf
+                assert own.tobytes() == \
+                    das_beamform(padded, cfg.array, bfc).rf.tobytes()
 
 
 def reference_das(frame, array, cfg):

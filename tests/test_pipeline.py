@@ -232,6 +232,11 @@ class TestConfigFiles:
         ("roi", "reference = probe_centre"),
         ("calibration", "degree = 2"),
         ("simulation", "noise_snr_db = loud"),
+        ("simulation", "noise_snr_db = nan"),
+        ("simulation", "noise_snr_db = inf"),
+        ("simulation", "noise_snr_db = -inf"),
+        ("reconstruction", "max_iter = 0"),
+        ("reconstruction", "max_iter = -5"),
         ("medium", "background_sos = 15%"),
     ])
     def test_bad_value_names_section_and_key(self, tmp_path, section, line):
@@ -296,6 +301,7 @@ class TestDerivedConfig:
         ("regression_method", "Robust", r"\[regression\] method"),
         ("estimation_apodization", "hanning", r"\[estimation\] apodization"),
         ("estimation_apodization", "", r"\[estimation\] apodization"),
+        ("calibration_degree", 2, r"\[calibration\] degree"),
     ])
     def test_unknown_choice_rejected_at_construction(self, field, value, key):
         """A fitter or apodization that the INI parser would refuse fails
@@ -303,6 +309,12 @@ class TestDerivedConfig:
         inside estimate_slope."""
         with pytest.raises(ConfigError, match=key + " = .*must be one of"):
             PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_snr_rejected_at_construction(self, snr):
+        with pytest.raises(ConfigError, match=r"\[simulation\] noise_snr_db "
+                           "= .*must be finite"):
+            PipelineConfig(noise_snr_db=snr)
 
     @pytest.mark.parametrize("reference, x", [("pair_midpoint", 3e-4),
                                               ("probe_center", 0.0)])
@@ -609,6 +621,8 @@ class TestCLIExitCodes:
         "[reconstruction]\npairs =\n",
         "[reconstruction]\npairs = 40,56 40,40\n",
         "[estimation]\npair = 55,55\n",
+        "[reconstruction]\nmax_iter = 0\n",
+        "[reconstruction]\nmax_iter = -5\n",
     ])
     def test_bad_config_value_is_two(self, workspace, capsys, text):
         root, _ = workspace
@@ -622,6 +636,25 @@ class TestCLIExitCodes:
         section, line = text.splitlines()
         assert "config error" in err
         assert f"{section} {line.partition(' =')[0]}" in err
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_snr_is_two_before_any_frame(
+            self, workspace, capsys, monkeypatch, text):
+        root, _ = workspace
+        bad = root / "noise.ini"
+        bad.write_text(f"{CHEAP_CONFIG}\n[simulation]\nnoise_snr_db = {text}\n")
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("no frame may be simulated")
+
+        monkeypatch.setattr(pipeline, "simulate_frame", no_simulation)
+        rc = cli_main([
+            "--config", str(bad), "--out", str(root / "noisy"), "--quick",
+            "simulate",
+        ])
+        assert rc == 2
+        assert "[simulation] noise_snr_db" in capsys.readouterr().err
+        assert not (root / "noisy").exists()
 
     def test_quick_calibrate_with_unfitted_degree_is_two(self, workspace,
                                                          capsys, monkeypatch):

@@ -12,7 +12,6 @@ from soscorr.synthsim import (
     R_MIN,
     TRACE_CHUNK,
     ChannelFrame,
-    ConfigurationError,
     Inclusion,
     MediumSpec,
     PulseSpec,
@@ -22,7 +21,6 @@ from soscorr.synthsim import (
     gen_scatterers,
     read_frame_set,
     receive_travel_times,
-    required_samples,
     simulate_frame,
     travel_times,
     write_frame,
@@ -545,8 +543,7 @@ class TestSimulateFrame:
 
     def test_single_scatterer_echo_time(self):
         field = self.one_scatterer()
-        n = required_samples(63, field, self.medium, self.pulse, self.array)
-        frame = simulate_frame(63, field, self.medium, self.pulse, self.array, n)
+        frame = simulate_frame(63, field, self.medium, self.pulse, self.array)
         t_expected = 2 * np.hypot(*(np.array([0.0, 0.02])
                                     - element_position(self.array, 63)))
         t_expected /= 1500.0
@@ -554,27 +551,39 @@ class TestSimulateFrame:
         half_cycle = 1.0 / (2 * self.pulse.center_frequency)
         assert abs(k_peak / frame.fs - t_expected) <= half_cycle
 
-    def test_empty_field_is_zero(self):
+    def test_empty_field_is_zero(self, monkeypatch):
+        """No scatterer: a 1-sample record of zeros on every channel,
+        and no ray is traced."""
         field = ScattererField(positions=np.empty((0, 2)),
                                amplitudes=np.empty(0))
-        frame = simulate_frame(5, field, self.medium, self.pulse, self.array, 64)
+        monkeypatch.setattr(synthsim, "travel_times", None)
+        frame = simulate_frame(5, field, self.medium, self.pulse, self.array,
+                               noise_snr_db=20.0)
+        assert frame.samples.shape == (self.array.num_elements, 1)
         assert not np.any(frame.samples)
+
+    def test_record_ends_after_the_latest_echo(self):
+        """The record is as long as its own transmit's latest echo
+        needs: a deeper scatterer or a farther transmit lengthens it,
+        and the last sample of every channel is silent."""
+        near = self.one_scatterer((0.0, 0.01))
+        far = self.one_scatterer((0.0, 0.02))
+        n = {(tx, z): simulate_frame(tx, fld, self.medium, self.pulse,
+                                     self.array).num_samples
+             for tx in (63, 0) for z, fld in ((10, near), (20, far))}
+        assert n[63, 10] < n[63, 20] < n[0, 20]
+        assert n[63, 10] < n[0, 10]
+        frame = simulate_frame(0, far, self.medium, self.pulse, self.array)
+        assert np.any(frame.samples)
+        assert not np.any(frame.samples[:, -1])
 
     def test_linearity_in_amplitude(self):
         field = self.one_scatterer()
         doubled = ScattererField(positions=field.positions,
                                  amplitudes=2.0 * field.amplitudes)
-        n = required_samples(63, field, self.medium, self.pulse, self.array)
-        a = simulate_frame(63, field, self.medium, self.pulse, self.array, n)
-        b = simulate_frame(63, doubled, self.medium, self.pulse, self.array, n)
+        a = simulate_frame(63, field, self.medium, self.pulse, self.array)
+        b = simulate_frame(63, doubled, self.medium, self.pulse, self.array)
         assert np.allclose(b.samples, 2.0 * a.samples, atol=1e-6)
-
-    def test_insufficient_samples_raises_with_requirement(self):
-        field = self.one_scatterer()
-        need = required_samples(63, field, self.medium, self.pulse, self.array)
-        with pytest.raises(ConfigurationError, match=str(need)):
-            simulate_frame(63, field, self.medium, self.pulse, self.array,
-                           need // 2)
 
     @pytest.mark.parametrize("t", [1e-4, -1e-4, np.nan],
                              ids=["past-the-end", "before-the-start", "nan"])
@@ -582,31 +591,38 @@ class TestSimulateFrame:
         """A caller's t_rx that puts an echo centre outside the record is
         an error, not a sum that drops it or writes past the frame."""
         field = self.one_scatterer()
-        n = required_samples(63, field, self.medium, self.pulse, self.array)
+        n = simulate_frame(63, field, self.medium, self.pulse,
+                           self.array).num_samples
         t_rx = receive_travel_times(field, self.medium, self.array)
         assert np.isnan(t) or abs(t) * self.pulse.sampling_frequency > n
         t_rx[7] = t
         with pytest.raises(ValueError, match="channel 7.*outside the record"):
-            simulate_frame(63, field, self.medium, self.pulse, self.array, n,
+            simulate_frame(63, field, self.medium, self.pulse, self.array,
                            t_rx=t_rx)
 
     def test_deterministic(self):
         field = self.one_scatterer((0.002, 0.015))
-        n = required_samples(10, field, self.medium, self.pulse, self.array)
-        a = simulate_frame(10, field, self.medium, self.pulse, self.array, n)
-        b = simulate_frame(10, field, self.medium, self.pulse, self.array, n)
+        a = simulate_frame(10, field, self.medium, self.pulse, self.array)
+        b = simulate_frame(10, field, self.medium, self.pulse, self.array)
         assert np.array_equal(a.samples, b.samples)
 
     def test_noise_changes_frame_but_is_seeded(self):
         field = self.one_scatterer()
-        n = required_samples(63, field, self.medium, self.pulse, self.array)
-        clean = simulate_frame(63, field, self.medium, self.pulse, self.array, n)
+        clean = simulate_frame(63, field, self.medium, self.pulse, self.array)
         noisy1 = simulate_frame(63, field, self.medium, self.pulse, self.array,
-                                n, noise_snr_db=20.0, noise_seed=9)
+                                noise_snr_db=20.0, noise_seed=9)
         noisy2 = simulate_frame(63, field, self.medium, self.pulse, self.array,
-                                n, noise_snr_db=20.0, noise_seed=9)
+                                noise_snr_db=20.0, noise_seed=9)
         assert not np.array_equal(clean.samples, noisy1.samples)
         assert np.array_equal(noisy1.samples, noisy2.samples)
+
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snr_raises(self, snr):
+        """A NaN SNR would give an all-NaN frame and -inf a division by
+        zero: both, and +inf, are refused before any ray is traced."""
+        with pytest.raises(ValueError, match="noise_snr_db must be finite"):
+            simulate_frame(63, self.one_scatterer(), self.medium, self.pulse,
+                           self.array, noise_snr_db=snr)
 
 
 def direct_frame(tx, field, medium, pulse, array, num_samples, t_rx):
@@ -709,10 +725,10 @@ class TestPulseTable:
         field = ScattererField(positions=np.array(positions),
                                amplitudes=np.linspace(1.0, -0.5,
                                                       len(positions)))
-        n = required_samples(tx, field, self.medium, self.pulse, self.array)
         t_rx = receive_travel_times(field, self.medium, self.array)
         frame = simulate_frame(tx, field, self.medium, self.pulse,
-                               self.array, n, t_rx=t_rx)
+                               self.array, t_rx=t_rx)
+        n = frame.num_samples
         ref = direct_frame(tx, field, self.medium, self.pulse, self.array,
                            n, t_rx)
         table = table_frame(tx, field, self.medium, self.pulse, self.array,
@@ -774,7 +790,6 @@ class TestSimulateFrames:
             == t_rx.tobytes()
         for tx in txs:
             alone = simulate_frame(tx, field, medium, cfg.pulse, cfg.array,
-                                   frames[tx].num_samples,
                                    noise_seed=cfg.seed + tx, t_rx=t_rx)
             assert frames[tx].samples.tobytes() == alone.samples.tobytes()
 
@@ -821,11 +836,11 @@ class TestSimulateFrames:
         field = gen_scatterers(cfg.scatterer_grid(), cfg.scatterer_density,
                                cfg.seed)
         medium = cfg.medium()
-        n = required_samples(55, field, medium, cfg.pulse, cfg.array)
         t_rx = receive_travel_times(field, medium, cfg.array, threads)
-        frame = simulate_frame(55, field, medium, cfg.pulse, cfg.array, n,
+        frame = simulate_frame(55, field, medium, cfg.pulse, cfg.array,
                                t_rx=t_rx, threads=threads)
-        ref = table_frame(55, field, medium, cfg.pulse, cfg.array, n, t_rx)
+        ref = table_frame(55, field, medium, cfg.pulse, cfg.array,
+                          frame.num_samples, t_rx)
         assert field.positions.shape[0] == 2310
         assert frame.samples.tobytes() == ref.tobytes()
 
@@ -851,9 +866,7 @@ class TestReceiveLoop:
             positions=np.column_stack([rng.uniform(-0.019, 0.019, 300),
                                        rng.uniform(0.003, 0.03, 300)]),
             amplitudes=rng.standard_normal(300))
-        n = required_samples(55, field, medium, pulse, array)
         t_rx = receive_travel_times(field, medium, array)
-        ref = table_frame(55, field, medium, pulse, array, n, t_rx)
         built = []
         init = compressed._cs_matrix.__init__
 
@@ -862,18 +875,19 @@ class TestReceiveLoop:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(compressed._cs_matrix, "__init__", counting_init)
-        frame = simulate_frame(55, field, medium, pulse, array, n, t_rx=t_rx,
+        frame = simulate_frame(55, field, medium, pulse, array, t_rx=t_rx,
                                threads=threads)
         monkeypatch.undo()
+        ref = table_frame(55, field, medium, pulse, array, frame.num_samples,
+                          t_rx)
         assert array.num_elements == 128
         assert 0 < len(built) <= 2 * threads
         assert frame.samples.tobytes() == ref.tobytes()
 
     def test_transmit_leg_is_traced_once_per_frame(self, monkeypatch):
-        """simulate_frames traces the record length's transmit legs, the
-        receive table and each frame's transmit leg: the frame checks its
-        record against its own transmit times, so one transmit is 3
-        travel_times calls."""
+        """simulate_frames traces the receive table once and each
+        frame's transmit leg once, which also sets the frame's record
+        length: n transmits are n + 1 travel_times calls."""
         from soscorr.pipeline import PipelineConfig, apply_quick, \
             simulate_frames
 
@@ -890,11 +904,15 @@ class TestReceiveLoop:
             return trace(*args, **kwargs)
 
         monkeypatch.setattr(synthsim, "travel_times", counting_trace)
-        simulate_frames(cfg, tx_list=[55])
         n_sc = gen_scatterers(cfg.scatterer_grid(), cfg.scatterer_density,
                               cfg.seed).positions.shape[0]
-        assert calls == [(n_sc, 2), (cfg.array.num_elements, n_sc, 2),
-                         (n_sc, 2)]
+        for txs in ([55], [40, 55, 65, 88]):
+            calls.clear()
+            frames = simulate_frames(cfg, tx_list=txs)
+            assert sorted(frames) == txs
+            assert len(calls) == len(txs) + 1
+            assert calls == [(cfg.array.num_elements, n_sc, 2)] \
+                + [(n_sc, 2)] * len(txs)
 
 
 class TestFrameIO:

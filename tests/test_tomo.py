@@ -367,6 +367,12 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             ReconConfig(obj_tol=0.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        """A cap below 1 would still run one L-BFGS iteration."""
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            ReconConfig(max_iter=max_iter)
+
 
 class TestSlownessMap:
     def test_to_sos_identity_at_zero(self):

@@ -30,7 +30,7 @@ def main():
 
     cfg = PipelineConfig(threads=4)
     if args.full:
-        step, degrees, selector = 1.0, (1, 3, 5), "every-4"
+        step, degrees, selector = 1.0, cal.DEGREES, "every-4"
     else:
         cfg = apply_quick(cfg)
         step, degrees, selector = 5.0, (1, 3), "every-2"

@@ -15,7 +15,11 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import brentq
 
+from .regress import r_squared
+
 CONVENTION = "delta_c = c_bf - c"
+# polynomial degrees a calibration model may have
+DEGREES = (1, 3, 5)
 
 
 class CalibrationError(ValueError):
@@ -32,18 +36,18 @@ class OffsetOutOfRangeError(ValueError):
 class CalibrationEntry:
     delta_c: float  # m/s, c_bf - c
     slope: float  # s/rad
-    r_squared: float
 
 
 @dataclass(frozen=True)
 class CalibrationDataset:
+    """Sweep entries in strictly increasing delta_c order."""
+
     entries: tuple[CalibrationEntry, ...]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        dcs = [e.delta_c for e in self.entries]
-        if len(set(dcs)) != len(dcs):
-            raise ValueError("delta_c values must be distinct")
+        if np.any(np.diff(self.delta_cs()) <= 0):
+            raise ValueError("delta_c values must be strictly increasing")
         if not all(np.isfinite(e.slope) for e in self.entries):
             raise ValueError("slopes must be finite")
 
@@ -85,11 +89,10 @@ def build_calibration(
     validated on a 0.1 m/s grid; a non-monotone fit raises
     CalibrationError naming the violating interval.
     """
-    if degree not in (1, 3, 5):
-        raise ValueError("degree must be 1, 3 or 5")
-    order = np.argsort(dataset.delta_cs())
-    dcs = dataset.delta_cs()[order]
-    slopes = dataset.slopes()[order]
+    if degree not in DEGREES:
+        raise ValueError(f"degree must be one of {DEGREES}")
+    dcs = dataset.delta_cs()
+    slopes = dataset.slopes()
     train = _train_indices(dcs.size, train_selector)
     if train.size < degree + 1:
         raise ValueError(
@@ -97,7 +100,7 @@ def build_calibration(
         )
     coeffs = np.polynomial.polynomial.polyfit(dcs[train], slopes[train], degree)
 
-    lo, hi = float(dcs.min()), float(dcs.max())
+    lo, hi = float(dcs[0]), float(dcs[-1])
     grid = np.arange(lo, hi + 0.05, 0.1)
     vals = np.polynomial.polynomial.polyval(grid, coeffs)
     diffs = np.diff(vals)
@@ -115,6 +118,32 @@ def build_calibration(
         training_indices=tuple(int(i) for i in train),
         metadata=dict(dataset.metadata),
     )
+
+
+def holdout_score(dataset: CalibrationDataset,
+                  model: CalibrationModel) -> dict:
+    """Round-trip score of the sweep points the model was not fit on.
+
+    Each held-out slope is inverted through the model; a slope outside
+    the invertible range counts as its nearest domain boundary. Returns
+    n_train, n_test, and the R^2 and RMSE (m/s) of the estimates.
+    """
+    train = set(model.training_indices)
+    test = [e for i, e in enumerate(dataset.entries) if i not in train]
+    est = []
+    for e in test:
+        try:
+            est.append(estimate_offset(model, e.slope))
+        except OffsetOutOfRangeError as err:
+            est.append(err.nearest_delta_c)
+    est = np.array(est)
+    true = np.array([e.delta_c for e in test])
+    return {
+        "n_train": len(train),
+        "n_test": true.size,
+        "test_r2": r_squared(true, est),
+        "test_rmse_mps": float(np.sqrt(np.mean((est - true)**2))),
+    }
 
 
 def estimate_offset(model: CalibrationModel, observed_slope: float) -> float:
@@ -178,9 +207,9 @@ def save_model(path: Path, model: CalibrationModel) -> None:
 
 
 def load_model(path: Path) -> CalibrationModel:
-    """Model saved by :func:`save_model`. A missing key, a degree other
-    than 1, 3 or 5, a coefficient count other than degree + 1 or a
-    domain with lo >= hi is a ValueError naming the file and the key."""
+    """Model saved by :func:`save_model`. A missing key, a degree not in
+    DEGREES, a coefficient count other than degree + 1 or a domain with
+    lo >= hi is a ValueError naming the file and the key."""
     fields: dict[str, str] = {}
     for line in Path(path).read_text().splitlines()[1:]:
         if line.strip():
@@ -201,8 +230,9 @@ def load_model(path: Path) -> CalibrationModel:
     coefficients = values("coefficients", float)
     domain = values("domain", float)
     training = values("training_indices", int)
-    if degree not in ([1], [3], [5]):
-        raise ValueError(f"{path}: degree {fields['degree']!r} is not 1, 3 or 5")
+    if len(degree) != 1 or degree[0] not in DEGREES:
+        raise ValueError(f"{path}: degree {fields['degree']!r} is not one of "
+                         f"{DEGREES}")
     if len(coefficients) != degree[0] + 1:
         raise ValueError(f"{path}: coefficients has {len(coefficients)} values, "
                          f"degree {degree[0]} needs {degree[0] + 1}")
@@ -225,11 +255,9 @@ def export_sweep(path: Path, dataset: CalibrationDataset,
                  model: CalibrationModel) -> None:
     """CSV of (delta_c, slope, split) for calibration-curve plots."""
     train = set(model.training_indices)
-    order = np.argsort(dataset.delta_cs())
     with open(path, "w", newline="") as f:
         wr = csv.writer(f)
         wr.writerow(["delta_c_mps", "slope_s_per_rad", "split", "convention"])
-        for rank, i in enumerate(order):
-            e = dataset.entries[i]
-            split = "train" if rank in train else "test"
+        for i, e in enumerate(dataset.entries):
+            split = "train" if i in train else "test"
             wr.writerow([f"{e.delta_c:.3f}", f"{e.slope:.9e}", split, CONVENTION])

@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
-from .calibrate import CalibrationError, OffsetOutOfRangeError
+from .calibrate import DEGREES, CalibrationError, OffsetOutOfRangeError
 from .pipeline import ConfigError, PipelineConfig, apply_quick, load_config
 from .regress import (
     EmptyPatternError,
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
             # --quick coarsens only a step that passed the check
             pipeline.check_sweep(-args.range, args.range, args.step)
             step = args.step if not args.quick else max(args.step, 10.0)
-            degrees = (1, 3, 5) if not args.quick else (1,)
+            degrees = DEGREES if not args.quick else (1,)
             result = pipeline.cmd_calibrate(
                 cfg, args.out,
                 delta_c_min=-args.range, delta_c_max=args.range,

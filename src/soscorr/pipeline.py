@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import calibrate as cal
-from .beamform import APODIZATIONS, BFConfig, das_beamform
+from .beamform import BFConfig, das_beamform
 from .delaytrack import TrackConfig, export_delay_map, track_delays
 from .geometry import ImagingGrid, PolarROI, TransducerArray, element_position
 from .metrics import RegionLabels, cnr_db, contrast, rmse_map
-from .regress import FITTERS, extract_pattern, export_pattern, r_squared
+from .regress import FITTERS, extract_pattern, export_pattern
 from .synthsim import (
     ChannelFrame,
     Inclusion,
@@ -62,9 +62,10 @@ DEFAULT_RECON_PAIRS = (
 RECON_LATERAL_WINDOW = 5
 RECON_MIN_NCC = 0.4
 
-# where the polar ROI's origin lies on the probe: between the estimation
-# pair's elements, or at the array centre
-ROI_REFERENCES = ("pair_midpoint", "probe_center")
+# receive apodization for the estimation-pair beamforming; smooth
+# aperture weighting keeps the tracked pattern close to the
+# transmit-path echo-shift model
+ESTIMATION_APODIZATION = "hann"
 
 
 @dataclass
@@ -96,17 +97,12 @@ class PipelineConfig:
     roi_theta_min: float = -0.4
     roi_theta_max: float = 0.4
     roi_num_bins: int = 40
-    roi_reference: str = "pair_midpoint"  # one of ROI_REFERENCES
 
     regression_method: str = "robust"
     estimation_pair: tuple[int, int] = (55, 65)
     # wider tracking window for the global pattern fit; reconstruction keeps
     # the shorter default window for locality
     estimation_window_len: int = 224
-    # receive apodization for the estimation-pair beamforming; smooth
-    # aperture weighting keeps the tracked pattern close to the
-    # transmit-path echo-shift model
-    estimation_apodization: str = "hann"
     recon_pairs: tuple[tuple[int, int], ...] = DEFAULT_RECON_PAIRS
     recon: ReconConfig = field(default_factory=ReconConfig)
     calibration_degree: int = 1
@@ -120,11 +116,9 @@ class PipelineConfig:
                               f"{self.noise_snr_db!r}: must be finite")
         # the enumerated values, named by their INI keys
         for key, value, allowed in (
-                ("[roi] reference", self.roi_reference, ROI_REFERENCES),
                 ("[regression] method", self.regression_method, FITTERS),
-                ("[estimation] apodization", self.estimation_apodization,
-                 APODIZATIONS),
-                ("[calibration] degree", self.calibration_degree, (1, 3, 5))):
+                ("[calibration] degree", self.calibration_degree,
+                 cal.DEGREES)):
             if value not in allowed:
                 raise ConfigError(f"{key} = {value!r}: must be one of "
                                   f"{', '.join(map(str, allowed))}")
@@ -136,22 +130,18 @@ class PipelineConfig:
                 if a == b:
                     raise ConfigError(f"{key}: pair {a},{b} transmits on "
                                       "one element twice")
+                for e in (a, b):
+                    if not 0 <= e < self.array.num_elements:
+                        raise ConfigError(
+                            f"{key}: element {e} of pair {a},{b} is not on "
+                            f"the {self.array.num_elements}-element array")
 
     # ---- derived geometry -------------------------------------------------
-
-    def medium_grid(self) -> ImagingGrid:
-        half = self.array.aperture / 2 + self.array.pitch
-        dx = 3.0e-4
-        nx = int(np.ceil(2 * half / dx))
-        depth = self.bf_z0 + self.bf_depth + 2e-3
-        dz = 3.0e-4
-        nz = int(np.ceil(depth / dz))
-        return ImagingGrid(x0=-half + dx / 2, z0=dz / 2, dx=dx, dz=dz, nx=nx, nz=nz)
 
     def medium(self) -> MediumSpec:
         return MediumSpec(
             background_sos=self.background_sos,
-            grid=self.medium_grid(),
+            grid=self.slow_grid(),
             inclusions=self.inclusions,
         )
 
@@ -186,21 +176,16 @@ class PipelineConfig:
         )
 
     def roi(self) -> PolarROI:
-        if self.roi_reference == "probe_center":
-            ref = 0.0
-        else:
-            a, b = self.estimation_pair
-            ref = 0.5 * (
-                element_position(self.array, a)[0]
-                + element_position(self.array, b)[0]
-            )
+        """Polar ROI whose origin is the estimation pair's midpoint."""
+        a, b = self.estimation_pair
         return PolarROI(
             depth_min=self.roi_depth_min,
             depth_max=self.roi_depth_max,
             theta_min=self.roi_theta_min,
             theta_max=self.roi_theta_max,
             num_bins=self.roi_num_bins,
-            reference_x=ref,
+            reference_x=0.5 * (element_position(self.array, a)[0]
+                               + element_position(self.array, b)[0]),
         )
 
     def estimation_grid(self) -> ImagingGrid:
@@ -304,11 +289,9 @@ _FIELDS = (
     ("roi", "theta_min", "roi_theta_min", float, repr),
     ("roi", "theta_max", "roi_theta_max", float, repr),
     ("roi", "num_bins", "roi_num_bins", int, str),
-    ("roi", "reference", "roi_reference", str, str),
     ("regression", "method", "regression_method", str, str),
     ("estimation", "pair", "estimation_pair", _parse_pair, _format_pair),
     ("estimation", "window_len", "estimation_window_len", int, str),
-    ("estimation", "apodization", "estimation_apodization", str, str),
     ("reconstruction", "pairs", "recon_pairs",
      lambda s: tuple(map(_parse_pair, s.split())),
      lambda pairs: " ".join(map(_format_pair, pairs))),
@@ -464,7 +447,7 @@ def estimate_slope(
 ):
     """Track the estimation pair at c_bf and fit the angular pattern."""
     grid = cfg.estimation_grid()
-    bfc = BFConfig(c_bf=c_bf, grid=grid, apodization=cfg.estimation_apodization)
+    bfc = BFConfig(c_bf=c_bf, grid=grid, apodization=ESTIMATION_APODIZATION)
     fa = das_beamform(frames[cfg.estimation_pair[0]], cfg.array, bfc)
     fb = das_beamform(frames[cfg.estimation_pair[1]], cfg.array, bfc)
     track_cfg = replace(cfg.tracking, window_len=cfg.estimation_window_len)
@@ -499,15 +482,14 @@ def run_calibration_sweep(
     delta_c_min: float = -40.0,
     delta_c_max: float = 40.0,
     step: float = 1.0,
-    degrees: tuple[int, ...] = (1, 3, 5),
+    degrees: tuple[int, ...] = cal.DEGREES,
     train_selector="every-4",
 ) -> SweepResult:
     """Beamform/track/fit across the BF-SoS offset sweep and build models.
 
     Requires a homogeneous medium (self-consistent calibration against
     the artifact's own simulator). Evaluation rows report, per degree,
-    the R^2 and RMSE of the round-trip offset estimates on the held-out
-    points.
+    the held-out score of :func:`calibrate.holdout_score`.
     """
     if cfg.inclusions:
         raise ConfigError("calibration requires a homogeneous medium")
@@ -516,9 +498,7 @@ def run_calibration_sweep(
 
     def one(dc):
         fit, _, _ = estimate_slope(frames, c_true + dc, cfg)
-        return cal.CalibrationEntry(
-            delta_c=float(dc), slope=fit.slope, r_squared=fit.r_squared
-        )
+        return cal.CalibrationEntry(delta_c=float(dc), slope=fit.slope)
 
     entries = thread_map(one, deltas, cfg.threads)
 
@@ -534,36 +514,11 @@ def run_calibration_sweep(
         },
     )
 
-    models = {}
-    rows = []
-    dcs = dataset.delta_cs()
-    order = np.argsort(dcs)
+    models, rows = {}, []
     for deg in degrees:
-        model = cal.build_calibration(dataset, degree=deg,
-                                      train_selector=train_selector)
-        models[deg] = model
-        train = set(model.training_indices)
-        est, true = [], []
-        for rank in range(order.size):
-            if rank in train:
-                continue
-            e = dataset.entries[order[rank]]
-            try:
-                est.append(cal.estimate_offset(model, e.slope))
-            except cal.OffsetOutOfRangeError as err:
-                est.append(err.nearest_delta_c)
-            true.append(e.delta_c)
-        est = np.array(est)
-        true = np.array(true)
-        rows.append(
-            {
-                "degree": deg,
-                "n_train": len(train),
-                "n_test": true.size,
-                "test_r2": r_squared(true, est),
-                "test_rmse_mps": float(np.sqrt(np.mean((est - true)**2))),
-            }
-        )
+        models[deg] = model = cal.build_calibration(
+            dataset, degree=deg, train_selector=train_selector)
+        rows.append({"degree": deg, **cal.holdout_score(dataset, model)})
     return SweepResult(dataset=dataset, models=models, report_rows=rows)
 
 
@@ -573,7 +528,7 @@ def cmd_calibrate(
     delta_c_min: float = -40.0,
     delta_c_max: float = 40.0,
     step: float = 1.0,
-    degrees: tuple[int, ...] = (1, 3, 5),
+    degrees: tuple[int, ...] = cal.DEGREES,
 ) -> SweepResult:
     """Full calibration stage: simulates the estimation pair's frames,
     runs the sweep and persists the model, the sweep and the held-out
@@ -828,20 +783,19 @@ class CaseResult:
 def evaluate_phantom_set(
     base_cfg: PipelineConfig,
     model: cal.CalibrationModel,
-    phantoms: list[tuple[str, tuple[Inclusion, ...]]] | None = None,
     offset_percents: tuple[float, float] = (1.5, -1.5),
 ) -> list[CaseResult]:
-    """Before/after-correction reconstruction metrics over a phantom batch.
+    """Before/after-correction reconstruction metrics over the desk-scale
+    phantom set.
 
     Each phantom is beamformed with a deliberately wrong BF-SoS (offsets
     alternate through offset_percents, as a percentage of the true
     background SoS), the offset is estimated and corrected, and both maps
     are reconstructed and scored against the ground truth.
     """
-    if phantoms is None:
-        phantoms = default_phantom_set(base_cfg.background_sos)
     results = []
-    for i, (name, incs) in enumerate(phantoms):
+    for i, (name, incs) in enumerate(
+            default_phantom_set(base_cfg.background_sos)):
         cfg = replace(base_cfg, inclusions=incs)
         pct = offset_percents[i % len(offset_percents)]
         c_bf = cfg.background_sos * (1.0 + pct / 100.0)

@@ -42,7 +42,6 @@ class DelayPattern:
     thetas: np.ndarray  # strictly increasing bin centers, radians
     median_delays: np.ndarray  # seconds
     weights: np.ndarray  # mean ncc per bin, [0, 1]
-    roi: PolarROI
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,6 @@ def extract_pattern(dmap: DelayMap, roi: PolarROI) -> DelayPattern:
         thetas=np.array(thetas),
         median_delays=np.array(medians),
         weights=np.array(weights),
-        roi=roi,
     )
 
 

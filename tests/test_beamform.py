@@ -17,7 +17,11 @@ from soscorr.synthsim import (
     ScattererField,
     simulate_frame,
 )
-from soscorr.pipeline import default_phantom_set, simulate_frames
+from soscorr.pipeline import (
+    ESTIMATION_APODIZATION,
+    default_phantom_set,
+    simulate_frames,
+)
 
 
 def make_medium():
@@ -99,7 +103,7 @@ class TestDASBeamform:
         assert len(frames) == 6
         assert min(fr.num_samples for fr in frames.values()) < longest
         grids = ((cfg.full_grid(), "none"),
-                 (cfg.estimation_grid(), cfg.estimation_apodization))
+                 (cfg.estimation_grid(), ESTIMATION_APODIZATION))
         for fr in frames.values():
             pad = longest - fr.num_samples
             padded = replace(fr, samples=np.pad(fr.samples, ((0, 0), (0, pad))))

@@ -13,6 +13,7 @@ from soscorr.calibrate import (
     corrected_sos,
     estimate_offset,
     export_sweep,
+    holdout_score,
     load_model,
     save_model,
 )
@@ -22,7 +23,7 @@ def linear_dataset(a0=1e-9, a1=2e-9, dcs=None):
     if dcs is None:
         dcs = np.arange(-40.0, 41.0, 1.0)
     entries = tuple(
-        CalibrationEntry(delta_c=float(dc), slope=a0 + a1 * dc, r_squared=1.0)
+        CalibrationEntry(delta_c=float(dc), slope=a0 + a1 * dc)
         for dc in dcs
     )
     return CalibrationDataset(entries=entries, metadata={"c_true": 1500.0})
@@ -32,15 +33,22 @@ class TestDataset:
     def test_duplicate_delta_c_rejected(self):
         with pytest.raises(ValueError):
             CalibrationDataset(entries=(
-                CalibrationEntry(0.0, 1.0, 1.0),
-                CalibrationEntry(0.0, 2.0, 1.0),
+                CalibrationEntry(0.0, 1.0),
+                CalibrationEntry(0.0, 2.0),
+            ))
+
+    def test_out_of_order_delta_c_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CalibrationDataset(entries=(
+                CalibrationEntry(1.0, 1.0),
+                CalibrationEntry(0.0, 2.0),
             ))
 
     def test_nonfinite_slope_rejected(self):
         with pytest.raises(ValueError):
             CalibrationDataset(entries=(
-                CalibrationEntry(0.0, np.nan, 1.0),
-                CalibrationEntry(1.0, 1.0, 1.0),
+                CalibrationEntry(0.0, np.nan),
+                CalibrationEntry(1.0, 1.0),
             ))
 
 
@@ -75,7 +83,7 @@ class TestBuildCalibration:
     def test_nonmonotone_fit_raises_with_interval(self):
         dcs = np.arange(-40.0, 41.0, 1.0)
         entries = tuple(
-            CalibrationEntry(float(dc), 1e-9 * dc * dc, 1.0) for dc in dcs
+            CalibrationEntry(float(dc), 1e-9 * dc * dc) for dc in dcs
         )
         ds = CalibrationDataset(entries=entries)
         with pytest.raises(CalibrationError, match="not monotonic"):
@@ -107,7 +115,7 @@ class TestEstimateOffset:
     def test_degree3_bisection_roundtrip(self):
         dcs = np.arange(-40.0, 41.0, 1.0)
         entries = tuple(
-            CalibrationEntry(float(dc), 2e-9 * dc + 1e-12 * dc**3, 1.0)
+            CalibrationEntry(float(dc), 2e-9 * dc + 1e-12 * dc**3)
             for dc in dcs
         )
         ds = CalibrationDataset(entries=entries)
@@ -119,13 +127,33 @@ class TestEstimateOffset:
     def test_degree3_out_of_range_reports_nearest(self):
         dcs = np.arange(-40.0, 41.0, 1.0)
         entries = tuple(
-            CalibrationEntry(float(dc), 2e-9 * dc, 1.0) for dc in dcs
+            CalibrationEntry(float(dc), 2e-9 * dc) for dc in dcs
         )
         model = build_calibration(CalibrationDataset(entries=entries),
                                   degree=3, train_selector="every-4")
         with pytest.raises(OffsetOutOfRangeError) as exc:
             estimate_offset(model, -2e-9 * 50.0)
         assert exc.value.nearest_delta_c == pytest.approx(-40.0)
+
+
+class TestHoldoutScore:
+    def test_out_of_range_slope_counts_as_nearest_boundary(self):
+        """every-2 fits -20, 0 and +20 and holds out -10 and +10; the
+        slope held out at +10 lies far past the model's range, so it
+        is scored as the +20 boundary."""
+        entries = tuple(CalibrationEntry(dc, 1e-9 * dc)
+                        for dc in (-20.0, -10.0, 0.0, 20.0))
+        ds = CalibrationDataset(entries=(
+            *entries[:3], CalibrationEntry(10.0, 1e-7), entries[3]))
+        model = build_calibration(ds, degree=1, train_selector="every-2")
+        with pytest.raises(OffsetOutOfRangeError):
+            estimate_offset(model, 1e-7)
+        score = holdout_score(ds, model)
+        # estimates -10 and +20 against true -10 and +10
+        assert score["n_train"] == 3
+        assert score["n_test"] == 2
+        assert score["test_rmse_mps"] == pytest.approx(np.sqrt(50.0))
+        assert score["test_r2"] == pytest.approx(0.5)
 
 
 class TestCorrectedSoS:

@@ -1,8 +1,9 @@
-"""Source hygiene: no unused import in a package module, and no
+"""Source hygiene: no unused import in a package module, no
 module-level function or class, and no class field, that nothing
-outside the tests loads."""
+outside the tests loads, and no test module that fails to import."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "soscorr"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("test_*.py"))
 # files whose loads count as use; an import alone (the package's
 # __init__ re-exports) does not
 USERS = sorted(p for d in ("src", "perfbench", "demos")
@@ -193,3 +195,12 @@ def test_one_record_writer():
         if calls_json_dumps(node)
     ]
     assert callers == ["pipeline.write_record"]
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.stem)
+def test_test_module_imports(path):
+    """A test module that fails to import is a failed test here, not
+    only a collection error that a run with
+    --continue-on-collection-errors steps over."""
+    spec = importlib.util.spec_from_file_location(f"_import_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))

@@ -30,7 +30,7 @@ from soscorr.pipeline import (
     write_record,
 )
 from soscorr import pipeline
-from soscorr.geometry import ImagingGrid
+from soscorr.geometry import ImagingGrid, TransducerArray
 from soscorr.regress import (
     FITTERS,
     EmptyPatternError,
@@ -92,9 +92,11 @@ inclusions = st.builds(
     half_axes=st.tuples(st.floats(1e-4, 0.01), st.floats(1e-4, 0.01)),
     sos=st.floats(SOS_MIN, SOS_MAX),
 )
-# a valid value for every field the config file sets, by field path
+# a valid value for every field the config file sets, by field path;
+# the array keeps every element of the default pairs
 FIELD_VALUES = {
-    "array.num_elements": st.integers(2, 512),
+    "array.num_elements": st.integers(max(PipelineConfig().required_tx()) + 1,
+                                      512),
     "array.pitch": lengths,
     # the other pulse field keeps its default: sampling 1.6e8, center 5e6
     "pulse.center_frequency": st.floats(1e5, 1.6e7),
@@ -121,11 +123,9 @@ FIELD_VALUES = {
     "roi_theta_min": st.floats(-1.0, 0.0),
     "roi_theta_max": st.floats(0.0, 1.0),
     "roi_num_bins": st.integers(2, 200),
-    "roi_reference": st.sampled_from(["pair_midpoint", "probe_center"]),
     "regression_method": st.sampled_from(sorted(FITTERS)),
     "estimation_pair": element_pairs,
     "estimation_window_len": st.integers(8, 512),
-    "estimation_apodization": st.sampled_from(["none", "hann"]),
     "recon_pairs": st.lists(element_pairs, min_size=1, max_size=8).map(tuple),
     "recon.lam": st.floats(0.0, 10.0),
     "recon.tv_axial_weight": st.floats(0.0, 10.0),
@@ -159,7 +159,6 @@ class TestConfigFiles:
             slow_nx=24,
             estimation_pair=(50, 70),
             estimation_window_len=192,
-            estimation_apodization="none",
             recon_pairs=((40, 56), (72, 88)),
             calibration_degree=3,
             regression_method="weighted",
@@ -174,7 +173,6 @@ class TestConfigFiles:
         assert back.slow_nx == 24
         assert back.estimation_pair == (50, 70)
         assert back.estimation_window_len == 192
-        assert back.estimation_apodization == "none"
         assert back.recon_pairs == ((40, 56), (72, 88))
         assert back.calibration_degree == 3
         assert back.regression_method == "weighted"
@@ -229,7 +227,6 @@ class TestConfigFiles:
         ("estimation", "pair = 55"),
         ("reconstruction", "pairs = 40,56 72"),
         ("tracking", "window_len = 9.5"),
-        ("roi", "reference = probe_centre"),
         ("calibration", "degree = 2"),
         ("simulation", "noise_snr_db = loud"),
         ("simulation", "noise_snr_db = nan"),
@@ -238,12 +235,24 @@ class TestConfigFiles:
         ("reconstruction", "max_iter = 0"),
         ("reconstruction", "max_iter = -5"),
         ("medium", "background_sos = 15%"),
+        ("estimation", "pair = 55,200"),
+        ("reconstruction", "pairs = 40,56 120,136"),
     ])
     def test_bad_value_names_section_and_key(self, tmp_path, section, line):
         path = tmp_path / "cfg.ini"
         path.write_text(f"[{section}]\n{line}\n")
         key = line.split(" =")[0]
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", ["[roi]\nreference = pair_midpoint\n",
+                                      "[estimation]\napodization = hann\n"])
+    def test_removed_keys_are_unknown(self, tmp_path, text):
+        """The ROI origin and the estimation apodization are fixed: a
+        resolved config that still sets them is refused."""
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)
 
     def test_invalid_combination_names_section(self, tmp_path):
@@ -288,23 +297,13 @@ class TestConfigFiles:
 
 
 class TestDerivedConfig:
-    @pytest.mark.parametrize("reference", ["probe-centre", "probe_centre",
-                                           "", "Pair_Midpoint"])
-    def test_unknown_roi_reference_rejected(self, reference):
-        """A config built in code is checked as a config file is: an
-        unknown ROI reference does not fall back to the pair midpoint."""
-        with pytest.raises(ConfigError, match=r"\[roi\] reference"):
-            PipelineConfig(roi_reference=reference)
-
     @pytest.mark.parametrize("field, value, key", [
         ("regression_method", "lasso", r"\[regression\] method"),
         ("regression_method", "Robust", r"\[regression\] method"),
-        ("estimation_apodization", "hanning", r"\[estimation\] apodization"),
-        ("estimation_apodization", "", r"\[estimation\] apodization"),
         ("calibration_degree", 2, r"\[calibration\] degree"),
     ])
     def test_unknown_choice_rejected_at_construction(self, field, value, key):
-        """A fitter or apodization that the INI parser would refuse fails
+        """A fitter or degree that the INI parser would refuse fails
         when the config is built in code, naming its INI key, not later
         inside estimate_slope."""
         with pytest.raises(ConfigError, match=key + " = .*must be one of"):
@@ -316,12 +315,22 @@ class TestDerivedConfig:
                            "= .*must be finite"):
             PipelineConfig(noise_snr_db=snr)
 
-    @pytest.mark.parametrize("reference, x", [("pair_midpoint", 3e-4),
-                                              ("probe_center", 0.0)])
-    def test_roi_reference_sets_the_origin(self, reference, x):
+    def test_roi_origin_is_the_pair_midpoint(self):
         # elements 64 and 65 lie at 0.15 and 0.45 mm
-        cfg = PipelineConfig(roi_reference=reference, estimation_pair=(64, 65))
-        assert cfg.roi().reference_x == pytest.approx(x, abs=1e-12)
+        cfg = PipelineConfig(estimation_pair=(64, 65))
+        assert cfg.roi().reference_x == pytest.approx(3e-4, abs=1e-12)
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"estimation_pair": (55, 200)}, r"\[estimation\] pair"),
+        ({"estimation_pair": (-1, 65)}, r"\[estimation\] pair"),
+        ({"recon_pairs": ((40, 56), (120, 128))}, r"\[reconstruction\] pairs"),
+        ({"array": TransducerArray(num_elements=64)},
+         r"\[estimation\] pair"),
+    ], ids=["estimation-200", "estimation-minus-1", "recon-128",
+            "64-element-array"])
+    def test_pair_element_off_the_array_rejected(self, kwargs, key):
+        with pytest.raises(ConfigError, match=key + ": element .* not on the"):
+            PipelineConfig(**kwargs)
 
     def test_required_tx_default(self):
         cfg = PipelineConfig()
@@ -461,8 +470,7 @@ class TestCalibrationSweep:
         ]
         one, two = (r.dataset.entries for r in runs)
         assert [e.delta_c for e in one] == [-20.0, -10.0, 0.0, 10.0, 20.0]
-        assert [(e.slope, e.r_squared) for e in one] == \
-            [(e.slope, e.r_squared) for e in two]
+        assert [e.slope for e in one] == [e.slope for e in two]
         assert np.all(np.diff([e.slope for e in one]) > 0)
 
     def test_one_held_out_point_is_insufficient(self, monkeypatch):
@@ -615,9 +623,7 @@ class TestCLIExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("text", [
-        "[roi]\nreference = probe_centre\n",
         "[calibration]\ndegree = 2\n",
-        "[estimation]\napodization = hanning\n",
         "[reconstruction]\npairs =\n",
         "[reconstruction]\npairs = 40,56 40,40\n",
         "[estimation]\npair = 55,55\n",
@@ -636,6 +642,46 @@ class TestCLIExitCodes:
         section, line = text.splitlines()
         assert "config error" in err
         assert f"{section} {line.partition(' =')[0]}" in err
+
+    @pytest.mark.parametrize("text", ["[roi]\nreference = pair_midpoint\n",
+                                      "[estimation]\napodization = hann\n"])
+    def test_removed_key_is_two(self, workspace, capsys, text):
+        root, _ = workspace
+        bad = root / "removed_key.ini"
+        bad.write_text(text)
+        rc = cli_main([
+            "--config", str(bad), "--out", str(root / "x"), "simulate",
+        ])
+        assert rc == 2
+        assert "unknown key" in capsys.readouterr().err
+
+    def test_recon_pair_off_the_array_is_two_before_any_frame(
+            self, workspace, capsys):
+        root, _ = workspace
+        bad = root / "off_array.ini"
+        bad.write_text("[reconstruction]\npairs = 40,56 120,136\n")
+        out = root / "off_array"
+        rc = cli_main([
+            "--config", str(bad), "--out", str(out), "--quick", "simulate",
+        ])
+        assert rc == 2
+        assert "[reconstruction] pairs: element 136" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimation_pair_off_the_array_is_two(self, workspace, capsys):
+        """A config error, not a frame missing from the directory."""
+        root, _ = workspace
+        bad = root / "off_array_pair.ini"
+        bad.write_text(CHEAP_CONFIG.replace("pair = 55,65", "pair = 55,200"))
+        rc = cli_main([
+            "--config", str(bad), "--out", str(root / "est_off_array"),
+            "--quick", "estimate",
+            "--frames", str(root / "sim"),
+            "--model", str(root / "narrow_model.txt"),
+            "--c-bf", "1500",
+        ])
+        assert rc == 2
+        assert "[estimation] pair: element 200" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_noise_snr_is_two_before_any_frame(

@@ -24,11 +24,9 @@ def make_pattern(thetas, delays, weights=None):
     delays = np.asarray(delays, dtype=float)
     if weights is None:
         weights = np.ones_like(thetas)
-    roi = PolarROI(depth_min=7.5e-3, depth_max=15e-3, theta_min=-0.5,
-                   theta_max=0.5, num_bins=max(thetas.size, 2))
     return DelayPattern(
         thetas=thetas, median_delays=delays,
-        weights=np.asarray(weights, dtype=float), roi=roi,
+        weights=np.asarray(weights, dtype=float),
     )
 
 

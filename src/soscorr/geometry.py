@@ -142,9 +142,10 @@ class PolarROI:
     reference_x: float = 0.0
 
     def __post_init__(self):
-        if self.depth_min >= self.depth_max:
+        # written as "not <" so that a NaN bound fails too
+        if not self.depth_min < self.depth_max:
             raise ValueError("depth_min must be < depth_max")
-        if self.theta_min >= self.theta_max:
+        if not self.theta_min < self.theta_max:
             raise ValueError("theta_min must be < theta_max")
         if self.num_bins < 2:
             raise ValueError("num_bins must be >= 2")

@@ -56,16 +56,26 @@ DEFAULT_RECON_PAIRS = (
     (24, 40), (40, 56), (56, 72), (72, 88), (88, 104), (104, 120),
 )
 
-# reconstruction pairs lie further apart than the estimation pair and
-# decorrelate more: their tracker pools 5 image columns per node and
-# keeps only nodes whose peak NCC reaches 0.4
-RECON_LATERAL_WINDOW = 5
-RECON_MIN_NCC = 0.4
-
 # receive apodization for the estimation-pair beamforming; smooth
 # aperture weighting keeps the tracked pattern close to the
 # transmit-path echo-shift model
 ESTIMATION_APODIZATION = "hann"
+
+# the estimation pair's tracker: a long window for the global pattern
+# fit; its window and lag search set estimation_grid()'s margins
+ESTIMATION_TRACKING = TrackConfig(window_len=224)
+
+# the estimation pair's pattern fit, a key of regress.FITTERS
+ESTIMATION_FIT = "robust"
+
+# reconstruction pairs lie further apart than the estimation pair and
+# decorrelate more: their tracker pools 5 image columns per node and
+# keeps only nodes whose peak NCC reaches 0.4. The shorter window keeps
+# the delays local; nodes lie a sixth of it apart axially, as closer
+# nodes repeat windows. The lag search is set per c_bf by
+# recon_search_radius.
+RECON_TRACKING = TrackConfig(window_len=96, axial_step=16, lateral_step=2,
+                             lateral_window=5, min_ncc=0.4)
 
 
 @dataclass
@@ -88,21 +98,13 @@ class PipelineConfig:
     slow_nx: int = 32
     slow_nz: int = 32
 
-    tracking: TrackConfig = field(default_factory=TrackConfig)
-    recon_axial_step: int = 16  # window_len / 6: closer nodes repeat windows
-    recon_lateral_step: int = 2
-
     roi_depth_min: float = 7.5e-3
     roi_depth_max: float = 15.0e-3
     roi_theta_min: float = -0.4
     roi_theta_max: float = 0.4
     roi_num_bins: int = 40
 
-    regression_method: str = "robust"
     estimation_pair: tuple[int, int] = (55, 65)
-    # wider tracking window for the global pattern fit; reconstruction keeps
-    # the shorter default window for locality
-    estimation_window_len: int = 224
     recon_pairs: tuple[tuple[int, int], ...] = DEFAULT_RECON_PAIRS
     recon: ReconConfig = field(default_factory=ReconConfig)
     calibration_degree: int = 1
@@ -114,14 +116,10 @@ class PipelineConfig:
         if self.noise_snr_db is not None and not np.isfinite(self.noise_snr_db):
             raise ConfigError(f"[simulation] noise_snr_db = "
                               f"{self.noise_snr_db!r}: must be finite")
-        # the enumerated values, named by their INI keys
-        for key, value, allowed in (
-                ("[regression] method", self.regression_method, FITTERS),
-                ("[calibration] degree", self.calibration_degree,
-                 cal.DEGREES)):
-            if value not in allowed:
-                raise ConfigError(f"{key} = {value!r}: must be one of "
-                                  f"{', '.join(map(str, allowed))}")
+        if self.calibration_degree not in cal.DEGREES:
+            raise ConfigError(
+                f"[calibration] degree = {self.calibration_degree!r}: must be "
+                f"one of {', '.join(map(str, cal.DEGREES))}")
         if not self.recon_pairs:
             raise ConfigError("[reconstruction] pairs: no transmit pair")
         for key, pairs in (("[estimation] pair", (self.estimation_pair,)),
@@ -135,6 +133,10 @@ class PipelineConfig:
                         raise ConfigError(
                             f"{key}: element {e} of pair {a},{b} is not on "
                             f"the {self.array.num_elements}-element array")
+        try:
+            self.roi()
+        except ValueError as err:
+            raise ConfigError(f"[roi] {err}") from err
 
     # ---- derived geometry -------------------------------------------------
 
@@ -191,8 +193,8 @@ class PipelineConfig:
     def estimation_grid(self) -> ImagingGrid:
         """Tight beamforming grid around the pattern-extraction ROI."""
         roi = self.roi()
-        w = self.estimation_window_len
-        r = self.tracking.search_radius
+        w = ESTIMATION_TRACKING.window_len
+        r = ESTIMATION_TRACKING.search_radius
         margin_z = (w / 2 + r + 2) * self.bf_dz
         z0 = max(self.bf_z0 * 0.5, roi.depth_min - margin_z - 1e-3)
         z1 = roi.depth_max + margin_z + 1e-3
@@ -220,7 +222,6 @@ def apply_quick(cfg: PipelineConfig) -> PipelineConfig:
         bf_depth=min(cfg.bf_depth, 27.0e-3),
         slow_nx=min(cfg.slow_nx, 24),
         slow_nz=min(cfg.slow_nz, 24),
-        recon_lateral_step=max(cfg.recon_lateral_step, 2),
         recon_pairs=(
             cfg.recon_pairs
             if len(cfg.recon_pairs) <= 4
@@ -279,19 +280,12 @@ _FIELDS = (
     ("grids", "bf_depth", "bf_depth", float, repr),
     ("grids", "slow_nx", "slow_nx", int, str),
     ("grids", "slow_nz", "slow_nz", int, str),
-    ("tracking", "window_len", "tracking.window_len", int, str),
-    ("tracking", "search_radius", "tracking.search_radius", int, str),
-    ("tracking", "axial_step", "tracking.axial_step", int, str),
-    ("tracking", "lateral_step", "tracking.lateral_step", int, str),
-    ("tracking", "min_ncc", "tracking.min_ncc", float, repr),
     ("roi", "depth_min", "roi_depth_min", float, repr),
     ("roi", "depth_max", "roi_depth_max", float, repr),
     ("roi", "theta_min", "roi_theta_min", float, repr),
     ("roi", "theta_max", "roi_theta_max", float, repr),
     ("roi", "num_bins", "roi_num_bins", int, str),
-    ("regression", "method", "regression_method", str, str),
     ("estimation", "pair", "estimation_pair", _parse_pair, _format_pair),
-    ("estimation", "window_len", "estimation_window_len", int, str),
     ("reconstruction", "pairs", "recon_pairs",
      lambda s: tuple(map(_parse_pair, s.split())),
      lambda pairs: " ".join(map(_format_pair, pairs))),
@@ -301,8 +295,6 @@ _FIELDS = (
      float, repr),
     ("reconstruction", "l1_epsilon", "recon.l1_epsilon", float, repr),
     ("reconstruction", "max_iter", "recon.max_iter", int, str),
-    ("reconstruction", "axial_step", "recon_axial_step", int, str),
-    ("reconstruction", "lateral_step", "recon_lateral_step", int, str),
     ("calibration", "degree", "calibration_degree", int, str),
 )
 _ROWS = {(row[0], row[1]): row for row in _FIELDS}
@@ -311,7 +303,7 @@ _ROWS = {(row[0], row[1]): row for row in _FIELDS}
 def load_config(path: Path) -> PipelineConfig:
     """Parse the sectioned key/value config file; unknown keys are errors.
 
-    Values for a nested object (array, pulse, tracking, recon) are applied
+    Values for a nested object (array, pulse, recon) are applied
     together, so its checks see every value the file sets.
     """
     cp = configparser.ConfigParser(interpolation=None)
@@ -450,10 +442,9 @@ def estimate_slope(
     bfc = BFConfig(c_bf=c_bf, grid=grid, apodization=ESTIMATION_APODIZATION)
     fa = das_beamform(frames[cfg.estimation_pair[0]], cfg.array, bfc)
     fb = das_beamform(frames[cfg.estimation_pair[1]], cfg.array, bfc)
-    track_cfg = replace(cfg.tracking, window_len=cfg.estimation_window_len)
-    dmap = track_delays(fa, fb, track_cfg)
+    dmap = track_delays(fa, fb, ESTIMATION_TRACKING)
     pattern = extract_pattern(dmap, cfg.roi())
-    fit = FITTERS[cfg.regression_method](pattern)
+    fit = FITTERS[ESTIMATION_FIT](pattern)
     return fit, pattern, dmap
 
 
@@ -509,7 +500,7 @@ def run_calibration_sweep(
             "pair": cfg.estimation_pair,
             "roi": (cfg.roi_depth_min, cfg.roi_depth_max,
                     cfg.roi_theta_min, cfg.roi_theta_max),
-            "method": cfg.regression_method,
+            "method": ESTIMATION_FIT,
             "seed": cfg.seed,
         },
     )
@@ -658,14 +649,8 @@ def cmd_reconstruct(
         raise FileNotFoundError(f"missing frames for tx elements {missing}")
 
     grid = cfg.full_grid()
-    track_cfg = replace(
-        cfg.tracking,
-        axial_step=cfg.recon_axial_step,
-        lateral_step=cfg.recon_lateral_step,
-        lateral_window=RECON_LATERAL_WINDOW,
-        search_radius=recon_search_radius(cfg, c_bf),
-        min_ncc=RECON_MIN_NCC,
-    )
+    track_cfg = replace(RECON_TRACKING,
+                        search_radius=recon_search_radius(cfg, c_bf))
     bfc = BFConfig(c_bf=c_bf, grid=grid)
     images = dict(zip(txs, thread_map(
         lambda tx: das_beamform(frames[tx], cfg.array, bfc), txs, cfg.threads

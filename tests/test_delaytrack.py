@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from soscorr.beamform import BeamformedFrame
 from soscorr.delaytrack import DelayMap, TrackConfig, track_delays
 from soscorr.geometry import ImagingGrid, element_position, polar_coords
+from soscorr.pipeline import ESTIMATION_TRACKING
 
 
 def speckle(n, seed=0, corr=4):
@@ -341,13 +342,13 @@ class TestTrackDelays:
     def test_measurement_grid_geometry(self, full_cfg, null_estimate):
         _, _, dmap = null_estimate
         est_grid = full_cfg.estimation_grid()
-        w = full_cfg.estimation_window_len
-        r = full_cfg.tracking.search_radius
+        w = ESTIMATION_TRACKING.window_len
+        r = ESTIMATION_TRACKING.search_radius
         # node centers start half a window past the first search offset
         expected_z0 = est_grid.z0 + (r + (w - 1) / 2.0) * est_grid.dz
         assert dmap.grid.z0 == pytest.approx(expected_z0)
         assert dmap.grid.dz == pytest.approx(
-            est_grid.dz * full_cfg.tracking.axial_step)
+            est_grid.dz * ESTIMATION_TRACKING.axial_step)
 
     def test_zero_offset_median_below_one_sample(self, full_cfg, null_estimate):
         _, _, dmap = null_estimate

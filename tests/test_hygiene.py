@@ -1,6 +1,7 @@
 """Source hygiene: no unused import in a package module, no
 module-level function or class, and no class field, that nothing
-outside the tests loads, and no test module that fails to import."""
+outside the tests loads, and no test module or demo that fails to
+import."""
 
 import ast
 import importlib.util
@@ -12,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "soscorr"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted((ROOT / "tests").glob("test_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # files whose loads count as use; an import alone (the package's
 # __init__ re-exports) does not
 USERS = sorted(p for d in ("src", "perfbench", "demos")
@@ -197,10 +199,22 @@ def test_one_record_writer():
     assert callers == ["pipeline.write_record"]
 
 
+def import_file(path: Path) -> None:
+    spec = importlib.util.spec_from_file_location(f"_import_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
 @pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.stem)
 def test_test_module_imports(path):
     """A test module that fails to import is a failed test here, not
     only a collection error that a run with
     --continue-on-collection-errors steps over."""
-    spec = importlib.util.spec_from_file_location(f"_import_{path.stem}", path)
-    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    import_file(path)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_imports(path):
+    """A name a demo imports that the package no longer defines fails
+    here, not only when the demo runs. Each demo's work sits behind its
+    __main__ guard, so the import runs none of it."""
+    import_file(path)

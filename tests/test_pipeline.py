@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import shutil
 import tempfile
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from soscorr.cli import main as cli_main
 from soscorr.pipeline import (
+    RECON_TRACKING,
     ConfigError,
     PipelineConfig,
     apply_quick,
@@ -32,7 +34,6 @@ from soscorr.pipeline import (
 from soscorr import pipeline
 from soscorr.geometry import ImagingGrid, TransducerArray
 from soscorr.regress import (
-    FITTERS,
     EmptyPatternError,
     InsufficientDataError,
     RankDeficiencyError,
@@ -64,6 +65,31 @@ coefficients 0.0 1e-15
 training_indices 0 1
 sweep_metadata_hash 0
 """
+
+# keys that a resolved config of an earlier version holds and that are
+# now fixed: the ROI origin, the estimation apodization, the two
+# tracker setups and the fit method
+REMOVED_KEYS = [
+    "[roi]\nreference = pair_midpoint\n",
+    "[estimation]\napodization = hann\n",
+    "[tracking]\nwindow_len = 96\n",
+    "[tracking]\nsearch_radius = 16\n",
+    "[tracking]\naxial_step = 2\n",
+    "[tracking]\nlateral_step = 1\n",
+    "[tracking]\nmin_ncc = 0.2\n",
+    "[regression]\nmethod = robust\n",
+    "[estimation]\nwindow_len = 224\n",
+    "[reconstruction]\naxial_step = 16\n",
+    "[reconstruction]\nlateral_step = 2\n",
+]
+
+
+def unknown_key_error(text):
+    """The error for the one-key config text: an unknown key, or an
+    unknown section when the key's whole section is gone."""
+    section, line = text.splitlines()
+    key = line.partition(" =")[0]
+    return rf"unknown (key '{key}' in section|config section) {re.escape(section)}"
 
 
 def roundtrip(cfg):
@@ -113,27 +139,18 @@ FIELD_VALUES = {
     "bf_depth": st.floats(0.005, 0.08),
     "slow_nx": st.integers(2, 128),
     "slow_nz": st.integers(2, 128),
-    "tracking.window_len": st.integers(8, 512),
-    "tracking.search_radius": st.integers(1, 64),
-    "tracking.axial_step": st.integers(1, 16),
-    "tracking.lateral_step": st.integers(1, 16),
-    "tracking.min_ncc": st.floats(0.0, 1.0),
     "roi_depth_min": st.floats(0.0, 0.01),
     "roi_depth_max": st.floats(0.01, 0.05),
     "roi_theta_min": st.floats(-1.0, 0.0),
     "roi_theta_max": st.floats(0.0, 1.0),
     "roi_num_bins": st.integers(2, 200),
-    "regression_method": st.sampled_from(sorted(FITTERS)),
     "estimation_pair": element_pairs,
-    "estimation_window_len": st.integers(8, 512),
     "recon_pairs": st.lists(element_pairs, min_size=1, max_size=8).map(tuple),
     "recon.lam": st.floats(0.0, 10.0),
     "recon.tv_axial_weight": st.floats(0.0, 10.0),
     "recon.tv_lateral_weight": st.floats(0.0, 10.0),
     "recon.l1_epsilon": st.floats(1e-6, 1.0),
     "recon.max_iter": st.integers(1, 5000),
-    "recon_axial_step": st.integers(1, 16),
-    "recon_lateral_step": st.integers(1, 16),
     "calibration_degree": st.sampled_from([1, 3, 5]),
 }
 
@@ -158,10 +175,8 @@ class TestConfigFiles:
             noise_snr_db=30.0,
             slow_nx=24,
             estimation_pair=(50, 70),
-            estimation_window_len=192,
             recon_pairs=((40, 56), (72, 88)),
             calibration_degree=3,
-            regression_method="weighted",
         )
         path = tmp_path / "cfg.ini"
         path.write_text(dump_config(cfg))
@@ -172,11 +187,8 @@ class TestConfigFiles:
         assert back.seed == cfg.seed
         assert back.slow_nx == 24
         assert back.estimation_pair == (50, 70)
-        assert back.estimation_window_len == 192
         assert back.recon_pairs == ((40, 56), (72, 88))
         assert back.calibration_degree == 3
-        assert back.regression_method == "weighted"
-        assert back.tracking == cfg.tracking
         assert back.recon == cfg.recon
 
     def test_every_table_field_has_a_strategy(self):
@@ -226,7 +238,7 @@ class TestConfigFiles:
     @pytest.mark.parametrize("section, line", [
         ("estimation", "pair = 55"),
         ("reconstruction", "pairs = 40,56 72"),
-        ("tracking", "window_len = 9.5"),
+        ("grids", "slow_nx = 9.5"),
         ("calibration", "degree = 2"),
         ("simulation", "noise_snr_db = loud"),
         ("simulation", "noise_snr_db = nan"),
@@ -237,6 +249,10 @@ class TestConfigFiles:
         ("medium", "background_sos = 15%"),
         ("estimation", "pair = 55,200"),
         ("reconstruction", "pairs = 40,56 120,136"),
+        ("roi", "depth_min = 0.02"),
+        ("roi", "depth_min = nan"),
+        ("roi", "theta_min = 0.5"),
+        ("roi", "num_bins = 1"),
     ])
     def test_bad_value_names_section_and_key(self, tmp_path, section, line):
         path = tmp_path / "cfg.ini"
@@ -245,14 +261,13 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
             load_config(path)
 
-    @pytest.mark.parametrize("text", ["[roi]\nreference = pair_midpoint\n",
-                                      "[estimation]\napodization = hann\n"])
+    @pytest.mark.parametrize("text", REMOVED_KEYS)
     def test_removed_keys_are_unknown(self, tmp_path, text):
-        """The ROI origin and the estimation apodization are fixed: a
-        resolved config that still sets them is refused."""
+        """A resolved config that still sets a fixed value is refused,
+        naming the key or its section."""
         path = tmp_path / "cfg.ini"
         path.write_text(text)
-        with pytest.raises(ConfigError, match="unknown key"):
+        with pytest.raises(ConfigError, match=unknown_key_error(text)):
             load_config(path)
 
     def test_invalid_combination_names_section(self, tmp_path):
@@ -263,7 +278,7 @@ class TestConfigFiles:
 
     def test_unparseable_file_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.ini"
-        path.write_text("[tracking]\nwindow_len = 96\nwindow_len = 128\n")
+        path.write_text("[grids]\nslow_nx = 24\nslow_nx = 32\n")
         with pytest.raises(ConfigError):
             load_config(path)
 
@@ -275,7 +290,7 @@ class TestConfigFiles:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"
-        path.write_text("[tracking]\nwibble = 1\n")
+        path.write_text("[grids]\nwibble = 1\n")
         with pytest.raises(ConfigError, match="wibble"):
             load_config(path)
 
@@ -285,12 +300,6 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="inclusion"):
             load_config(path)
 
-    def test_unknown_regression_method(self, tmp_path):
-        path = tmp_path / "cfg.ini"
-        path.write_text("[regression]\nmethod = lasso\n")
-        with pytest.raises(ConfigError):
-            load_config(path)
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "nope.ini")
@@ -298,16 +307,27 @@ class TestConfigFiles:
 
 class TestDerivedConfig:
     @pytest.mark.parametrize("field, value, key", [
-        ("regression_method", "lasso", r"\[regression\] method"),
-        ("regression_method", "Robust", r"\[regression\] method"),
         ("calibration_degree", 2, r"\[calibration\] degree"),
     ])
     def test_unknown_choice_rejected_at_construction(self, field, value, key):
-        """A fitter or degree that the INI parser would refuse fails
-        when the config is built in code, naming its INI key, not later
-        inside estimate_slope."""
+        """A degree that the INI parser would refuse fails when the
+        config is built in code, naming its INI key, not later inside
+        the calibration."""
         with pytest.raises(ConfigError, match=key + " = .*must be one of"):
             PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"roi_depth_min": 0.02}, "depth_min"),
+        ({"roi_depth_max": 5e-3}, "depth_min"),
+        ({"roi_theta_min": 0.5}, "theta_min"),
+        ({"roi_theta_max": np.nan}, "theta_min"),
+        ({"roi_num_bins": 1}, "num_bins"),
+    ], ids=["depth-min", "depth-max", "theta-min", "theta-max-nan",
+            "num-bins"])
+    def test_bad_roi_rejected_at_construction(self, kwargs, key):
+        """Not later, when the pattern is extracted."""
+        with pytest.raises(ConfigError, match=rf"\[roi\] {key} must be"):
+            PipelineConfig(**kwargs)
 
     @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
     def test_non_finite_noise_snr_rejected_at_construction(self, snr):
@@ -346,12 +366,8 @@ class TestDerivedConfig:
         assert cfg.slow_nx == 24 and cfg.slow_nz == 24
         assert len(cfg.recon_pairs) == 3
 
-    def test_recon_nodes_are_a_sixth_of_a_window_apart(self, tmp_path):
-        for cfg in (PipelineConfig(), apply_quick(PipelineConfig())):
-            assert cfg.recon_axial_step * 6 == cfg.tracking.window_len
-        path = tmp_path / "step.ini"
-        path.write_text("[reconstruction]\naxial_step = 3\n")
-        assert apply_quick(load_config(path)).recon_axial_step == 3
+    def test_recon_nodes_are_a_sixth_of_a_window_apart(self):
+        assert RECON_TRACKING.axial_step * 6 == RECON_TRACKING.window_len
 
     def test_apply_quick_keeps_coarser_grid_spacing(self, tmp_path):
         path = tmp_path / "grids.ini"
@@ -616,7 +632,7 @@ class TestCLIExitCodes:
     def test_config_error_is_two(self, workspace, capsys):
         root, _ = workspace
         bad = root / "bad.ini"
-        bad.write_text("[tracking]\nwobble = 3\n")
+        bad.write_text("[grids]\nwobble = 3\n")
         rc = cli_main([
             "--config", str(bad), "--out", str(root / "x"), "simulate",
         ])
@@ -643,8 +659,7 @@ class TestCLIExitCodes:
         assert "config error" in err
         assert f"{section} {line.partition(' =')[0]}" in err
 
-    @pytest.mark.parametrize("text", ["[roi]\nreference = pair_midpoint\n",
-                                      "[estimation]\napodization = hann\n"])
+    @pytest.mark.parametrize("text", REMOVED_KEYS)
     def test_removed_key_is_two(self, workspace, capsys, text):
         root, _ = workspace
         bad = root / "removed_key.ini"
@@ -653,7 +668,51 @@ class TestCLIExitCodes:
             "--config", str(bad), "--out", str(root / "x"), "simulate",
         ])
         assert rc == 2
-        assert "unknown key" in capsys.readouterr().err
+        assert re.search(unknown_key_error(text), capsys.readouterr().err)
+
+    def test_earlier_resolved_config_is_two(self, workspace, capsys):
+        """A config_resolved.ini written while the trackers and the fit
+        method were set in the file: its first such entry, the
+        [tracking] section, is named, and no frame is written."""
+        root, cfg_path = workspace
+        resolved = dump_config(apply_quick(load_config(cfg_path)))
+        earlier = resolved
+        for before, lines in (
+                ("[roi]\n", "[tracking]\nwindow_len = 96\nsearch_radius = 16\n"
+                 "axial_step = 2\nlateral_step = 1\nmin_ncc = 0.2\n\n"),
+                ("[estimation]\n", "[regression]\nmethod = robust\n\n"),
+                ("\n[reconstruction]\n", "window_len = 224\n"),
+                ("\n[calibration]\n", "axial_step = 16\nlateral_step = 2\n")):
+            earlier = earlier.replace(before, lines + before)
+        assert earlier.count("\n") == resolved.count("\n") + 13
+        bad = root / "earlier_resolved.ini"
+        bad.write_text(earlier)
+        out = root / "earlier"
+        rc = cli_main(["--config", str(bad), "--out", str(out), "simulate"])
+        assert rc == 2
+        assert "unknown config section [tracking]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("calibrate", "depth_min = 0.02"), ("simulate", "num_bins = 1"),
+    ])
+    def test_bad_roi_is_two_before_any_frame(self, workspace, capsys,
+                                             monkeypatch, command, line):
+        root, _ = workspace
+        bad = root / "bad_roi.ini"
+        bad.write_text(f"{CHEAP_CONFIG}\n[roi]\n{line}\n")
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("no frame may be simulated")
+
+        monkeypatch.setattr(pipeline, "simulate_frame", no_simulation)
+        out = root / f"bad_roi_{command}"
+        rc = cli_main([
+            "--config", str(bad), "--out", str(out), "--quick", command,
+        ])
+        assert rc == 2
+        assert f"[roi] {line.partition(' =')[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_recon_pair_off_the_array_is_two_before_any_frame(
             self, workspace, capsys):

@@ -24,8 +24,8 @@ class TransducerArray:
     def __post_init__(self):
         if self.num_elements < 2:
             raise ValueError("num_elements must be >= 2")
-        if self.pitch <= 0:
-            raise ValueError("pitch must be > 0")
+        if not 0 < self.pitch < np.inf:
+            raise ValueError("pitch must be finite and > 0")
 
     @property
     def aperture(self) -> float:
@@ -86,9 +86,9 @@ class ImagingGrid:
     nz: int
 
     def __post_init__(self):
-        if self.dx <= 0 or self.dz <= 0:
+        if not (self.dx > 0 and self.dz > 0):
             raise ValueError("dx and dz must be > 0")
-        if self.z0 < 0:
+        if not self.z0 >= 0:
             raise ValueError("z0 must be >= 0 (image starts below the array)")
         if self.nx < 1 or self.nz < 1:
             raise ValueError("nx and nz must be >= 1")

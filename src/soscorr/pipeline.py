@@ -116,6 +116,19 @@ class PipelineConfig:
         if self.noise_snr_db is not None and not np.isfinite(self.noise_snr_db):
             raise ConfigError(f"[simulation] noise_snr_db = "
                               f"{self.noise_snr_db!r}: must be finite")
+        # a NaN fails every comparison, so each bound is written as the
+        # condition that must hold
+        for key, value in (("[grids] bf_dx", self.bf_dx),
+                           ("[grids] bf_dz", self.bf_dz),
+                           ("[grids] bf_depth", self.bf_depth),
+                           ("[grids] slow_nx", self.slow_nx),
+                           ("[grids] slow_nz", self.slow_nz),
+                           ("[scatterers] density", self.scatterer_density)):
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{key} = {value!r}: must be finite and > 0")
+        if not 0 <= self.bf_z0 < np.inf:
+            raise ConfigError(f"[grids] bf_z0 = {self.bf_z0!r}: must be "
+                              "finite and >= 0")
         if self.calibration_degree not in cal.DEGREES:
             raise ConfigError(
                 f"[calibration] degree = {self.calibration_degree!r}: must be "
@@ -290,9 +303,6 @@ _FIELDS = (
      lambda s: tuple(map(_parse_pair, s.split())),
      lambda pairs: " ".join(map(_format_pair, pairs))),
     ("reconstruction", "lam", "recon.lam", float, repr),
-    ("reconstruction", "tv_axial_weight", "recon.tv_axial_weight", float, repr),
-    ("reconstruction", "tv_lateral_weight", "recon.tv_lateral_weight",
-     float, repr),
     ("reconstruction", "l1_epsilon", "recon.l1_epsilon", float, repr),
     ("reconstruction", "max_iter", "recon.max_iter", int, str),
     ("calibration", "degree", "calibration_degree", int, str),
@@ -664,8 +674,7 @@ def cmd_reconstruct(
         list(cfg.recon_pairs), meas_grid, cfg.slow_grid(), masks, cfg.array
     )
     delays = np.concatenate([d.delays[d.valid] for d in dmaps])
-    D = tv_operator(cfg.slow_grid(), cfg.recon.tv_axial_weight,
-                    cfg.recon.tv_lateral_weight)
+    D = tv_operator(cfg.slow_grid())
     slowness, info = reconstruct(L, delays, D, cfg.recon)
     sos_map, clamped = slowness.to_sos(c_bf)
 

@@ -76,8 +76,10 @@ class Inclusion:
             raise ValueError(f"unknown inclusion shape {self.shape!r}")
         if not SOS_MIN <= self.sos <= SOS_MAX:
             raise ValueError(f"inclusion sos {self.sos} outside sanity band")
-        if min(self.half_axes) <= 0:
-            raise ValueError("half_axes must be positive")
+        if not all(np.isfinite(self.center)):
+            raise ValueError("center must be finite")
+        if not all(0 < h < np.inf for h in self.half_axes):
+            raise ValueError("half_axes must be finite and positive")
 
     def contains(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         cx, cz = self.center
@@ -167,8 +169,11 @@ class PulseSpec:
     sampling_frequency: float = 1.6e8
 
     def __post_init__(self):
-        if self.sampling_frequency < 10 * self.center_frequency:
-            raise ValueError("sampling_frequency must be >= 10x center_frequency")
+        if not 0 < self.center_frequency < np.inf:
+            raise ValueError("center_frequency must be finite and > 0")
+        if not 10 * self.center_frequency <= self.sampling_frequency < np.inf:
+            raise ValueError("sampling_frequency must be finite and >= 10x "
+                             "center_frequency")
         if self.half_cycles < 1:
             raise ValueError("half_cycles must be >= 1")
 
@@ -224,7 +229,7 @@ def gen_scatterers(grid: ImagingGrid, density: float, seed: int) -> ScattererFie
     density is in scatterers per mm^2; the count is round(density * area).
     Same seed and config give a bit-identical field.
     """
-    if density <= 0:
+    if not density > 0:
         raise ValueError("density must be > 0")
     count = int(round(density * grid.extent_area_mm2))
     rng = np.random.default_rng(seed)

@@ -24,8 +24,15 @@ from .geometry import ImagingGrid, TransducerArray, element_position, slab_clip
 from .synthsim import SOS_MAX, SOS_MIN
 
 
-# L-BFGS history length (scipy's maxcor)
+# L-BFGS history length (scipy's maxcor) and its stopping tolerances
+# on the dimensionless problem (scipy's gtol and ftol)
 LBFGS_MEMORY = 10
+LBFGS_GRAD_TOL = 1e-9
+LBFGS_OBJ_TOL = 1e-10
+
+# anisotropic TV: weights of the axial and the lateral differences
+TV_AXIAL_WEIGHT = 1.0
+TV_LATERAL_WEIGHT = 0.5
 
 
 class SolverError(RuntimeError):
@@ -35,22 +42,16 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class ReconConfig:
     lam: float = 0.1
-    tv_axial_weight: float = 1.0
-    tv_lateral_weight: float = 0.5
     l1_epsilon: float = 1e-2  # in units of the median absolute delay
     max_iter: int = 500
-    grad_tol: float = 1e-9
-    obj_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.l1_epsilon <= 0:
-            raise ValueError("l1_epsilon must be > 0")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and >= 0")
+        if not 0 < self.l1_epsilon < np.inf:
+            raise ValueError("l1_epsilon must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.obj_tol <= 0:
-            raise ValueError("obj_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -204,24 +205,21 @@ def build_path_matrix(
     return PathMatrix(matrix=matrix, slow_grid=slow_grid)
 
 
-def tv_operator(
-    grid: ImagingGrid, w_axial: float = 1.0, w_lateral: float = 0.5
-) -> sp.csr_matrix:
+def tv_operator(grid: ImagingGrid) -> sp.csr_matrix:
     """Stacked forward-difference operators with anisotropic weights.
 
-    Axial differences are scaled by w_axial, lateral by w_lateral;
-    boundary rows are omitted (no wraparound).
+    Axial differences are scaled by TV_AXIAL_WEIGHT, lateral ones by
+    TV_LATERAL_WEIGHT; boundary rows are omitted (no wraparound).
     """
-    if w_axial < 0 or w_lateral < 0:
-        raise ValueError("TV weights must be >= 0")
 
     def diff(n):
         return sp.eye(n - 1, n, 1) - sp.eye(n - 1, n)
 
     # format="csr": kron's default BSR would store explicit zeros
-    d_ax = w_axial * sp.kron(diff(grid.nz), sp.eye(grid.nx), format="csr")
-    d_lat = w_lateral * sp.kron(sp.eye(grid.nz), diff(grid.nx), format="csr")
-    return sp.vstack([d_ax, d_lat], format="csr")
+    d_ax = sp.kron(diff(grid.nz), sp.eye(grid.nx), format="csr")
+    d_lat = sp.kron(sp.eye(grid.nz), diff(grid.nx), format="csr")
+    return sp.vstack([TV_AXIAL_WEIGHT * d_ax, TV_LATERAL_WEIGHT * d_lat],
+                     format="csr")
 
 
 def make_objective(
@@ -263,12 +261,12 @@ def reconstruct(
     solver works on a dimensionless problem: path lengths in slowness
     cells and delays in units of the median absolute nonzero delay.
     So lam weighs delay misfit against TV of the delay per cell
-    whatever the units or the data amplitude, and l1_epsilon, grad_tol
-    and obj_tol apply to that problem. The regularization strength is
-    also normalized by the measurement/TV row ratio, so the default lam
-    is comparable across grid sizes. Starts from sigma = 0 and runs
-    L-BFGS until the gradient or objective tolerance or the iteration
-    cap is hit.
+    whatever the units or the data amplitude, and l1_epsilon applies to
+    that problem. The regularization strength is also normalized by the
+    measurement/TV row ratio, so the default lam is comparable across
+    grid sizes. Starts from sigma = 0 and runs L-BFGS until its
+    gradient or objective tolerance (LBFGS_GRAD_TOL, LBFGS_OBJ_TOL) or
+    the iteration cap is hit.
     """
     A = L.matrix
     delays = np.asarray(delays, dtype=float).ravel()
@@ -311,8 +309,8 @@ def reconstruct(
         options=dict(
             maxcor=LBFGS_MEMORY,
             maxiter=cfg.max_iter,
-            gtol=cfg.grad_tol,
-            ftol=cfg.obj_tol,
+            gtol=LBFGS_GRAD_TOL,
+            ftol=LBFGS_OBJ_TOL,
         ),
     )
     converged = bool(res.success) and res.nit < cfg.max_iter

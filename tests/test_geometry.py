@@ -54,6 +54,9 @@ class TestTransducerArray:
             TransducerArray(num_elements=1)
         with pytest.raises(ValueError):
             TransducerArray(pitch=0.0)
+        for pitch in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="pitch must be finite"):
+                TransducerArray(pitch=pitch)
 
 
 class TestSlabClip:
@@ -135,6 +138,12 @@ class TestImagingGrid:
             ImagingGrid(x0=0, z0=-1e-3, dx=1e-4, dz=1e-4, nx=2, nz=2)
         with pytest.raises(ValueError):
             ImagingGrid(x0=0, z0=0, dx=0, dz=1e-4, nx=2, nz=2)
+        # a NaN fails every comparison, the bound checks included
+        kwargs = dict(x0=0.0, z0=1e-3, dx=1e-4, dz=1e-4, nx=2, nz=2)
+        for field, message in (("dx", "dx and dz"), ("dz", "dx and dz"),
+                               ("z0", "z0")):
+            with pytest.raises(ValueError, match=message):
+                ImagingGrid(**{**kwargs, field: np.nan})
 
 
 class TestPolarROI:

@@ -1,13 +1,16 @@
 """Source hygiene: no unused import in a package module, no
 module-level function or class, and no class field, that nothing
-outside the tests loads, and no test module or demo that fails to
-import."""
+outside the tests loads, no test module or demo that fails to
+import, and no config value that no config-file key sets."""
 
 import ast
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from soscorr.pipeline import _FIELDS, PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "soscorr"
@@ -179,6 +182,27 @@ def test_every_dataclass_field_is_read():
         and item.target.id not in used
     ]
     assert unread == []
+
+
+def leaf_fields(obj, prefix: str = "") -> list[str]:
+    """Dotted paths of a dataclass's fields, descending into each field
+    that holds a dataclass."""
+    paths = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            paths += leaf_fields(value, f"{prefix}{f.name}.")
+        else:
+            paths.append(prefix + f.name)
+    return paths
+
+
+def test_every_config_field_is_a_file_key():
+    """Every value a PipelineConfig holds, those of its array, pulse and
+    recon included, is set by a config-file key, apart from the worker
+    count that --threads sets: no knob is settable in code alone."""
+    keys = {row[2] for row in _FIELDS} | {"threads"}
+    assert sorted(set(leaf_fields(PipelineConfig())) - keys) == []
 
 
 def calls_json_dumps(node: ast.AST) -> bool:

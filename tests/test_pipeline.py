@@ -68,7 +68,7 @@ sweep_metadata_hash 0
 
 # keys that a resolved config of an earlier version holds and that are
 # now fixed: the ROI origin, the estimation apodization, the two
-# tracker setups and the fit method
+# tracker setups, the fit method and the TV weights
 REMOVED_KEYS = [
     "[roi]\nreference = pair_midpoint\n",
     "[estimation]\napodization = hann\n",
@@ -81,6 +81,8 @@ REMOVED_KEYS = [
     "[estimation]\nwindow_len = 224\n",
     "[reconstruction]\naxial_step = 16\n",
     "[reconstruction]\nlateral_step = 2\n",
+    "[reconstruction]\ntv_axial_weight = 1.0\n",
+    "[reconstruction]\ntv_lateral_weight = 0.5\n",
 ]
 
 
@@ -147,8 +149,6 @@ FIELD_VALUES = {
     "estimation_pair": element_pairs,
     "recon_pairs": st.lists(element_pairs, min_size=1, max_size=8).map(tuple),
     "recon.lam": st.floats(0.0, 10.0),
-    "recon.tv_axial_weight": st.floats(0.0, 10.0),
-    "recon.tv_lateral_weight": st.floats(0.0, 10.0),
     "recon.l1_epsilon": st.floats(1e-6, 1.0),
     "recon.max_iter": st.integers(1, 5000),
     "calibration_degree": st.sampled_from([1, 3, 5]),
@@ -253,6 +253,15 @@ class TestConfigFiles:
         ("roi", "depth_min = nan"),
         ("roi", "theta_min = 0.5"),
         ("roi", "num_bins = 1"),
+        ("reconstruction", "lam = nan"),
+        ("reconstruction", "lam = inf"),
+        ("reconstruction", "l1_epsilon = nan"),
+        ("array", "pitch = nan"),
+        ("pulse", "center_frequency = nan"),
+        ("grids", "bf_dz = nan"),
+        ("grids", "slow_nx = 0"),
+        ("scatterers", "density = nan"),
+        ("medium", "inclusion1 = ellipse nan 0.02 0.004 0.003 1540"),
     ])
     def test_bad_value_names_section_and_key(self, tmp_path, section, line):
         path = tmp_path / "cfg.ini"
@@ -327,6 +336,25 @@ class TestDerivedConfig:
     def test_bad_roi_rejected_at_construction(self, kwargs, key):
         """Not later, when the pattern is extracted."""
         with pytest.raises(ConfigError, match=rf"\[roi\] {key} must be"):
+            PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"bf_dx": np.nan}, r"\[grids\] bf_dx"),
+        ({"bf_dx": -1.0}, r"\[grids\] bf_dx"),
+        ({"bf_dz": np.nan}, r"\[grids\] bf_dz"),
+        ({"bf_z0": np.nan}, r"\[grids\] bf_z0"),
+        ({"bf_z0": -1e-3}, r"\[grids\] bf_z0"),
+        ({"bf_depth": 0.0}, r"\[grids\] bf_depth"),
+        ({"bf_depth": np.inf}, r"\[grids\] bf_depth"),
+        ({"slow_nx": 0}, r"\[grids\] slow_nx"),
+        ({"slow_nz": 0}, r"\[grids\] slow_nz"),
+        ({"scatterer_density": np.nan}, r"\[scatterers\] density"),
+    ], ids=["dx-nan", "dx-negative", "dz-nan", "z0-nan", "z0-negative",
+            "depth-zero", "depth-inf", "slow-nx-zero", "slow-nz-zero",
+            "density-nan"])
+    def test_bad_grid_rejected_at_construction(self, kwargs, key):
+        """Not later, when a grid is built or a frame simulated."""
+        with pytest.raises(ConfigError, match=key + " = .*must be finite"):
             PipelineConfig(**kwargs)
 
     @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
@@ -691,6 +719,71 @@ class TestCLIExitCodes:
         rc = cli_main(["--config", str(bad), "--out", str(out), "simulate"])
         assert rc == 2
         assert "unknown config section [tracking]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resolved_config_with_tv_weights_is_two(self, workspace, capsys):
+        """A config_resolved.ini written while the TV weights were set in
+        the file: the first weight is named, and no frame is written."""
+        root, cfg_path = workspace
+        resolved = dump_config(apply_quick(load_config(cfg_path)))
+        earlier = resolved.replace(
+            "lam = 0.1\n",
+            "lam = 0.1\ntv_axial_weight = 1.0\ntv_lateral_weight = 0.5\n")
+        assert earlier.count("\n") == resolved.count("\n") + 2
+        bad = root / "tv_weights_resolved.ini"
+        bad.write_text(earlier)
+        out = root / "tv_weights"
+        rc = cli_main(["--config", str(bad), "--out", str(out), "simulate"])
+        assert rc == 2
+        assert ("unknown key 'tv_axial_weight' in section [reconstruction]"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "bf_dx = nan", "bf_dz = nan", "bf_z0 = nan", "bf_depth = nan",
+        "bf_dx = -1", "slow_nx = 0",
+    ])
+    def test_bad_grid_is_two_before_any_frame(self, workspace, capsys,
+                                             monkeypatch, line):
+        """--quick keeps a NaN (max(nan, 3e-4) is nan), so the value
+        must be refused when the file is read."""
+        root, _ = workspace
+        bad = root / "bad_grid.ini"
+        bad.write_text(f"{CHEAP_CONFIG}\n[grids]\n{line}\n")
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("no frame may be simulated")
+
+        monkeypatch.setattr(pipeline, "simulate_frame", no_simulation)
+        out = root / "bad_grid"
+        rc = cli_main([
+            "--config", str(bad), "--out", str(out), "--quick", "simulate",
+        ])
+        assert rc == 2
+        assert f"[grids] {line.partition(' =')[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["lam = nan", "l1_epsilon = nan"])
+    def test_nan_recon_weight_is_two_before_the_solve(self, workspace, capsys,
+                                                     monkeypatch, line):
+        """A config error naming the key, not a non-finite objective
+        after the frames are beamformed and tracked."""
+        root, _ = workspace
+        bad = root / "nan_recon.ini"
+        bad.write_text(CHEAP_CONFIG + f"{line}\n")
+
+        def no_beamforming(*args, **kwargs):
+            raise AssertionError("no frame may be beamformed")
+
+        monkeypatch.setattr(pipeline, "das_beamform", no_beamforming)
+        out = root / "nan_recon"
+        rc = cli_main([
+            "--config", str(bad), "--out", str(out), "--quick", "reconstruct",
+            "--frames", str(root / "sim"), "--c-bf", "1500",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"[reconstruction] {line.partition(' =')[0]}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, line", [

@@ -69,6 +69,8 @@ class TestScatterers:
     def test_invalid_density(self):
         with pytest.raises(ValueError):
             gen_scatterers(self.grid(), 0.0, seed=1)
+        with pytest.raises(ValueError, match="density must be > 0"):
+            gen_scatterers(self.grid(), np.nan, seed=1)
 
 
 def trapezoid_travel_times(p_from, p_to, medium, step):
@@ -504,6 +506,17 @@ class TestMediumSpec:
         with pytest.raises(ValueError):
             Inclusion("ellipse", (0, 0.01), (1e-3, 1e-3), 1800.0)
 
+    @pytest.mark.parametrize("center, half_axes, message", [
+        ((np.nan, 0.01), (1e-3, 1e-3), "center"),
+        ((0.0, 0.01), (1e-3, np.nan), "half_axes"),
+        ((0.0, 0.01), (np.nan, 1e-3), "half_axes"),
+        ((0.0, 0.01), (np.inf, 1e-3), "half_axes"),
+    ], ids=["nan-center", "nan-hz", "nan-hx", "inf-hx"])
+    def test_non_finite_geometry_rejected(self, center, half_axes, message):
+        """A NaN inclusion would contain no point and vanish silently."""
+        with pytest.raises(ValueError, match=message):
+            Inclusion("ellipse", center, half_axes, 1540.0)
+
     def test_rectangle_contains(self):
         inc = Inclusion("rectangle", (0.0, 0.02), (2e-3, 1e-3), 1540.0)
         assert inc.contains(np.array(1.9e-3), np.array(0.0205))
@@ -528,6 +541,13 @@ class TestPulseSpec:
     def test_sampling_validation(self):
         with pytest.raises(ValueError):
             PulseSpec(center_frequency=5e6, sampling_frequency=2e7)
+        for kwargs in ({"center_frequency": np.nan},
+                       {"center_frequency": 0.0},
+                       {"sampling_frequency": np.nan},
+                       {"sampling_frequency": np.inf}):
+            (key,) = kwargs
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                PulseSpec(**kwargs)
 
 
 class TestSimulateFrame:

@@ -7,7 +7,6 @@ model and CSV carries this tag explicitly.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -255,9 +254,8 @@ def export_sweep(path: Path, dataset: CalibrationDataset,
                  model: CalibrationModel) -> None:
     """CSV of (delta_c, slope, split) for calibration-curve plots."""
     train = set(model.training_indices)
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["delta_c_mps", "slope_s_per_rad", "split", "convention"])
-        for i, e in enumerate(dataset.entries):
-            split = "train" if i in train else "test"
-            wr.writerow([f"{e.delta_c:.3f}", f"{e.slope:.9e}", split, CONVENTION])
+    np.savetxt(path, np.array([
+        (e.delta_c, e.slope, "train" if i in train else "test", CONVENTION)
+        for i, e in enumerate(dataset.entries)
+    ], dtype=object), fmt=("%.3f", "%.9e", "%s", "%s"), delimiter=",",
+        header="delta_c_mps,slope_s_per_rad,split,convention", comments="")

@@ -13,9 +13,7 @@ reported delay equals the differential echo-shift model
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -173,22 +171,3 @@ def track_delays(
         nz=zs.size,
     )
     return DelayMap(delays=delays, ncc=peak, valid=valid, grid=meas_grid)
-
-
-def export_delay_map(path: Path, dmap: DelayMap) -> None:
-    """CSV dump (x, z, delay_s, ncc, valid), one row per node."""
-    X, Z = dmap.grid.meshgrid()
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["x_m", "z_m", "delay_s", "ncc", "valid"])
-        for iz in range(dmap.grid.nz):
-            for ix in range(dmap.grid.nx):
-                wr.writerow(
-                    [
-                        f"{X[iz, ix]:.6e}",
-                        f"{Z[iz, ix]:.6e}",
-                        f"{dmap.delays[iz, ix]:.9e}",
-                        f"{dmap.ncc[iz, ix]:.6f}",
-                        int(dmap.valid[iz, ix]),
-                    ]
-                )

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import calibrate as cal
 from .beamform import BFConfig, das_beamform
-from .delaytrack import TrackConfig, export_delay_map, track_delays
+from .delaytrack import TrackConfig, track_delays
 from .geometry import ImagingGrid, PolarROI, TransducerArray, element_position
 from .metrics import RegionLabels, cnr_db, contrast, rmse_map
-from .regress import FITTERS, extract_pattern, export_pattern
+from .regress import FITTERS, extract_pattern
 from .synthsim import (
     ChannelFrame,
     Inclusion,
@@ -129,6 +129,12 @@ class PipelineConfig:
         if not 0 <= self.bf_z0 < np.inf:
             raise ConfigError(f"[grids] bf_z0 = {self.bf_z0!r}: must be "
                               "finite and >= 0")
+        if not SOS_MIN <= self.background_sos <= SOS_MAX:
+            raise ConfigError(f"[medium] background_sos = "
+                              f"{self.background_sos!r}: must be in "
+                              f"[{SOS_MIN}, {SOS_MAX}]")
+        if self.seed < 0:
+            raise ConfigError(f"[scatterers] seed = {self.seed!r}: must be >= 0")
         if self.calibration_degree not in cal.DEGREES:
             raise ConfigError(
                 f"[calibration] degree = {self.calibration_degree!r}: must be "
@@ -425,6 +431,21 @@ def _grid_sidecar(header: str, grid: ImagingGrid) -> str:
             f"dz {grid.dz!r}\nnx {grid.nx}\nnz {grid.nz}\n")
 
 
+def _check_gt_grid(sidecar: Path, grid: ImagingGrid) -> None:
+    """ConfigError naming the file unless the ground truth's sidecar
+    exists and holds the given grid; both are written with repr, so
+    their text compares exactly."""
+    if not sidecar.exists():
+        raise ConfigError(f"{sidecar} is missing: the ground truth's grid "
+                          "is unknown")
+    found = sidecar.read_text().splitlines()[1:]
+    expected = _grid_sidecar("", grid).splitlines()
+    if found != expected:
+        raise ConfigError(f"{sidecar}: the ground truth lies on the grid "
+                          f"{', '.join(found)}; the config's slowness grid "
+                          f"is {', '.join(expected)}")
+
+
 def write_gt_map(out_dir: Path, cfg: PipelineConfig) -> None:
     grid = cfg.slow_grid()
     gt = cfg.medium().rasterize(grid)
@@ -591,8 +612,17 @@ def cmd_estimate(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        export_pattern(out_dir / "pattern.csv", pattern, fit)
-        export_delay_map(out_dir / "delay_map.csv", dmap)
+        np.savetxt(out_dir / "pattern.csv", np.column_stack([
+            pattern.thetas, pattern.median_delays, pattern.weights,
+            fit.intercept + fit.slope * pattern.thetas,
+        ]), fmt=("%.6f", "%.9e", "%.6f", "%.9e"), delimiter=",",
+            header="theta_rad,median_delay_s,weight,fitted_value_s",
+            comments="")
+        X, Z = dmap.grid.meshgrid()
+        np.savetxt(out_dir / "delay_map.csv", np.column_stack([
+            a.ravel() for a in (X, Z, dmap.delays, dmap.ncc, dmap.valid)
+        ]), fmt=("%.6e", "%.6e", "%.9e", "%.6f", "%d"), delimiter=",",
+            header="x_m,z_m,delay_s,ncc,valid", comments="")
         write_record(out_dir, "estimate", {
             "convention": cal.CONVENTION,
             "c_bf_assumed": c_bf_assumed,
@@ -642,17 +672,24 @@ def cmd_reconstruct(
     the solve's converged, iterations, grad_norm and message; its rows
     (measurements in the solve) and valid_fraction (tracked nodes kept
     by min_ncc); the map's clamped_fraction; and rmse_vs_gt_mps when a
-    ground-truth map is known.
+    ground-truth map is known. A ground truth that is not on the
+    slowness grid is refused before any frame is beamformed.
     """
     txs = sorted({e for p in cfg.recon_pairs for e in p})
+    slow_grid = cfg.slow_grid()
     if isinstance(frames_dir_or_frames, (str, Path)):
         frames_dir = Path(frames_dir_or_frames)
-        frames = read_frame_set(frames_dir, txs)
         gt_path = frames_dir / "gt_sos.csv"
         if gt_map is None and gt_path.exists():
+            _check_gt_grid(frames_dir / "gt_sos.csv.txt", slow_grid)
             gt_map = np.loadtxt(gt_path, delimiter=",")
+        frames = read_frame_set(frames_dir, txs)
     else:
         frames = frames_dir_or_frames
+    if gt_map is not None and gt_map.shape != (slow_grid.nz, slow_grid.nx):
+        raise ValueError(f"ground-truth map of shape {gt_map.shape} is not "
+                         f"on the {slow_grid.nz} x {slow_grid.nx} slowness "
+                         "grid")
 
     missing = [t for t in txs if t not in frames]
     if missing:
@@ -671,10 +708,10 @@ def cmd_reconstruct(
     meas_grid = dmaps[0].grid
     masks = [d.valid for d in dmaps]
     L = build_path_matrix(
-        list(cfg.recon_pairs), meas_grid, cfg.slow_grid(), masks, cfg.array
+        list(cfg.recon_pairs), meas_grid, slow_grid, masks, cfg.array
     )
     delays = np.concatenate([d.delays[d.valid] for d in dmaps])
-    D = tv_operator(cfg.slow_grid())
+    D = tv_operator(slow_grid)
     slowness, info = reconstruct(L, delays, D, cfg.recon)
     sos_map, clamped = slowness.to_sos(c_bf)
 
@@ -690,10 +727,11 @@ def cmd_reconstruct(
         (out_dir / "sos_map.f32.txt").write_text(_grid_sidecar(
             f"SoS map m/s, row-major nz x nx float32 little-endian\n"
             f"c_bf {c_bf!r}\nconverged {info.converged}\n", slowness.grid))
-        with open(out_dir / "objective_trace.csv", "w") as f:
-            f.write("iteration,objective\n")
-            for i, v in enumerate(info.objective_trace):
-                f.write(f"{i},{v:.9e}\n")
+        trace = info.objective_trace
+        np.savetxt(out_dir / "objective_trace.csv",
+                   np.column_stack([np.arange(len(trace)), trace]),
+                   fmt=("%d", "%.9e"), delimiter=",",
+                   header="iteration,objective", comments="")
         rows = L.matrix.shape[0]
         metrics = {"converged": info.converged,
                    "iterations": info.iterations,

@@ -7,10 +7,8 @@ by ordinary, weighted, or robust (IRLS, Tukey bisquare) least squares.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -196,20 +194,3 @@ def fit_robust(pattern: DelayPattern) -> RegressionResult:
 
 
 FITTERS = {"ols": fit_ols, "weighted": fit_weighted, "robust": fit_robust}
-
-
-def export_pattern(path: Path, pattern: DelayPattern,
-                   fit: RegressionResult) -> None:
-    """CSV of (theta, median_delay, weight, fitted_value)."""
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["theta_rad", "median_delay_s", "weight", "fitted_value_s"])
-        for i in range(pattern.thetas.size):
-            wr.writerow(
-                [
-                    f"{pattern.thetas[i]:.6f}",
-                    f"{pattern.median_delays[i]:.9e}",
-                    f"{pattern.weights[i]:.6f}",
-                    f"{fit.intercept + fit.slope * pattern.thetas[i]:.9e}",
-                ]
-            )

@@ -223,6 +223,40 @@ def test_one_record_writer():
     assert callers == ["pipeline.write_record"]
 
 
+# modules that only compute: they open and write no file
+NUMERICAL = ("geometry", "beamform", "delaytrack", "regress", "tomo",
+             "metrics")
+FILE_WRITES = {"open", "write_text", "write_bytes", "savetxt", "tofile"}
+
+
+def called_names(node: ast.AST) -> set[str]:
+    """Names of the functions and methods a node calls."""
+    return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, (ast.Name, ast.Attribute))}
+
+
+def imports_csv(tree: ast.AST) -> bool:
+    return any(isinstance(n, ast.Import) and any(a.name == "csv"
+                                                 for a in n.names)
+               or isinstance(n, ast.ImportFrom) and n.module == "csv"
+               for n in ast.walk(tree))
+
+
+def test_one_table_writer():
+    """CSV tables have one writer, np.savetxt, called outside the
+    numerical modules: no package module imports csv, and none of
+    NUMERICAL opens or writes a file."""
+    importers = [path.stem for path in MODULES if imports_csv(parse(path))]
+    writers = [
+        f"{path.stem}.{getattr(node, 'name', '<module>')}"
+        for path in MODULES if path.stem in NUMERICAL
+        for node in parse(path).body
+        if called_names(node) & FILE_WRITES
+    ]
+    assert (importers, writers) == ([], [])
+
+
 def import_file(path: Path) -> None:
     spec = importlib.util.spec_from_file_location(f"_import_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))

@@ -32,6 +32,8 @@ from soscorr.pipeline import (
     write_record,
 )
 from soscorr import pipeline
+from soscorr.calibrate import (CalibrationDataset, CalibrationEntry,
+                               CalibrationModel, export_sweep)
 from soscorr.geometry import ImagingGrid, TransducerArray
 from soscorr.regress import (
     EmptyPatternError,
@@ -153,6 +155,14 @@ FIELD_VALUES = {
     "recon.max_iter": st.integers(1, 5000),
     "calibration_degree": st.sampled_from([1, 3, 5]),
 }
+
+
+# a degree-1 model that inverts any slope the cheap config's frames give
+WIDE_MODEL = CalibrationModel(degree=1, coefficients=np.array([0.0, 1e-9]),
+                              domain=(-1e3, 1e3), training_indices=(0, 1))
+
+# the cheap config with a background outside the 1300-1700 m/s band
+HOT_BACKGROUND = CHEAP_CONFIG + "\n[medium]\nbackground_sos = 1800\n"
 
 
 def cheap_cfg():
@@ -362,6 +372,19 @@ class TestDerivedConfig:
         with pytest.raises(ConfigError, match=r"\[simulation\] noise_snr_db "
                            "= .*must be finite"):
             PipelineConfig(noise_snr_db=snr)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, r"\[scatterers\] seed = -1: must be >= 0"),
+        ({"background_sos": 1800.0},
+         r"\[medium\] background_sos = 1800.0: must be in \[1300.0, 1700.0\]"),
+        ({"background_sos": 1299.0}, r"\[medium\] background_sos = 1299.0"),
+        ({"background_sos": np.nan}, r"\[medium\] background_sos = nan"),
+    ], ids=["seed-negative", "background-high", "background-low",
+            "background-nan"])
+    def test_bad_medium_value_rejected_at_construction(self, kwargs, message):
+        """Not later, when the scatterers are drawn or the medium built."""
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig(**kwargs)
 
     def test_roi_origin_is_the_pair_midpoint(self):
         # elements 64 and 65 lie at 0.15 and 0.45 mm
@@ -592,6 +615,105 @@ class TestReconMetrics:
         assert metrics["rmse_vs_gt_mps"] == res.rmse_vs_gt
         assert metrics["iterations"] == res.info.iterations
         assert {"rows", "valid_fraction", "clamped_fraction"} <= set(metrics)
+
+    def test_ground_truth_of_another_shape_fails_before_beamforming(
+            self, frames, monkeypatch):
+        def no_beamforming(*args, **kwargs):
+            raise AssertionError("no frame may be beamformed")
+
+        monkeypatch.setattr(pipeline, "das_beamform", no_beamforming)
+        with pytest.raises(ValueError, match=r"shape \(16, 16\) is not on "
+                           "the 24 x 24 slowness grid"):
+            cmd_reconstruct(recon_cfg(), frames, 1500.0,
+                            gt_map=np.full((16, 16), 1500.0))
+
+
+class TestCommandTables:
+    """The CSV tables of estimate and reconstruct hold what the commands
+    computed, to one unit in the last written digit."""
+
+    @pytest.fixture(scope="class")
+    def run(self, workspace, tmp_path_factory):
+        """(out_dir, (fit, pattern, dmap), reconstruction): estimate and
+        reconstruct of the workspace frames, both written to out_dir."""
+        root, cfg_path = workspace
+        cfg = apply_quick(load_config(cfg_path))
+        out = tmp_path_factory.mktemp("tables")
+        original = pipeline.estimate_slope
+        kept = []
+
+        def keep(*args):
+            kept.append(original(*args))
+            return kept[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "estimate_slope", keep)
+            pipeline.cmd_estimate(cfg, root / "sim", WIDE_MODEL, 1510.0,
+                                  out_dir=out)
+        recon = cmd_reconstruct(cfg, root / "sim", 1510.0, out_dir=out)
+        [estimated] = kept
+        return out, estimated, recon
+
+    @staticmethod
+    def table(path):
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+    def test_pattern_has_a_row_per_bin(self, run):
+        out, (fit, pattern, _), _ = run
+        lines = (out / "pattern.csv").read_text().splitlines()
+        assert lines[0] == "theta_rad,median_delay_s,weight,fitted_value_s"
+        table = self.table(out / "pattern.csv")
+        assert table.shape == (pattern.thetas.size, 4)
+        assert pattern.thetas.size > 1
+        np.testing.assert_allclose(table[:, 0], pattern.thetas, rtol=0,
+                                   atol=1e-6)
+        np.testing.assert_allclose(table[:, 1], pattern.median_delays,
+                                   rtol=1e-9, atol=0)
+        np.testing.assert_allclose(table[:, 2], pattern.weights, rtol=0,
+                                   atol=1e-6)
+        np.testing.assert_allclose(
+            table[:, 3], fit.intercept + fit.slope * pattern.thetas,
+            rtol=1e-9, atol=0)
+
+    def test_delay_map_has_a_row_per_node(self, run):
+        out, (_, _, dmap), _ = run
+        lines = (out / "delay_map.csv").read_text().splitlines()
+        assert lines[0] == "x_m,z_m,delay_s,ncc,valid"
+        table = self.table(out / "delay_map.csv")
+        assert table.shape == (dmap.grid.nx * dmap.grid.nz, 5)
+        X, Z = dmap.grid.meshgrid()
+        for column, values in ((0, X), (1, Z)):
+            np.testing.assert_allclose(table[:, column], values.ravel(),
+                                       rtol=1e-6, atol=0)
+        np.testing.assert_allclose(table[:, 2], dmap.delays.ravel(),
+                                   rtol=1e-9, atol=0)
+        np.testing.assert_allclose(table[:, 3], dmap.ncc.ravel(), rtol=0,
+                                   atol=1e-6)
+        assert np.array_equal(table[:, 4], dmap.valid.ravel())
+        assert 0 < dmap.valid.sum() < dmap.valid.size
+
+    def test_objective_trace_has_a_row_per_iterate(self, run):
+        out, _, recon = run
+        table = self.table(out / "objective_trace.csv")
+        assert table.shape == (recon.info.iterations + 1, 2)
+        assert np.array_equal(table[:, 0], np.arange(table.shape[0]))
+        np.testing.assert_allclose(table[:, 1], recon.info.objective_trace,
+                                   rtol=1e-9, atol=0)
+
+    def test_no_table_holds_a_carriage_return(self, run, workspace, tmp_path):
+        """Every table ends its lines with LF alone; the calibration sweep
+        is written by the exporter cmd_calibrate calls."""
+        out, _, _ = run
+        root, _ = workspace
+        dataset = CalibrationDataset(entries=tuple(
+            CalibrationEntry(dc, dc * 1e-9) for dc in (-10.0, 0.0, 10.0)))
+        export_sweep(tmp_path / "calibration_sweep.csv", dataset, WIDE_MODEL)
+        tables = [*out.glob("*.csv"), *(root / "sim").glob("*.csv"),
+                  tmp_path / "calibration_sweep.csv"]
+        assert sorted(p.name for p in tables) == [
+            "calibration_sweep.csv", "delay_map.csv", "gt_sos.csv",
+            "objective_trace.csv", "pattern.csv", "sos_map.csv"]
+        assert [p.name for p in tables if b"\r" in p.read_bytes()] == []
 
 
 class TestReport:
@@ -853,6 +975,82 @@ class TestCLIExitCodes:
         assert rc == 2
         assert "[simulation] noise_snr_db" in capsys.readouterr().err
         assert not (root / "noisy").exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("simulate", CHEAP_CONFIG.replace("seed = 7", "seed = -1"),
+         "[scatterers] seed = -1"),
+        ("simulate", HOT_BACKGROUND, "[medium] background_sos = 1800.0"),
+        ("reconstruct", HOT_BACKGROUND, "[medium] background_sos = 1800.0"),
+    ], ids=["seed-simulate", "background-simulate", "background-reconstruct"])
+    def test_bad_medium_value_is_two_before_any_frame(
+            self, workspace, capsys, monkeypatch, command, text, key):
+        """A config error naming the key, raised before the output
+        directory is made, a frame simulated or a frame beamformed."""
+        root, _ = workspace
+        bad = root / "bad_medium.ini"
+        bad.write_text(text)
+
+        def no_frame(*args, **kwargs):
+            raise AssertionError("no frame may be simulated or beamformed")
+
+        monkeypatch.setattr(pipeline, "simulate_frame", no_frame)
+        monkeypatch.setattr(pipeline, "das_beamform", no_frame)
+        out = root / "bad_medium"
+        argv = (["reconstruct", "--frames", str(root / "sim"), "--c-bf", "1500"]
+                if command == "reconstruct" else [command])
+        rc = cli_main(["--config", str(bad), "--out", str(out), "--quick",
+                       *argv])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["slow_nx = 16\nslow_nz = 16",
+                                      "bf_depth = 0.02"],
+                             ids=["shape", "cell-height"])
+    def test_ground_truth_on_another_grid_is_two_before_beamforming(
+            self, workspace, capsys, monkeypatch, line):
+        """The frames' ground truth lies on the 24 x 24 grid of the
+        config that simulated them. Another grid, of another shape or
+        with cells of another height, is refused before any frame is
+        beamformed, not after the solve or scored against a misaligned
+        truth."""
+        root, _ = workspace
+        other = root / "other_grid.ini"
+        other.write_text(f"{CHEAP_CONFIG}\n[grids]\n{line}\n")
+
+        def no_beamforming(*args, **kwargs):
+            raise AssertionError("no frame may be beamformed")
+
+        monkeypatch.setattr(pipeline, "das_beamform", no_beamforming)
+        out = root / "other_grid"
+        rc = cli_main([
+            "--config", str(other), "--out", str(out), "--quick",
+            "reconstruct", "--frames", str(root / "sim"), "--c-bf", "1500",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "gt_sos.csv.txt: the ground truth lies on" in err
+        assert "the config's slowness grid is" in err
+        assert not out.exists()
+
+    def test_ground_truth_without_its_grid_is_two(self, workspace, capsys,
+                                                  monkeypatch, tmp_path):
+        root, cfg_path = workspace
+        frames = tmp_path / "sim"
+        shutil.copytree(root / "sim", frames)
+        (frames / "gt_sos.csv.txt").unlink()
+
+        def no_beamforming(*args, **kwargs):
+            raise AssertionError("no frame may be beamformed")
+
+        monkeypatch.setattr(pipeline, "das_beamform", no_beamforming)
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(tmp_path / "rec"),
+            "--quick", "reconstruct", "--frames", str(frames),
+            "--c-bf", "1500",
+        ])
+        assert rc == 2
+        assert "gt_sos.csv.txt is missing" in capsys.readouterr().err
 
     def test_quick_calibrate_with_unfitted_degree_is_two(self, workspace,
                                                          capsys, monkeypatch):

@@ -4,9 +4,10 @@
 Simulates an inclusion phantom, deliberately beamforms with a BF-SoS
 1.5% off, estimates the offset from the (55, 65) pair pattern using a
 freshly built calibration model, and reconstructs the local SoS map
-before and after correction. RMSE against the rasterized ground truth
-and inclusion CNR are printed; both maps (CSV and float32), the
-estimate and reconstruct records and the report.json that collects
+before and after correction. It prints both maps' RMSE against the
+ground truth that cmd_simulate writes beside the frames, and their
+inclusion CNR. The frames, both maps (CSV, each with a grid sidecar),
+the estimate and reconstruct records and the report.json that collects
 them land in the output directory.
 
 Run:  python demos/demo_correction.py --out /tmp/corr_demo
@@ -25,6 +26,7 @@ from soscorr.pipeline import (
     cmd_estimate,
     cmd_reconstruct,
     cmd_report,
+    cmd_simulate,
     region_labels,
     run_calibration_sweep,
     simulate_frames,
@@ -57,8 +59,7 @@ def main():
     c_bf = c_true * (1.0 + args.offset_percent / 100.0)
     print(f"\nsimulating the inclusion phantom; beamforming at "
           f"{c_bf:.1f} m/s (truth {c_true:.0f}) ...")
-    frames = simulate_frames(cfg)
-    gt = cfg.medium().rasterize(cfg.slow_grid())
+    frames = cmd_simulate(cfg, args.out / "frames")
     labels = region_labels(cfg)
 
     est = cmd_estimate(cfg, frames, model, c_bf,
@@ -67,9 +68,8 @@ def main():
           f"BF-SoS {est.corrected_sos:.2f} m/s")
 
     print("reconstructing before/after ...")
-    before = cmd_reconstruct(cfg, frames, c_bf, gt_map=gt,
-                             out_dir=args.out / "before")
-    after = cmd_reconstruct(cfg, frames, est.corrected_sos, gt_map=gt,
+    before = cmd_reconstruct(cfg, frames, c_bf, out_dir=args.out / "before")
+    after = cmd_reconstruct(cfg, frames, est.corrected_sos,
                             out_dir=args.out / "after")
 
     print(f"\n{'':>10} {'RMSE (m/s)':>11} {'CNR (dB)':>9}")

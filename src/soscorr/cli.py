@@ -13,13 +13,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
-from .calibrate import DEGREES, CalibrationError, OffsetOutOfRangeError
+from .calibrate import (DEGREES, CalibrationError, OffsetOutOfRangeError,
+                        load_model)
 from .pipeline import ConfigError, PipelineConfig, apply_quick, load_config
 from .regress import (
     EmptyPatternError,
     InsufficientDataError,
     RankDeficiencyError,
 )
+from .synthsim import SOS_MAX, SOS_MIN
 from .tomo import SolverError
 
 EXIT_CONFIG = 2
@@ -91,6 +93,12 @@ def main(argv=None) -> int:
             return 0
 
         cfg = _resolve_config(args)
+        # a NaN fails the comparison, so the band is written as the
+        # condition that must hold
+        if (args.command in ("estimate", "reconstruct")
+                and not SOS_MIN <= args.c_bf <= SOS_MAX):
+            raise ConfigError(f"--c-bf {args.c_bf!r}: must be in "
+                              f"[{SOS_MIN}, {SOS_MAX}]")
         if args.command == "simulate":
             out = pipeline.cmd_simulate(cfg, args.out)
             print(f"frames written to {out}")
@@ -112,8 +120,9 @@ def main(argv=None) -> int:
                 )
             print(f"model written to {args.out / 'calibration_model.txt'}")
         elif args.command == "estimate":
+            # a malformed model fails before any frame is read
             res = pipeline.cmd_estimate(
-                cfg, args.frames, args.model, args.c_bf, args.out
+                cfg, args.frames, load_model(args.model), args.c_bf, args.out
             )
             print(f"observed slope: {res.observed_slope:.4e} s/rad")
             print(f"estimated delta_c (c_bf - c): {res.delta_c_hat:+.2f} m/s")

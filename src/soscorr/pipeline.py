@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -446,21 +447,18 @@ def _check_gt_grid(sidecar: Path, grid: ImagingGrid) -> None:
                           f"is {', '.join(expected)}")
 
 
-def write_gt_map(out_dir: Path, cfg: PipelineConfig) -> None:
-    grid = cfg.slow_grid()
-    gt = cfg.medium().rasterize(grid)
-    np.savetxt(out_dir / "gt_sos.csv", gt, delimiter=",", fmt="%.6f")
-    (out_dir / "gt_sos.csv.txt").write_text(_grid_sidecar(
-        "ground-truth SoS in m/s on the slowness grid\n", grid))
-
-
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
-    """Simulate and persist all frames the configured pipeline needs;
-    each frame is written before the next one is simulated."""
+    """Simulate and persist all frames the configured pipeline needs, and
+    the ground-truth SoS map with its grid; each frame is written before
+    the next one is simulated."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_frame_set(out_dir, generate_frames(cfg), cfg.medium())
-    write_gt_map(out_dir, cfg)
+    grid = cfg.slow_grid()
+    np.savetxt(out_dir / "gt_sos.csv", cfg.medium().rasterize(grid),
+               delimiter=",", fmt="%.6f")
+    (out_dir / "gt_sos.csv.txt").write_text(_grid_sidecar(
+        "ground-truth SoS in m/s on the slowness grid\n", grid))
     (out_dir / "config_resolved.ini").write_text(dump_config(cfg))
     return out_dir
 
@@ -585,22 +583,13 @@ class EstimateResult:
 
 def cmd_estimate(
     cfg: PipelineConfig,
-    frames_dir_or_frames,
-    model: cal.CalibrationModel | Path,
+    frames_dir: Path,
+    model: cal.CalibrationModel,
     c_bf_assumed: float,
     out_dir: Path | None = None,
 ) -> EstimateResult:
-    """Estimate the BF-SoS offset of a dataset and correct it.
-
-    The model is loaded before any frame is read, so a malformed model
-    fails fast and is not hidden by a missing frame directory."""
-    if isinstance(model, (str, Path)):
-        model = cal.load_model(model)
-    if isinstance(frames_dir_or_frames, (str, Path)):
-        frames = read_frame_set(Path(frames_dir_or_frames),
-                                cfg.estimation_pair)
-    else:
-        frames = frames_dir_or_frames
+    """Estimate and correct the BF-SoS offset of the frames in frames_dir."""
+    frames = read_frame_set(Path(frames_dir), cfg.estimation_pair)
     fit, pattern, dmap = estimate_slope(frames, c_bf_assumed, cfg)
     dc_hat = cal.estimate_offset(model, fit.slope)
     corrected = cal.corrected_sos(c_bf_assumed, dc_hat)
@@ -661,39 +650,33 @@ def recon_search_radius(cfg: PipelineConfig, c_bf: float) -> int:
 
 def cmd_reconstruct(
     cfg: PipelineConfig,
-    frames_dir_or_frames,
+    frames_dir: Path,
     c_bf: float,
     out_dir: Path | None = None,
-    gt_map: np.ndarray | None = None,
 ) -> ReconResult:
-    """Tomographic local-SoS reconstruction at the given beamforming SoS.
+    """Tomographic local-SoS map of the frames in frames_dir at c_bf.
 
-    With out_dir, writes the map, its objective trace and reconstruct.json:
-    the solve's converged, iterations, grad_norm and message; its rows
-    (measurements in the solve) and valid_fraction (tracked nodes kept
-    by min_ncc); the map's clamped_fraction; and rmse_vs_gt_mps when a
-    ground-truth map is known. A ground truth that is not on the
-    slowness grid is refused before any frame is beamformed.
+    With out_dir, writes the map with its grid sidecar, its objective
+    trace and reconstruct.json: the solve's converged, iterations,
+    grad_norm and message; its rows (measurements in the solve) and
+    valid_fraction (tracked nodes kept by min_ncc); the map's
+    clamped_fraction; and rmse_vs_gt_mps when frames_dir holds a ground
+    truth, gt_sos.csv. A ground truth that is not on the slowness grid
+    is refused before any frame is read.
     """
+    frames_dir = Path(frames_dir)
     txs = sorted({e for p in cfg.recon_pairs for e in p})
     slow_grid = cfg.slow_grid()
-    if isinstance(frames_dir_or_frames, (str, Path)):
-        frames_dir = Path(frames_dir_or_frames)
-        gt_path = frames_dir / "gt_sos.csv"
-        if gt_map is None and gt_path.exists():
-            _check_gt_grid(frames_dir / "gt_sos.csv.txt", slow_grid)
-            gt_map = np.loadtxt(gt_path, delimiter=",")
-        frames = read_frame_set(frames_dir, txs)
-    else:
-        frames = frames_dir_or_frames
-    if gt_map is not None and gt_map.shape != (slow_grid.nz, slow_grid.nx):
-        raise ValueError(f"ground-truth map of shape {gt_map.shape} is not "
-                         f"on the {slow_grid.nz} x {slow_grid.nx} slowness "
-                         "grid")
-
-    missing = [t for t in txs if t not in frames]
-    if missing:
-        raise FileNotFoundError(f"missing frames for tx elements {missing}")
+    gt_path = frames_dir / "gt_sos.csv"
+    gt = None
+    if gt_path.exists():
+        _check_gt_grid(frames_dir / "gt_sos.csv.txt", slow_grid)
+        gt = np.loadtxt(gt_path, delimiter=",")
+        if gt.shape != (slow_grid.nz, slow_grid.nx):
+            raise ConfigError(f"{gt_path}: a map of shape {gt.shape}, "
+                              f"not {slow_grid.nz} x {slow_grid.nx} as its "
+                              "sidecar states")
+    frames = read_frame_set(frames_dir, txs)
 
     grid = cfg.full_grid()
     track_cfg = replace(RECON_TRACKING,
@@ -715,7 +698,7 @@ def cmd_reconstruct(
     slowness, info = reconstruct(L, delays, D, cfg.recon)
     sos_map, clamped = slowness.to_sos(c_bf)
 
-    rmse = rmse_map(sos_map, gt_map) if gt_map is not None else None
+    rmse = rmse_map(sos_map, gt) if gt is not None else None
     result = ReconResult(sos_map=sos_map, info=info, clamped_fraction=clamped,
                          rmse_vs_gt=rmse)
 
@@ -723,10 +706,8 @@ def cmd_reconstruct(
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         np.savetxt(out_dir / "sos_map.csv", sos_map, delimiter=",", fmt="%.6f")
-        np.ascontiguousarray(sos_map, dtype="<f4").tofile(out_dir / "sos_map.f32")
-        (out_dir / "sos_map.f32.txt").write_text(_grid_sidecar(
-            f"SoS map m/s, row-major nz x nx float32 little-endian\n"
-            f"c_bf {c_bf!r}\nconverged {info.converged}\n", slowness.grid))
+        (out_dir / "sos_map.csv.txt").write_text(_grid_sidecar(
+            f"SoS map in m/s on the slowness grid\nc_bf {c_bf!r}\n", slow_grid))
         trace = info.objective_trace
         np.savetxt(out_dir / "objective_trace.csv",
                    np.column_stack([np.arange(len(trace)), trace]),
@@ -823,7 +804,8 @@ def evaluate_phantom_set(
     Each phantom is beamformed with a deliberately wrong BF-SoS (offsets
     alternate through offset_percents, as a percentage of the true
     background SoS), the offset is estimated and corrected, and both maps
-    are reconstructed and scored against the ground truth.
+    are reconstructed and scored against the ground truth, all through
+    a temporary frame directory that cmd_simulate writes.
     """
     results = []
     for i, (name, incs) in enumerate(
@@ -831,12 +813,13 @@ def evaluate_phantom_set(
         cfg = replace(base_cfg, inclusions=incs)
         pct = offset_percents[i % len(offset_percents)]
         c_bf = cfg.background_sos * (1.0 + pct / 100.0)
-        frames = simulate_frames(cfg)
         gt = cfg.medium().rasterize(cfg.slow_grid())
         labels = region_labels(cfg)
-        est = cmd_estimate(cfg, frames, model, c_bf)
-        before = cmd_reconstruct(cfg, frames, c_bf, gt_map=gt)
-        after = cmd_reconstruct(cfg, frames, est.corrected_sos, gt_map=gt)
+        with tempfile.TemporaryDirectory() as frames_dir:
+            cmd_simulate(cfg, frames_dir)
+            est = cmd_estimate(cfg, frames_dir, model, c_bf)
+            before = cmd_reconstruct(cfg, frames_dir, c_bf)
+            after = cmd_reconstruct(cfg, frames_dir, est.corrected_sos)
         results.append(CaseResult(
             name=name,
             c_bf_assumed=c_bf,

@@ -223,6 +223,22 @@ def test_one_record_writer():
     assert callers == ["pipeline.write_record"]
 
 
+def test_one_way_in():
+    """One way into each command: no package module branches on whether
+    an argument is a path, by calling isinstance with Path or str in its
+    type argument."""
+    branches = [
+        f"{path.stem}.{getattr(node, 'name', '<module>')}"
+        for path in MODULES
+        for node in parse(path).body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == "isinstance" and len(call.args) == 2
+        and loads(call.args[1]) & {"Path", "str"}
+    ]
+    assert branches == []
+
+
 # modules that only compute: they open and write no file
 NUMERICAL = ("geometry", "beamform", "delaytrack", "regress", "tomo",
              "metrics")

@@ -35,6 +35,7 @@ from soscorr import pipeline
 from soscorr.calibrate import (CalibrationDataset, CalibrationEntry,
                                CalibrationModel, export_sweep)
 from soscorr.geometry import ImagingGrid, TransducerArray
+from soscorr.metrics import rmse_map
 from soscorr.regress import (
     EmptyPatternError,
     InsufficientDataError,
@@ -555,15 +556,15 @@ class TestCalibrationSweep:
 
 
 class TestReconstructStage:
-    def test_thread_count_does_not_change_map(self):
+    def test_thread_count_does_not_change_map(self, tmp_path):
         """Two workers beamform three recon transmits, one of them alone."""
         cfg = replace(
             cheap_cfg(), recon_pairs=((40, 56), (56, 72)),
             inclusions=(Inclusion("ellipse", (0.0, 18e-3), (5e-3, 4e-3),
                                   1540.0),),
         )
-        frames = simulate_frames(cfg, tx_list=[40, 56, 72])
-        one, two = (cmd_reconstruct(replace(cfg, threads=t), frames, 1522.5)
+        cmd_simulate(cfg, tmp_path)
+        one, two = (cmd_reconstruct(replace(cfg, threads=t), tmp_path, 1522.5)
                     for t in (1, 2))
         assert np.ptp(one.sos_map) > 0
         assert two.sos_map.tobytes() == one.sos_map.tobytes()
@@ -575,11 +576,19 @@ def recon_cfg():
 
 class TestReconMetrics:
     @pytest.fixture(scope="class")
-    def frames(self):
-        return simulate_frames(recon_cfg(), tx_list=[40, 56, 72])
+    def frames_dir(self, tmp_path_factory):
+        """The frames recon_cfg needs, with their ground truth."""
+        return cmd_simulate(recon_cfg(), tmp_path_factory.mktemp("recon"))
+
+    @pytest.fixture(scope="class")
+    def run(self, frames_dir, tmp_path_factory):
+        """(out_dir, result) of a reconstruction of frames_dir at 1500."""
+        out = tmp_path_factory.mktemp("recon_out")
+        return out, cmd_reconstruct(recon_cfg(), frames_dir, 1500.0,
+                                    out_dir=out)
 
     def test_solver_health_is_written_without_ground_truth(
-            self, frames, tmp_path, monkeypatch):
+            self, frames_dir, tmp_path, monkeypatch):
         built = []
 
         def keep(pairs, meas_grid, *args):
@@ -587,9 +596,13 @@ class TestReconMetrics:
                           build_path_matrix(pairs, meas_grid, *args)))
             return built[-1][2]
 
+        frames = tmp_path / "frames"
+        shutil.copytree(frames_dir, frames)
+        (frames / "gt_sos.csv").unlink()
         monkeypatch.setattr(pipeline, "build_path_matrix", keep)
-        res = cmd_reconstruct(recon_cfg(), frames, 1500.0, out_dir=tmp_path)
-        metrics = json.loads((tmp_path / "reconstruct.json").read_text())
+        out = tmp_path / "out"
+        res = cmd_reconstruct(recon_cfg(), frames, 1500.0, out_dir=out)
+        metrics = json.loads((out / "reconstruct.json").read_text())
         [(n_pairs, n_nodes, L)] = built
         rows = L.matrix.shape[0]
         assert metrics == {
@@ -606,26 +619,30 @@ class TestReconMetrics:
         assert res.clamped_fraction == 0.0
         assert res.rmse_vs_gt is None
 
-    def test_rmse_is_added_with_ground_truth(self, frames, tmp_path):
-        cfg = recon_cfg()
-        gt = cfg.medium().rasterize(cfg.slow_grid())
-        res = cmd_reconstruct(cfg, frames, 1500.0, out_dir=tmp_path,
-                              gt_map=gt)
-        metrics = json.loads((tmp_path / "reconstruct.json").read_text())
+    def test_rmse_is_added_with_ground_truth(self, frames_dir, run):
+        """The ground truth is the frame directory's gt_sos.csv."""
+        out, res = run
+        metrics = json.loads((out / "reconstruct.json").read_text())
+        gt = np.loadtxt(frames_dir / "gt_sos.csv", delimiter=",")
+        assert res.rmse_vs_gt == rmse_map(res.sos_map, gt)
         assert metrics["rmse_vs_gt_mps"] == res.rmse_vs_gt
         assert metrics["iterations"] == res.info.iterations
         assert {"rows", "valid_fraction", "clamped_fraction"} <= set(metrics)
 
-    def test_ground_truth_of_another_shape_fails_before_beamforming(
-            self, frames, monkeypatch):
-        def no_beamforming(*args, **kwargs):
-            raise AssertionError("no frame may be beamformed")
-
-        monkeypatch.setattr(pipeline, "das_beamform", no_beamforming)
-        with pytest.raises(ValueError, match=r"shape \(16, 16\) is not on "
-                           "the 24 x 24 slowness grid"):
-            cmd_reconstruct(recon_cfg(), frames, 1500.0,
-                            gt_map=np.full((16, 16), 1500.0))
+    def test_map_is_written_once_with_its_grid(self, run):
+        """One map file, sos_map.csv, beside a sidecar that names c_bf and
+        holds the slowness grid as gt_sos.csv.txt does."""
+        out, res = run
+        assert sorted(p.name for p in out.iterdir()) == [
+            "objective_trace.csv", "reconstruct.json", "sos_map.csv",
+            "sos_map.csv.txt"]
+        np.testing.assert_allclose(
+            np.loadtxt(out / "sos_map.csv", delimiter=","), res.sos_map,
+            rtol=0, atol=5e-7)
+        lines = (out / "sos_map.csv.txt").read_text().splitlines()
+        assert lines[1] == "c_bf 1500.0"
+        assert lines[2:] == pipeline._grid_sidecar(
+            "", recon_cfg().slow_grid()).splitlines()
 
 
 class TestCommandTables:
@@ -1052,6 +1069,28 @@ class TestCLIExitCodes:
         assert rc == 2
         assert "gt_sos.csv.txt is missing" in capsys.readouterr().err
 
+    def test_ground_truth_short_of_its_grid_is_two(self, workspace, capsys,
+                                                   monkeypatch, tmp_path):
+        """A gt_sos.csv that lacks a row of the grid its sidecar states is
+        refused, with the file named, before any frame is read."""
+        root, cfg_path = workspace
+        frames = tmp_path / "sim"
+        shutil.copytree(root / "sim", frames)
+        gt = frames / "gt_sos.csv"
+        gt.write_text("".join(gt.read_text().splitlines(keepends=True)[:-1]))
+        reads = []
+        monkeypatch.setattr(pipeline, "read_frame_set",
+                            lambda *args: reads.append(args))
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(tmp_path / "rec"),
+            "--quick", "reconstruct", "--frames", str(frames),
+            "--c-bf", "1500",
+        ])
+        assert rc == 2
+        assert "gt_sos.csv: a map of shape (23, 24), not 24 x 24" \
+            in capsys.readouterr().err
+        assert reads == []
+
     def test_quick_calibrate_with_unfitted_degree_is_two(self, workspace,
                                                          capsys, monkeypatch):
         """--quick fits degree 1 only; degree 3 fails before the sweep."""
@@ -1164,6 +1203,28 @@ class TestCLIExitCodes:
         ])
         assert rc == 2
         assert reads == []
+
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    @pytest.mark.parametrize("c_bf", ["1800", "nan"])
+    def test_c_bf_outside_the_band_is_two_before_frames_are_read(
+            self, workspace, capsys, monkeypatch, command, c_bf):
+        """--c-bf is checked, and named, before any frame is read: a
+        missing frame directory does not hide it either."""
+        root, cfg_path = workspace
+        reads = []
+        monkeypatch.setattr(pipeline, "read_frame_set",
+                            lambda *args: reads.append(args))
+        model = ["--model", str(root / "narrow_model.txt")]
+        for frames in (root / "sim", root / "does_not_exist"):
+            rc = cli_main([
+                "--config", str(cfg_path), "--out", str(root / "bad_c_bf"),
+                "--quick", command, "--frames", str(frames),
+                *(model if command == "estimate" else []), "--c-bf", c_bf,
+            ])
+            assert rc == 2
+            assert "--c-bf" in capsys.readouterr().err
+        assert reads == []
+        assert not (root / "bad_c_bf").exists()
 
     @pytest.mark.parametrize("error", [
         EmptyPatternError, InsufficientDataError, RankDeficiencyError,

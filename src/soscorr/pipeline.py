@@ -69,6 +69,11 @@ ESTIMATION_TRACKING = TrackConfig(window_len=224)
 # the estimation pair's pattern fit, a key of regress.FITTERS
 ESTIMATION_FIT = "robust"
 
+# the polar ROI the pattern is fitted over; the calibration model holds
+# for this ROI only. roi() sets its origin to the pair's midpoint.
+ESTIMATION_ROI = PolarROI(depth_min=7.5e-3, depth_max=15.0e-3,
+                          theta_min=-0.4, theta_max=0.4, num_bins=40)
+
 # reconstruction pairs lie further apart than the estimation pair and
 # decorrelate more: their tracker pools 5 image columns per node and
 # keeps only nodes whose peak NCC reaches 0.4. The shorter window keeps
@@ -98,12 +103,6 @@ class PipelineConfig:
     # slowness grid
     slow_nx: int = 32
     slow_nz: int = 32
-
-    roi_depth_min: float = 7.5e-3
-    roi_depth_max: float = 15.0e-3
-    roi_theta_min: float = -0.4
-    roi_theta_max: float = 0.4
-    roi_num_bins: int = 40
 
     estimation_pair: tuple[int, int] = (55, 65)
     recon_pairs: tuple[tuple[int, int], ...] = DEFAULT_RECON_PAIRS
@@ -153,10 +152,6 @@ class PipelineConfig:
                         raise ConfigError(
                             f"{key}: element {e} of pair {a},{b} is not on "
                             f"the {self.array.num_elements}-element array")
-        try:
-            self.roi()
-        except ValueError as err:
-            raise ConfigError(f"[roi] {err}") from err
 
     # ---- derived geometry -------------------------------------------------
 
@@ -198,17 +193,11 @@ class PipelineConfig:
         )
 
     def roi(self) -> PolarROI:
-        """Polar ROI whose origin is the estimation pair's midpoint."""
+        """ESTIMATION_ROI with its origin at the estimation pair's midpoint."""
         a, b = self.estimation_pair
-        return PolarROI(
-            depth_min=self.roi_depth_min,
-            depth_max=self.roi_depth_max,
-            theta_min=self.roi_theta_min,
-            theta_max=self.roi_theta_max,
-            num_bins=self.roi_num_bins,
-            reference_x=0.5 * (element_position(self.array, a)[0]
-                               + element_position(self.array, b)[0]),
-        )
+        return replace(ESTIMATION_ROI, reference_x=0.5 * (
+            element_position(self.array, a)[0]
+            + element_position(self.array, b)[0]))
 
     def estimation_grid(self) -> ImagingGrid:
         """Tight beamforming grid around the pattern-extraction ROI."""
@@ -280,8 +269,7 @@ def _format_pair(pair: tuple[int, int]) -> str:
 
 
 # (section, key, PipelineConfig field path, parse, format), in file order.
-# "inclusionN" stands for inclusion1, inclusion2, ...: one key per entry
-# of the tuple, applied in numeric order.
+# inclusions is a multi-line value, one inclusion a line, in list order.
 _FIELDS = (
     ("array", "num_elements", "array.num_elements", int, str),
     ("array", "pitch", "array.pitch", float, repr),
@@ -289,7 +277,9 @@ _FIELDS = (
     ("pulse", "half_cycles", "pulse.half_cycles", int, str),
     ("pulse", "sampling_frequency", "pulse.sampling_frequency", float, repr),
     ("medium", "background_sos", "background_sos", float, repr),
-    ("medium", "inclusionN", "inclusions", _parse_inclusion, _format_inclusion),
+    ("medium", "inclusions", "inclusions",
+     lambda s: tuple(map(_parse_inclusion, filter(str.strip, s.splitlines()))),
+     lambda incs: "\n    ".join(map(_format_inclusion, incs))),
     ("scatterers", "density", "scatterer_density", float, repr),
     ("scatterers", "seed", "seed", int, str),
     ("simulation", "noise_snr_db", "noise_snr_db",
@@ -300,11 +290,6 @@ _FIELDS = (
     ("grids", "bf_depth", "bf_depth", float, repr),
     ("grids", "slow_nx", "slow_nx", int, str),
     ("grids", "slow_nz", "slow_nz", int, str),
-    ("roi", "depth_min", "roi_depth_min", float, repr),
-    ("roi", "depth_max", "roi_depth_max", float, repr),
-    ("roi", "theta_min", "roi_theta_min", float, repr),
-    ("roi", "theta_max", "roi_theta_max", float, repr),
-    ("roi", "num_bins", "roi_num_bins", int, str),
     ("estimation", "pair", "estimation_pair", _parse_pair, _format_pair),
     ("reconstruction", "pairs", "recon_pairs",
      lambda s: tuple(map(_parse_pair, s.split())),
@@ -330,38 +315,29 @@ def load_config(path: Path) -> PipelineConfig:
         raise ConfigError(str(err)) from err
     if not read:
         raise FileNotFoundError(f"config file {path} not found")
+    # configparser copies [DEFAULT] into every section and keeps it out
+    # of sections(), so it is refused here rather than read as any section
+    if cp.defaults():
+        raise ConfigError("unknown config section [DEFAULT]")
     values: dict[str, dict] = {}  # owner ("" = PipelineConfig) -> field -> value
     sections: dict[str, str] = {}
-    inclusions = []
     known_sections = {section for section, _ in _ROWS}
     for section in cp.sections():
         if section not in known_sections:
             raise ConfigError(f"unknown config section [{section}]")
         for key, text in cp[section].items():
-            name = key
-            if section == "medium" and key.startswith("inclusion"):
-                name = "inclusionN"
-            if (section, name) not in _ROWS:
+            if (section, key) not in _ROWS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            _, _, fpath, parse, _ = _ROWS[section, name]
+            _, _, fpath, parse, _ = _ROWS[section, key]
             try:
                 value = parse(text)
             except ValueError as err:
                 raise ConfigError(f"[{section}] {key} = {text!r}: {err}") from err
-            if name == "inclusionN":
-                number = key[len("inclusion"):]
-                if not number.isdigit():
-                    raise ConfigError(f"[medium] {key}: inclusion keys are "
-                                      "'inclusion' and a number")
-                inclusions.append((int(number), value))
-                continue
             owner, _, attr = fpath.rpartition(".")
             values.setdefault(owner, {})[attr] = value
             sections[owner] = section
     cfg = PipelineConfig()
     top = values.pop("", {})
-    inclusions.sort(key=lambda item: item[0])
-    top["inclusions"] = tuple(inc for _, inc in inclusions)
     for owner, fields in values.items():
         try:
             top[owner] = replace(getattr(cfg, owner), **fields)
@@ -376,12 +352,7 @@ def dump_config(cfg: PipelineConfig) -> str:
     for section, key, fpath, _, fmt in _FIELDS:
         if f"[{section}]" not in lines:
             lines += ["", f"[{section}]"]
-        value = reduce(getattr, fpath.split("."), cfg)
-        if key == "inclusionN":
-            lines += [f"inclusion{i} = {fmt(inc)}"
-                      for i, inc in enumerate(value, 1)]
-        else:
-            lines.append(f"{key} = {fmt(value)}")
+        lines.append(f"{key} = {fmt(reduce(getattr, fpath.split('.'), cfg))}")
     return "\n".join(lines[1:]) + "\n"
 
 
@@ -527,8 +498,8 @@ def run_calibration_sweep(
         metadata={
             "c_true": c_true,
             "pair": cfg.estimation_pair,
-            "roi": (cfg.roi_depth_min, cfg.roi_depth_max,
-                    cfg.roi_theta_min, cfg.roi_theta_max),
+            "roi": (ESTIMATION_ROI.depth_min, ESTIMATION_ROI.depth_max,
+                    ESTIMATION_ROI.theta_min, ESTIMATION_ROI.theta_max),
             "method": ESTIMATION_FIT,
             "seed": cfg.seed,
         },

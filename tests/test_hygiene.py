@@ -1,16 +1,19 @@
 """Source hygiene: no unused import in a package module, no
 module-level function or class, and no class field, that nothing
 outside the tests loads, no test module or demo that fails to
-import, and no config value that no config-file key sets."""
+import, no config value that no config-file key sets, and one line
+per config-file key."""
 
 import ast
 import dataclasses
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-from soscorr.pipeline import _FIELDS, PipelineConfig
+from soscorr.pipeline import _FIELDS, PipelineConfig, dump_config, load_config
+from soscorr.synthsim import Inclusion
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "soscorr"
@@ -203,6 +206,23 @@ def test_every_config_field_is_a_file_key():
     count that --threads sets: no knob is settable in code alone."""
     keys = {row[2] for row in _FIELDS} | {"threads"}
     assert sorted(set(leaf_fields(PipelineConfig())) - keys) == []
+
+
+def test_one_key_line_per_field_row(tmp_path):
+    """dump_config writes one `key =` line per _FIELDS row, in table
+    order, also for a multi-line value; load_config reads the file back
+    to the same config. Two overlapping inclusions keep their order."""
+    incs = (Inclusion("ellipse", (0.0, 0.02), (4e-3, 3e-3), 1540.0),
+            Inclusion("rectangle", (1e-3, 0.02), (2e-3, 2e-3), 1480.0))
+    assert all(inc.contains(1e-3, 0.02) for inc in incs)
+    cfg = PipelineConfig(inclusions=incs)
+    text = dump_config(cfg)
+    assert re.findall(r"^(\w+) =", text, re.M) == [row[1] for row in _FIELDS]
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    back = load_config(path)
+    assert back == cfg
+    assert back.inclusions == incs
 
 
 def calls_json_dumps(node: ast.AST) -> bool:

@@ -70,10 +70,17 @@ sweep_metadata_hash 0
 """
 
 # keys that a resolved config of an earlier version holds and that are
-# now fixed: the ROI origin, the estimation apodization, the two
-# tracker setups, the fit method and the TV weights
+# now fixed or renamed: the ROI and its origin, the estimation
+# apodization, the two tracker setups, the fit method, the TV weights
+# and the numbered inclusion keys
 REMOVED_KEYS = [
     "[roi]\nreference = pair_midpoint\n",
+    "[roi]\ndepth_min = 0.0075\n",
+    "[roi]\ndepth_max = 0.015\n",
+    "[roi]\ntheta_min = -0.4\n",
+    "[roi]\ntheta_max = 0.4\n",
+    "[roi]\nnum_bins = 40\n",
+    "[medium]\ninclusion1 = ellipse -0.004 0.02 0.005 0.004 1540.0\n",
     "[estimation]\napodization = hann\n",
     "[tracking]\nwindow_len = 96\n",
     "[tracking]\nsearch_radius = 16\n",
@@ -144,11 +151,6 @@ FIELD_VALUES = {
     "bf_depth": st.floats(0.005, 0.08),
     "slow_nx": st.integers(2, 128),
     "slow_nz": st.integers(2, 128),
-    "roi_depth_min": st.floats(0.0, 0.01),
-    "roi_depth_max": st.floats(0.01, 0.05),
-    "roi_theta_min": st.floats(-1.0, 0.0),
-    "roi_theta_max": st.floats(0.0, 1.0),
-    "roi_num_bins": st.integers(2, 200),
     "estimation_pair": element_pairs,
     "recon_pairs": st.lists(element_pairs, min_size=1, max_size=8).map(tuple),
     "recon.lam": st.floats(0.0, 10.0),
@@ -241,6 +243,8 @@ class TestConfigFiles:
 
     @pytest.mark.parametrize("key", ["inclusion", "inclusion_a", "inclusionx1"])
     def test_inclusion_key_needs_a_number(self, tmp_path, key):
+        """No key but inclusions sets an inclusion: a singular, numbered
+        or misspelt key is unknown and named."""
         path = tmp_path / "cfg.ini"
         path.write_text(f"[medium]\n{key} = ellipse 0 0.02 0.004 0.003 1540\n")
         with pytest.raises(ConfigError, match=key):
@@ -260,10 +264,6 @@ class TestConfigFiles:
         ("medium", "background_sos = 15%"),
         ("estimation", "pair = 55,200"),
         ("reconstruction", "pairs = 40,56 120,136"),
-        ("roi", "depth_min = 0.02"),
-        ("roi", "depth_min = nan"),
-        ("roi", "theta_min = 0.5"),
-        ("roi", "num_bins = 1"),
         ("reconstruction", "lam = nan"),
         ("reconstruction", "lam = inf"),
         ("reconstruction", "l1_epsilon = nan"),
@@ -272,7 +272,7 @@ class TestConfigFiles:
         ("grids", "bf_dz = nan"),
         ("grids", "slow_nx = 0"),
         ("scatterers", "density = nan"),
-        ("medium", "inclusion1 = ellipse nan 0.02 0.004 0.003 1540"),
+        ("medium", "inclusions = ellipse nan 0.02 0.004 0.003 1540"),
     ])
     def test_bad_value_names_section_and_key(self, tmp_path, section, line):
         path = tmp_path / "cfg.ini"
@@ -315,10 +315,37 @@ class TestConfigFiles:
             load_config(path)
 
     def test_bad_inclusion_string(self, tmp_path):
+        """A line with too few values is refused, also when it is not
+        the first line of the inclusions value."""
         path = tmp_path / "cfg.ini"
-        path.write_text("[medium]\ninclusion1 = ellipse 0 0.02\n")
-        with pytest.raises(ConfigError, match="inclusion"):
+        for value in ("ellipse 0 0.02",
+                      "ellipse 0 0.02 0.004 0.003 1540\n    rectangle 0 0.02"):
+            path.write_text(f"[medium]\ninclusions = {value}\n")
+            with pytest.raises(ConfigError, match=r"\[medium\] inclusions = "
+                               ".*'shape cx cz hx hz sos'"):
+                load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 3\n",
+        "[DEFAULT]\nseed = 3\n\n[grids]\nslow_nx = 24\n",
+    ], ids=["alone", "with-section"])
+    def test_default_section_rejected(self, tmp_path, text):
+        """configparser keeps [DEFAULT] out of sections() and copies its
+        keys into every other section, so it must be refused by name."""
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError,
+                           match=r"^unknown config section \[DEFAULT\]$"):
             load_config(path)
+
+    def test_blank_lines_in_inclusions_are_skipped(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[medium]\ninclusions =\n"
+                        "    ellipse 0 0.02 0.004 0.003 1540\n\n"
+                        "    rectangle 0.001 0.02 0.002 0.002 1480\n")
+        assert load_config(path).inclusions == (
+            Inclusion("ellipse", (0.0, 0.02), (0.004, 0.003), 1540.0),
+            Inclusion("rectangle", (0.001, 0.02), (0.002, 0.002), 1480.0))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -335,19 +362,6 @@ class TestDerivedConfig:
         the calibration."""
         with pytest.raises(ConfigError, match=key + " = .*must be one of"):
             PipelineConfig(**{field: value})
-
-    @pytest.mark.parametrize("kwargs, key", [
-        ({"roi_depth_min": 0.02}, "depth_min"),
-        ({"roi_depth_max": 5e-3}, "depth_min"),
-        ({"roi_theta_min": 0.5}, "theta_min"),
-        ({"roi_theta_max": np.nan}, "theta_min"),
-        ({"roi_num_bins": 1}, "num_bins"),
-    ], ids=["depth-min", "depth-max", "theta-min", "theta-max-nan",
-            "num-bins"])
-    def test_bad_roi_rejected_at_construction(self, kwargs, key):
-        """Not later, when the pattern is extracted."""
-        with pytest.raises(ConfigError, match=rf"\[roi\] {key} must be"):
-            PipelineConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs, key", [
         ({"bf_dx": np.nan}, r"\[grids\] bf_dx"),
@@ -831,21 +845,38 @@ class TestCLIExitCodes:
         root, _ = workspace
         bad = root / "removed_key.ini"
         bad.write_text(text)
-        rc = cli_main([
-            "--config", str(bad), "--out", str(root / "x"), "simulate",
-        ])
+        out = root / "removed_key"
+        rc = cli_main(["--config", str(bad), "--out", str(out), "simulate"])
         assert rc == 2
         assert re.search(unknown_key_error(text), capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_default_section_is_two(self, workspace, capsys):
+        """A [DEFAULT] seed is not read as the scatterer seed: the run
+        stops before any frame is written."""
+        root, _ = workspace
+        bad = root / "default_section.ini"
+        bad.write_text("[DEFAULT]\nseed = 3\n")
+        out = root / "default_section"
+        rc = cli_main([
+            "--config", str(bad), "--out", str(out), "--quick", "simulate",
+        ])
+        assert rc == 2
+        assert ("unknown config section [DEFAULT]"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_earlier_resolved_config_is_two(self, workspace, capsys):
         """A config_resolved.ini written while the trackers and the fit
         method were set in the file: its first such entry, the
-        [tracking] section, is named, and no frame is written."""
+        [tracking] section before [estimation], is named, and no frame
+        is written."""
         root, cfg_path = workspace
         resolved = dump_config(apply_quick(load_config(cfg_path)))
         earlier = resolved
         for before, lines in (
-                ("[roi]\n", "[tracking]\nwindow_len = 96\nsearch_radius = 16\n"
+                ("[estimation]\n",
+                 "[tracking]\nwindow_len = 96\nsearch_radius = 16\n"
                  "axial_step = 2\nlateral_step = 1\nmin_ncc = 0.2\n\n"),
                 ("[estimation]\n", "[regression]\nmethod = robust\n\n"),
                 ("\n[reconstruction]\n", "window_len = 224\n"),
@@ -923,27 +954,6 @@ class TestCLIExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"[reconstruction] {line.partition(' =')[0]}" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command, line", [
-        ("calibrate", "depth_min = 0.02"), ("simulate", "num_bins = 1"),
-    ])
-    def test_bad_roi_is_two_before_any_frame(self, workspace, capsys,
-                                             monkeypatch, command, line):
-        root, _ = workspace
-        bad = root / "bad_roi.ini"
-        bad.write_text(f"{CHEAP_CONFIG}\n[roi]\n{line}\n")
-
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("no frame may be simulated")
-
-        monkeypatch.setattr(pipeline, "simulate_frame", no_simulation)
-        out = root / f"bad_roi_{command}"
-        rc = cli_main([
-            "--config", str(bad), "--out", str(out), "--quick", command,
-        ])
-        assert rc == 2
-        assert f"[roi] {line.partition(' =')[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_recon_pair_off_the_array_is_two_before_any_frame(

@@ -1,13 +1,15 @@
 """Axial normalized-cross-correlation delay tracking between frames.
 
-One kernel correlates every node, column and integer lag at once:
-window sums and energies come from running sums down each column, the
-dot products from one product over a strided view of the lagged
-windows of frame b, and the pooling over lateral_window columns from a
-running sum across columns. The peak lag is refined by a 3-point
-parabola. Tracked lags are converted to seconds through the two-way
-axial time of the beamformed grid, and the sign is oriented so that the
-reported delay equals the differential echo-shift model
+One kernel correlates every node, column and integer lag at once with
+running sums, as in Lewis's fast normalized cross-correlation (Vision
+Interface 1995): window sums and energies come from running sums down
+each column; the dot products, one lag at a time, from a running sum
+of the lagged products a[z] * b[z + lag] over blocks of
+gcd(window_len, axial_step) rows; and the pooling over lateral_window
+columns from a running sum across columns. The peak lag is refined by
+a 3-point parabola. Tracked lags are converted to seconds through the
+two-way axial time of the beamformed grid, and the sign is oriented so
+that the reported delay equals the differential echo-shift model
 (1/c - 1/c_bf) * (d_a - d_b) for a frame pair (a, b).
 """
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .beamform import BeamformedFrame
 from .geometry import ImagingGrid
@@ -127,21 +128,29 @@ def track_delays(
     xs = np.arange(0, nx, cfg.lateral_step)
     lags = np.arange(-r, r + 1)
     at_nodes = slice(r, z_last + 1, cfg.axial_step)
+    b_starts = zs[:, None] + lags  # (nodes, lags) windows of b
 
     sum_a, energy_a = _window_stats(a, w)
-    _, energy_b = _window_stats(b, w)
-    a_win = sliding_window_view(a, w, axis=0)[at_nodes]  # (nodes, nx, w)
-    a_dm = a_win - (sum_a[at_nodes] / w)[..., None]
-    # (nodes, nx, lags, w) view: lag l of node n starts at zs[n] + l; the
-    # b windows need no de-meaning, as each window of a has zero mean
-    b_win = sliding_window_view(
-        sliding_window_view(b, w + 2 * r, axis=0)[:: cfg.axial_step], w, axis=-1
-    )
-    dots = np.einsum("nxlw,nxw->nlx", b_win, a_dm)
+    sum_b, energy_b = _window_stats(b, w)
+    # node n's dot at lag l is the window sum of a[z] * b[z + l], read
+    # from a running sum over blocks of g rows (every window starts and
+    # ends on a block edge), less mean_a * sum_b, which de-means the
+    # window of a
+    g = np.gcd(w, cfg.axial_step)
+    n = zs[-1] + w - r  # rows the windows of a cover, from row r
+    lo = (zs - r) // g
+    hi = lo + w // g
+    run = np.zeros((n // g + 1, nx))
+    dots = np.empty((zs.size, lags.size, nx))
+    for k, lag in enumerate(lags):
+        prod = a[r:r + n] * b[r + lag:r + lag + n]
+        np.cumsum(prod.reshape(-1, g, nx).sum(axis=1), axis=0, out=run[1:])
+        dots[:, k] = run[hi] - run[lo]
+    dots -= (sum_a[at_nodes] / w)[:, None, :] * sum_b[b_starts]
 
     # pooled over the lateral window: (nodes, lags, xs)
     ea = _pool_columns(energy_a[at_nodes], xs, h)[:, None, :]
-    eb = _pool_columns(energy_b[zs[:, None] + lags], xs, h)
+    eb = _pool_columns(energy_b[b_starts], xs, h)
     denom = np.sqrt(ea) * np.sqrt(eb)
     with np.errstate(divide="ignore", invalid="ignore"):
         ncc = np.where(denom > 0, _pool_columns(dots, xs, h) / denom, 0.0)

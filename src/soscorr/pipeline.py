@@ -129,6 +129,18 @@ class PipelineConfig:
         if not 0 <= self.bf_z0 < np.inf:
             raise ConfigError(f"[grids] bf_z0 = {self.bf_z0!r}: must be "
                               "finite and >= 0")
+        # an inclusion that misses the slowness grid would be dropped
+        # from the medium without a word
+        slow = self.slow_grid()
+        for inc in self.inclusions:
+            (cx, cz), (hx, hz) = inc.center, inc.half_axes
+            if not (cx - hx < slow.x_max and cx + hx > slow.x_min
+                    and cz - hz < slow.z_max and cz + hz > slow.z_min):
+                raise ConfigError(
+                    f"[medium] inclusions: {_format_inclusion(inc)!r} lies "
+                    f"outside the medium, x in [{slow.x_min:g}, "
+                    f"{slow.x_max:g}] m and z in [{slow.z_min:g}, "
+                    f"{slow.z_max:g}] m")
         if not SOS_MIN <= self.background_sos <= SOS_MAX:
             raise ConfigError(f"[medium] background_sos = "
                               f"{self.background_sos!r}: must be in "
@@ -647,15 +659,17 @@ def cmd_reconstruct(
             raise ConfigError(f"{gt_path}: a map of shape {gt.shape}, "
                               f"not {slow_grid.nz} x {slow_grid.nx} as its "
                               "sidecar states")
-    frames = read_frame_set(frames_dir, txs)
 
     grid = cfg.full_grid()
     track_cfg = replace(RECON_TRACKING,
                         search_radius=recon_search_radius(cfg, c_bf))
     bfc = BFConfig(c_bf=c_bf, grid=grid)
+    # each worker reads its own frame, so only the frames being
+    # beamformed are held, not the whole set
     images = dict(zip(txs, thread_map(
-        lambda tx: das_beamform(frames[tx], cfg.array, bfc), txs, cfg.threads
-    )))
+        lambda tx: das_beamform(read_frame_set(frames_dir, [tx])[tx],
+                                cfg.array, bfc),
+        txs, cfg.threads)))
     dmaps = [track_delays(images[a], images[b], track_cfg)
              for a, b in cfg.recon_pairs]
 

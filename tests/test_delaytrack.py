@@ -1,6 +1,7 @@
 """NCC delay tracking: 1-D shift oracles, the reference tracker and 2-D
 delay maps."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from soscorr.beamform import BeamformedFrame
 from soscorr.delaytrack import DelayMap, TrackConfig, track_delays
 from soscorr.geometry import ImagingGrid, element_position, polar_coords
-from soscorr.pipeline import ESTIMATION_TRACKING
+from soscorr.pipeline import (ESTIMATION_TRACKING, RECON_TRACKING,
+                              PipelineConfig, apply_quick,
+                              recon_search_radius)
 
 
 def speckle(n, seed=0, corr=4):
@@ -59,13 +62,12 @@ def reference_track_delays(
 
     The tracker as it was before the one-pass kernel; its code is kept
     verbatim.
-    track_delays computes the same correlation sums from running sums
-    and one strided product, so the two agree to rounding. Each node
-    correlates an axial window of frame a with lagged windows of frame
-    b. With lateral_window > 1 the dot products and energies of the
-    columns around the node are summed before normalizing. A node is
-    valid when its peak NCC reaches min_ncc and the peak lies inside
-    the search range.
+    track_delays computes the same correlation sums from running sums,
+    so the two agree to rounding. Each node correlates an axial window
+    of frame a with lagged windows of frame b. With lateral_window > 1
+    the dot products and energies of the columns around the node are
+    summed before normalizing. A node is valid when its peak NCC
+    reaches min_ncc and the peak lies inside the search range.
     """
     if frame_a.grid != frame_b.grid:
         raise ValueError("frames must share the same grid")
@@ -268,31 +270,9 @@ class TestAgainstReference:
     NCC_TOL = 1e-12
     DELAY_TOL = 1e-12  # samples
 
-    @pytest.mark.parametrize(
-        "shift, period, column, lateral_window, lateral_step, axial_step",
-        [
-            (2, None, None, 1, 1, 1),
-            (2, None, None, 5, 2, 8),
-            (-3, None, None, 5, 1, 1),
-            (1, None, None, 1, 2, 8),
-            (7, 60, None, 1, 1, 2),
-            (7, 60, None, 5, 2, 1),
-            (2, None, "zero", 1, 1, 1),
-            (2, None, "zero", 5, 2, 8),
-            (2, None, "dc", 1, 1, 8),
-            (-3, None, "dc", 5, 2, 1),
-        ],
-        ids=["plain", "pooled-strided", "pooled", "strided",
-             "edge-peaks", "edge-peaks-pooled", "zero-column",
-             "zero-column-pooled", "dc", "dc-pooled"],
-    )
-    def test_matches_reference(self, shift, period, column, lateral_window,
-                               lateral_step, axial_step):
-        fa, fb = reference_case(shift, period, column)
-        # min_ncc near the median peak, so the masks mix valid and invalid
-        cfg = TrackConfig(window_len=64, search_radius=4, min_ncc=0.95,
-                          lateral_window=lateral_window,
-                          lateral_step=lateral_step, axial_step=axial_step)
+    def assert_matches(self, fa, fb, cfg):
+        """track_delays(fa, fb, cfg) against the reference; returns the
+        reference's map."""
         out = track_delays(fa, fb, cfg)
         ref = reference_track_delays(fa, fb, cfg)
         assert out.grid == ref.grid
@@ -304,12 +284,63 @@ class TestAgainstReference:
         np.testing.assert_allclose(out.delays / one_sample,
                                    ref.delays / one_sample, rtol=0,
                                    atol=self.DELAY_TOL)
+        return ref
+
+    @pytest.mark.parametrize(
+        "shift, period, column, lateral_window, lateral_step, axial_step, "
+        "window_len",
+        [
+            (2, None, None, 1, 1, 1, 64),
+            (2, None, None, 5, 2, 8, 64),
+            (-3, None, None, 5, 1, 1, 64),
+            (1, None, None, 1, 2, 8, 64),
+            (7, 60, None, 1, 1, 2, 64),
+            (7, 60, None, 5, 2, 1, 64),
+            (2, None, "zero", 1, 1, 1, 64),
+            (2, None, "zero", 5, 2, 8, 64),
+            (2, None, "dc", 1, 1, 8, 64),
+            (-3, None, "dc", 5, 2, 1, 64),
+            # the step does not divide the window, so the running sum's
+            # blocks are shorter than the step: gcd 1, and gcd 4
+            (2, None, None, 1, 1, 3, 64),
+            (-3, None, None, 5, 2, 8, 60),
+        ],
+        ids=["plain", "pooled-strided", "pooled", "strided",
+             "edge-peaks", "edge-peaks-pooled", "zero-column",
+             "zero-column-pooled", "dc", "dc-pooled", "step-3-window-64",
+             "step-8-window-60-pooled"],
+    )
+    def test_matches_reference(self, shift, period, column, lateral_window,
+                               lateral_step, axial_step, window_len):
+        fa, fb = reference_case(shift, period, column)
+        # min_ncc near the median peak, so the masks mix valid and invalid
+        cfg = TrackConfig(window_len=window_len, search_radius=4,
+                          min_ncc=0.95, lateral_window=lateral_window,
+                          lateral_step=lateral_step, axial_step=axial_step)
+        ref = self.assert_matches(fa, fb, cfg)
         if period is None:
             assert 0 < np.count_nonzero(ref.valid) < ref.valid.size
         else:
             assert not np.any(ref.valid)
         if column == "zero" and lateral_window == 1:
             assert not np.any(ref.valid[:, 2 // lateral_step])
+
+    @pytest.mark.parametrize("setup", ["estimation", "reconstruction"])
+    def test_pipeline_setups_match_reference(self, setup):
+        """The two trackers the pipeline runs, on speckle deep enough for
+        several nodes of each; the reconstruction's search radius is the
+        one recon_search_radius gives the quick config at c_bf 1522.5."""
+        cfg = ESTIMATION_TRACKING if setup == "estimation" else replace(
+            RECON_TRACKING, search_radius=recon_search_radius(
+                apply_quick(PipelineConfig()), 1522.5))
+        fa, fb = shifted_frames(3, nz=cfg.window_len + 2 * cfg.search_radius
+                                + 8 * cfg.axial_step, nx=9)
+        rng = np.random.default_rng(3)
+        fb = replace(fb, rf=fb.rf + 0.3 * fb.rf.std()
+                     * rng.standard_normal(fb.rf.shape))
+        ref = self.assert_matches(fa, fb, cfg)
+        assert ref.delays.shape[0] == 9
+        assert np.any(ref.valid)
 
 
 class TestTrackDelays:
@@ -338,6 +369,24 @@ class TestTrackDelays:
         # little off the integer lag
         assert np.allclose(dmap.delays, -2.0 * one_sample, rtol=0,
                            atol=0.15 * one_sample)
+
+    def test_estimation_tracker_memory_is_bounded(self):
+        """ESTIMATION_TRACKING on a pair of the quick estimation grid's
+        shape peaks below 10 arrays of (nodes, lags, columns), the shape
+        of the correlation sums; it takes about 8. A copy of every
+        node's window of a is window_len / lags = 6.8 more such arrays:
+        the strided product that held one peaked at 14.5."""
+        fa, fb = shifted_frames(2, nz=492, nx=51)
+        w, r = ESTIMATION_TRACKING.window_len, ESTIMATION_TRACKING.search_radius
+        nodes = len(range(r, 492 - w - r + 1, ESTIMATION_TRACKING.axial_step))
+        sums = nodes * (2 * r + 1) * 51 * 8
+        tracemalloc.start()
+        try:
+            track_delays(fa, fb, ESTIMATION_TRACKING)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * sums
 
     def test_measurement_grid_geometry(self, full_cfg, null_estimate):
         _, _, dmap = null_estimate

@@ -42,7 +42,7 @@ from soscorr.regress import (
     RankDeficiencyError,
 )
 from soscorr.synthsim import (SOS_MAX, SOS_MIN, Inclusion, PulseSpec,
-                              write_frame_set)
+                              read_frame_set, write_frame_set)
 from soscorr.tomo import build_path_matrix
 
 CHEAP_CONFIG = """\
@@ -126,7 +126,9 @@ element_pairs = st.lists(st.integers(0, 127), min_size=2, max_size=2,
 inclusions = st.builds(
     Inclusion,
     shape=st.sampled_from(["ellipse", "rectangle"]),
-    center=st.tuples(st.floats(-0.02, 0.02), st.floats(0.0, 0.04)),
+    # inside the default slowness grid's x [-19.05, 19.05] mm and
+    # z [0, 39] mm, as an inclusion outside the medium is refused
+    center=st.tuples(st.floats(-0.019, 0.019), st.floats(0.0, 0.038)),
     half_axes=st.tuples(st.floats(1e-4, 0.01), st.floats(1e-4, 0.01)),
     sos=st.floats(SOS_MIN, SOS_MAX),
 )
@@ -166,6 +168,12 @@ WIDE_MODEL = CalibrationModel(degree=1, coefficients=np.array([0.0, 1e-9]),
 
 # the cheap config with a background outside the 1300-1700 m/s band
 HOT_BACKGROUND = CHEAP_CONFIG + "\n[medium]\nbackground_sos = 1800\n"
+
+# the error for an inclusion that misses the slowness grid, and the
+# cheap config with an inclusion 0.5 m beside the medium
+OUTSIDE_MEDIUM = r"\[medium\] inclusions: 'ellipse .*' lies outside the medium"
+OUTSIDE_INCLUSION = (CHEAP_CONFIG + "\n[medium]\n"
+                     "inclusions = ellipse 0.5 0.02 0.004 0.003 1540\n")
 
 
 def cheap_cfg():
@@ -401,6 +409,26 @@ class TestDerivedConfig:
         with pytest.raises(ConfigError, match=message):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize("center", [(0.5, 0.02), (0.0, 0.1),
+                                        (0.0, -0.01)],
+                             ids=["beside", "below", "above"])
+    def test_inclusion_outside_the_medium_rejected(self, center):
+        """Not dropped from the medium, which would leave it homogeneous."""
+        inc = Inclusion("ellipse", center, (0.004, 0.003), 1540.0)
+        with pytest.raises(ConfigError, match=OUTSIDE_MEDIUM):
+            PipelineConfig(inclusions=(inc,))
+
+    def test_quick_grid_rejects_an_inclusion_below_it(self):
+        """The slowness grid reaches 39 mm deep, and 33 mm with --quick."""
+        cfg = PipelineConfig(inclusions=(
+            Inclusion("ellipse", (0.0, 0.037), (0.004, 0.003), 1540.0),))
+        with pytest.raises(ConfigError, match=OUTSIDE_MEDIUM):
+            apply_quick(cfg)
+
+    def test_inclusion_across_the_medium_edge_is_kept(self):
+        inc = Inclusion("rectangle", (0.021, 0.02), (0.004, 0.003), 1540.0)
+        assert PipelineConfig(inclusions=(inc,)).inclusions == (inc,)
+
     def test_roi_origin_is_the_pair_midpoint(self):
         # elements 64 and 65 lie at 0.15 and 0.45 mm
         cfg = PipelineConfig(estimation_pair=(64, 65))
@@ -582,6 +610,24 @@ class TestReconstructStage:
                     for t in (1, 2))
         assert np.ptp(one.sos_map) > 0
         assert two.sos_map.tobytes() == one.sos_map.tobytes()
+
+    def test_frames_are_read_one_at_a_time(self, tmp_path):
+        """At one thread, cmd_reconstruct holds one recon frame at a time:
+        the quick set's four frames peak below 5 frames, near 3.
+        Reading the set up front held all four, near 7."""
+        cfg = apply_quick(PipelineConfig(scatterer_density=0.5,
+                                         estimation_pair=(40, 56)))
+        assert cfg.required_tx() == [40, 56, 72, 88]
+        cmd_simulate(cfg, tmp_path)
+        frame_bytes = max(f.samples.nbytes
+                          for f in read_frame_set(tmp_path).values())
+        tracemalloc.start()
+        try:
+            cmd_reconstruct(cfg, tmp_path, 1522.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * frame_bytes
 
 
 def recon_cfg():
@@ -1008,7 +1054,10 @@ class TestCLIExitCodes:
          "[scatterers] seed = -1"),
         ("simulate", HOT_BACKGROUND, "[medium] background_sos = 1800.0"),
         ("reconstruct", HOT_BACKGROUND, "[medium] background_sos = 1800.0"),
-    ], ids=["seed-simulate", "background-simulate", "background-reconstruct"])
+        ("simulate", OUTSIDE_INCLUSION, "[medium] inclusions"),
+        ("reconstruct", OUTSIDE_INCLUSION, "[medium] inclusions"),
+    ], ids=["seed-simulate", "background-simulate", "background-reconstruct",
+            "inclusion-outside-simulate", "inclusion-outside-reconstruct"])
     def test_bad_medium_value_is_two_before_any_frame(
             self, workspace, capsys, monkeypatch, command, text, key):
         """A config error naming the key, raised before the output

@@ -14,9 +14,9 @@ import configparser
 import json
 import tempfile
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .synthsim import (
     SOS_MAX,
     SOS_MIN,
     gen_scatterers,
+    listed_frames,
     read_frame_set,
     receive_travel_times,
     simulate_frame,
@@ -41,7 +42,6 @@ from .synthsim import (
     write_frame_set,
 )
 from .tomo import (
-    ReconConfig,
     ReconInfo,
     build_path_matrix,
     reconstruct,
@@ -86,8 +86,14 @@ RECON_TRACKING = TrackConfig(window_len=96, axial_step=16, lateral_step=2,
 
 @dataclass
 class PipelineConfig:
-    array: TransducerArray = field(default_factory=TransducerArray)
-    pulse: PulseSpec = field(default_factory=PulseSpec)
+    # fixed, as the trackers, the ROI and the pairs were tuned for this
+    # probe (apply_quick's pairs fit 128 elements), this pulse and this
+    # axial pixel, in which tracker windows and lag searches are counted
+    array: ClassVar[TransducerArray] = TransducerArray()
+    pulse: ClassVar[PulseSpec] = PulseSpec()
+    bf_dz: ClassVar[float] = 3.75e-5
+    bf_z0: ClassVar[float] = 5.0e-3  # top of the reconstruction grid
+
     background_sos: float = 1500.0
     inclusions: tuple[Inclusion, ...] = ()
     scatterer_density: float = 4.0  # per mm^2
@@ -96,8 +102,6 @@ class PipelineConfig:
 
     # full beamforming grid for reconstruction
     bf_dx: float = 1.5e-4
-    bf_dz: float = 3.75e-5
-    bf_z0: float = 5.0e-3
     bf_depth: float = 33.0e-3
 
     # slowness grid
@@ -106,7 +110,6 @@ class PipelineConfig:
 
     estimation_pair: tuple[int, int] = (55, 65)
     recon_pairs: tuple[tuple[int, int], ...] = DEFAULT_RECON_PAIRS
-    recon: ReconConfig = field(default_factory=ReconConfig)
     calibration_degree: int = 1
     threads: int = 1
 
@@ -119,16 +122,12 @@ class PipelineConfig:
         # a NaN fails every comparison, so each bound is written as the
         # condition that must hold
         for key, value in (("[grids] bf_dx", self.bf_dx),
-                           ("[grids] bf_dz", self.bf_dz),
                            ("[grids] bf_depth", self.bf_depth),
                            ("[grids] slow_nx", self.slow_nx),
                            ("[grids] slow_nz", self.slow_nz),
                            ("[scatterers] density", self.scatterer_density)):
             if not 0 < value < np.inf:
                 raise ConfigError(f"{key} = {value!r}: must be finite and > 0")
-        if not 0 <= self.bf_z0 < np.inf:
-            raise ConfigError(f"[grids] bf_z0 = {self.bf_z0!r}: must be "
-                              "finite and >= 0")
         # an inclusion that misses the slowness grid would be dropped
         # from the medium without a word
         slow = self.slow_grid()
@@ -164,6 +163,14 @@ class PipelineConfig:
                         raise ConfigError(
                             f"{key}: element {e} of pair {a},{b} is not on "
                             f"the {self.array.num_elements}-element array")
+        # the reconstruction tracker's window and its widest lag search,
+        # at c_bf = SOS_MAX, must fit the grid's depth
+        w, r = RECON_TRACKING.window_len, recon_search_radius(self, SOS_MAX)
+        nz = self.full_grid().nz
+        if nz < w + 2 * r:
+            raise ConfigError(
+                f"[grids] bf_depth = {self.bf_depth!r}: {nz} rows, fewer than "
+                f"the reconstruction tracker's window {w} + 2 x search {r}")
 
     # ---- derived geometry -------------------------------------------------
 
@@ -280,14 +287,9 @@ def _format_pair(pair: tuple[int, int]) -> str:
     return f"{pair[0]},{pair[1]}"
 
 
-# (section, key, PipelineConfig field path, parse, format), in file order.
+# (section, key, PipelineConfig field, parse, format), in file order.
 # inclusions is a multi-line value, one inclusion a line, in list order.
 _FIELDS = (
-    ("array", "num_elements", "array.num_elements", int, str),
-    ("array", "pitch", "array.pitch", float, repr),
-    ("pulse", "center_frequency", "pulse.center_frequency", float, repr),
-    ("pulse", "half_cycles", "pulse.half_cycles", int, str),
-    ("pulse", "sampling_frequency", "pulse.sampling_frequency", float, repr),
     ("medium", "background_sos", "background_sos", float, repr),
     ("medium", "inclusions", "inclusions",
      lambda s: tuple(map(_parse_inclusion, filter(str.strip, s.splitlines()))),
@@ -297,8 +299,6 @@ _FIELDS = (
     ("simulation", "noise_snr_db", "noise_snr_db",
      lambda s: float(s) if s else None, lambda v: "" if v is None else repr(v)),
     ("grids", "bf_dx", "bf_dx", float, repr),
-    ("grids", "bf_dz", "bf_dz", float, repr),
-    ("grids", "bf_z0", "bf_z0", float, repr),
     ("grids", "bf_depth", "bf_depth", float, repr),
     ("grids", "slow_nx", "slow_nx", int, str),
     ("grids", "slow_nz", "slow_nz", int, str),
@@ -306,20 +306,13 @@ _FIELDS = (
     ("reconstruction", "pairs", "recon_pairs",
      lambda s: tuple(map(_parse_pair, s.split())),
      lambda pairs: " ".join(map(_format_pair, pairs))),
-    ("reconstruction", "lam", "recon.lam", float, repr),
-    ("reconstruction", "l1_epsilon", "recon.l1_epsilon", float, repr),
-    ("reconstruction", "max_iter", "recon.max_iter", int, str),
     ("calibration", "degree", "calibration_degree", int, str),
 )
 _ROWS = {(row[0], row[1]): row for row in _FIELDS}
 
 
 def load_config(path: Path) -> PipelineConfig:
-    """Parse the sectioned key/value config file; unknown keys are errors.
-
-    Values for a nested object (array, pulse, recon) are applied
-    together, so its checks see every value the file sets.
-    """
+    """Parse the sectioned key/value config file; unknown keys are errors."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
@@ -331,8 +324,7 @@ def load_config(path: Path) -> PipelineConfig:
     # of sections(), so it is refused here rather than read as any section
     if cp.defaults():
         raise ConfigError("unknown config section [DEFAULT]")
-    values: dict[str, dict] = {}  # owner ("" = PipelineConfig) -> field -> value
-    sections: dict[str, str] = {}
+    values = {}
     known_sections = {section for section, _ in _ROWS}
     for section in cp.sections():
         if section not in known_sections:
@@ -340,31 +332,21 @@ def load_config(path: Path) -> PipelineConfig:
         for key, text in cp[section].items():
             if (section, key) not in _ROWS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            _, _, fpath, parse, _ = _ROWS[section, key]
+            _, _, name, parse, _ = _ROWS[section, key]
             try:
-                value = parse(text)
+                values[name] = parse(text)
             except ValueError as err:
                 raise ConfigError(f"[{section}] {key} = {text!r}: {err}") from err
-            owner, _, attr = fpath.rpartition(".")
-            values.setdefault(owner, {})[attr] = value
-            sections[owner] = section
-    cfg = PipelineConfig()
-    top = values.pop("", {})
-    for owner, fields in values.items():
-        try:
-            top[owner] = replace(getattr(cfg, owner), **fields)
-        except ValueError as err:
-            raise ConfigError(f"[{sections[owner]}] {err}") from err
-    return replace(cfg, **top)
+    return PipelineConfig(**values)
 
 
 def dump_config(cfg: PipelineConfig) -> str:
     """Fully-resolved config in the same sectioned format."""
     lines = []
-    for section, key, fpath, _, fmt in _FIELDS:
+    for section, key, name, _, fmt in _FIELDS:
         if f"[{section}]" not in lines:
             lines += ["", f"[{section}]"]
-        lines.append(f"{key} = {fmt(reduce(getattr, fpath.split('.'), cfg))}")
+        lines.append(f"{key} = {fmt(getattr(cfg, name))}")
     return "\n".join(lines[1:]) + "\n"
 
 
@@ -665,7 +647,9 @@ def cmd_reconstruct(
                         search_radius=recon_search_radius(cfg, c_bf))
     bfc = BFConfig(c_bf=c_bf, grid=grid)
     # each worker reads its own frame, so only the frames being
-    # beamformed are held, not the whole set
+    # beamformed are held, not the whole set; a frame that is not
+    # listed or not present is found before any frame is beamformed
+    listed_frames(frames_dir, txs)
     images = dict(zip(txs, thread_map(
         lambda tx: das_beamform(read_frame_set(frames_dir, [tx])[tx],
                                 cfg.array, bfc),
@@ -680,7 +664,7 @@ def cmd_reconstruct(
     )
     delays = np.concatenate([d.delays[d.valid] for d in dmaps])
     D = tv_operator(slow_grid)
-    slowness, info = reconstruct(L, delays, D, cfg.recon)
+    slowness, info = reconstruct(L, delays, D)
     sos_map, clamped = slowness.to_sos(c_bf)
 
     rmse = rmse_map(sos_map, gt) if gt is not None else None

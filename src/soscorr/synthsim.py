@@ -600,13 +600,13 @@ def write_frame_set(
     (out / "MANIFEST.txt").write_text("\n".join(lines))
 
 
-def read_frame_set(in_dir: Path, txs=None) -> dict[int, ChannelFrame]:
-    """Frames that MANIFEST.txt lists, keyed by tx element; with txs,
-    only those transmits. A needed frame that the manifest does not
-    list, or that it lists but is absent, is a FileNotFoundError; one
-    whose bytes do not match the manifest's sha256_16 is a ValueError.
-    So is a frame line whose name is not frame_filename(tx), which keeps
-    every read inside in_dir, and a transmit listed twice."""
+def listed_frames(in_dir: Path, txs=None) -> dict[int, str]:
+    """The sha256_16 digest MANIFEST.txt lists for each needed frame,
+    keyed by tx element; with txs, only those transmits. A needed frame
+    that the manifest does not list, or that it lists but is absent, is
+    a FileNotFoundError. A frame line whose name is not
+    frame_filename(tx), which keeps every read inside in_dir, and a
+    transmit listed twice are ValueErrors."""
     in_dir = Path(in_dir)
     manifest = in_dir / "MANIFEST.txt"
     if not manifest.exists():
@@ -631,17 +631,26 @@ def read_frame_set(in_dir: Path, txs=None) -> dict[int, ChannelFrame]:
     unlisted = [tx for tx in needed if tx not in listed]
     if unlisted:
         raise FileNotFoundError(f"{manifest} lists no frame for tx {unlisted}")
-    frames = {}
     for tx in needed:
         path = in_dir / frame_filename(tx)
         if not path.exists():
             raise FileNotFoundError(f"{path}: listed in {manifest.name} "
                                     "but absent")
+    return {tx: listed[tx] for tx in needed}
+
+
+def read_frame_set(in_dir: Path, txs=None) -> dict[int, ChannelFrame]:
+    """The frames :func:`listed_frames` finds, keyed by tx element; one
+    whose bytes do not match the manifest's sha256_16 is a ValueError."""
+    in_dir = Path(in_dir)
+    frames = {}
+    for tx, digest in listed_frames(in_dir, txs).items():
+        path = in_dir / frame_filename(tx)
         raw = path.read_bytes()
         frames[tx] = decode_frame(raw, path)
         if frames[tx].tx_element != tx:
             raise ValueError(f"{path}: holds tx {frames[tx].tx_element}, "
-                             f"{manifest.name} says tx {tx}")
-        if hashlib.sha256(raw).hexdigest()[:16] != listed[tx]:
-            raise ValueError(f"{path}: sha256 differs from {manifest.name}")
+                             f"MANIFEST.txt says tx {tx}")
+        if hashlib.sha256(raw).hexdigest()[:16] != digest:
+            raise ValueError(f"{path}: sha256 differs from MANIFEST.txt")
     return frames

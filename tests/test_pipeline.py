@@ -34,15 +34,15 @@ from soscorr.pipeline import (
 from soscorr import pipeline
 from soscorr.calibrate import (CalibrationDataset, CalibrationEntry,
                                CalibrationModel, export_sweep)
-from soscorr.geometry import ImagingGrid, TransducerArray
+from soscorr.geometry import ImagingGrid
 from soscorr.metrics import rmse_map
 from soscorr.regress import (
     EmptyPatternError,
     InsufficientDataError,
     RankDeficiencyError,
 )
-from soscorr.synthsim import (SOS_MAX, SOS_MIN, Inclusion, PulseSpec,
-                              read_frame_set, write_frame_set)
+from soscorr.synthsim import (SOS_MAX, SOS_MIN, Inclusion, read_frame_set,
+                              write_frame_set)
 from soscorr.tomo import build_path_matrix
 
 CHEAP_CONFIG = """\
@@ -71,8 +71,9 @@ sweep_metadata_hash 0
 
 # keys that a resolved config of an earlier version holds and that are
 # now fixed or renamed: the ROI and its origin, the estimation
-# apodization, the two tracker setups, the fit method, the TV weights
-# and the numbered inclusion keys
+# apodization, the two tracker setups, the fit method, the TV weights,
+# the numbered inclusion keys, the probe, the pulse, the axial pixel and
+# the solver settings
 REMOVED_KEYS = [
     "[roi]\nreference = pair_midpoint\n",
     "[roi]\ndepth_min = 0.0075\n",
@@ -93,6 +94,16 @@ REMOVED_KEYS = [
     "[reconstruction]\nlateral_step = 2\n",
     "[reconstruction]\ntv_axial_weight = 1.0\n",
     "[reconstruction]\ntv_lateral_weight = 0.5\n",
+    "[array]\nnum_elements = 128\n",
+    "[array]\npitch = 0.0003\n",
+    "[pulse]\ncenter_frequency = 5000000.0\n",
+    "[pulse]\nhalf_cycles = 4\n",
+    "[pulse]\nsampling_frequency = 160000000.0\n",
+    "[grids]\nbf_dz = 3.75e-05\n",
+    "[grids]\nbf_z0 = 0.005\n",
+    "[reconstruction]\nlam = 0.1\n",
+    "[reconstruction]\nl1_epsilon = 0.01\n",
+    "[reconstruction]\nmax_iter = 500\n",
 ]
 
 
@@ -111,14 +122,6 @@ def roundtrip(cfg):
         return load_config(path)
 
 
-def with_field(cfg, path, value):
-    owner, _, attr = path.rpartition(".")
-    if owner:
-        value = replace(getattr(cfg, owner), **{attr: value})
-        attr = owner
-    return replace(cfg, **{attr: value})
-
-
 lengths = st.floats(1e-5, 1e-3)
 # a pair transmits on two distinct elements
 element_pairs = st.lists(st.integers(0, 127), min_size=2, max_size=2,
@@ -132,32 +135,21 @@ inclusions = st.builds(
     half_axes=st.tuples(st.floats(1e-4, 0.01), st.floats(1e-4, 0.01)),
     sos=st.floats(SOS_MIN, SOS_MAX),
 )
-# a valid value for every field the config file sets, by field path;
-# the array keeps every element of the default pairs
+# a valid value for every field the config file sets, by field name
 FIELD_VALUES = {
-    "array.num_elements": st.integers(max(PipelineConfig().required_tx()) + 1,
-                                      512),
-    "array.pitch": lengths,
-    # the other pulse field keeps its default: sampling 1.6e8, center 5e6
-    "pulse.center_frequency": st.floats(1e5, 1.6e7),
-    "pulse.half_cycles": st.integers(1, 16),
-    "pulse.sampling_frequency": st.floats(5e7, 1e10),
     "background_sos": st.floats(SOS_MIN, SOS_MAX),
     "inclusions": st.lists(inclusions, max_size=3).map(tuple),
     "scatterer_density": st.floats(0.01, 20.0),
     "seed": st.integers(0, 2**32),
     "noise_snr_db": st.none() | st.floats(-20.0, 80.0),
     "bf_dx": lengths,
-    "bf_dz": lengths,
-    "bf_z0": st.floats(0.0, 0.02),
-    "bf_depth": st.floats(0.005, 0.08),
+    # deep enough for the reconstruction tracker on the default pairs,
+    # which needs 5.14 mm
+    "bf_depth": st.floats(0.006, 0.08),
     "slow_nx": st.integers(2, 128),
     "slow_nz": st.integers(2, 128),
     "estimation_pair": element_pairs,
     "recon_pairs": st.lists(element_pairs, min_size=1, max_size=8).map(tuple),
-    "recon.lam": st.floats(0.0, 10.0),
-    "recon.l1_epsilon": st.floats(1e-6, 1.0),
-    "recon.max_iter": st.integers(1, 5000),
     "calibration_degree": st.sampled_from([1, 3, 5]),
 }
 
@@ -210,7 +202,6 @@ class TestConfigFiles:
         assert back.estimation_pair == (50, 70)
         assert back.recon_pairs == ((40, 56), (72, 88))
         assert back.calibration_degree == 3
-        assert back.recon == cfg.recon
 
     def test_every_table_field_has_a_strategy(self):
         assert [row[2] for row in pipeline._FIELDS] == list(FIELD_VALUES)
@@ -218,23 +209,13 @@ class TestConfigFiles:
     @given(row=st.sampled_from(pipeline._FIELDS), data=st.data())
     def test_changed_field_roundtrips(self, row, data):
         """Any one field changed from its default dumps and loads back."""
-        path = row[2]
+        name = row[2]
         default = PipelineConfig()
-        value = data.draw(FIELD_VALUES[path])
-        cfg = with_field(default, path, value)
+        cfg = replace(default, **{name: data.draw(FIELD_VALUES[name])})
         assume(cfg != default)
         back = roundtrip(cfg)
         assert back == cfg
         assert dump_config(back) == dump_config(cfg)
-
-    def test_pulse_keys_apply_together(self):
-        """Each value alone breaks sampling_frequency >= 10x
-        center_frequency against the other's default; together they
-        are valid."""
-        cfg = PipelineConfig(
-            pulse=PulseSpec(center_frequency=2.0e7, sampling_frequency=2.5e8)
-        )
-        assert roundtrip(cfg) == cfg
 
     def test_inclusions_keep_numeric_order(self):
         """Overlapping inclusions: the last one wins, so order matters."""
@@ -267,17 +248,9 @@ class TestConfigFiles:
         ("simulation", "noise_snr_db = nan"),
         ("simulation", "noise_snr_db = inf"),
         ("simulation", "noise_snr_db = -inf"),
-        ("reconstruction", "max_iter = 0"),
-        ("reconstruction", "max_iter = -5"),
         ("medium", "background_sos = 15%"),
         ("estimation", "pair = 55,200"),
         ("reconstruction", "pairs = 40,56 120,136"),
-        ("reconstruction", "lam = nan"),
-        ("reconstruction", "lam = inf"),
-        ("reconstruction", "l1_epsilon = nan"),
-        ("array", "pitch = nan"),
-        ("pulse", "center_frequency = nan"),
-        ("grids", "bf_dz = nan"),
         ("grids", "slow_nx = 0"),
         ("scatterers", "density = nan"),
         ("medium", "inclusions = ellipse nan 0.02 0.004 0.003 1540"),
@@ -296,12 +269,6 @@ class TestConfigFiles:
         path = tmp_path / "cfg.ini"
         path.write_text(text)
         with pytest.raises(ConfigError, match=unknown_key_error(text)):
-            load_config(path)
-
-    def test_invalid_combination_names_section(self, tmp_path):
-        path = tmp_path / "cfg.ini"
-        path.write_text("[pulse]\ncenter_frequency = 2e7\n")
-        with pytest.raises(ConfigError, match=r"\[pulse\].*sampling_frequency"):
             load_config(path)
 
     def test_unparseable_file_is_config_error(self, tmp_path):
@@ -374,17 +341,13 @@ class TestDerivedConfig:
     @pytest.mark.parametrize("kwargs, key", [
         ({"bf_dx": np.nan}, r"\[grids\] bf_dx"),
         ({"bf_dx": -1.0}, r"\[grids\] bf_dx"),
-        ({"bf_dz": np.nan}, r"\[grids\] bf_dz"),
-        ({"bf_z0": np.nan}, r"\[grids\] bf_z0"),
-        ({"bf_z0": -1e-3}, r"\[grids\] bf_z0"),
         ({"bf_depth": 0.0}, r"\[grids\] bf_depth"),
         ({"bf_depth": np.inf}, r"\[grids\] bf_depth"),
         ({"slow_nx": 0}, r"\[grids\] slow_nx"),
         ({"slow_nz": 0}, r"\[grids\] slow_nz"),
         ({"scatterer_density": np.nan}, r"\[scatterers\] density"),
-    ], ids=["dx-nan", "dx-negative", "dz-nan", "z0-nan", "z0-negative",
-            "depth-zero", "depth-inf", "slow-nx-zero", "slow-nz-zero",
-            "density-nan"])
+    ], ids=["dx-nan", "dx-negative", "depth-zero", "depth-inf",
+            "slow-nx-zero", "slow-nz-zero", "density-nan"])
     def test_bad_grid_rejected_at_construction(self, kwargs, key):
         """Not later, when a grid is built or a frame simulated."""
         with pytest.raises(ConfigError, match=key + " = .*must be finite"):
@@ -438,13 +401,30 @@ class TestDerivedConfig:
         ({"estimation_pair": (55, 200)}, r"\[estimation\] pair"),
         ({"estimation_pair": (-1, 65)}, r"\[estimation\] pair"),
         ({"recon_pairs": ((40, 56), (120, 128))}, r"\[reconstruction\] pairs"),
-        ({"array": TransducerArray(num_elements=64)},
-         r"\[estimation\] pair"),
+        # the pairs are checked before the grid depth their search needs
+        ({"recon_pairs": ((40, 56), (120, 128)), "bf_depth": 0.002},
+         r"\[reconstruction\] pairs"),
     ], ids=["estimation-200", "estimation-minus-1", "recon-128",
-            "64-element-array"])
+            "recon-128-shallow-grid"])
     def test_pair_element_off_the_array_rejected(self, kwargs, key):
         with pytest.raises(ConfigError, match=key + ": element .* not on the"):
             PipelineConfig(**kwargs)
+
+    def test_grid_too_shallow_for_the_recon_tracker_rejected(self):
+        """The reconstruction tracker's window and its lag search at
+        SOS_MAX, the widest in the band, must fit the grid: 96 + 2 x 21
+        rows for the default pairs. Refused when the config is built,
+        not after the recon transmits are beamformed."""
+        r = recon_search_radius(PipelineConfig(), SOS_MAX)
+        assert r == max(recon_search_radius(PipelineConfig(), c)
+                        for c in np.linspace(SOS_MIN, SOS_MAX, 41))
+        rows = RECON_TRACKING.window_len + 2 * r
+        dz = PipelineConfig.bf_dz
+        assert PipelineConfig(bf_depth=(rows - 1) * dz).full_grid().nz == rows
+        with pytest.raises(ConfigError, match=rf"\[grids\] bf_depth = .*: "
+                           rf"{rows - 1} rows, fewer than .* window 96 \+ "
+                           rf"2 x search {r}"):
+            PipelineConfig(bf_depth=(rows - 2) * dz)
 
     def test_required_tx_default(self):
         cfg = PipelineConfig()
@@ -465,9 +445,8 @@ class TestDerivedConfig:
 
     def test_apply_quick_keeps_coarser_grid_spacing(self, tmp_path):
         path = tmp_path / "grids.ini"
-        path.write_text("[grids]\nbf_dx = 6e-4\nbf_dz = 5e-5\n")
-        cfg = apply_quick(load_config(path))
-        assert (cfg.bf_dx, cfg.bf_dz) == (6e-4, 5e-5)
+        path.write_text("[grids]\nbf_dx = 6e-4\n")
+        assert apply_quick(load_config(path)).bf_dx == 6e-4
 
     def test_apply_quick_keeps_small_pair_lists(self):
         cfg = apply_quick(PipelineConfig(recon_pairs=((55, 65),)))
@@ -870,8 +849,6 @@ class TestCLIExitCodes:
         "[reconstruction]\npairs =\n",
         "[reconstruction]\npairs = 40,56 40,40\n",
         "[estimation]\npair = 55,55\n",
-        "[reconstruction]\nmax_iter = 0\n",
-        "[reconstruction]\nmax_iter = -5\n",
     ])
     def test_bad_config_value_is_two(self, workspace, capsys, text):
         root, _ = workspace
@@ -943,8 +920,8 @@ class TestCLIExitCodes:
         root, cfg_path = workspace
         resolved = dump_config(apply_quick(load_config(cfg_path)))
         earlier = resolved.replace(
-            "lam = 0.1\n",
-            "lam = 0.1\ntv_axial_weight = 1.0\ntv_lateral_weight = 0.5\n")
+            "\n[calibration]\n",
+            "tv_axial_weight = 1.0\ntv_lateral_weight = 0.5\n\n[calibration]\n")
         assert earlier.count("\n") == resolved.count("\n") + 2
         bad = root / "tv_weights_resolved.ini"
         bad.write_text(earlier)
@@ -956,7 +933,7 @@ class TestCLIExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("line", [
-        "bf_dx = nan", "bf_dz = nan", "bf_z0 = nan", "bf_depth = nan",
+        "bf_dx = nan", "bf_depth = nan",
         "bf_dx = -1", "slow_nx = 0",
     ])
     def test_bad_grid_is_two_before_any_frame(self, workspace, capsys,
@@ -979,27 +956,28 @@ class TestCLIExitCodes:
         assert f"[grids] {line.partition(' =')[0]}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["lam = nan", "l1_epsilon = nan"])
-    def test_nan_recon_weight_is_two_before_the_solve(self, workspace, capsys,
-                                                     monkeypatch, line):
-        """A config error naming the key, not a non-finite objective
-        after the frames are beamformed and tracked."""
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_grid_too_shallow_for_the_recon_tracker_is_two(
+            self, workspace, capsys, monkeypatch, command):
+        """Named with its key before the output directory is made or any
+        frame simulated or beamformed, not by the tracker after every
+        recon transmit is beamformed."""
         root, _ = workspace
-        bad = root / "nan_recon.ini"
-        bad.write_text(CHEAP_CONFIG + f"{line}\n")
+        bad = root / "shallow.ini"
+        bad.write_text("[grids]\nbf_depth = 0.002\n")
 
-        def no_beamforming(*args, **kwargs):
-            raise AssertionError("no frame may be beamformed")
+        def no_frame(*args, **kwargs):
+            raise AssertionError("no frame may be simulated or beamformed")
 
-        monkeypatch.setattr(pipeline, "das_beamform", no_beamforming)
-        out = root / "nan_recon"
-        rc = cli_main([
-            "--config", str(bad), "--out", str(out), "--quick", "reconstruct",
-            "--frames", str(root / "sim"), "--c-bf", "1500",
-        ])
+        monkeypatch.setattr(pipeline, "simulate_frame", no_frame)
+        monkeypatch.setattr(pipeline, "das_beamform", no_frame)
+        out = root / "shallow"
+        argv = (["reconstruct", "--frames", str(root / "sim"), "--c-bf", "1500"]
+                if command == "reconstruct" else [command])
+        rc = cli_main(["--config", str(bad), "--out", str(out), "--quick",
+                       *argv])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert f"[reconstruction] {line.partition(' =')[0]}" in err
+        assert "[grids] bf_depth = 0.002: 54 rows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_recon_pair_off_the_array_is_two_before_any_frame(
@@ -1407,6 +1385,25 @@ class TestCLIExitCodes:
         ])
         assert rc == 4
         assert "frame_tx055.sosc" in capsys.readouterr().err
+
+    def test_missing_recon_frame_is_four_before_beamforming(
+            self, workspace, capsys, monkeypatch):
+        """Every recon transmit is looked up before the first one is
+        beamformed, so the transmit ahead of a missing one is not."""
+        root, cfg_path = workspace
+        bad = root / "last_deleted_frames"
+        shutil.copytree(root / "sim", bad)
+        (bad / "frame_tx065.sosc").unlink()
+        beamformed = []
+        monkeypatch.setattr(pipeline, "das_beamform",
+                            lambda *args: beamformed.append(args))
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(root / "rec_last_deleted"),
+            "--quick", "reconstruct", "--frames", str(bad), "--c-bf", "1500",
+        ])
+        assert rc == 4
+        assert "frame_tx065.sosc" in capsys.readouterr().err
+        assert beamformed == []
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_two(self, workspace, capsys, threads):

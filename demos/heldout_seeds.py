@@ -39,7 +39,7 @@ def score(seed: int, threads: int) -> str:
                                   train_selector="every-2")
     model = build_calibration(sweep.dataset, degree=3,
                               train_selector="every-1")
-    cases = evaluate_phantom_set(cfg, model, offset_percents=(1.5, -1.5))
+    cases = evaluate_phantom_set(cfg, model)
     over = [c for c in cases if c.c_bf_assumed > cfg.background_sos]
     under = [c for c in cases if c.c_bf_assumed < cfg.background_sos]
 

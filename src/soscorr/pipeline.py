@@ -23,7 +23,7 @@ import numpy as np
 from . import calibrate as cal
 from .beamform import BFConfig, das_beamform
 from .delaytrack import TrackConfig, track_delays
-from .geometry import ImagingGrid, PolarROI, TransducerArray, element_position
+from .geometry import ImagingGrid, PolarROI, TransducerArray
 from .metrics import RegionLabels, cnr_db, contrast, rmse_map
 from .regress import FITTERS, extract_pattern
 from .synthsim import (
@@ -69,10 +69,12 @@ ESTIMATION_TRACKING = TrackConfig(window_len=224)
 # the estimation pair's pattern fit, a key of regress.FITTERS
 ESTIMATION_FIT = "robust"
 
-# the polar ROI the pattern is fitted over; the calibration model holds
-# for this ROI only. roi() sets its origin to the pair's midpoint.
+# the polar ROI the pattern is fitted over, with its origin at the
+# midpoint of the estimation pair (55, 65); the calibration model holds
+# for this ROI only
 ESTIMATION_ROI = PolarROI(depth_min=7.5e-3, depth_max=15.0e-3,
-                          theta_min=-0.4, theta_max=0.4, num_bins=40)
+                          theta_min=-0.4, theta_max=0.4, num_bins=40,
+                          reference_x=-1.05e-3)
 
 # reconstruction pairs lie further apart than the estimation pair and
 # decorrelate more: their tracker pools 5 image columns per node and
@@ -93,6 +95,10 @@ class PipelineConfig:
     pulse: ClassVar[PulseSpec] = PulseSpec()
     bf_dz: ClassVar[float] = 3.75e-5
     bf_z0: ClassVar[float] = 5.0e-3  # top of the reconstruction grid
+    # the one transmit pair whose pattern slope estimates the offset,
+    # through a calibration line (a degree-1 model)
+    estimation_pair: ClassVar[tuple[int, int]] = (55, 65)
+    calibration_degree: ClassVar[int] = 1
 
     background_sos: float = 1500.0
     inclusions: tuple[Inclusion, ...] = ()
@@ -108,9 +114,7 @@ class PipelineConfig:
     slow_nx: int = 32
     slow_nz: int = 32
 
-    estimation_pair: tuple[int, int] = (55, 65)
     recon_pairs: tuple[tuple[int, int], ...] = DEFAULT_RECON_PAIRS
-    calibration_degree: int = 1
     threads: int = 1
 
     def __post_init__(self):
@@ -146,23 +150,18 @@ class PipelineConfig:
                               f"[{SOS_MIN}, {SOS_MAX}]")
         if self.seed < 0:
             raise ConfigError(f"[scatterers] seed = {self.seed!r}: must be >= 0")
-        if self.calibration_degree not in cal.DEGREES:
-            raise ConfigError(
-                f"[calibration] degree = {self.calibration_degree!r}: must be "
-                f"one of {', '.join(map(str, cal.DEGREES))}")
         if not self.recon_pairs:
             raise ConfigError("[reconstruction] pairs: no transmit pair")
-        for key, pairs in (("[estimation] pair", (self.estimation_pair,)),
-                           ("[reconstruction] pairs", self.recon_pairs)):
-            for a, b in pairs:
-                if a == b:
-                    raise ConfigError(f"{key}: pair {a},{b} transmits on "
-                                      "one element twice")
-                for e in (a, b):
-                    if not 0 <= e < self.array.num_elements:
-                        raise ConfigError(
-                            f"{key}: element {e} of pair {a},{b} is not on "
-                            f"the {self.array.num_elements}-element array")
+        for a, b in self.recon_pairs:
+            if a == b:
+                raise ConfigError(f"[reconstruction] pairs: pair {a},{b} "
+                                  "transmits on one element twice")
+            for e in (a, b):
+                if not 0 <= e < self.array.num_elements:
+                    raise ConfigError(
+                        f"[reconstruction] pairs: element {e} of pair "
+                        f"{a},{b} is not on the "
+                        f"{self.array.num_elements}-element array")
         # the reconstruction tracker's window and its widest lag search,
         # at c_bf = SOS_MAX, must fit the grid's depth
         w, r = RECON_TRACKING.window_len, recon_search_radius(self, SOS_MAX)
@@ -211,16 +210,9 @@ class PipelineConfig:
             nx=self.slow_nx, nz=self.slow_nz,
         )
 
-    def roi(self) -> PolarROI:
-        """ESTIMATION_ROI with its origin at the estimation pair's midpoint."""
-        a, b = self.estimation_pair
-        return replace(ESTIMATION_ROI, reference_x=0.5 * (
-            element_position(self.array, a)[0]
-            + element_position(self.array, b)[0]))
-
     def estimation_grid(self) -> ImagingGrid:
         """Tight beamforming grid around the pattern-extraction ROI."""
-        roi = self.roi()
+        roi = ESTIMATION_ROI
         w = ESTIMATION_TRACKING.window_len
         r = ESTIMATION_TRACKING.search_radius
         margin_z = (w / 2 + r + 2) * self.bf_dz
@@ -302,11 +294,9 @@ _FIELDS = (
     ("grids", "bf_depth", "bf_depth", float, repr),
     ("grids", "slow_nx", "slow_nx", int, str),
     ("grids", "slow_nz", "slow_nz", int, str),
-    ("estimation", "pair", "estimation_pair", _parse_pair, _format_pair),
     ("reconstruction", "pairs", "recon_pairs",
      lambda s: tuple(map(_parse_pair, s.split())),
      lambda pairs: " ".join(map(_format_pair, pairs))),
-    ("calibration", "degree", "calibration_degree", int, str),
 )
 _ROWS = {(row[0], row[1]): row for row in _FIELDS}
 
@@ -328,7 +318,9 @@ def load_config(path: Path) -> PipelineConfig:
     known_sections = {section for section, _ in _ROWS}
     for section in cp.sections():
         if section not in known_sections:
-            raise ConfigError(f"unknown config section [{section}]")
+            keys = ", ".join(map(repr, cp[section]))
+            raise ConfigError(f"unknown config section [{section}]"
+                              + (f" with keys {keys}" if keys else ""))
         for key, text in cp[section].items():
             if (section, key) not in _ROWS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
@@ -437,7 +429,7 @@ def estimate_slope(
     fa = das_beamform(frames[cfg.estimation_pair[0]], cfg.array, bfc)
     fb = das_beamform(frames[cfg.estimation_pair[1]], cfg.array, bfc)
     dmap = track_delays(fa, fb, ESTIMATION_TRACKING)
-    pattern = extract_pattern(dmap, cfg.roi())
+    pattern = extract_pattern(dmap, ESTIMATION_ROI)
     fit = FITTERS[ESTIMATION_FIT](pattern)
     return fit, pattern, dmap
 
@@ -520,11 +512,6 @@ def cmd_calibrate(
     report rows, as calibrate.json {"rows": report_rows}. The sweep's
     arguments are checked before any frame is simulated."""
     check_sweep(delta_c_min, delta_c_max, step)
-    if cfg.calibration_degree not in degrees:
-        raise ConfigError(
-            f"[calibration] degree = {cfg.calibration_degree} is not among "
-            f"the fitted degrees {degrees}"
-        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = simulate_frames(cfg, tx_list=sorted(set(cfg.estimation_pair)))
@@ -765,14 +752,13 @@ class CaseResult:
 def evaluate_phantom_set(
     base_cfg: PipelineConfig,
     model: cal.CalibrationModel,
-    offset_percents: tuple[float, float] = (1.5, -1.5),
 ) -> list[CaseResult]:
     """Before/after-correction reconstruction metrics over the desk-scale
     phantom set.
 
     Each phantom is beamformed with a deliberately wrong BF-SoS (offsets
-    alternate through offset_percents, as a percentage of the true
-    background SoS), the offset is estimated and corrected, and both maps
+    alternate between +1.5 % and -1.5 % of the true background SoS),
+    the offset is estimated and corrected, and both maps
     are reconstructed and scored against the ground truth, all through
     a temporary frame directory that cmd_simulate writes.
     """
@@ -780,7 +766,7 @@ def evaluate_phantom_set(
     for i, (name, incs) in enumerate(
             default_phantom_set(base_cfg.background_sos)):
         cfg = replace(base_cfg, inclusions=incs)
-        pct = offset_percents[i % len(offset_percents)]
+        pct = (1.5, -1.5)[i % 2]
         c_bf = cfg.background_sos * (1.0 + pct / 100.0)
         gt = cfg.medium().rasterize(cfg.slow_grid())
         labels = region_labels(cfg)

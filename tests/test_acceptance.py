@@ -14,6 +14,7 @@ from soscorr.calibrate import build_calibration, estimate_offset, load_model
 from soscorr.geometry import ImagingGrid, TransducerArray, element_position, \
     polar_coords
 from soscorr.pipeline import (
+    ESTIMATION_ROI,
     PipelineConfig,
     apply_quick,
     cmd_calibrate,
@@ -102,8 +103,7 @@ def test_criterion_4_correction_effectiveness(quick_cfg):
         quick_cfg, frames, step=5.0, degrees=(1, 3), train_selector="every-2",
     )
     model = build_calibration(sweep.dataset, degree=3, train_selector="every-1")
-    cases = evaluate_phantom_set(quick_cfg, model,
-                                 offset_percents=(1.5, -1.5))
+    cases = evaluate_phantom_set(quick_cfg, model)
     elapsed = time.perf_counter() - t0
 
     all_improve = all(c.rmse_after < c.rmse_before for c in cases)
@@ -282,7 +282,7 @@ def test_criterion_7_tracker_oracle(full_cfg, est_frames):
         pred = (1.0 / 1500.0 - 1.0 / c_bf) * (
             np.hypot(X - pa[0], Z - pa[1]) - np.hypot(X - pb[0], Z - pb[1])
         )
-        roi = full_cfg.roi()
+        roi = ESTIMATION_ROI
         r, th = polar_coords(X, Z, roi.reference_x)
         sel = ((r >= roi.depth_min) & (r <= roi.depth_max)
                & (th >= roi.theta_min) & (th <= roi.theta_max) & dmap.valid)
@@ -311,7 +311,7 @@ def test_criterion_8_determinism(tmp_path):
     """Identical config/seed: byte-identical frames, identical model."""
     cfg = apply_quick(PipelineConfig(
         scatterer_density=0.5, seed=77, threads=N_THREADS,
-        estimation_pair=(55, 65), recon_pairs=((55, 65),),
+        recon_pairs=((55, 65),),
     ))
     dirs = []
     for run in ("a", "b"):

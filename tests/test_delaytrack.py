@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from soscorr.beamform import BeamformedFrame
 from soscorr.delaytrack import DelayMap, TrackConfig, track_delays
 from soscorr.geometry import ImagingGrid, element_position, polar_coords
-from soscorr.pipeline import (ESTIMATION_TRACKING, RECON_TRACKING,
-                              PipelineConfig, apply_quick,
+from soscorr.pipeline import (ESTIMATION_ROI, ESTIMATION_TRACKING,
+                              RECON_TRACKING, PipelineConfig, apply_quick,
                               recon_search_radius)
 
 
@@ -424,7 +424,7 @@ class TestTrackDelays:
         db = np.hypot(X - pb[0], Z - pb[1])
         pred = (1.0 / 1500.0 - 1.0 / c_bf) * (da - db)
 
-        roi = full_cfg.roi()
+        roi = ESTIMATION_ROI
         r, th = polar_coords(X, Z, roi.reference_x)
         sel = ((r >= roi.depth_min) & (r <= roi.depth_max)
                & (th >= roi.theta_min) & (th <= roi.theta_max) & dmap.valid)

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from soscorr.cli import main as cli_main
 from soscorr.pipeline import (
+    ESTIMATION_ROI,
     RECON_TRACKING,
     ConfigError,
     PipelineConfig,
@@ -34,7 +35,7 @@ from soscorr.pipeline import (
 from soscorr import pipeline
 from soscorr.calibrate import (CalibrationDataset, CalibrationEntry,
                                CalibrationModel, export_sweep)
-from soscorr.geometry import ImagingGrid
+from soscorr.geometry import ImagingGrid, element_position
 from soscorr.metrics import rmse_map
 from soscorr.regress import (
     EmptyPatternError,
@@ -49,9 +50,6 @@ CHEAP_CONFIG = """\
 [scatterers]
 density = 0.5
 seed = 7
-
-[estimation]
-pair = 55,65
 
 [reconstruction]
 pairs = 55,65
@@ -72,8 +70,8 @@ sweep_metadata_hash 0
 # keys that a resolved config of an earlier version holds and that are
 # now fixed or renamed: the ROI and its origin, the estimation
 # apodization, the two tracker setups, the fit method, the TV weights,
-# the numbered inclusion keys, the probe, the pulse, the axial pixel and
-# the solver settings
+# the numbered inclusion keys, the probe, the pulse, the axial pixel,
+# the solver settings, the estimation pair and the calibration degree
 REMOVED_KEYS = [
     "[roi]\nreference = pair_midpoint\n",
     "[roi]\ndepth_min = 0.0075\n",
@@ -104,6 +102,8 @@ REMOVED_KEYS = [
     "[reconstruction]\nlam = 0.1\n",
     "[reconstruction]\nl1_epsilon = 0.01\n",
     "[reconstruction]\nmax_iter = 500\n",
+    "[estimation]\npair = 55,65\n",
+    "[calibration]\ndegree = 1\n",
 ]
 
 
@@ -148,9 +148,7 @@ FIELD_VALUES = {
     "bf_depth": st.floats(0.006, 0.08),
     "slow_nx": st.integers(2, 128),
     "slow_nz": st.integers(2, 128),
-    "estimation_pair": element_pairs,
     "recon_pairs": st.lists(element_pairs, min_size=1, max_size=8).map(tuple),
-    "calibration_degree": st.sampled_from([1, 3, 5]),
 }
 
 
@@ -169,10 +167,8 @@ OUTSIDE_INCLUSION = (CHEAP_CONFIG + "\n[medium]\n"
 
 
 def cheap_cfg():
-    cfg = PipelineConfig(
-        scatterer_density=0.5, seed=7,
-        estimation_pair=(55, 65), recon_pairs=((55, 65),),
-    )
+    cfg = PipelineConfig(scatterer_density=0.5, seed=7,
+                         recon_pairs=((55, 65),))
     return apply_quick(cfg)
 
 
@@ -187,9 +183,7 @@ class TestConfigFiles:
             seed=99,
             noise_snr_db=30.0,
             slow_nx=24,
-            estimation_pair=(50, 70),
             recon_pairs=((40, 56), (72, 88)),
-            calibration_degree=3,
         )
         path = tmp_path / "cfg.ini"
         path.write_text(dump_config(cfg))
@@ -199,9 +193,7 @@ class TestConfigFiles:
         assert back.noise_snr_db == cfg.noise_snr_db
         assert back.seed == cfg.seed
         assert back.slow_nx == 24
-        assert back.estimation_pair == (50, 70)
         assert back.recon_pairs == ((40, 56), (72, 88))
-        assert back.calibration_degree == 3
 
     def test_every_table_field_has_a_strategy(self):
         assert [row[2] for row in pipeline._FIELDS] == list(FIELD_VALUES)
@@ -240,16 +232,13 @@ class TestConfigFiles:
             load_config(path)
 
     @pytest.mark.parametrize("section, line", [
-        ("estimation", "pair = 55"),
         ("reconstruction", "pairs = 40,56 72"),
         ("grids", "slow_nx = 9.5"),
-        ("calibration", "degree = 2"),
         ("simulation", "noise_snr_db = loud"),
         ("simulation", "noise_snr_db = nan"),
         ("simulation", "noise_snr_db = inf"),
         ("simulation", "noise_snr_db = -inf"),
         ("medium", "background_sos = 15%"),
-        ("estimation", "pair = 55,200"),
         ("reconstruction", "pairs = 40,56 120,136"),
         ("grids", "slow_nx = 0"),
         ("scatterers", "density = nan"),
@@ -328,16 +317,6 @@ class TestConfigFiles:
 
 
 class TestDerivedConfig:
-    @pytest.mark.parametrize("field, value, key", [
-        ("calibration_degree", 2, r"\[calibration\] degree"),
-    ])
-    def test_unknown_choice_rejected_at_construction(self, field, value, key):
-        """A degree that the INI parser would refuse fails when the
-        config is built in code, naming its INI key, not later inside
-        the calibration."""
-        with pytest.raises(ConfigError, match=key + " = .*must be one of"):
-            PipelineConfig(**{field: value})
-
     @pytest.mark.parametrize("kwargs, key", [
         ({"bf_dx": np.nan}, r"\[grids\] bf_dx"),
         ({"bf_dx": -1.0}, r"\[grids\] bf_dx"),
@@ -393,21 +372,25 @@ class TestDerivedConfig:
         assert PipelineConfig(inclusions=(inc,)).inclusions == (inc,)
 
     def test_roi_origin_is_the_pair_midpoint(self):
-        # elements 64 and 65 lie at 0.15 and 0.45 mm
-        cfg = PipelineConfig(estimation_pair=(64, 65))
-        assert cfg.roi().reference_x == pytest.approx(3e-4, abs=1e-12)
+        """Elements 55 and 65 lie at -2.55 and +0.45 mm, so the fixed
+        ROI's origin is -1.05 mm, exactly their midpoint."""
+        a, b = (element_position(PipelineConfig.array, e)[0]
+                for e in PipelineConfig.estimation_pair)
+        assert ESTIMATION_ROI.reference_x == -1.05e-3 == 0.5 * (a + b)
 
-    @pytest.mark.parametrize("kwargs, key", [
-        ({"estimation_pair": (55, 200)}, r"\[estimation\] pair"),
-        ({"estimation_pair": (-1, 65)}, r"\[estimation\] pair"),
-        ({"recon_pairs": ((40, 56), (120, 128))}, r"\[reconstruction\] pairs"),
+    def test_estimation_pair_lies_on_the_array(self):
+        a, b = PipelineConfig.estimation_pair
+        assert a != b
+        assert {a, b} <= set(range(PipelineConfig.array.num_elements))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"recon_pairs": ((40, 56), (120, 128))},
         # the pairs are checked before the grid depth their search needs
-        ({"recon_pairs": ((40, 56), (120, 128)), "bf_depth": 0.002},
-         r"\[reconstruction\] pairs"),
-    ], ids=["estimation-200", "estimation-minus-1", "recon-128",
-            "recon-128-shallow-grid"])
-    def test_pair_element_off_the_array_rejected(self, kwargs, key):
-        with pytest.raises(ConfigError, match=key + ": element .* not on the"):
+        {"recon_pairs": ((40, 56), (120, 128)), "bf_depth": 0.002},
+    ], ids=["recon-128", "recon-128-shallow-grid"])
+    def test_pair_element_off_the_array_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match=r"\[reconstruction\] pairs: "
+                           "element .* not on the"):
             PipelineConfig(**kwargs)
 
     def test_grid_too_shallow_for_the_recon_tracker_rejected(self):
@@ -594,12 +577,12 @@ class TestReconstructStage:
         """At one thread, cmd_reconstruct holds one recon frame at a time:
         the quick set's four frames peak below 5 frames, near 3.
         Reading the set up front held all four, near 7."""
-        cfg = apply_quick(PipelineConfig(scatterer_density=0.5,
-                                         estimation_pair=(40, 56)))
-        assert cfg.required_tx() == [40, 56, 72, 88]
+        cfg = apply_quick(PipelineConfig(scatterer_density=0.5))
+        txs = [40, 56, 72, 88]
+        assert sorted({e for p in cfg.recon_pairs for e in p}) == txs
         cmd_simulate(cfg, tmp_path)
         frame_bytes = max(f.samples.nbytes
-                          for f in read_frame_set(tmp_path).values())
+                          for f in read_frame_set(tmp_path, txs).values())
         tracemalloc.start()
         try:
             cmd_reconstruct(cfg, tmp_path, 1522.5)
@@ -845,10 +828,8 @@ class TestCLIExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("text", [
-        "[calibration]\ndegree = 2\n",
         "[reconstruction]\npairs =\n",
         "[reconstruction]\npairs = 40,56 40,40\n",
-        "[estimation]\npair = 55,55\n",
     ])
     def test_bad_config_value_is_two(self, workspace, capsys, text):
         root, _ = workspace
@@ -896,16 +877,15 @@ class TestCLIExitCodes:
         is written."""
         root, cfg_path = workspace
         resolved = dump_config(apply_quick(load_config(cfg_path)))
-        earlier = resolved
-        for before, lines in (
-                ("[estimation]\n",
-                 "[tracking]\nwindow_len = 96\nsearch_radius = 16\n"
-                 "axial_step = 2\nlateral_step = 1\nmin_ncc = 0.2\n\n"),
-                ("[estimation]\n", "[regression]\nmethod = robust\n\n"),
-                ("\n[reconstruction]\n", "window_len = 224\n"),
-                ("\n[calibration]\n", "axial_step = 16\nlateral_step = 2\n")):
-            earlier = earlier.replace(before, lines + before)
-        assert earlier.count("\n") == resolved.count("\n") + 13
+        earlier = resolved.replace("[reconstruction]\n", (
+            "[tracking]\nwindow_len = 96\nsearch_radius = 16\n"
+            "axial_step = 2\nlateral_step = 1\nmin_ncc = 0.2\n\n"
+            "[regression]\nmethod = robust\n\n"
+            "[estimation]\npair = 55,65\nwindow_len = 224\n\n"
+            "[reconstruction]\n"))
+        earlier += ("axial_step = 16\nlateral_step = 2\n\n"
+                    "[calibration]\ndegree = 1\n")
+        assert earlier.count("\n") == resolved.count("\n") + 19
         bad = root / "earlier_resolved.ini"
         bad.write_text(earlier)
         out = root / "earlier"
@@ -919,9 +899,7 @@ class TestCLIExitCodes:
         the file: the first weight is named, and no frame is written."""
         root, cfg_path = workspace
         resolved = dump_config(apply_quick(load_config(cfg_path)))
-        earlier = resolved.replace(
-            "\n[calibration]\n",
-            "tv_axial_weight = 1.0\ntv_lateral_weight = 0.5\n\n[calibration]\n")
+        earlier = resolved + "tv_axial_weight = 1.0\ntv_lateral_weight = 0.5\n"
         assert earlier.count("\n") == resolved.count("\n") + 2
         bad = root / "tv_weights_resolved.ini"
         bad.write_text(earlier)
@@ -930,6 +908,29 @@ class TestCLIExitCodes:
         assert rc == 2
         assert ("unknown key 'tv_axial_weight' in section [reconstruction]"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sections, named", [
+        ("[estimation]\npair = 55,65\n\n", "[estimation] with keys 'pair'"),
+        ("", "[calibration] with keys 'degree'"),
+    ], ids=["pair-and-degree", "degree"])
+    def test_resolved_config_with_pair_or_degree_is_two(
+            self, workspace, capsys, sections, named):
+        """A config_resolved.ini written while the estimation pair and the
+        calibration degree were set in the file, or one with only its
+        [estimation] section deleted: the first removed key is named
+        with its section, and no output directory is made."""
+        root, cfg_path = workspace
+        resolved = dump_config(apply_quick(load_config(cfg_path)))
+        earlier = (resolved.replace("[reconstruction]\n",
+                                    sections + "[reconstruction]\n")
+                   + "\n[calibration]\ndegree = 1\n")
+        bad = root / "pair_degree_resolved.ini"
+        bad.write_text(earlier)
+        out = root / "pair_degree"
+        rc = cli_main(["--config", str(bad), "--out", str(out), "simulate"])
+        assert rc == 2
+        assert f"unknown config section {named}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line", [
@@ -992,21 +993,6 @@ class TestCLIExitCodes:
         assert rc == 2
         assert "[reconstruction] pairs: element 136" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_estimation_pair_off_the_array_is_two(self, workspace, capsys):
-        """A config error, not a frame missing from the directory."""
-        root, _ = workspace
-        bad = root / "off_array_pair.ini"
-        bad.write_text(CHEAP_CONFIG.replace("pair = 55,65", "pair = 55,200"))
-        rc = cli_main([
-            "--config", str(bad), "--out", str(root / "est_off_array"),
-            "--quick", "estimate",
-            "--frames", str(root / "sim"),
-            "--model", str(root / "narrow_model.txt"),
-            "--c-bf", "1500",
-        ])
-        assert rc == 2
-        assert "[estimation] pair: element 200" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_noise_snr_is_two_before_any_frame(
@@ -1127,24 +1113,6 @@ class TestCLIExitCodes:
         assert "gt_sos.csv: a map of shape (23, 24), not 24 x 24" \
             in capsys.readouterr().err
         assert reads == []
-
-    def test_quick_calibrate_with_unfitted_degree_is_two(self, workspace,
-                                                         capsys, monkeypatch):
-        """--quick fits degree 1 only; degree 3 fails before the sweep."""
-        root, _ = workspace
-        cfg_path = root / "degree3.ini"
-        cfg_path.write_text(CHEAP_CONFIG + "\n[calibration]\ndegree = 3\n")
-
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep must not start")
-
-        monkeypatch.setattr(pipeline, "run_calibration_sweep", no_sweep)
-        rc = cli_main([
-            "--config", str(cfg_path), "--out", str(root / "cal3"),
-            "--quick", "calibrate",
-        ])
-        assert rc == 2
-        assert "degree" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--step", "0"), ("--step", "-1"), ("--step", "nan"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from soscorr.delaytrack import DelayMap
 from soscorr.geometry import ImagingGrid, PolarROI
+from soscorr.pipeline import ESTIMATION_ROI
 from soscorr.regress import (
     DelayPattern,
     EmptyPatternError,
@@ -75,8 +76,8 @@ class TestExtractPattern:
         pat = extract_pattern(dmap, self.roi())
         assert np.allclose(pat.weights, 0.7)
 
-    def test_default_roi_shape(self, full_cfg):
-        roi = full_cfg.roi()
+    def test_default_roi_shape(self):
+        roi = ESTIMATION_ROI
         assert roi.depth_min == pytest.approx(7.5e-3)
         assert roi.depth_max == pytest.approx(15e-3)
         assert roi.theta_min == pytest.approx(-0.4)

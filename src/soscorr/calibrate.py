@@ -196,6 +196,7 @@ def save_model(path: Path, model: CalibrationModel) -> None:
         "soscorr calibration model v1",
         f"convention {CONVENTION}",
         f"c_true {model.metadata.get('c_true', 'unknown')}",
+        f"estimation_grid {model.metadata.get('estimation_grid', 'unknown')}",
         f"degree {model.degree}",
         f"domain {model.domain[0]!r} {model.domain[1]!r}",
         "coefficients " + " ".join(repr(float(c)) for c in model.coefficients),
@@ -238,7 +239,9 @@ def load_model(path: Path) -> CalibrationModel:
     if len(domain) != 2 or not domain[0] < domain[1]:
         raise ValueError(f"{path}: domain {fields['domain']!r} is not 'lo hi' "
                          "with lo < hi")
-    meta = {"sweep_metadata_hash": fields.get("sweep_metadata_hash", "")}
+    values("estimation_grid", str)
+    meta = {"sweep_metadata_hash": fields.get("sweep_metadata_hash", ""),
+            "estimation_grid": fields["estimation_grid"]}
     if fields.get("c_true", "unknown") != "unknown":
         meta["c_true"] = float(fields["c_true"])
     return CalibrationModel(

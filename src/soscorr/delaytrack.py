@@ -84,7 +84,10 @@ def _pool_columns(q: np.ndarray, xs: np.ndarray, h: int) -> np.ndarray:
     """Sum of q over columns x-h..x+h, clipped to the grid, at each x in xs.
 
     Columns run along the last axis; the sums come from a running sum.
+    With h = 0 pooling is the identity: the node columns are returned.
     """
+    if h == 0:
+        return q[..., xs]
     c = np.cumsum(q, axis=-1)
     c = np.concatenate([np.zeros(q.shape[:-1] + (1,)), c], axis=-1)
     hi = np.minimum(xs + h, q.shape[-1] - 1) + 1

@@ -384,9 +384,16 @@ def simulate_frames(cfg: PipelineConfig,
 
 
 def _grid_sidecar(header: str, grid: ImagingGrid) -> str:
-    """Text of a map's sidecar file: header, then the grid one key a line."""
-    return (f"{header}x0 {grid.x0!r}\nz0 {grid.z0!r}\ndx {grid.dx!r}\n"
-            f"dz {grid.dz!r}\nnx {grid.nx}\nnz {grid.nz}\n")
+    """Text of a map's sidecar file: header, then the grid one key a line,
+    each length the repr of a Python float."""
+    x0, z0, dx, dz = map(float, (grid.x0, grid.z0, grid.dx, grid.dz))
+    return (f"{header}x0 {x0!r}\nz0 {z0!r}\ndx {dx!r}\n"
+            f"dz {dz!r}\nnx {grid.nx}\nnz {grid.nz}\n")
+
+
+def _grid_line(grid: ImagingGrid) -> str:
+    """The grid as one line: the sidecar's lines joined by ', '."""
+    return ", ".join(_grid_sidecar("", grid).splitlines())
 
 
 def _check_gt_grid(sidecar: Path, grid: ImagingGrid) -> None:
@@ -488,6 +495,7 @@ def run_calibration_sweep(
                     ESTIMATION_ROI.theta_min, ESTIMATION_ROI.theta_max),
             "method": ESTIMATION_FIT,
             "seed": cfg.seed,
+            "estimation_grid": _grid_line(cfg.estimation_grid()),
         },
     )
 
@@ -540,7 +548,18 @@ def cmd_estimate(
     c_bf_assumed: float,
     out_dir: Path | None = None,
 ) -> EstimateResult:
-    """Estimate and correct the BF-SoS offset of the frames in frames_dir."""
+    """Estimate and correct the BF-SoS offset of the frames in frames_dir.
+
+    A model built on another estimation grid than the config's (another
+    [grids] bf_dx), or on an unknown one, is refused before any frame
+    is read.
+    """
+    grid = _grid_line(cfg.estimation_grid())
+    built_on = model.metadata.get("estimation_grid", "unknown")
+    if built_on != grid:
+        raise ConfigError(f"the calibration model was built on the "
+                          f"estimation grid {built_on}; the config's "
+                          f"estimation grid is {grid}")
     frames = read_frame_set(Path(frames_dir), cfg.estimation_pair)
     fit, pattern, dmap = estimate_slope(frames, c_bf_assumed, cfg)
     dc_hat = cal.estimate_offset(model, fit.slope)
@@ -571,6 +590,9 @@ def cmd_estimate(
             "delta_c_hat_mps": dc_hat,
             "corrected_sos_mps": corrected,
             "fit_r_squared": fit.r_squared,
+            "fit_iterations": fit.iterations,
+            "fit_converged": fit.converged,
+            "valid_fraction": float(np.mean(dmap.valid)),
         })
     return result
 

@@ -179,6 +179,24 @@ class TestPersistence:
         assert back.domain == model.domain
         assert back.training_indices == model.training_indices
 
+    def test_estimation_grid_is_persisted_and_required(self, tmp_path):
+        """The grid a model was measured on is kept as text, "unknown"
+        when its dataset named none; a file without the line, written
+        before models named their grid, is refused."""
+        ds = linear_dataset()
+        grid = "x0 -0.5, z0 0.0025, dx 0.0003, dz 3.75e-05, nx 3, nz 4"
+        path = tmp_path / "model.txt"
+        for metadata, expected in (({"estimation_grid": grid}, grid),
+                                   ({}, "unknown")):
+            model = build_calibration(CalibrationDataset(ds.entries, metadata))
+            save_model(path, model)
+            assert load_model(path).metadata["estimation_grid"] == expected
+        path.write_text("".join(
+            line for line in path.read_text().splitlines(keepends=True)
+            if not line.startswith("estimation_grid ")))
+        with pytest.raises(ValueError, match="no 'estimation_grid' line"):
+            load_model(path)
+
     def test_convention_is_persisted_and_checked(self, tmp_path):
         model = build_calibration(linear_dataset(), degree=1)
         path = tmp_path / "model.txt"

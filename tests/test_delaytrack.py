@@ -10,7 +10,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from soscorr.beamform import BeamformedFrame
-from soscorr.delaytrack import DelayMap, TrackConfig, track_delays
+from soscorr.delaytrack import (DelayMap, TrackConfig, _pool_columns,
+                               track_delays)
 from soscorr.geometry import ImagingGrid, element_position, polar_coords
 from soscorr.pipeline import (ESTIMATION_ROI, ESTIMATION_TRACKING,
                               RECON_TRACKING, PipelineConfig, apply_quick,
@@ -369,6 +370,14 @@ class TestTrackDelays:
         # little off the integer lag
         assert np.allclose(dmap.delays, -2.0 * one_sample, rtol=0,
                            atol=0.15 * one_sample)
+
+    def test_one_column_pooling_is_the_identity(self):
+        """lateral_window 1, the estimation tracker's, pools nothing: the
+        node columns come back bit for bit, not as differences of a
+        running sum."""
+        q = 100.0 + np.random.default_rng(5).standard_normal((3, 4, 40))
+        xs = np.arange(0, 40, 3)
+        assert np.array_equal(_pool_columns(q, xs, 0), q[..., xs])
 
     def test_estimation_tracker_memory_is_bounded(self):
         """ESTIMATION_TRACKING on a pair of the quick estimation grid's

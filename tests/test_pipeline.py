@@ -34,7 +34,8 @@ from soscorr.pipeline import (
 )
 from soscorr import pipeline
 from soscorr.calibrate import (CalibrationDataset, CalibrationEntry,
-                               CalibrationModel, export_sweep)
+                               CalibrationModel, export_sweep, load_model,
+                               save_model)
 from soscorr.geometry import ImagingGrid, element_position
 from soscorr.metrics import rmse_map
 from soscorr.regress import (
@@ -55,11 +56,17 @@ seed = 7
 pairs = 55,65
 """
 
+# the estimation grid of the cheap config with --quick, and of the
+# default config, as a model file names them
+QUICK_GRID = pipeline._grid_line(apply_quick(PipelineConfig()).estimation_grid())
+FULL_GRID = pipeline._grid_line(PipelineConfig().estimation_grid())
+
 # a model whose invertible slope range excludes any observed slope
-NARROW_MODEL = """\
+NARROW_MODEL = f"""\
 soscorr calibration model v1
 convention delta_c = c_bf - c
 c_true 1500.0
+estimation_grid {QUICK_GRID}
 degree 1
 domain -1.0 1.0
 coefficients 0.0 1e-15
@@ -154,7 +161,8 @@ FIELD_VALUES = {
 
 # a degree-1 model that inverts any slope the cheap config's frames give
 WIDE_MODEL = CalibrationModel(degree=1, coefficients=np.array([0.0, 1e-9]),
-                              domain=(-1e3, 1e3), training_indices=(0, 1))
+                              domain=(-1e3, 1e3), training_indices=(0, 1),
+                              metadata={"estimation_grid": QUICK_GRID})
 
 # the cheap config with a background outside the 1300-1700 m/s band
 HOT_BACKGROUND = CHEAP_CONFIG + "\n[medium]\nbackground_sos = 1800\n"
@@ -372,16 +380,14 @@ class TestDerivedConfig:
         assert PipelineConfig(inclusions=(inc,)).inclusions == (inc,)
 
     def test_roi_origin_is_the_pair_midpoint(self):
-        """Elements 55 and 65 lie at -2.55 and +0.45 mm, so the fixed
-        ROI's origin is -1.05 mm, exactly their midpoint."""
-        a, b = (element_position(PipelineConfig.array, e)[0]
-                for e in PipelineConfig.estimation_pair)
+        """The estimation pair is two elements on the array, 55 and 65 at
+        -2.55 and +0.45 mm, so the fixed ROI's origin is -1.05 mm,
+        exactly their midpoint."""
+        pair = PipelineConfig.estimation_pair
+        assert len(set(pair)) == 2
+        assert set(pair) <= set(range(PipelineConfig.array.num_elements))
+        a, b = (element_position(PipelineConfig.array, e)[0] for e in pair)
         assert ESTIMATION_ROI.reference_x == -1.05e-3 == 0.5 * (a + b)
-
-    def test_estimation_pair_lies_on_the_array(self):
-        a, b = PipelineConfig.estimation_pair
-        assert a != b
-        assert {a, b} <= set(range(PipelineConfig.array.num_elements))
 
     @pytest.mark.parametrize("kwargs", [
         {"recon_pairs": ((40, 56), (120, 128))},
@@ -544,6 +550,23 @@ class TestCalibrationSweep:
         assert [e.delta_c for e in one] == [-20.0, -10.0, 0.0, 10.0, 20.0]
         assert [e.slope for e in one] == [e.slope for e in two]
         assert np.all(np.diff([e.slope for e in one]) > 0)
+
+    def test_model_records_its_estimation_grid(self, monkeypatch, tmp_path):
+        """The sweep's metadata, and so its models and the model file,
+        name the estimation grid the slopes were measured on."""
+        def linear_fit(frames, c_bf, cfg):
+            return SimpleNamespace(slope=c_bf * 1e-9, r_squared=1.0), None, None
+
+        monkeypatch.setattr(pipeline, "estimate_slope", linear_fit)
+        sweep = run_calibration_sweep(apply_quick(PipelineConfig()), {},
+                                      step=20.0, degrees=(1,))
+        assert sweep.dataset.metadata["estimation_grid"] == QUICK_GRID
+        assert QUICK_GRID == ("x0 -0.008444414079890914, z0 0.0025, "
+                              "dx 0.0003, dz 3.75e-05, nx 51, nz 492")
+        path = tmp_path / "calibration_model.txt"
+        save_model(path, sweep.models[1])
+        assert f"estimation_grid {QUICK_GRID}\n" in path.read_text()
+        assert load_model(path).metadata["estimation_grid"] == QUICK_GRID
 
     def test_one_held_out_point_is_insufficient(self, monkeypatch):
         """The held-out R^2 of one point is an error, not 0."""
@@ -713,6 +736,21 @@ class TestCommandTables:
         np.testing.assert_allclose(
             table[:, 3], fit.intercept + fit.slope * pattern.thetas,
             rtol=1e-9, atol=0)
+
+    def test_estimate_record_holds_the_fit_health(self, run):
+        """estimate.json holds the robust fit's iterations and convergence
+        and the estimation map's valid fraction, as reconstruct.json
+        does for its solve and maps."""
+        out, (fit, _, dmap), _ = run
+        record = json.loads((out / "estimate.json").read_text())
+        assert set(record) == {
+            "convention", "c_bf_assumed", "observed_slope_s_per_rad",
+            "delta_c_hat_mps", "corrected_sos_mps", "fit_r_squared",
+            "fit_iterations", "fit_converged", "valid_fraction"}
+        assert record["fit_iterations"] == fit.iterations > 0
+        assert record["fit_converged"] is fit.converged is True
+        assert record["valid_fraction"] == dmap.valid.sum() / dmap.valid.size
+        assert 0 < record["valid_fraction"] < 1
 
     def test_delay_map_has_a_row_per_node(self, run):
         out, (_, _, dmap), _ = run
@@ -1155,8 +1193,10 @@ class TestCLIExitCodes:
         ("degree 1\n", "degree 4\n", "degree"),
         ("degree 1\n", "degree 3\n", "coefficients"),
         ("domain -1.0 1.0\n", "domain 1.0 1.0\n", "domain"),
+        # a model file written before models named their grid
+        (f"estimation_grid {QUICK_GRID}\n", "", "estimation_grid"),
     ], ids=["no-domain", "degree-4", "degree-3-with-2-coefficients",
-            "empty-domain"])
+            "empty-domain", "no-estimation-grid"])
     def test_malformed_model_file_is_two(self, workspace, capsys, tmp_path,
                                          old, new, key):
         root, cfg_path = workspace
@@ -1172,6 +1212,47 @@ class TestCLIExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "bad_model.txt" in err and key in err
+
+    @pytest.mark.parametrize("model_grid, quick, run_grid", [
+        (FULL_GRID, ["--quick"], QUICK_GRID),
+        (QUICK_GRID, [], FULL_GRID),
+    ], ids=["default-model-quick-run", "quick-model-default-run"])
+    def test_model_on_another_grid_is_two_before_frames_are_read(
+            self, workspace, capsys, tmp_path, monkeypatch, model_grid,
+            quick, run_grid):
+        """A model holds for the estimation grid its sweep beamformed on:
+        a --quick model does not serve a default-config estimate, nor the
+        other way round. Both grids are named."""
+        root, cfg_path = workspace
+        model = tmp_path / "other_grid_model.txt"
+        model.write_text(NARROW_MODEL.replace(QUICK_GRID, model_grid))
+        reads = []
+        monkeypatch.setattr(pipeline, "read_frame_set",
+                            lambda *args: reads.append(args))
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(tmp_path / "est"), *quick,
+            "estimate", "--frames", str(root / "sim"), "--model", str(model),
+            "--c-bf", "1500",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"built on the estimation grid {model_grid};" in err
+        assert f"the config's estimation grid is {run_grid}" in err
+        assert reads == []
+        assert not (tmp_path / "est").exists()
+
+    def test_model_without_a_grid_is_refused_before_frames_are_read(
+            self, workspace, monkeypatch):
+        """A model built in code from a dataset that names no grid."""
+        root, cfg_path = workspace
+        reads = []
+        monkeypatch.setattr(pipeline, "read_frame_set",
+                            lambda *args: reads.append(args))
+        with pytest.raises(ConfigError, match="estimation grid unknown; "):
+            pipeline.cmd_estimate(apply_quick(load_config(cfg_path)),
+                                  root / "sim", replace(WIDE_MODEL, metadata={}),
+                                  1500.0)
+        assert reads == []
 
     def test_malformed_model_with_missing_frames_is_two(self, workspace,
                                                         capsys, tmp_path):

@@ -239,7 +239,7 @@ def load_model(path: Path) -> CalibrationModel:
     if len(domain) != 2 or not domain[0] < domain[1]:
         raise ValueError(f"{path}: domain {fields['domain']!r} is not 'lo hi' "
                          "with lo < hi")
-    values("estimation_grid", str)
+    values("estimation_grid", str)  # required; kept as its text
     meta = {"sweep_metadata_hash": fields.get("sweep_metadata_hash", ""),
             "estimation_grid": fields["estimation_grid"]}
     if fields.get("c_true", "unknown") != "unknown":

@@ -385,7 +385,7 @@ def simulate_frames(cfg: PipelineConfig,
 
 def _grid_sidecar(header: str, grid: ImagingGrid) -> str:
     """Text of a map's sidecar file: header, then the grid one key a line,
-    each length the repr of a Python float."""
+    lengths as Python float reprs."""
     x0, z0, dx, dz = map(float, (grid.x0, grid.z0, grid.dx, grid.dz))
     return (f"{header}x0 {x0!r}\nz0 {z0!r}\ndx {dx!r}\n"
             f"dz {dz!r}\nnx {grid.nx}\nnz {grid.nz}\n")

@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
-"""Building and validating the slope-to-offset calibration model.
+"""Comparing polynomial degrees for the slope-to-offset calibration.
 
 Sweeps the beamforming SoS offset over +-40 m/s on a homogeneous
 phantom, fits polynomial models of the slope-vs-offset curve on a
 training subset, and reports the round-trip quality (estimate the
-offset back from each held-out slope) per polynomial degree. The chosen
-model and the sweep CSV are written to the output directory.
+offset back from each held-out slope) per polynomial degree. It writes
+no file: `soscorr calibrate` writes the model that estimate applies.
 
-Run:  python demos/demo_calibration.py --out /tmp/cal_demo [--full]
+Run:  python demos/demo_calibration.py [--full]
 """
 
 import argparse
 import time
-from pathlib import Path
 
-from soscorr.calibrate import estimate_offset, save_model
+from soscorr.calibrate import estimate_offset
 from soscorr.pipeline import PipelineConfig, apply_quick, \
     run_calibration_sweep, simulate_frames
 from soscorr import calibrate as cal
@@ -22,11 +21,9 @@ from soscorr import calibrate as cal
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--out", type=Path, default=Path("cal_demo_out"))
     ap.add_argument("--full", action="store_true",
                     help="81-point sweep on full-resolution grids (slower)")
     args = ap.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
 
     cfg = PipelineConfig(threads=4)
     if args.full:
@@ -53,11 +50,8 @@ def main():
 
     deg = max(degrees)
     model = sweep.models[deg]
-    save_model(args.out / "calibration_model.txt", model)
-    cal.export_sweep(args.out / "calibration_sweep.csv", sweep.dataset, model)
-    print(f"\ndegree-{deg} model and sweep CSV written to {args.out}")
-
-    print("\nround-trip spot checks (truth -> slope -> estimate):")
+    print(f"\ndegree-{deg} round-trip spot checks "
+          "(truth -> slope -> estimate):")
     for dc in (-30.0, -10.0, 0.0, 10.0, 30.0):
         slope = float(model.predict(dc))
         print(f"  delta_c {dc:+6.1f} m/s -> "

@@ -2,13 +2,14 @@
 """End-to-end correction: wrong BF-SoS, estimate, correct, reconstruct.
 
 Simulates an inclusion phantom, deliberately beamforms with a BF-SoS
-1.5% off, estimates the offset from the (55, 65) pair pattern using a
-freshly built calibration model, and reconstructs the local SoS map
-before and after correction. It prints both maps' RMSE against the
-ground truth that cmd_simulate writes beside the frames, and their
-inclusion CNR. The frames, both maps (CSV, each with a grid sidecar),
-the estimate and reconstruct records and the report.json that collects
-them land in the output directory.
+1.5% off, estimates the offset from the (55, 65) pair pattern through
+the calibration model that cmd_calibrate writes, and reconstructs the
+local SoS map before and after correction. It prints both maps' RMSE
+against the ground truth that cmd_simulate writes beside the frames,
+and their inclusion CNR. The frames, the calibration, both maps (CSV,
+each with a grid sidecar), the calibrate, estimate and reconstruct
+records and the report.json that collects them land in the output
+directory.
 
 Run:  python demos/demo_correction.py --out /tmp/corr_demo
 """
@@ -18,18 +19,17 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from soscorr.calibrate import build_calibration
+from soscorr.calibrate import load_model
 from soscorr.metrics import cnr_db
 from soscorr.pipeline import (
     PipelineConfig,
     apply_quick,
+    cmd_calibrate,
     cmd_estimate,
     cmd_reconstruct,
     cmd_report,
     cmd_simulate,
     region_labels,
-    run_calibration_sweep,
-    simulate_frames,
 )
 from soscorr.synthsim import Inclusion
 
@@ -43,13 +43,10 @@ def main():
 
     base = apply_quick(PipelineConfig(threads=4))
 
-    print("building a calibration model on the homogeneous phantom ...")
+    print("calibrating on the homogeneous phantom ...")
     t0 = time.perf_counter()
-    cal_frames = simulate_frames(base, tx_list=list(base.estimation_pair))
-    sweep = run_calibration_sweep(base, cal_frames, step=5.0, degrees=(1, 3),
-                                  train_selector="every-2")
-    model = build_calibration(sweep.dataset, degree=3,
-                              train_selector="every-1")
+    cmd_calibrate(base, args.out / "calibrate")
+    model = load_model(args.out / "calibrate" / "calibration_model.txt")
     print(f"  done in {time.perf_counter() - t0:.1f} s")
 
     inclusion = Inclusion(shape="ellipse", center=(-4e-3, 20e-3),

@@ -7,7 +7,6 @@ model and CSV carries this tag explicitly.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,11 +185,6 @@ def corrected_sos(c_bf_assumed: float, delta_c_hat: float) -> float:
 # persistence
 
 
-def _metadata_hash(metadata: dict) -> str:
-    blob = repr(sorted(metadata.items())).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def save_model(path: Path, model: CalibrationModel) -> None:
     lines = [
         "soscorr calibration model v1",
@@ -201,7 +195,6 @@ def save_model(path: Path, model: CalibrationModel) -> None:
         f"domain {model.domain[0]!r} {model.domain[1]!r}",
         "coefficients " + " ".join(repr(float(c)) for c in model.coefficients),
         "training_indices " + " ".join(str(i) for i in model.training_indices),
-        f"sweep_metadata_hash {_metadata_hash(model.metadata)}",
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -240,8 +233,7 @@ def load_model(path: Path) -> CalibrationModel:
         raise ValueError(f"{path}: domain {fields['domain']!r} is not 'lo hi' "
                          "with lo < hi")
     values("estimation_grid", str)  # required; kept as its text
-    meta = {"sweep_metadata_hash": fields.get("sweep_metadata_hash", ""),
-            "estimation_grid": fields["estimation_grid"]}
+    meta = {"estimation_grid": fields["estimation_grid"]}
     if fields.get("c_true", "unknown") != "unknown":
         meta["c_true"] = float(fields["c_true"])
     return CalibrationModel(

@@ -13,8 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
-from .calibrate import (DEGREES, CalibrationError, OffsetOutOfRangeError,
-                        load_model)
+from .calibrate import CalibrationError, OffsetOutOfRangeError, load_model
 from .pipeline import ConfigError, PipelineConfig, apply_quick, load_config
 from .regress import (
     EmptyPatternError,
@@ -51,9 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("calibrate", help="run the BF-SoS offset sweep and "
                         "build the calibration model")
     pc.add_argument("--range", type=float, default=40.0,
-                    help="sweep half-range in m/s (default 40)")
-    pc.add_argument("--step", type=float, default=1.0,
-                    help="sweep step in m/s (default 1)")
+                    help="sweep half-range in m/s, a multiple of the 5 m/s "
+                    "step of at least 10 (default 40)")
 
     pe = sub.add_parser("estimate", help="estimate the BF-SoS offset of a "
                         "channel-data directory")
@@ -103,15 +101,8 @@ def main(argv=None) -> int:
             out = pipeline.cmd_simulate(cfg, args.out)
             print(f"frames written to {out}")
         elif args.command == "calibrate":
-            # --quick coarsens only a step that passed the check
-            pipeline.check_sweep(-args.range, args.range, args.step)
-            step = args.step if not args.quick else max(args.step, 10.0)
-            degrees = DEGREES if not args.quick else (1,)
-            result = pipeline.cmd_calibrate(
-                cfg, args.out,
-                delta_c_min=-args.range, delta_c_max=args.range,
-                step=step, degrees=degrees,
-            )
+            result = pipeline.cmd_calibrate(cfg, args.out,
+                                            half_range=args.range)
             for row in result.report_rows:
                 print(
                     f"degree {row['degree']}: test R^2 = {row['test_r2']:.3f}, "
@@ -140,7 +131,8 @@ def main(argv=None) -> int:
         print(
             f"error: {e}\nhint: re-run with an initial --c-bf closer to "
             f"{'higher' if e.nearest_delta_c < 0 else 'lower'} values, or "
-            "rebuild the calibration over a wider sweep",
+            "rebuild the calibration over a wider sweep with calibrate "
+            "--range",
             file=sys.stderr,
         )
         return EXIT_NUMERICAL

@@ -197,6 +197,20 @@ class TestPersistence:
         with pytest.raises(ValueError, match="no 'estimation_grid' line"):
             load_model(path)
 
+    def test_unknown_line_is_ignored(self, tmp_path):
+        """A model file of an earlier version, with its
+        sweep_metadata_hash line, still loads: an unknown key is
+        ignored."""
+        model = build_calibration(linear_dataset(), degree=1)
+        path = tmp_path / "model.txt"
+        save_model(path, model)
+        text = path.read_text()
+        assert "sweep_metadata_hash" not in text
+        path.write_text(text + "sweep_metadata_hash 555838704105a3ce\n")
+        back = load_model(path)
+        assert back.coefficients.tobytes() == model.coefficients.tobytes()
+        assert "sweep_metadata_hash" not in back.metadata
+
     def test_convention_is_persisted_and_checked(self, tmp_path):
         model = build_calibration(linear_dataset(), degree=1)
         path = tmp_path / "model.txt"

@@ -34,8 +34,8 @@ from soscorr.pipeline import (
 )
 from soscorr import pipeline
 from soscorr.calibrate import (CalibrationDataset, CalibrationEntry,
-                               CalibrationModel, export_sweep, load_model,
-                               save_model)
+                               CalibrationModel, build_calibration,
+                               export_sweep, load_model, save_model)
 from soscorr.geometry import ImagingGrid, element_position
 from soscorr.metrics import rmse_map
 from soscorr.regress import (
@@ -521,17 +521,46 @@ class TestSimulateStage:
 
 
 class TestCalibrationSweep:
-    @pytest.mark.parametrize("kwargs", [
-        {"step": 0.0}, {"delta_c_min": 5.0, "delta_c_max": -5.0},
-    ], ids=["step", "range"])
+    @pytest.mark.parametrize("half_range", [-5.0, 42.0, 5.0],
+                             ids=["range", "off-step", "one-step"])
     def test_bad_sweep_fails_before_simulating(self, tmp_path, monkeypatch,
-                                               kwargs):
+                                               half_range):
+        """A half-range off the step would leave the model's domain short
+        of it on one side; one step would leave one offset held out,
+        whose R^2 is undefined."""
         def no_simulation(*args, **kw):
             raise AssertionError("no frame may be simulated")
 
         monkeypatch.setattr(pipeline, "simulate_frame", no_simulation)
-        with pytest.raises(ConfigError, match="calibration"):
-            pipeline.cmd_calibrate(cheap_cfg(), tmp_path, **kwargs)
+        with pytest.raises(ConfigError, match="calibration range"):
+            pipeline.cmd_calibrate(cheap_cfg(), tmp_path, half_range)
+
+    def test_calibrate_writes_the_recipe(self, tmp_path):
+        """calibration_model.txt is the calibration_degree fit on every
+        offset of the 17-offset sweep at 5 m/s steps; calibrate.json
+        holds the held-out row of that degree fitted on every second
+        offset, the split calibration_sweep.csv marks."""
+        cfg = cheap_cfg()
+        pipeline.cmd_calibrate(cfg, tmp_path)
+        frames = simulate_frames(cfg, tx_list=list(cfg.estimation_pair))
+        sweep = run_calibration_sweep(cfg, frames, step=5.0,
+                                      degrees=(cfg.calibration_degree,),
+                                      train_selector="every-2")
+        expected = build_calibration(sweep.dataset,
+                                     degree=cfg.calibration_degree,
+                                     train_selector="every-1")
+        model = load_model(tmp_path / "calibration_model.txt")
+        assert model.degree == expected.degree
+        assert model.coefficients.tobytes() == expected.coefficients.tobytes()
+        assert model.domain == expected.domain == (-40.0, 40.0)
+        assert model.training_indices == tuple(range(17))
+        assert json.loads((tmp_path / "calibrate.json").read_text()) == \
+            {"rows": sweep.report_rows}
+        [row] = sweep.report_rows
+        assert (row["n_train"], row["n_test"]) == (9, 8)
+        table = (tmp_path / "calibration_sweep.csv").read_text().splitlines()
+        assert [line.split(",")[2] for line in table[1:]] == \
+            ["train", "test"] * 8 + ["train"]
 
     def test_thread_count_does_not_change_sweep(self):
         """The sweep's worker threads share nothing that changes a fit."""
@@ -1153,14 +1182,12 @@ class TestCLIExitCodes:
         assert reads == []
 
     @pytest.mark.parametrize("flag, value", [
-        ("--step", "0"), ("--step", "-1"), ("--step", "nan"),
-        ("--step", "inf"), ("--range", "-5"), ("--range", "0"),
-        ("--range", "nan"), ("--range", "inf"),
+        ("--range", "-5"), ("--range", "0"), ("--range", "nan"),
+        ("--range", "inf"), ("--range", "42"), ("--range", "5"),
     ])
     def test_bad_sweep_argument_is_two(self, workspace, capsys, monkeypatch,
                                        flag, value):
-        """Checked before any frame is simulated, and before --quick
-        coarsens the step."""
+        """Checked before any frame is simulated."""
         root, cfg_path = workspace
 
         def no_simulation(*args, **kwargs):
@@ -1174,7 +1201,17 @@ class TestCLIExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err
-        assert ("step" if flag == "--step" else "range") in err
+        assert "range" in err
+
+    def test_removed_step_flag_is_two(self, workspace, capsys):
+        """The sweep's step is the recipe's, not an option."""
+        root, cfg_path = workspace
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--config", str(cfg_path), "--out", str(root / "cal_step"),
+                      "--quick", "calibrate", "--step", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --step 5" in capsys.readouterr().err
+        assert not (root / "cal_step").exists()
 
     def test_numerical_error_is_three(self, workspace, capsys):
         """A model whose invertible slope range excludes the observation."""
@@ -1187,6 +1224,8 @@ class TestCLIExitCodes:
             "--c-bf", "1500",
         ])
         assert rc == 3
+        assert ("rebuild the calibration over a wider sweep with calibrate "
+                "--range") in capsys.readouterr().err
 
     @pytest.mark.parametrize("old, new, key", [
         ("domain -1.0 1.0\n", "", "domain"),
@@ -1521,7 +1560,7 @@ class TestReportRoundTrip:
             spy(name)
         frames = str(root / "sim")
         for out, argv in (
-            ("cal", ["calibrate", "--range", "20", "--step", "10"]),
+            ("cal", ["calibrate", "--range", "20"]),
             ("est", ["estimate", "--frames", frames, "--model",
                      str(run / "cal" / "calibration_model.txt"),
                      "--c-bf", "1510"]),

@@ -1184,34 +1184,37 @@ class TestCLIExitCodes:
     @pytest.mark.parametrize("flag, value", [
         ("--range", "-5"), ("--range", "0"), ("--range", "nan"),
         ("--range", "inf"), ("--range", "42"), ("--range", "5"),
+        ("--step", "0"), ("--step", "-1"), ("--step", "nan"),
+        ("--step", "inf"), ("--step", "5"),
     ])
     def test_bad_sweep_argument_is_two(self, workspace, capsys, monkeypatch,
                                        flag, value):
-        """Checked before any frame is simulated."""
+        """Checked before any frame is simulated.
+
+        The sweep's step is the recipe's, not an option, so any --step,
+        a good value too, is an unknown argument.
+        """
         root, cfg_path = workspace
 
         def no_simulation(*args, **kwargs):
             raise AssertionError("no frame may be simulated")
 
         monkeypatch.setattr(pipeline, "simulate_frame", no_simulation)
-        rc = cli_main([
-            "--config", str(cfg_path), "--out", str(root / "cal_bad"),
-            "--quick", "calibrate", flag, value,
-        ])
+        argv = ["--config", str(cfg_path), "--out", str(root / "cal_bad"),
+                "--quick", "calibrate", flag, value]
+        if flag == "--step":
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --step {value}" \
+                in capsys.readouterr().err
+            assert not (root / "cal_bad").exists()
+            return
+        rc = cli_main(argv)
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err
         assert "range" in err
-
-    def test_removed_step_flag_is_two(self, workspace, capsys):
-        """The sweep's step is the recipe's, not an option."""
-        root, cfg_path = workspace
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["--config", str(cfg_path), "--out", str(root / "cal_step"),
-                      "--quick", "calibrate", "--step", "5"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --step 5" in capsys.readouterr().err
-        assert not (root / "cal_step").exists()
 
     def test_numerical_error_is_three(self, workspace, capsys):
         """A model whose invertible slope range excludes the observation."""

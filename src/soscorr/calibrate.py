@@ -185,9 +185,13 @@ def corrected_sos(c_bf_assumed: float, delta_c_hat: float) -> float:
 # persistence
 
 
+# the first line of a model file, naming its format
+MODEL_HEADER = "soscorr calibration model v1"
+
+
 def save_model(path: Path, model: CalibrationModel) -> None:
     lines = [
-        "soscorr calibration model v1",
+        MODEL_HEADER,
         f"convention {CONVENTION}",
         f"c_true {model.metadata.get('c_true', 'unknown')}",
         f"estimation_grid {model.metadata.get('estimation_grid', 'unknown')}",
@@ -200,11 +204,16 @@ def save_model(path: Path, model: CalibrationModel) -> None:
 
 
 def load_model(path: Path) -> CalibrationModel:
-    """Model saved by :func:`save_model`. A missing key, a degree not in
-    DEGREES, a coefficient count other than degree + 1 or a domain with
-    lo >= hi is a ValueError naming the file and the key."""
+    """Model saved by :func:`save_model`. A first line other than
+    MODEL_HEADER, a missing key, a degree not in DEGREES, a coefficient
+    count other than degree + 1 or a domain with lo >= hi is a
+    ValueError naming the file and, but for the header, the key."""
+    header, *lines = Path(path).read_text().splitlines() or [""]
+    if header != MODEL_HEADER:
+        raise ValueError(f"{path}: first line {header!r} is not "
+                         f"{MODEL_HEADER!r}")
     fields: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines()[1:]:
+    for line in lines:
         if line.strip():
             key, _, val = line.partition(" ")
             fields[key] = val

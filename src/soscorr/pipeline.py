@@ -402,21 +402,6 @@ def _grid_line(grid: ImagingGrid) -> str:
     return ", ".join(_grid_sidecar("", grid).splitlines())
 
 
-def _check_gt_grid(sidecar: Path, grid: ImagingGrid) -> None:
-    """ConfigError naming the file unless the ground truth's sidecar
-    exists and holds the given grid; both are written with repr, so
-    their text compares exactly."""
-    if not sidecar.exists():
-        raise ConfigError(f"{sidecar} is missing: the ground truth's grid "
-                          "is unknown")
-    found = sidecar.read_text().splitlines()[1:]
-    expected = _grid_sidecar("", grid).splitlines()
-    if found != expected:
-        raise ConfigError(f"{sidecar}: the ground truth lies on the grid "
-                          f"{', '.join(found)}; the config's slowness grid "
-                          f"is {', '.join(expected)}")
-
-
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
     """Simulate and persist all frames the configured pipeline needs, and
     the ground-truth SoS map with its grid; each frame is written before
@@ -465,12 +450,10 @@ def run_calibration_sweep(
 ) -> SweepResult:
     """Beamform/track/fit across the BF-SoS offset sweep and build models.
 
-    Requires a homogeneous medium (self-consistent calibration against
-    the artifact's own simulator). Evaluation rows report, per degree,
+    The frames must be of a homogeneous medium at cfg.background_sos, as
+    :func:`cmd_calibrate` checks. Evaluation rows report, per degree,
     the held-out score of :func:`calibrate.holdout_score`.
     """
-    if cfg.inclusions:
-        raise ConfigError("calibration requires a homogeneous medium")
     c_true = cfg.background_sos
     deltas = np.arange(delta_c_min, delta_c_max + step / 2, step)
 
@@ -482,15 +465,8 @@ def run_calibration_sweep(
 
     dataset = cal.CalibrationDataset(
         entries=tuple(entries),
-        metadata={
-            "c_true": c_true,
-            "pair": cfg.estimation_pair,
-            "roi": (ESTIMATION_ROI.depth_min, ESTIMATION_ROI.depth_max,
-                    ESTIMATION_ROI.theta_min, ESTIMATION_ROI.theta_max),
-            "method": ESTIMATION_FIT,
-            "seed": cfg.seed,
-            "estimation_grid": _grid_line(cfg.estimation_grid()),
-        },
+        metadata={"c_true": c_true,
+                  "estimation_grid": _grid_line(cfg.estimation_grid())},
     )
 
     models, rows = {}, []
@@ -511,8 +487,12 @@ def cmd_calibrate(cfg: PipelineConfig, out_dir: Path,
     calibration_degree fit on every second offset, the split that
     calibration_sweep.csv marks; calibration_model.txt is that degree
     fitted on every offset. The returned sweep holds the every-second
-    fit. half_range is checked before any frame is simulated.
+    fit. The medium and half_range are checked before the output
+    directory is made.
     """
+    if cfg.inclusions:
+        raise ConfigError("calibration requires a homogeneous medium: "
+                          "[medium] inclusions must be empty")
     # a NaN or an infinity fails the test, so it is written as the
     # condition that must hold; every-2 holds out 2 offsets or more
     if not (half_range >= 2 * CALIBRATION_STEP
@@ -636,22 +616,22 @@ def cmd_reconstruct(
     trace and reconstruct.json: the solve's converged, iterations,
     grad_norm and message; its rows (measurements in the solve) and
     valid_fraction (tracked nodes kept by min_ncc); the map's
-    clamped_fraction; and rmse_vs_gt_mps when frames_dir holds a ground
-    truth, gt_sos.csv. A ground truth that is not on the slowness grid
-    is refused before any frame is read.
+    clamped_fraction; and rmse_vs_gt_mps when frames_dir holds the
+    config the frames were simulated with, config_resolved.ini. The map
+    is scored against that config's medium on the map's own slowness
+    grid; a config that does not load is refused, named with its file,
+    before any frame is read.
     """
     frames_dir = Path(frames_dir)
     txs = sorted({e for p in cfg.recon_pairs for e in p})
     slow_grid = cfg.slow_grid()
-    gt_path = frames_dir / "gt_sos.csv"
+    sim_path = frames_dir / "config_resolved.ini"
     gt = None
-    if gt_path.exists():
-        _check_gt_grid(frames_dir / "gt_sos.csv.txt", slow_grid)
-        gt = np.loadtxt(gt_path, delimiter=",")
-        if gt.shape != (slow_grid.nz, slow_grid.nx):
-            raise ConfigError(f"{gt_path}: a map of shape {gt.shape}, "
-                              f"not {slow_grid.nz} x {slow_grid.nx} as its "
-                              "sidecar states")
+    if sim_path.exists():
+        try:
+            gt = load_config(sim_path).medium().rasterize(slow_grid)
+        except ConfigError as err:
+            raise ConfigError(f"{sim_path}: {err}") from err
 
     grid = cfg.full_grid()
     track_cfg = replace(RECON_TRACKING,

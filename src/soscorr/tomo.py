@@ -76,8 +76,8 @@ class SlownessMap:
         clamped = float(np.mean((sos < SOS_MIN) | (sos > SOS_MAX)))
         if clamped:
             warnings.warn(
-                f"reconstructed SoS left the [1300, 1700] m/s band; clamping "
-                f"{clamped:.1%} of the map",
+                f"reconstructed SoS left the [{SOS_MIN:g}, {SOS_MAX:g}] m/s "
+                f"band; clamping {clamped:.1%} of the map",
                 RuntimeWarning,
             )
             sos = np.clip(sos, SOS_MIN, SOS_MAX)

@@ -672,7 +672,7 @@ class TestReconMetrics:
 
         frames = tmp_path / "frames"
         shutil.copytree(frames_dir, frames)
-        (frames / "gt_sos.csv").unlink()
+        (frames / "config_resolved.ini").unlink()
         monkeypatch.setattr(pipeline, "build_path_matrix", keep)
         out = tmp_path / "out"
         res = cmd_reconstruct(recon_cfg(), frames, 1500.0, out_dir=out)
@@ -694,10 +694,12 @@ class TestReconMetrics:
         assert res.rmse_vs_gt is None
 
     def test_rmse_is_added_with_ground_truth(self, frames_dir, run):
-        """The ground truth is the frame directory's gt_sos.csv."""
+        """The ground truth is the medium of the frame directory's
+        config_resolved.ini on the map's slowness grid."""
         out, res = run
         metrics = json.loads((out / "reconstruct.json").read_text())
-        gt = np.loadtxt(frames_dir / "gt_sos.csv", delimiter=",")
+        gt = load_config(frames_dir / "config_resolved.ini").medium() \
+            .rasterize(recon_cfg().slow_grid())
         assert res.rmse_vs_gt == rmse_map(res.sos_map, gt)
         assert metrics["rmse_vs_gt_mps"] == res.rmse_vs_gt
         assert metrics["iterations"] == res.info.iterations
@@ -1114,72 +1116,86 @@ class TestCLIExitCodes:
     @pytest.mark.parametrize("line", ["slow_nx = 16\nslow_nz = 16",
                                       "bf_depth = 0.02"],
                              ids=["shape", "cell-height"])
-    def test_ground_truth_on_another_grid_is_two_before_beamforming(
-            self, workspace, capsys, monkeypatch, line):
-        """The frames' ground truth lies on the 24 x 24 grid of the
-        config that simulated them. Another grid, of another shape or
-        with cells of another height, is refused before any frame is
-        beamformed, not after the solve or scored against a misaligned
-        truth."""
+    def test_ground_truth_on_another_grid_is_scored(
+            self, workspace, capsys, monkeypatch, tmp_path, line):
+        """Frames simulated on the 24 x 24 slowness grid, reconstructed on
+        another grid, of another shape or with cells of another height,
+        are scored against the medium of the frame directory's
+        config_resolved.ini rasterized on the map's own grid. The
+        inclusion added to that file shows the truth is read from it."""
         root, _ = workspace
-        other = root / "other_grid.ini"
+        frames = tmp_path / "sim"
+        shutil.copytree(root / "sim", frames)
+        resolved = frames / "config_resolved.ini"
+        resolved.write_text(resolved.read_text().replace(
+            "inclusions = \n",
+            "inclusions = ellipse -0.004 0.02 0.005 0.004 1540.0\n"))
+        other = tmp_path / "other_grid.ini"
         other.write_text(f"{CHEAP_CONFIG}\n[grids]\n{line}\n")
+        scored = []
 
-        def no_beamforming(*args, **kwargs):
-            raise AssertionError("no frame may be beamformed")
+        def keep(sos_map, gt):
+            scored.append((sos_map, gt))
+            return rmse_map(sos_map, gt)
 
-        monkeypatch.setattr(pipeline, "das_beamform", no_beamforming)
-        out = root / "other_grid"
+        monkeypatch.setattr(pipeline, "rmse_map", keep)
+        out = tmp_path / "rec"
         rc = cli_main([
             "--config", str(other), "--out", str(out), "--quick",
-            "reconstruct", "--frames", str(root / "sim"), "--c-bf", "1500",
+            "reconstruct", "--frames", str(frames), "--c-bf", "1500",
         ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "gt_sos.csv.txt: the ground truth lies on" in err
-        assert "the config's slowness grid is" in err
-        assert not out.exists()
+        assert rc == 0
+        assert "RMSE vs ground truth" in capsys.readouterr().out
+        grid = apply_quick(load_config(other)).slow_grid()
+        truth = load_config(resolved).medium().rasterize(grid)
+        assert 1540.0 in truth
+        [(sos_map, gt)] = scored
+        assert gt.shape == sos_map.shape == (grid.nz, grid.nx)
+        np.testing.assert_array_equal(gt, truth)
+        metrics = json.loads((out / "reconstruct.json").read_text())
+        assert metrics["rmse_vs_gt_mps"] == rmse_map(sos_map, truth)
 
-    def test_ground_truth_without_its_grid_is_two(self, workspace, capsys,
-                                                  monkeypatch, tmp_path):
+    def test_frame_config_that_does_not_load_is_two_before_frames_are_read(
+            self, workspace, capsys, monkeypatch, tmp_path):
+        """The frame directory's config_resolved.ini, not the --config
+        file, is named, and no output directory is made."""
         root, cfg_path = workspace
         frames = tmp_path / "sim"
         shutil.copytree(root / "sim", frames)
-        (frames / "gt_sos.csv.txt").unlink()
-
-        def no_beamforming(*args, **kwargs):
-            raise AssertionError("no frame may be beamformed")
-
-        monkeypatch.setattr(pipeline, "das_beamform", no_beamforming)
-        rc = cli_main([
-            "--config", str(cfg_path), "--out", str(tmp_path / "rec"),
-            "--quick", "reconstruct", "--frames", str(frames),
-            "--c-bf", "1500",
-        ])
-        assert rc == 2
-        assert "gt_sos.csv.txt is missing" in capsys.readouterr().err
-
-    def test_ground_truth_short_of_its_grid_is_two(self, workspace, capsys,
-                                                   monkeypatch, tmp_path):
-        """A gt_sos.csv that lacks a row of the grid its sidecar states is
-        refused, with the file named, before any frame is read."""
-        root, cfg_path = workspace
-        frames = tmp_path / "sim"
-        shutil.copytree(root / "sim", frames)
-        gt = frames / "gt_sos.csv"
-        gt.write_text("".join(gt.read_text().splitlines(keepends=True)[:-1]))
+        resolved = frames / "config_resolved.ini"
+        resolved.write_text(resolved.read_text() + "wobble = 3\n")
         reads = []
         monkeypatch.setattr(pipeline, "read_frame_set",
                             lambda *args: reads.append(args))
+        out = tmp_path / "rec"
         rc = cli_main([
-            "--config", str(cfg_path), "--out", str(tmp_path / "rec"),
-            "--quick", "reconstruct", "--frames", str(frames),
-            "--c-bf", "1500",
+            "--config", str(cfg_path), "--out", str(out), "--quick",
+            "reconstruct", "--frames", str(frames), "--c-bf", "1500",
         ])
         assert rc == 2
-        assert "gt_sos.csv: a map of shape (23, 24), not 24 x 24" \
-            in capsys.readouterr().err
+        assert (f"config error: {resolved}: unknown key 'wobble' in section "
+                "[reconstruction]") in capsys.readouterr().err
         assert reads == []
+        assert not out.exists()
+
+    def test_calibrating_a_medium_with_inclusions_is_two_before_any_work(
+            self, workspace, capsys, monkeypatch):
+        root, _ = workspace
+        bad = root / "inclusion.ini"
+        bad.write_text(CHEAP_CONFIG + "\n[medium]\ninclusions = "
+                       "ellipse -0.004 0.02 0.005 0.004 1540\n")
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("no frame may be simulated")
+
+        monkeypatch.setattr(pipeline, "simulate_frame", no_simulation)
+        out = root / "cal_inclusion"
+        rc = cli_main(["--config", str(bad), "--out", str(out), "--quick",
+                       "calibrate"])
+        assert rc == 2
+        assert ("calibration requires a homogeneous medium"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--range", "-5"), ("--range", "0"), ("--range", "nan"),
@@ -1237,8 +1253,11 @@ class TestCLIExitCodes:
         ("domain -1.0 1.0\n", "domain 1.0 1.0\n", "domain"),
         # a model file written before models named their grid
         (f"estimation_grid {QUICK_GRID}\n", "", "estimation_grid"),
+        # another format version, and a key written on the header's line
+        ("model v1\n", "model v9\n", "'soscorr calibration model v9'"),
+        ("soscorr calibration model v1\n", "", "first line 'convention"),
     ], ids=["no-domain", "degree-4", "degree-3-with-2-coefficients",
-            "empty-domain", "no-estimation-grid"])
+            "empty-domain", "no-estimation-grid", "header-v9", "no-header"])
     def test_malformed_model_file_is_two(self, workspace, capsys, tmp_path,
                                          old, new, key):
         root, cfg_path = workspace

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from soscorr import tomo
 from soscorr.geometry import ImagingGrid, TransducerArray, element_position
 from soscorr.pipeline import PipelineConfig, apply_quick
 from soscorr.tomo import (
@@ -403,3 +404,12 @@ class TestSlownessMap:
         assert clamped == 0.25
         assert sos[0, 1] == 1700.0
         assert np.allclose(np.delete(sos.ravel(), 1), 1500.0)
+
+    def test_warning_names_the_band_it_clamps_to(self, monkeypatch):
+        monkeypatch.setattr(tomo, "SOS_MAX", 1600.0)
+        smap = SlownessMap(values=np.full((1, 1), -1e-4),
+                           grid=unit_grid(nx=1, nz=1))
+        with pytest.warns(RuntimeWarning,
+                          match=r"left the \[1300, 1600\] m/s band"):
+            sos, _ = smap.to_sos(1500.0)
+        assert sos[0, 0] == 1600.0

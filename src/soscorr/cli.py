@@ -39,8 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="output directory")
     p.add_argument("--seed", type=int, help="override the scatterer seed")
     p.add_argument("--threads", type=int,
-                   help="worker threads (>= 1) for simulation, reconstruction "
-                   "beamforming and the calibration sweep")
+                   help="threads (>= 1) for simulation, reconstruction "
+                   "beamforming and the calibration sweep: N threads, the "
+                   "calling one included; N - 1 are started")
     p.add_argument("--quick", action="store_true",
                    help="coarse grids and low density for CI-scale runs")
     sub = p.add_subparsers(dest="command", required=True)

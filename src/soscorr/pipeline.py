@@ -365,9 +365,10 @@ def generate_frames(cfg: PipelineConfig,
     asks for it, so a caller that writes each frame before it asks for
     the next holds one frame at a time. The receive channels of each
     frame, and the receive travel-time table they share, are split
-    across cfg.threads worker threads. Each frame's record ends after
-    its own transmit's latest echo (:func:`simulate_frame`), so the
-    frames of one set may differ in length.
+    across cfg.threads threads, the calling one included. Each frame's
+    record ends after its own transmit's latest echo
+    (:func:`simulate_frame`), so the frames of one set may differ in
+    length.
     """
     medium = cfg.medium()
     fld = gen_scatterers(cfg.scatterer_grid(), cfg.scatterer_density, cfg.seed)
@@ -619,21 +620,30 @@ def cmd_reconstruct(
     clamped_fraction; and rmse_vs_gt_mps when frames_dir holds the
     config the frames were simulated with, config_resolved.ini. The map
     is scored against that config's medium on the map's own slowness
-    grid; a config that does not load is refused, named with its file,
-    before any frame is read.
+    grid. A config that does not load, or a beamforming grid that
+    reaches below that config's speckle, is refused, named with its
+    file, before any frame is read.
     """
     frames_dir = Path(frames_dir)
     txs = sorted({e for p in cfg.recon_pairs for e in p})
     slow_grid = cfg.slow_grid()
+    grid = cfg.full_grid()
     sim_path = frames_dir / "config_resolved.ini"
     gt = None
     if sim_path.exists():
         try:
-            gt = load_config(sim_path).medium().rasterize(slow_grid)
+            sim_cfg = load_config(sim_path)
         except ConfigError as err:
             raise ConfigError(f"{sim_path}: {err}") from err
+        speckle_depth = sim_cfg.scatterer_grid().z_max
+        if grid.z_max > speckle_depth:
+            raise ConfigError(
+                f"{sim_path}: the beamforming grid reaches "
+                f"{grid.z_max * 1e3:.2f} mm deep, below the speckle the frames "
+                f"were simulated with, which ends at "
+                f"{speckle_depth * 1e3:.2f} mm")
+        gt = sim_cfg.medium().rasterize(slow_grid)
 
-    grid = cfg.full_grid()
     track_cfg = replace(RECON_TRACKING,
                         search_radius=recon_search_radius(cfg, c_bf))
     bfc = BFConfig(c_bf=c_bf, grid=grid)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
+import threading
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,19 +46,49 @@ PULSE_TABLE_STEPS = 256
 
 
 def thread_map(fn, items, threads: int) -> list:
-    """[fn(item) for item in items], run on `threads` worker threads.
+    """[fn(item) for item in items], run on `threads` threads, the
+    calling one included: min(threads, len(items)) - 1 are started.
 
-    At threads == 1 no pool is created and the loop runs inline.
-    Results keep the order of items; a worker's exception is raised here.
+    At one thread, or one item, the loop runs inline and no thread is
+    started. Each thread takes the next item from one locked counter,
+    so work is spread as it finishes, and results keep the order of
+    items. After a failure no thread starts another item; the failure
+    of the lowest-numbered item is raised here, as a loop would.
     """
-    if threads == 1:
+    items = list(items)
+    workers = min(threads, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    results = [None] * len(items)
+    failed = {}
+    lock = threading.Lock()
+    counter = iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if failed else next(counter, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    failed[i] = exc
+
+    started = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in started:
+        t.start()
+    work()
+    for t in started:
+        t.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _blocks(n: int, threads: int) -> list[np.ndarray]:
-    """range(n) split into contiguous blocks, one per worker thread."""
+    """range(n) split into contiguous blocks, one per thread."""
     return np.array_split(np.arange(n), min(threads, n))
 
 
@@ -272,10 +302,11 @@ def travel_times(
     :meth:`MediumSpec.sos_at` (the last one listed wins). Broadcasts
     over leading dimensions of (..., 2) point arrays. For homogeneous
     media the integral collapses to distance / c. Rays are traced in
-    blocks of at most TRACE_CHUNK, shared among `threads` worker
-    threads; each block writes its own slice of the one output table
-    and each ray has its own arithmetic, so the times depend neither on
-    the block size nor on the thread count.
+    blocks of at most TRACE_CHUNK, shared among `threads` threads, the
+    calling one included (threads - 1 are started; see
+    :func:`thread_map`); each block writes its own slice of the one
+    output table and each ray has its own arithmetic, so the times
+    depend neither on the block size nor on the thread count.
     """
     p_from = np.atleast_2d(np.asarray(p_from, dtype=float))
     p_to = np.atleast_2d(np.asarray(p_to, dtype=float))
@@ -367,7 +398,8 @@ def receive_travel_times(
 ) -> np.ndarray:
     """Scatterer-to-element travel times, shape (num_elements, n).
 
-    One broadcast :func:`travel_times` call on `threads` worker threads.
+    One broadcast :func:`travel_times` call on `threads` threads, the
+    calling one included; threads - 1 are started.
     Each ray is traced on its own, so the table equals a per-element
     loop of calls byte for byte, whatever the thread count.
     """
@@ -420,7 +452,8 @@ def simulate_frame(
     pulse's half-width (:func:`_samples_needed`). An empty field gives
     one sample. So the frames of one field may differ in length, each
     as long as its own transmit needs. The receive channels are
-    split into contiguous blocks, one per worker thread; each channel
+    split into contiguous blocks, one per thread: `threads` threads,
+    the calling one included, so threads - 1 are started. Each channel
     is computed the same way whatever the thread count, so the frame
     does not depend on it.
 
@@ -434,9 +467,9 @@ def simulate_frame(
     CSC matrix-vector product, add into each sample in scatterer order.
     That matrix spans the record padded by the pulse's half-width on
     both sides, so a pulse cut at either end of the record keeps its
-    in-record part and the padding is dropped. Each worker thread
-    builds the two matrices once, their row pointers fixed, and each
-    receiver rewrites their weights, columns and pulse values in place.
+    in-record part and the padding is dropped. Each thread builds the
+    two matrices once, their row pointers fixed, and each receiver
+    rewrites their weights, columns and pulse values in place.
     An echo centre outside the record, which a caller's t_rx can place
     there, is a ValueError.
     """
@@ -477,7 +510,7 @@ def simulate_frame(
             t_rx = receive_travel_times(field, medium, array, threads)
 
         def receive(block):
-            # the worker's two matrices, built once; each receiver
+            # the thread's two matrices, built once; each receiver
             # rewrites their entries through views of the arrays they
             # hold, which the constructors may have converted
             coef = sp.csr_matrix(
@@ -520,7 +553,7 @@ def simulate_frame(
                 echoes_t.data = vals.ravel()
                 samples[rx] = (echoes_t @ ones)[half:half + num_samples]
 
-        # each worker writes its own rows of samples
+        # each thread writes its own rows of samples
         thread_map(receive, _blocks(array.num_elements, threads), threads)
 
     if noise_snr_db is not None:

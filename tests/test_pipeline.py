@@ -563,7 +563,7 @@ class TestCalibrationSweep:
             ["train", "test"] * 8 + ["train"]
 
     def test_thread_count_does_not_change_sweep(self):
-        """The sweep's worker threads share nothing that changes a fit."""
+        """The sweep's threads share nothing that changes a fit."""
         cfg = apply_quick(PipelineConfig(threads=1))
         frames = simulate_frames(cfg, tx_list=list(cfg.estimation_pair))
         # every-2 holds out -10 and +10: the held-out R^2 needs two points
@@ -573,11 +573,13 @@ class TestCalibrationSweep:
                 delta_c_max=20.0, step=10.0, degrees=(1,),
                 train_selector="every-2",
             )
-            for t in (1, 2)
+            for t in (1, 2, 4)
         ]
-        one, two = (r.dataset.entries for r in runs)
+        one = runs[0].dataset.entries
         assert [e.delta_c for e in one] == [-20.0, -10.0, 0.0, 10.0, 20.0]
-        assert [e.slope for e in one] == [e.slope for e in two]
+        for run in runs[1:]:
+            assert [e.slope for e in run.dataset.entries] == \
+                [e.slope for e in one]
         assert np.all(np.diff([e.slope for e in one]) > 0)
 
     def test_model_records_its_estimation_grid(self, monkeypatch, tmp_path):
@@ -613,17 +615,20 @@ class TestCalibrationSweep:
 
 class TestReconstructStage:
     def test_thread_count_does_not_change_map(self, tmp_path):
-        """Two workers beamform three recon transmits, one of them alone."""
+        """Two threads beamform three recon transmits, one of them alone;
+        four threads are three, one per transmit."""
         cfg = replace(
             cheap_cfg(), recon_pairs=((40, 56), (56, 72)),
             inclusions=(Inclusion("ellipse", (0.0, 18e-3), (5e-3, 4e-3),
                                   1540.0),),
         )
         cmd_simulate(cfg, tmp_path)
-        one, two = (cmd_reconstruct(replace(cfg, threads=t), tmp_path, 1522.5)
-                    for t in (1, 2))
+        one, *more = (cmd_reconstruct(replace(cfg, threads=t), tmp_path,
+                                      1522.5)
+                      for t in (1, 2, 4))
         assert np.ptp(one.sos_map) > 0
-        assert two.sos_map.tobytes() == one.sos_map.tobytes()
+        for run in more:
+            assert run.sos_map.tobytes() == one.sos_map.tobytes()
 
     def test_frames_are_read_one_at_a_time(self, tmp_path):
         """At one thread, cmd_reconstruct holds one recon frame at a time:
@@ -1175,6 +1180,29 @@ class TestCLIExitCodes:
         assert rc == 2
         assert (f"config error: {resolved}: unknown key 'wobble' in section "
                 "[reconstruction]") in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
+    def test_grid_below_the_frames_speckle_is_two_before_frames_are_read(
+            self, workspace, capsys, monkeypatch):
+        """The --quick frames hold speckle to 33 mm; a 45 mm grid starting
+        at 5 mm would beamform echo-free rows below it into the map."""
+        root, _ = workspace
+        deep = root / "deep.ini"
+        deep.write_text(CHEAP_CONFIG + "\n[grids]\nbf_depth = 0.045\n"
+                        "bf_dx = 0.0003\n")
+        reads = []
+        monkeypatch.setattr(pipeline, "read_frame_set",
+                            lambda *args: reads.append(args))
+        out = root / "rec_deep"
+        rc = cli_main([
+            "--config", str(deep), "--out", str(out),
+            "reconstruct", "--frames", str(root / "sim"), "--c-bf", "1500",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(root / "sim" / "config_resolved.ini") in err
+        assert "50.02 mm deep" in err and "ends at 33.00 mm" in err
         assert reads == []
         assert not out.exists()
 

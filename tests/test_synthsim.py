@@ -1,6 +1,8 @@
 """Forward simulator: scatterers, travel times, frames and frame IO."""
 
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -778,6 +780,97 @@ class TestPulseTable:
         assert samples.tobytes() == table.tobytes()
 
 
+class TestThreadMap:
+    """synthsim.thread_map: threads threads, the calling one included."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_results_keep_item_order(self, threads):
+        """Each item runs once and its result lands in its place while
+        the interpreter switches threads as often as it allows; the
+        first items sleep longest, so they finish last."""
+        ran = []
+
+        def fn(i):
+            ran.append(i)
+            time.sleep(max(20 - i, 0) * 1e-4)
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            out = synthsim.thread_map(fn, range(200), threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [i * i for i in range(200)]
+        assert sorted(ran) == list(range(200))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_calling_thread_runs_items(self, threads):
+        """At 2 threads both items must run at once (each waits for the
+        other), on the caller and the one thread started; at 1 thread
+        the caller runs them one after the other."""
+        barrier = threading.Barrier(threads, timeout=10)
+        ran = []
+
+        def fn(i):
+            ran.append(threading.get_ident())
+            barrier.wait()
+
+        synthsim.thread_map(fn, range(2), threads)
+        assert threading.get_ident() in ran
+        assert len(set(ran)) == threads
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_no_more_than_threads_calls_run_at_once(self, threads):
+        lock = threading.Lock()
+        active, high = [0], [0]
+
+        def fn(i):
+            with lock:
+                active[0] += 1
+                high[0] = max(high[0], active[0])
+            time.sleep(1e-3)
+            with lock:
+                active[0] -= 1
+
+        synthsim.thread_map(fn, range(30), threads)
+        assert 1 <= high[0] <= threads
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_the_lowest_failed_item_reaches_the_caller(self, threads):
+        """Items 3 and 6 fail, 6 first when threads run both at once;
+        every item before 6 starts before it, so item 3's failure is
+        raised, as in a loop."""
+        def fn(i):
+            if i == 3:
+                time.sleep(0.05)
+            if i in (3, 6):
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="item 3"):
+            synthsim.thread_map(fn, range(10), threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_no_item_starts_after_a_failure(self, threads):
+        """Item 0 fails at once while the others take 20 ms each, so each
+        thread starts at most one item before the failure is seen."""
+        lock = threading.Lock()
+        started = []
+
+        def fn(i):
+            with lock:
+                started.append(i)
+            if i == 0:
+                raise RuntimeError("first item")
+            time.sleep(0.02)
+
+        with pytest.raises(RuntimeError, match="first item"):
+            synthsim.thread_map(fn, range(40), threads)
+        assert 0 in started
+        assert len(started) <= threads
+
+
 class TestSimulateFrames:
     def cfg(self, threads):
         from soscorr.pipeline import PipelineConfig, apply_quick
@@ -825,8 +918,8 @@ class TestSimulateFrames:
 
     def test_receiver_blocks_do_not_change_a_frame(self):
         """One transmit leaves the receivers as the only parallel axis.
-        Three workers split the 128 receivers unevenly (43, 43, 42);
-        a short switch interval interleaves the workers' writes into the
+        Three threads split the 128 receivers unevenly (43, 43, 42);
+        a short switch interval interleaves the threads' writes into the
         shared frame as often as the interpreter allows."""
         from soscorr.pipeline import simulate_frames
 
@@ -835,7 +928,7 @@ class TestSimulateFrames:
         sys.setswitchinterval(1e-5)
         try:
             runs = [simulate_frames(self.cfg(threads=t), tx_list=[55])
-                    for t in (1, 2, 3)]
+                    for t in (1, 2, 3, 4)]
         finally:
             sys.setswitchinterval(interval)
         one = runs[0][55].samples

@@ -38,11 +38,10 @@ from .synthsim import (
 )
 from .tomo import (
     PathMatrix,
-    ReconConfig,
-    SlownessMap,
     build_path_matrix,
     ray_weights,
     reconstruct,
+    to_sos,
     tv_operator,
 )
 

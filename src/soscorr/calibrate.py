@@ -193,7 +193,6 @@ def save_model(path: Path, model: CalibrationModel) -> None:
     lines = [
         MODEL_HEADER,
         f"convention {CONVENTION}",
-        f"c_true {model.metadata.get('c_true', 'unknown')}",
         f"estimation_grid {model.metadata.get('estimation_grid', 'unknown')}",
         f"degree {model.degree}",
         f"domain {model.domain[0]!r} {model.domain[1]!r}",
@@ -242,15 +241,12 @@ def load_model(path: Path) -> CalibrationModel:
         raise ValueError(f"{path}: domain {fields['domain']!r} is not 'lo hi' "
                          "with lo < hi")
     values("estimation_grid", str)  # required; kept as its text
-    meta = {"estimation_grid": fields["estimation_grid"]}
-    if fields.get("c_true", "unknown") != "unknown":
-        meta["c_true"] = float(fields["c_true"])
     return CalibrationModel(
         degree=degree[0],
         coefficients=np.array(coefficients),
         domain=(domain[0], domain[1]),
         training_indices=tuple(training),
-        metadata=meta,
+        metadata={"estimation_grid": fields["estimation_grid"]},
     )
 
 

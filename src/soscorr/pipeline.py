@@ -45,6 +45,7 @@ from .tomo import (
     ReconInfo,
     build_path_matrix,
     reconstruct,
+    to_sos,
     tv_operator,
 )
 
@@ -68,13 +69,6 @@ ESTIMATION_TRACKING = TrackConfig(window_len=224)
 
 # the estimation pair's pattern fit, a key of regress.FITTERS
 ESTIMATION_FIT = "robust"
-
-# the polar ROI the pattern is fitted over, with its origin at the
-# midpoint of the estimation pair (55, 65); the calibration model holds
-# for this ROI only
-ESTIMATION_ROI = PolarROI(depth_min=7.5e-3, depth_max=15.0e-3,
-                          theta_min=-0.4, theta_max=0.4, num_bins=40,
-                          reference_x=-1.05e-3)
 
 # the offset step of cmd_calibrate's sweep, in m/s: 17 offsets over
 # its default +-40 m/s
@@ -237,6 +231,15 @@ class PipelineConfig:
         for a, b in self.recon_pairs:
             txs |= {a, b}
         return sorted(txs)
+
+
+# the polar ROI the pattern is fitted over, with its origin at the
+# midpoint of the estimation pair's elements; the calibration model
+# holds for this ROI only
+ESTIMATION_ROI = PolarROI(
+    depth_min=7.5e-3, depth_max=15.0e-3, theta_min=-0.4, theta_max=0.4,
+    num_bins=40, reference_x=float(np.mean(PipelineConfig.array.element_x()[
+        list(PipelineConfig.estimation_pair)])))
 
 
 def apply_quick(cfg: PipelineConfig) -> PipelineConfig:
@@ -466,8 +469,7 @@ def run_calibration_sweep(
 
     dataset = cal.CalibrationDataset(
         entries=tuple(entries),
-        metadata={"c_true": c_true,
-                  "estimation_grid": _grid_line(cfg.estimation_grid())},
+        metadata={"estimation_grid": _grid_line(cfg.estimation_grid())},
     )
 
     models, rows = {}, []
@@ -665,8 +667,8 @@ def cmd_reconstruct(
     )
     delays = np.concatenate([d.delays[d.valid] for d in dmaps])
     D = tv_operator(slow_grid)
-    slowness, info = reconstruct(L, delays, D)
-    sos_map, clamped = slowness.to_sos(c_bf)
+    dsigma, info = reconstruct(L, delays, D)
+    sos_map, clamped = to_sos(dsigma, c_bf)
 
     rmse = rmse_map(sos_map, gt) if gt is not None else None
     result = ReconResult(sos_map=sos_map, info=info, clamped_fraction=clamped,

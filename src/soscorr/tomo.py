@@ -24,34 +24,24 @@ from .geometry import ImagingGrid, TransducerArray, element_position, slab_clip
 from .synthsim import SOS_MAX, SOS_MIN
 
 
-# L-BFGS history length (scipy's maxcor) and its stopping tolerances
-# on the dimensionless problem (scipy's gtol and ftol)
+# the solve's settings, fixed, all on the dimensionless problem that
+# reconstruct solves: the TV weight; the Charbonnier smoothing of the L1
+# terms, in units of the median absolute delay; the iteration cap; the
+# weights of the axial and the lateral TV differences; and the L-BFGS
+# history length (scipy's maxcor) and stopping tolerances (scipy's gtol
+# and ftol)
+LAM = 0.1
+L1_EPSILON = 1e-2
+MAX_ITER = 500
+TV_AXIAL_WEIGHT = 1.0
+TV_LATERAL_WEIGHT = 0.5
 LBFGS_MEMORY = 10
 LBFGS_GRAD_TOL = 1e-9
 LBFGS_OBJ_TOL = 1e-10
 
-# anisotropic TV: weights of the axial and the lateral differences
-TV_AXIAL_WEIGHT = 1.0
-TV_LATERAL_WEIGHT = 0.5
-
 
 class SolverError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class ReconConfig:
-    lam: float = 0.1
-    l1_epsilon: float = 1e-2  # in units of the median absolute delay
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise ValueError("lam must be finite and >= 0")
-        if not 0 < self.l1_epsilon < np.inf:
-            raise ValueError("l1_epsilon must be finite and > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -60,28 +50,6 @@ class PathMatrix:
 
     matrix: sp.csr_matrix  # (n_rows, nx*nz of the slowness grid), meters
     slow_grid: ImagingGrid
-
-
-@dataclass
-class SlownessMap:
-    """Slowness deviation from 1/c_bf on the slowness grid, s/m."""
-
-    values: np.ndarray  # (nz, nx)
-    grid: ImagingGrid
-
-    def to_sos(self, c_bf: float) -> tuple[np.ndarray, float]:
-        """Absolute SoS map 1/(1/c_bf + dsigma), clamped to the sanity
-        band, and the fraction of its cells that were clamped."""
-        sos = 1.0 / (1.0 / c_bf + self.values)
-        clamped = float(np.mean((sos < SOS_MIN) | (sos > SOS_MAX)))
-        if clamped:
-            warnings.warn(
-                f"reconstructed SoS left the [{SOS_MIN:g}, {SOS_MAX:g}] m/s "
-                f"band; clamping {clamped:.1%} of the map",
-                RuntimeWarning,
-            )
-            sos = np.clip(sos, SOS_MIN, SOS_MAX)
-        return sos, clamped
 
 
 @dataclass
@@ -169,15 +137,16 @@ def build_path_matrix(
     pairs: list[tuple[int, int]],
     meas_grid: ImagingGrid,
     slow_grid: ImagingGrid,
-    masks: list[np.ndarray] | None,
+    masks: list[np.ndarray],
     array: TransducerArray,
 ) -> PathMatrix:
     """Differential Tx-path matrix for a set of frame pairs.
 
     Row for (pair (a, b), node p) = ray_weights(pos_a, p) -
     ray_weights(pos_b, p); the rows of each pair follow the flat node
-    order, and rows for masked-out nodes are dropped. Receive paths are
-    identical between the frames of a pair and do not appear.
+    order, and rows for nodes outside the pair's mask on meas_grid are
+    dropped. Receive paths are identical between the frames of a pair
+    and do not appear.
     """
     X, Z = meas_grid.meshgrid()
     nodes = np.column_stack([X.ravel(), Z.ravel()])
@@ -197,9 +166,7 @@ def build_path_matrix(
     blocks = []
     for m, (a, b) in enumerate(pairs):
         diff = (per_element[a] - per_element[b]).tocsr()
-        if masks is not None:
-            diff = diff[np.flatnonzero(np.asarray(masks[m]).ravel())]
-        blocks.append(diff)
+        blocks.append(diff[np.flatnonzero(np.asarray(masks[m]).ravel())])
 
     matrix = sp.vstack(blocks, format="csr") if blocks else sp.csr_matrix((0, n_cells))
     return PathMatrix(matrix=matrix, slow_grid=slow_grid)
@@ -253,20 +220,20 @@ def reconstruct(
     L: PathMatrix,
     delays: np.ndarray,
     D: sp.csr_matrix,
-    cfg: ReconConfig = ReconConfig(),
-) -> tuple[SlownessMap, ReconInfo]:
-    """Solve for the slowness deviation map from stacked delays.
+) -> tuple[np.ndarray, ReconInfo]:
+    """Solve for the slowness deviation from 1/c_bf, an (nz, nx)
+    array on L.slow_grid, from stacked delays.
 
     L is in meters, delays in seconds and the map in s/m, but the
     solver works on a dimensionless problem: path lengths in slowness
     cells and delays in units of the median absolute nonzero delay.
-    So lam weighs delay misfit against TV of the delay per cell
-    whatever the units or the data amplitude, and l1_epsilon applies to
+    So LAM weighs delay misfit against TV of the delay per cell
+    whatever the units or the data amplitude, and L1_EPSILON applies to
     that problem. The regularization strength is also normalized by the
-    measurement/TV row ratio, so the default lam is comparable across
-    grid sizes. Starts from sigma = 0 and runs L-BFGS until its
-    gradient or objective tolerance (LBFGS_GRAD_TOL, LBFGS_OBJ_TOL) or
-    the iteration cap is hit.
+    measurement/TV row ratio, so LAM is comparable across grid sizes.
+    Starts from sigma = 0 and runs L-BFGS until its gradient or
+    objective tolerance (LBFGS_GRAD_TOL, LBFGS_OBJ_TOL) or MAX_ITER is
+    hit.
     """
     A = L.matrix
     delays = np.asarray(delays, dtype=float).ravel()
@@ -284,8 +251,8 @@ def reconstruct(
     b = delays / tau
     n = A.shape[1]
     n_tv = max(D.shape[0], 1)
-    objective = make_objective(A, b, D, cfg.lam * (A.shape[0] / n_tv),
-                               cfg.l1_epsilon)
+    objective = make_objective(A, b, D, LAM * (A.shape[0] / n_tv),
+                               L1_EPSILON)
 
     trace: list[float] = []
 
@@ -308,14 +275,13 @@ def reconstruct(
         callback=cb,
         options=dict(
             maxcor=LBFGS_MEMORY,
-            maxiter=cfg.max_iter,
+            maxiter=MAX_ITER,
             gtol=LBFGS_GRAD_TOL,
             ftol=LBFGS_OBJ_TOL,
         ),
     )
-    converged = bool(res.success) and res.nit < cfg.max_iter
+    converged = bool(res.success) and res.nit < MAX_ITER
     grad_norm = float(np.max(np.abs(res.jac))) if res.jac is not None else np.nan
-    values = (res.x * (tau / cell)).reshape(g.nz, g.nx)
     info = ReconInfo(
         objective_trace=trace,
         converged=converged,
@@ -323,4 +289,19 @@ def reconstruct(
         grad_norm=grad_norm,
         message=str(res.message),
     )
-    return SlownessMap(values=values, grid=g), info
+    return (res.x * (tau / cell)).reshape(g.nz, g.nx), info
+
+
+def to_sos(dsigma: np.ndarray, c_bf: float) -> tuple[np.ndarray, float]:
+    """Absolute SoS map 1/(1/c_bf + dsigma), clamped to the sanity
+    band, and the fraction of its cells that were clamped."""
+    sos = 1.0 / (1.0 / c_bf + dsigma)
+    clamped = float(np.mean((sos < SOS_MIN) | (sos > SOS_MAX)))
+    if clamped:
+        warnings.warn(
+            f"reconstructed SoS left the [{SOS_MIN:g}, {SOS_MAX:g}] m/s "
+            f"band; clamping {clamped:.1%} of the map",
+            RuntimeWarning,
+        )
+        sos = np.clip(sos, SOS_MIN, SOS_MAX)
+    return sos, clamped

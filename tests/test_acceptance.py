@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from soscorr import tomo
 from soscorr.calibrate import estimate_offset, load_model
 from soscorr.geometry import ImagingGrid, TransducerArray, element_position, \
     polar_coords
@@ -24,17 +25,11 @@ from soscorr.pipeline import (
     simulate_frames,
 )
 from soscorr.regress import fit_ols, fit_robust, fit_weighted, r_squared
-from soscorr.tomo import (
-    ReconConfig,
-    build_path_matrix,
-    make_objective,
-    ray_weights,
-    reconstruct,
-    tv_operator,
-)
+from soscorr.tomo import make_objective, ray_weights, reconstruct, tv_operator
 from tests.conftest import N_THREADS
 from tests.test_delaytrack import shifted_region, speckle, track_1d
 from tests.test_regress import make_pattern
+from tests.test_tomo import full_path_matrix
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -185,7 +180,7 @@ def test_criterion_5_regression_oracles():
     assert r2_ok
 
 
-def test_criterion_6_tomography_oracles():
+def test_criterion_6_tomography_oracles(monkeypatch):
     """Ray lengths, analytic gradient, and noiseless 20x20 inversion."""
     grid = ImagingGrid(x0=-5.5e-3, z0=5.5e-3, dx=1e-3, dz=1e-3, nx=12, nz=15)
     rng = np.random.default_rng(6)
@@ -206,14 +201,14 @@ def test_criterion_6_tomography_oracles():
     slow = ImagingGrid(x0=-9.5e-3, z0=5.5e-3, dx=1e-3, dz=1e-3, nx=20, nz=20)
     meas = ImagingGrid(x0=-8e-3, z0=7e-3, dx=0.5e-3, dz=0.5e-3, nx=33, nz=34)
     pairs = [(40, 56), (48, 64), (56, 72), (64, 80), (72, 88), (32, 96)]
-    L = build_path_matrix(pairs, meas, slow, None, array)
+    L = full_path_matrix(pairs, meas, slow, array)
     D = tv_operator(slow)
 
     # small system keeps the objective O(10), so the central-difference
     # quotient is not dominated by floating-point cancellation
     slow_s = ImagingGrid(x0=-3.5e-3, z0=6.5e-3, dx=1e-3, dz=1e-3, nx=8, nz=8)
     meas_s = ImagingGrid(x0=-2e-3, z0=8e-3, dx=1e-3, dz=1e-3, nx=5, nz=5)
-    L_s = build_path_matrix([(55, 65), (60, 70)], meas_s, slow_s, None, array)
+    L_s = full_path_matrix([(55, 65), (60, 70)], meas_s, slow_s, array)
     D_s = tv_operator(slow_s)
     x = rng.standard_normal(64)
     d = 1e-3 * rng.standard_normal(L_s.matrix.shape[0])
@@ -235,12 +230,9 @@ def test_criterion_6_tomography_oracles():
     x_true = (1e-5 * np.exp(-(((X - 1e-3) / 4e-3) ** 2
                               + ((Z - 14e-3) / 5e-3) ** 2))).ravel()
     delays = L.matrix @ x_true
-    smap, _ = reconstruct(
-        L, delays, D,
-        ReconConfig(lam=1e-8, max_iter=500),
-    )
-    rel = (np.linalg.norm(smap.values.ravel() - x_true)
-           / np.linalg.norm(x_true))
+    monkeypatch.setattr(tomo, "LAM", 1e-8)
+    dsigma, _ = reconstruct(L, delays, D)
+    rel = np.linalg.norm(dsigma.ravel() - x_true) / np.linalg.norm(x_true)
     inv_ok = rel < 0.05
 
     ok = rays_ok and grad_ok and inv_ok

@@ -26,7 +26,7 @@ def linear_dataset(a0=1e-9, a1=2e-9, dcs=None):
         CalibrationEntry(delta_c=float(dc), slope=a0 + a1 * dc)
         for dc in dcs
     )
-    return CalibrationDataset(entries=entries, metadata={"c_true": 1500.0})
+    return CalibrationDataset(entries=entries)
 
 
 class TestDataset:
@@ -199,17 +199,18 @@ class TestPersistence:
 
     def test_unknown_line_is_ignored(self, tmp_path):
         """A model file of an earlier version, with its
-        sweep_metadata_hash line, still loads: an unknown key is
-        ignored."""
+        sweep_metadata_hash or c_true line, still loads: an unknown key
+        is ignored."""
         model = build_calibration(linear_dataset(), degree=1)
         path = tmp_path / "model.txt"
         save_model(path, model)
         text = path.read_text()
-        assert "sweep_metadata_hash" not in text
-        path.write_text(text + "sweep_metadata_hash 555838704105a3ce\n")
+        assert "sweep_metadata_hash" not in text and "c_true" not in text
+        path.write_text(text + "sweep_metadata_hash 555838704105a3ce\n"
+                        "c_true 1500.0\n")
         back = load_model(path)
         assert back.coefficients.tobytes() == model.coefficients.tobytes()
-        assert "sweep_metadata_hash" not in back.metadata
+        assert back.metadata.keys() == {"estimation_grid"}
 
     def test_convention_is_persisted_and_checked(self, tmp_path):
         model = build_calibration(linear_dataset(), degree=1)

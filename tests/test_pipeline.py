@@ -46,6 +46,7 @@ from soscorr.regress import (
 from soscorr.synthsim import (SOS_MAX, SOS_MIN, Inclusion, read_frame_set,
                               write_frame_set)
 from soscorr.tomo import build_path_matrix
+from tests.test_tomo import full_path_matrix
 
 CHEAP_CONFIG = """\
 [scatterers]
@@ -65,7 +66,6 @@ FULL_GRID = pipeline._grid_line(PipelineConfig().estimation_grid())
 NARROW_MODEL = f"""\
 soscorr calibration model v1
 convention delta_c = c_bf - c
-c_true 1500.0
 estimation_grid {QUICK_GRID}
 degree 1
 domain -1.0 1.0
@@ -456,8 +456,8 @@ class TestDerivedConfig:
         nodes = ImagingGrid(x0=g.x0, z0=g.z0, dx=4 * g.dx, dz=8 * g.dz,
                             nx=g.nx // 4, nz=g.nz // 8)
         sg = cfg.slow_grid()
-        A = build_path_matrix(list(cfg.recon_pairs), nodes, sg, None,
-                              cfg.array).matrix
+        A = full_path_matrix(list(cfg.recon_pairs), nodes, sg,
+                             cfg.array).matrix
         worst = max(
             np.abs(A @ np.full(sg.nx * sg.nz, 1.0 / sos - 1.0 / c_bf)).max()
             * c_bf / (2.0 * cfg.bf_dz)

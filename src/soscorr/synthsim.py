@@ -12,6 +12,7 @@ attenuation.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 import struct
 import threading
@@ -480,13 +481,16 @@ def simulate_frame(
     fs = pulse.sampling_frequency
     s = field.positions
     n_sc = s.shape[0]
-    samples = np.zeros((array.num_elements, 1), dtype=np.float64)
+    # each receiver's float64 row is cast as it is stored, as a cast of
+    # the whole frame would round it; the noise power needs float64
+    dtype = np.float32 if noise_snr_db is None else np.float64
+    samples = np.zeros((array.num_elements, 1), dtype=dtype)
 
     if n_sc > 0:
         tx_pos = np.array(element_position(array, tx))
         t_tx = travel_times(tx_pos[None, :], s, medium)
         num_samples = _samples_needed(t_tx, s, pulse, array)
-        samples = np.zeros((array.num_elements, num_samples), dtype=np.float64)
+        samples = np.zeros((array.num_elements, num_samples), dtype=dtype)
         r_tx = np.hypot(s[:, 0] - tx_pos[0], s[:, 1] - tx_pos[1])
         wavelength = medium.background_sos / pulse.center_frequency
         d_tx = _element_directivity(
@@ -561,11 +565,10 @@ def simulate_frame(
         if power > 0:
             sigma = np.sqrt(power / 10.0 ** (noise_snr_db / 10.0))
             rng = np.random.default_rng(noise_seed)
-            samples = samples + rng.normal(0.0, sigma, size=samples.shape)
+            samples += rng.normal(0.0, sigma, size=samples.shape)
 
-    return ChannelFrame(
-        tx_element=tx, samples=samples.astype(np.float32), t0=0.0, fs=fs
-    )
+    return ChannelFrame(tx_element=tx, t0=0.0, fs=fs,
+                        samples=samples.astype(np.float32, copy=False))
 
 
 # ---------------------------------------------------------------------------
@@ -576,42 +579,56 @@ def frame_filename(tx: int) -> str:
     return f"frame_tx{tx:03d}.sosc"
 
 
-def write_frame(path: Path, frame: ChannelFrame) -> bytes:
-    """Write frame to path as one .sosc file; returns the bytes written."""
+def write_frame(path: Path, frame: ChannelFrame) -> str:
+    """Write frame to path as one .sosc file: the header, then the
+    sample array's own buffer. Returns the sha256_16 digest of the
+    bytes written, hashed from those two buffers."""
     header = FRAME_MAGIC + struct.pack(
-        "<HHIIdd",
-        FRAME_VERSION,
-        frame.tx_element,
-        frame.num_rx,
-        frame.num_samples,
-        frame.fs,
-        frame.t0,
-    )
-    data = header + np.ascontiguousarray(frame.samples, dtype="<f4").tobytes()
-    Path(path).write_bytes(data)
-    return data
+        "<HHIIdd", FRAME_VERSION, frame.tx_element, frame.num_rx,
+        frame.num_samples, frame.fs, frame.t0)
+    samples = np.ascontiguousarray(frame.samples, dtype="<f4")
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(samples)
+    digest = hashlib.sha256(header)
+    digest.update(samples)
+    return digest.hexdigest()[:16]
 
 
-def decode_frame(raw: bytes, path: Path) -> ChannelFrame:
-    """The frame a .sosc file's bytes hold; path names it in errors."""
-    if raw[:4] != FRAME_MAGIC:
-        raise ValueError(f"{path}: not a SOSC frame file")
+def read_frame(path: Path) -> tuple[ChannelFrame, str]:
+    """The frame a .sosc file holds, and the sha256_16 digest of its
+    bytes, hashed from the header and the array the payload is read
+    into; path names the file in errors."""
     off = 4 + struct.calcsize("<HHIIdd")
-    if len(raw) < off:
-        raise ValueError(f"{path}: truncated frame header")
-    version, tx, num_rx, num_samples, fs, t0 = struct.unpack_from("<HHIIdd", raw, 4)
-    if version != FRAME_VERSION:
-        raise ValueError(f"{path}: unsupported frame version {version}")
-    size = num_rx * num_samples * 4
-    if len(raw) - off != size:
-        raise ValueError(
-            f"{path}: payload has {len(raw) - off} bytes, header needs "
-            f"{num_rx} x {num_samples} float32 = {size}"
-        )
-    samples = np.frombuffer(raw, dtype="<f4", offset=off).reshape(num_rx, num_samples)
+    with open(path, "rb") as f:
+        header = f.read(off)
+        if header[:4] != FRAME_MAGIC:
+            raise ValueError(f"{path}: not a SOSC frame file")
+        if len(header) < off:
+            raise ValueError(f"{path}: truncated frame header")
+        version, tx, num_rx, num_samples, fs, t0 = struct.unpack_from(
+            "<HHIIdd", header, 4)
+        if version != FRAME_VERSION:
+            raise ValueError(f"{path}: unsupported frame version {version}")
+        # a NaN fs or t0 fails these comparisons too
+        if not (0 < fs < np.inf and -np.inf < t0 < np.inf):
+            raise ValueError(f"{path}: header has fs {fs} and t0 {t0}; fs "
+                             "must be finite and > 0, and t0 finite")
+        size = num_rx * num_samples * 4
+        payload = os.fstat(f.fileno()).st_size - off
+        if payload != size:
+            raise ValueError(
+                f"{path}: payload has {payload} bytes, header needs "
+                f"{num_rx} x {num_samples} float32 = {size}"
+            )
+        samples = np.empty((num_rx, num_samples), dtype="<f4")
+        f.readinto(samples)
+    digest = hashlib.sha256(header)
+    digest.update(samples)
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"{path}: frame has non-finite samples")
-    return ChannelFrame(tx_element=tx, samples=samples.copy(), t0=t0, fs=fs)
+    frame = ChannelFrame(tx_element=tx, samples=samples, t0=t0, fs=fs)
+    return frame, digest.hexdigest()[:16]
 
 
 def write_frame_set(
@@ -626,7 +643,7 @@ def write_frame_set(
     lines = ["soscorr frame set v1", "", "[frames]"]
     for fr in frames:
         name = frame_filename(fr.tx_element)
-        digest = hashlib.sha256(write_frame(out / name, fr)).hexdigest()[:16]
+        digest = write_frame(out / name, fr)
         lines.append(f"{name} tx={fr.tx_element} sha256_16={digest}")
         del fr  # not held while the next frame is simulated
     lines += ["", "[medium]", medium.describe(), ""]
@@ -677,13 +694,12 @@ def read_frame_set(in_dir: Path, txs=None) -> dict[int, ChannelFrame]:
     whose bytes do not match the manifest's sha256_16 is a ValueError."""
     in_dir = Path(in_dir)
     frames = {}
-    for tx, digest in listed_frames(in_dir, txs).items():
+    for tx, listed in listed_frames(in_dir, txs).items():
         path = in_dir / frame_filename(tx)
-        raw = path.read_bytes()
-        frames[tx] = decode_frame(raw, path)
+        frames[tx], digest = read_frame(path)
         if frames[tx].tx_element != tx:
             raise ValueError(f"{path}: holds tx {frames[tx].tx_element}, "
                              f"MANIFEST.txt says tx {tx}")
-        if hashlib.sha256(raw).hexdigest()[:16] != digest:
+        if digest != listed:
             raise ValueError(f"{path}: sha256 differs from MANIFEST.txt")
     return frames

@@ -286,6 +286,28 @@ def test_one_table_writer():
     assert (importers, writers) == ([], [])
 
 
+def test_one_frame_codec():
+    """Frames have one writer and one reader, each of which hashes the
+    buffers it moves: sha256 is called only in synthsim.write_frame and
+    synthsim.read_frame. Frames are the package's only binary files, so
+    no package module reads or writes a file whole as bytes, which
+    would hash or decode a copy of a frame."""
+    hashers = [
+        f"{path.stem}.{getattr(node, 'name', '<module>')}"
+        for path in MODULES
+        for node in parse(path).body
+        if "sha256" in called_names(node)
+    ]
+    whole = [
+        f"{path.stem}.{getattr(node, 'name', '<module>')}"
+        for path in MODULES
+        for node in parse(path).body
+        if called_names(node) & {"read_bytes", "write_bytes"}
+    ]
+    assert (hashers, whole) == (["synthsim.write_frame",
+                                 "synthsim.read_frame"], [])
+
+
 def import_file(path: Path) -> None:
     spec = importlib.util.spec_from_file_location(f"_import_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))

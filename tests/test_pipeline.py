@@ -1,10 +1,12 @@
 """Config files, stage orchestration, reporting, and the CLI contract."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
 import shutil
+import struct
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -498,8 +500,11 @@ class TestSimulateStage:
     def test_frames_stream_to_disk(self, tmp_path):
         """cmd_simulate writes each transmit before it simulates the next:
         the same manifest as writing the collected frames, at a traced
-        peak below 4 frames of 6. A frame's float64 samples and float32
-        copy take 3; holding every frame, as collecting them does, peaks
+        peak below 2 frames of 6. The float32 frame, whose rows are cast
+        as they are simulated and which is written and hashed from its
+        own buffer, takes 1; the receive products, about half a frame at
+        this density, the rest. A float64 frame and its float32 copy
+        would take 3, and holding every frame, as collecting them does,
         near 8."""
         cfg = apply_quick(PipelineConfig(scatterer_density=0.5))
         assert len(cfg.required_tx()) == 6
@@ -517,7 +522,7 @@ class TestSimulateStage:
             tracemalloc.stop()
         assert (streamed / "MANIFEST.txt").read_text() \
             == (whole / "MANIFEST.txt").read_text()
-        assert peak < 4 * frame_bytes
+        assert peak < 2 * frame_bytes
 
 
 class TestCalibrationSweep:
@@ -1461,6 +1466,40 @@ class TestCLIExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "frame_tx065.sosc" in err and "payload" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("fs", 0.0), ("fs", -1.6e8), ("fs", np.nan), ("fs", np.inf),
+        ("t0", np.nan), ("t0", -np.inf),
+    ], ids=["fs-zero", "fs-negative", "fs-nan", "fs-inf", "t0-nan",
+            "t0-inf"])
+    def test_bad_frame_header_is_two(self, workspace, capsys, field, value):
+        """A header fs that is not finite and > 0, or a t0 that is not
+        finite, is refused before the frame is beamformed, though the
+        manifest lists the frame's digest."""
+        root, cfg_path = workspace
+        bad = root / f"header_{field}_{value}_frames"
+        shutil.copytree(root / "sim", bad)
+        path = bad / "frame_tx055.sosc"
+        raw = bytearray(path.read_bytes())
+        listed = hashlib.sha256(raw).hexdigest()[:16]
+        # the header's two float64s follow the magic, version, tx,
+        # num_rx and num_samples
+        at = {"fs": 16, "t0": 24}[field]
+        raw[at:at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        manifest = bad / "MANIFEST.txt"
+        manifest.write_text(manifest.read_text().replace(
+            listed, hashlib.sha256(raw).hexdigest()[:16]))
+        rc = cli_main([
+            "--config", str(cfg_path), "--out", str(root / "est_header"),
+            "--quick", "estimate",
+            "--frames", str(bad),
+            "--model", str(root / "narrow_model.txt"),
+            "--c-bf", "1500",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "frame_tx055.sosc" in err and f"{field} {value}" in err
 
     @given(tx=st.sampled_from([55, 65]), bit=st.integers(0, 2**40))
     @settings(max_examples=40, deadline=None)

@@ -1,9 +1,11 @@
 """Forward simulator: scatterers, travel times, frames and frame IO."""
 
+import hashlib
 import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +20,9 @@ from soscorr.synthsim import (
     MediumSpec,
     PulseSpec,
     ScattererField,
-    decode_frame,
     frame_filename,
     gen_scatterers,
+    read_frame,
     read_frame_set,
     receive_travel_times,
     simulate_frame,
@@ -936,6 +938,21 @@ class TestSimulateFrames:
         for frames in runs[1:]:
             assert frames[55].samples.tobytes() == one.tobytes()
 
+    def test_full_config_transmit_does_not_depend_on_threads(self):
+        """A full-config ellipse_p40 transmit, 5544 scatterers over 128
+        receivers, is the same bytes at 1, 3 and 4 threads, each of
+        which splits the receive tables and the receivers otherwise."""
+        from soscorr.pipeline import (PipelineConfig, default_phantom_set,
+                                      simulate_frames)
+
+        cfg = PipelineConfig(
+            inclusions=dict(default_phantom_set())["ellipse_p40"])
+        one, *more = (simulate_frames(replace(cfg, threads=t),
+                                      tx_list=[55])[55].samples
+                      for t in (1, 3, 4))
+        assert np.all(np.abs(one).max(axis=1) > 0)  # every channel written
+        assert [m.tobytes() == one.tobytes() for m in more] == [True, True]
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_phantom_transmit_equals_table_loop(self, threads):
         """A quick ellipse_p40 transmit, all 2310 scatterers inside the
@@ -1039,14 +1056,18 @@ class TestFrameIO:
         )
 
     def test_roundtrip(self, tmp_path):
+        """Writer and reader both return the sha256_16 of the bytes on
+        disk, each hashed from the header and the sample buffer."""
         fr = self.frame()
         path = tmp_path / frame_filename(55)
-        write_frame(path, fr)
-        back = decode_frame(path.read_bytes(), path)
+        written = write_frame(path, fr)
+        back, digest = read_frame(path)
         assert back.tx_element == 55
         assert back.fs == fr.fs
         assert back.t0 == fr.t0
         assert np.array_equal(back.samples, fr.samples)
+        assert written == digest \
+            == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "f.sosc"
@@ -1060,7 +1081,7 @@ class TestFrameIO:
         path = tmp_path / "bogus.sosc"
         path.write_bytes(b"NOPE" + bytes(32))
         with pytest.raises(ValueError, match="not a SOSC frame"):
-            decode_frame(path.read_bytes(), path)
+            read_frame(path)
 
     def test_frame_set_roundtrip_and_manifest(self, tmp_path):
         frames = [self.frame()]
@@ -1087,13 +1108,50 @@ class TestFrameIO:
         size = 8 * 32 * 4
         with pytest.raises(ValueError, match=f"{path.name}.*{size + extra} "
                            f"bytes.*8 x 32 float32 = {size}"):
-            decode_frame(path.read_bytes(), path)
+            read_frame(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.sosc"
         path.write_bytes(b"SOSC" + bytes(6))
         with pytest.raises(ValueError, match="short.sosc: truncated"):
-            decode_frame(path.read_bytes(), path)
+            read_frame(path)
+
+    def big_frame(self):
+        """A 2 MB frame, beside which the reader's and writer's fixed
+        costs (a file buffer, the header) are small."""
+        rng = np.random.default_rng(1)
+        return ChannelFrame(tx_element=55, t0=0.0, fs=1.6e8,
+                            samples=rng.standard_normal((64, 8192),
+                                                        dtype=np.float32))
+
+    def test_writing_a_frame_copies_no_samples(self, tmp_path):
+        """write_frame_set writes and hashes the frame's own buffer. A
+        bytes copy of the samples and another of header and samples
+        joined would cost a frame each: a peak of 2 frames."""
+        fr = self.big_frame()
+        tracemalloc.start()
+        try:
+            write_frame_set(tmp_path, [fr], make_medium())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * fr.samples.nbytes
+
+    def test_reading_a_frame_holds_one_copy(self, tmp_path):
+        """read_frame_set reads each payload into the frame's own array
+        and hashes that array: one frame, plus the quarter-frame mask of
+        the finiteness check. The file's bytes and a copy of them would
+        peak at 2 frames."""
+        fr = self.big_frame()
+        write_frame_set(tmp_path, [fr], make_medium())
+        tracemalloc.start()
+        try:
+            back = read_frame_set(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back[55].samples, fr.samples)
+        assert peak < 1.4 * fr.samples.nbytes
 
     def frame_set(self, tmp_path, txs=(40, 55, 65)):
         frames = [ChannelFrame(tx_element=tx, samples=self.frame().samples,

@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import calibrate as cal
-from .beamform import BFConfig, das_beamform
+from .beamform import BFConfig, das_beamform, das_kernel
 from .delaytrack import TrackConfig, track_delays
 from .geometry import ImagingGrid, PolarROI, TransducerArray
 from .metrics import RegionLabels, cnr_db, contrast, rmse_map
@@ -537,7 +537,9 @@ def cmd_estimate(
 
     A model built on another estimation grid than the config's (another
     [grids] bf_dx), or on an unknown one, is refused before any frame
-    is read.
+    is read. With out_dir, estimate.json also names das_kernel, the DAS
+    pass that ran, "compiled" or "numpy", so a run that fell back to the
+    NumPy loop shows.
     """
     grid = _grid_line(cfg.estimation_grid())
     built_on = model.metadata.get("estimation_grid", "unknown")
@@ -578,6 +580,7 @@ def cmd_estimate(
             "fit_iterations": fit.iterations,
             "fit_converged": fit.converged,
             "valid_fraction": float(np.mean(dmap.valid)),
+            "das_kernel": das_kernel(),
         })
     return result
 
@@ -619,7 +622,8 @@ def cmd_reconstruct(
     trace and reconstruct.json: the solve's converged, iterations,
     grad_norm and message; its rows (measurements in the solve) and
     valid_fraction (tracked nodes kept by min_ncc); the map's
-    clamped_fraction; and rmse_vs_gt_mps when frames_dir holds the
+    clamped_fraction; das_kernel, the DAS pass that ran, "compiled" or
+    "numpy" (see beamform); and rmse_vs_gt_mps when frames_dir holds the
     config the frames were simulated with, config_resolved.ini. The map
     is scored against that config's medium on the map's own slowness
     grid. A config that does not load, or a beamforming grid that
@@ -691,7 +695,7 @@ def cmd_reconstruct(
                    "grad_norm": info.grad_norm, "message": info.message,
                    "rows": rows,
                    "valid_fraction": rows / sum(m.size for m in masks),
-                   "clamped_fraction": clamped}
+                   "clamped_fraction": clamped, "das_kernel": das_kernel()}
         if rmse is not None:
             metrics["rmse_vs_gt_mps"] = rmse
         write_record(out_dir, "reconstruct", metrics)

@@ -1,5 +1,6 @@
 """Delay-and-sum beamforming."""
 
+import os
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -7,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from soscorr import beamform
 from soscorr.beamform import BFConfig, das_beamform
 from soscorr.delaytrack import TrackConfig, track_delays
 from soscorr.geometry import ImagingGrid, TransducerArray, element_position
@@ -231,7 +233,9 @@ def assert_close_to_distance_formula(frame, array, cfg, out):
 
 class TestDistanceTableKernel:
     """das_beamform against reference_das, byte for byte, and against
-    distance_das within 1e-12 of the largest rf value."""
+    distance_das within 1e-12 of the largest rf value, on the kernel
+    the module loaded: the compiled one where a C compiler is found.
+    TestNumPyLoop runs the same checks on the NumPy loop."""
 
     @KERNEL_CASES
     @pytest.mark.parametrize("c_bf", [1400.0, 1522.5])
@@ -310,8 +314,64 @@ class TestDistanceTableKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a table of TABLE_IMAGES = 16 images plus about 9 images of
-        # buffers, offsets and output (25 in all); the per-receiver loop
-        # before the table peaked at 14 images
+        # a table of TABLE_IMAGES = 16 images plus about 6 images of
+        # transmit leg, offsets and output (22 in all); the NumPy loop's
+        # s, val and idx add 3 (25); the per-receiver loop before the
+        # table peaked at 14 images
         assert peak < 32 * image
 
+
+class TestNumPyLoop(TestDistanceTableKernel):
+    """The kernel axis: every check above on the NumPy loop, the pass
+    that runs where no compiled kernel loads."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_loop(self, monkeypatch):
+        monkeypatch.setattr(beamform, "KERNEL", None)
+
+
+class TestKernelBuild:
+    def test_missing_compiler_falls_back_to_numpy(self, tmp_path, caplog,
+                                                  monkeypatch):
+        """A compiler that is not there leaves no kernel, one warning
+        naming it and nothing raised; das_beamform then runs the NumPy
+        loop and still matches reference_das."""
+        cc = str(tmp_path / "no-such-cc")
+        with caplog.at_level("WARNING", logger="soscorr.beamform"):
+            kernel = beamform.load_kernel(cc=[cc], cache_dir=tmp_path)
+        assert kernel is None
+        [warning] = caplog.records
+        assert cc in warning.getMessage()
+        monkeypatch.setattr(beamform, "KERNEL", kernel)
+        array = TransducerArray()
+        frame = noise_frame(127, 700)
+        cfg = BFConfig(c_bf=1522.5, grid=UNALIGNED, apodization="hann")
+        out = das_beamform(frame, array, cfg)
+        assert out.rf.tobytes() == reference_das(frame, array, cfg).tobytes()
+
+    def test_second_load_hits_the_cache(self, tmp_path, monkeypatch):
+        """A built library is loaded again without running the compiler."""
+        if beamform.load_kernel(cache_dir=tmp_path) is None:
+            pytest.skip("no C compiler on this host")
+        [lib] = tmp_path.iterdir()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran")
+
+        monkeypatch.setattr(beamform.subprocess, "run", no_compiler)
+        assert beamform.load_kernel(cache_dir=tmp_path) is not None
+        assert list(tmp_path.iterdir()) == [lib]
+
+    def test_temp_cache_is_private(self, tmp_path, monkeypatch, caplog):
+        """Where the module's __pycache__ is not writable, the library is
+        cached in a directory of the temp dir private to the user; one
+        that others may write is refused, so no planted library loads."""
+        monkeypatch.setattr(beamform.os, "access", lambda *args: False)
+        monkeypatch.setattr(beamform.tempfile, "tempdir", str(tmp_path))
+        private = tmp_path / f"soscorr-{os.getuid()}"
+        beamform.load_kernel()
+        assert private.stat().st_mode & 0o777 == 0o700
+        private.chmod(0o777)
+        with caplog.at_level("WARNING", logger="soscorr.beamform"):
+            assert beamform.load_kernel() is None
+        assert "not private" in caplog.text

@@ -34,7 +34,7 @@ from soscorr.pipeline import (
     simulate_frames,
     write_record,
 )
-from soscorr import pipeline
+from soscorr import beamform, pipeline
 from soscorr.calibrate import (CalibrationDataset, CalibrationEntry,
                                CalibrationModel, build_calibration,
                                export_sweep, load_model, save_model)
@@ -654,6 +654,11 @@ class TestReconstructStage:
         assert peak < 5 * frame_bytes
 
 
+def loaded_kernel():
+    """The DAS pass the beamform module loaded, as a record names it."""
+    return "numpy" if beamform.KERNEL is None else "compiled"
+
+
 def recon_cfg():
     return replace(cheap_cfg(), recon_pairs=((40, 56), (56, 72)))
 
@@ -697,11 +702,23 @@ class TestReconMetrics:
             "rows": rows,
             "valid_fraction": rows / (n_pairs * n_nodes),
             "clamped_fraction": res.clamped_fraction,
+            "das_kernel": loaded_kernel(),
         }
         assert metrics["iterations"] > 0 and metrics["message"]
         assert 0 < metrics["valid_fraction"] <= 1
         assert res.clamped_fraction == 0.0
         assert res.rmse_vs_gt is None
+
+    def test_numpy_fallback_is_named_and_maps_the_same(
+            self, frames_dir, run, tmp_path, monkeypatch):
+        """With no compiled kernel the record names the NumPy loop, and
+        the map is the compiled kernel's, byte for byte."""
+        monkeypatch.setattr(beamform, "KERNEL", None)
+        res = cmd_reconstruct(recon_cfg(), frames_dir, 1500.0,
+                              out_dir=tmp_path)
+        metrics = json.loads((tmp_path / "reconstruct.json").read_text())
+        assert metrics["das_kernel"] == "numpy"
+        assert res.sos_map.tobytes() == run[1].sos_map.tobytes()
 
     def test_rmse_is_added_with_ground_truth(self, frames_dir, run):
         """The ground truth is the medium of the frame directory's
@@ -787,7 +804,9 @@ class TestCommandTables:
         assert set(record) == {
             "convention", "c_bf_assumed", "observed_slope_s_per_rad",
             "delta_c_hat_mps", "corrected_sos_mps", "fit_r_squared",
-            "fit_iterations", "fit_converged", "valid_fraction"}
+            "fit_iterations", "fit_converged", "valid_fraction",
+            "das_kernel"}
+        assert record["das_kernel"] == loaded_kernel()
         assert record["fit_iterations"] == fit.iterations > 0
         assert record["fit_converged"] is fit.converged is True
         assert record["valid_fraction"] == dmap.valid.sum() / dmap.valid.size

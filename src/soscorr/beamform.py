@@ -6,35 +6,21 @@ the pulse center, so matched-SoS beamforming focuses scatterers at
 their true positions and any residual constant offset cancels in the
 differential delay measurements downstream.
 
-Each receiver's pass over the image runs in das_kernel.c, a C function
-that the first import builds with the host's C compiler into a cached
-library and that is called through ctypes, which releases the GIL, so
-threads beamform in parallel. The compiled pass adds the same bytes as
-the NumPy loop it stands beside: inside [0, ns - 1) the truncation
-(int)s equals floor(s); receivers are added to each pixel in ascending
-order; and -ffp-contract=off keeps every product and sum rounding on
-its own, with no fused multiply-add. Where no compiler is found or the
-library does not load, one warning is logged and the NumPy loop runs.
+Each receiver's pass over the image runs in das_rx of the package's
+compiled library (see :mod:`soscorr.kernels`). It adds the same bytes
+as the NumPy loop it stands beside: inside [0, ns - 1) the truncation
+(int)s equals floor(s), and receivers are added to each pixel in
+ascending order. Where the library does not load, the NumPy loop runs.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import hashlib
-import logging
-import os
-import shlex
-import shutil
-import subprocess
-import sysconfig
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .geometry import ImagingGrid, TransducerArray, element_position
+from .kernels import LIBRARY
 from .synthsim import ChannelFrame, SOS_MAX, SOS_MIN
 
 
@@ -44,71 +30,8 @@ APODIZATIONS = ("none", "hann")
 # at most nx distinct offsets, so a group of this many receivers fits.
 TABLE_IMAGES = 16
 
-KERNEL_SOURCE = Path(__file__).with_name("das_kernel.c")
-# no -march and no -ffast-math: either could contract or reorder the
-# arithmetic and change the bits
-KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-def load_kernel(cc: list[str] | None = None,
-                cache_dir: Path | None = None):
-    """das_rx of das_kernel.c, built with cc into cache_dir, or None.
-
-    cc defaults to sysconfig's CC, else cc; cache_dir to the module's
-    __pycache__, else a directory private to the user in the temp dir
-    where that is not writable. The library's name holds the sha256 of
-    the source and the command, so a built one is loaded without
-    running the compiler. It is built into a temp file and renamed into
-    place, so a process never loads a half-written library. A build or
-    load that fails logs one warning naming the error and returns None.
-    """
-    if cc is None:
-        cc = shlex.split(sysconfig.get_config_var("CC") or "")
-        if not cc or shutil.which(cc[0]) is None:
-            cc = ["cc"]
-    command = [*cc, *KERNEL_FLAGS]
-    try:
-        if cache_dir is None:
-            cache_dir = KERNEL_SOURCE.parent / "__pycache__"
-            with contextlib.suppress(OSError):
-                cache_dir.mkdir(exist_ok=True)
-            if not os.access(cache_dir, os.W_OK):
-                # in the shared temp dir another user could plant a
-                # library under the predictable name, so the cache is a
-                # directory private to this user
-                cache_dir = Path(tempfile.gettempdir(),
-                                 f"soscorr-{os.getuid()}")
-                cache_dir.mkdir(mode=0o700, exist_ok=True)
-                st = cache_dir.lstat()
-                if st.st_uid != os.getuid() or st.st_mode & 0o077:
-                    raise OSError(f"{cache_dir} is not private to this user")
-        key = hashlib.sha256("\0".join(
-            [KERNEL_SOURCE.read_text(), *command]).encode()).hexdigest()
-        lib = Path(cache_dir) / f"das_kernel-{key[:16]}.so"
-        if not lib.exists():
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-            os.close(fd)
-            try:
-                subprocess.run([*command, "-o", tmp, str(KERNEL_SOURCE)],
-                               check=True, capture_output=True, text=True)
-                os.replace(tmp, lib)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        kernel = ctypes.CDLL(str(lib)).das_rx
-    except (OSError, subprocess.CalledProcessError) as err:
-        detail = getattr(err, "stderr", None) or err
-        logging.getLogger(__name__).warning(
-            "DAS kernel not built, the NumPy loop runs instead: %s", detail)
-        return None
-    ptr, size = ctypes.c_void_p, ctypes.c_int64
-    kernel.argtypes = [ptr] * 5 + [size] * 3 + [ctypes.c_double, ptr]
-    kernel.restype = None
-    return kernel
-
-
 # the compiled per-receiver pass of das_beamform; None runs the NumPy loop
-KERNEL = load_kernel()
+KERNEL = None if LIBRARY is None else LIBRARY.das_rx
 
 
 def das_kernel() -> str:
@@ -149,18 +72,20 @@ def das_beamform(
     s = |p - rx| k + (|p - tx| k - t0 fs). |p - e| depends only on
     |x_p - x_e| and z_p, so the receive leg is gathered from a table of
     hypot * k over the distinct lateral offsets of a group of
-    receivers, and the transmit leg is computed once per frame. Images
-    are built column by column, (nx, nz), so each gather reads a
-    contiguous table row. With i0 = floor(s) and f = s - i0 a pixel
-    reads diff[i0] * f + ch[i0] from a float64 copy of the channel and
-    its difference row diff[i] = ch[i + 1] - ch[i]. Each receiver's pass
-    runs in KERNEL, or in the NumPy loop when it is None. In the loop,
-    float addition is monotone, so the smallest and largest table entry
-    of a receiver's rows plus those of the transmit leg bound every s;
-    only a receiver whose bound leaves [0, ns - 1) builds the mask of
-    samples outside the record. The arithmetic per pixel and the
-    receiver order of the sum do not depend on the kernel, the table or
-    the bound.
+    receivers, and the transmit leg is computed once per frame. One
+    group holds every receiver when their rows fit in TABLE_IMAGES
+    images, as on every pipeline grid, and then the distinct offsets
+    are found once. Images are built column by column, (nx, nz), so
+    each gather reads a contiguous table row. With i0 = floor(s) and
+    f = s - i0 a pixel reads diff[i0] * f + ch[i0] from a float64 copy
+    of the channel and its difference row diff[i] = ch[i + 1] - ch[i].
+    Each receiver's pass runs in KERNEL, the compiled das_rx, or in the
+    NumPy loop when it is None. In the loop, float addition is
+    monotone, so the smallest and largest table entry of a receiver's
+    rows plus those of the transmit leg bound every s; only a receiver
+    whose bound leaves [0, ns - 1) builds the mask of samples outside
+    the record. The arithmetic per pixel and the receiver order of the
+    sum do not depend on the kernel, the table or the bound.
     """
     if frame.num_rx != array.num_elements:
         raise ValueError(
@@ -181,8 +106,10 @@ def das_beamform(
 
     apod = np.hanning(n_el) if cfg.apodization == "hann" else None
     offsets = np.abs(xc[None, :] - array.element_x()[:, None])
-    n_rows = np.unique(offsets).size
-    group = n_el
+    # the distinct offsets of all receivers: when their rows fit in the
+    # table, one group holds every receiver and reuses them
+    whole = np.unique(offsets, return_inverse=True)
+    n_rows, group = whole[0].size, n_el
     if n_rows > TABLE_IMAGES * grid.nx:
         n_rows, group = TABLE_IMAGES * grid.nx, TABLE_IMAGES
     table = np.empty((n_rows, grid.nz))
@@ -200,7 +127,8 @@ def das_beamform(
     table_p, s_tx_p, ch_p, diff_p, rf_p = (
         a.ctypes.data for a in (table, s_tx, ch, diff, rf))
     for start in range(0, n_el, group):
-        u, inv = np.unique(offsets[start:start + group], return_inverse=True)
+        u, inv = whole if group == n_el else np.unique(
+            offsets[start:start + group], return_inverse=True)
         inv = np.ascontiguousarray(inv.reshape(-1, grid.nx), dtype=np.int64)
         inv_p = inv.ctypes.data
         rows = table[:u.size]

@@ -1,0 +1,102 @@
+"""The package's compiled passes, one C library loaded through ctypes.
+
+kernels.c holds das_rx, one receiver's pass of
+:func:`~soscorr.beamform.das_beamform`, and synth_rx, one receiver's
+pulse sum of :func:`~soscorr.synthsim.simulate_frame`. The first import
+builds it with the host's C compiler into a cached library, once for
+both; ctypes releases the GIL around each call, so threads run the
+passes in parallel. Each pass adds the same bytes as the NumPy or
+SciPy code it stands beside: -ffp-contract=off keeps every product and
+sum rounding on its own, with no fused multiply-add, and the C code
+calls no libm function. Where no compiler is found or the library does
+not load, one warning is logged, LIBRARY is None and those modules run
+their own passes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import hashlib
+import logging
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
+KERNEL_SOURCE = Path(__file__).with_name("kernels.c")
+# no -march and no -ffast-math: either could contract or reorder the
+# arithmetic and change the bits
+KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def compiler() -> list[str]:
+    """The C compiler command: sysconfig's CC where it is found, else cc."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        cc = ["cc"]
+    return cc
+
+
+def load_kernel(cc: list[str] | None = None,
+                cache_dir: Path | None = None) -> ctypes.CDLL | None:
+    """The library of kernels.c, built with cc into cache_dir, with
+    das_rx and synth_rx declared; or None.
+
+    cc defaults to :func:`compiler`; cache_dir to the module's
+    __pycache__, else a directory private to the user in the temp dir
+    where that is not writable. The library's name holds the sha256 of
+    the source and the command, so a built one is loaded without
+    running the compiler. It is built into a temp file and renamed into
+    place, so a process never loads a half-written library. A build or
+    load that fails logs one warning naming the error and returns None.
+    """
+    command = [*(compiler() if cc is None else cc), *KERNEL_FLAGS]
+    try:
+        if cache_dir is None:
+            cache_dir = KERNEL_SOURCE.parent / "__pycache__"
+            with contextlib.suppress(OSError):
+                cache_dir.mkdir(exist_ok=True)
+            if not os.access(cache_dir, os.W_OK):
+                # in the shared temp dir another user could plant a
+                # library under the predictable name, so the cache is a
+                # directory private to this user
+                cache_dir = Path(tempfile.gettempdir(),
+                                 f"soscorr-{os.getuid()}")
+                cache_dir.mkdir(mode=0o700, exist_ok=True)
+                st = cache_dir.lstat()
+                if st.st_uid != os.getuid() or st.st_mode & 0o077:
+                    raise OSError(f"{cache_dir} is not private to this user")
+        key = hashlib.sha256("\0".join(
+            [KERNEL_SOURCE.read_text(), *command]).encode()).hexdigest()
+        path = Path(cache_dir) / f"kernels-{key[:16]}.so"
+        if not path.exists():
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+            os.close(fd)
+            try:
+                subprocess.run([*command, "-o", tmp, str(KERNEL_SOURCE)],
+                               check=True, capture_output=True, text=True)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.CalledProcessError) as err:
+        detail = getattr(err, "stderr", None) or err
+        logging.getLogger(__name__).warning(
+            "compiled kernels not built, the NumPy and SciPy passes run "
+            "instead: %s", detail)
+        return None
+    ptr, size = ctypes.c_void_p, ctypes.c_int64
+    lib.das_rx.argtypes = [ptr] * 5 + [size] * 3 + [ctypes.c_double, ptr]
+    lib.das_rx.restype = None
+    lib.synth_rx.argtypes = [ptr, size, ptr, ptr, ptr, size, ptr]
+    lib.synth_rx.restype = None
+    return lib
+
+
+# built at import, so no timed stage pays for the compiler
+LIBRARY = load_kernel()

@@ -38,6 +38,7 @@ from .synthsim import (
     read_frame_set,
     receive_travel_times,
     simulate_frame,
+    synth_kernel,
     thread_map,
     write_frame_set,
 )
@@ -409,7 +410,9 @@ def _grid_line(grid: ImagingGrid) -> str:
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
     """Simulate and persist all frames the configured pipeline needs, and
     the ground-truth SoS map with its grid; each frame is written before
-    the next one is simulated."""
+    the next one is simulated. simulate.json names synth_kernel, the
+    pulse sum that ran, "compiled" or "numpy" (see synthsim), so a run
+    that fell back to the SciPy products shows."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_frame_set(out_dir, generate_frames(cfg), cfg.medium())
@@ -419,6 +422,7 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
     (out_dir / "gt_sos.csv.txt").write_text(_grid_sidecar(
         "ground-truth SoS in m/s on the slowness grid\n", grid))
     (out_dir / "config_resolved.ini").write_text(dump_config(cfg))
+    write_record(out_dir, "simulate", {"synth_kernel": synth_kernel()})
     return out_dir
 
 

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import ImagingGrid, TransducerArray, element_position, slab_clip
+from .kernels import LIBRARY
 
 SOS_MIN = 1300.0
 SOS_MAX = 1700.0
@@ -44,6 +45,16 @@ TRACE_CHUNK = 1 << 13
 # pulse table rows per sample period: simulate_frame interpolates the
 # pulse linearly between rows, within 1e-7 of its peak at the default pulse
 PULSE_TABLE_STEPS = 256
+
+# the compiled per-receiver pulse sum of simulate_frame; None runs the
+# SciPy products
+KERNEL = None if LIBRARY is None else LIBRARY.synth_rx
+
+
+def synth_kernel() -> str:
+    """The per-receiver pulse sum simulate_frame runs: "compiled" or
+    "numpy"."""
+    return "numpy" if KERNEL is None else "compiled"
 
 
 def thread_map(fn, items, threads: int) -> list:
@@ -458,19 +469,25 @@ def simulate_frame(
     is computed the same way whatever the thread count, so the frame
     does not depend on it.
 
-    Each channel is two sparse products, with the arithmetic and the
-    summation order of a loop that gathers and weights two pulse table
-    rows per scatterer and sums its in-record terms with bincount, so
-    frames equal that loop's byte for byte. A CSR matrix with weight
-    (1 - w) at column row and weight w at row + 1 of each scatterer's
-    row, times the table, gives (0 + a T[row]) + b T[row + 1]. The
-    column sums of the (scatterers, samples) matrix of those pulses, a
-    CSC matrix-vector product, add into each sample in scatterer order.
-    That matrix spans the record padded by the pulse's half-width on
-    both sides, so a pulse cut at either end of the record keeps its
-    in-record part and the padding is dropped. Each thread builds the
-    two matrices once, their row pointers fixed, and each receiver
-    rewrites their weights, columns and pulse values in place.
+    Each channel sums, for every scatterer in order, its pulse: the two
+    rows of the pulse table T around its echo time, weighted a and b,
+    (0 + a T[row]) + b T[row + 1], into a float64 record padded by the
+    pulse's half-width on both sides, so a pulse cut at either end of
+    the record keeps its in-record part and the padding is dropped.
+    That is the arithmetic and the summation order of a loop that
+    gathers and weights two table rows per scatterer and sums its
+    in-record terms with bincount, so frames equal that loop's byte for
+    byte. The sum runs in KERNEL, the compiled synth_rx; each thread
+    zeroes its one padded record per receiver and builds no sparse
+    matrix. Where KERNEL is None it is two SciPy products: a CSR matrix
+    with weights a at column row and b at row + 1 of each scatterer's
+    row, times the table, then the column sums of the (scatterers,
+    padded record) matrix of those pulses, a CSC matrix-vector product
+    that adds into each sample in scatterer order. Each thread builds
+    the two matrices once, their row pointers fixed, and each receiver
+    rewrites their weights, columns and pulse values in place. The
+    distances, directivities, spreading and rounding stay in NumPy on
+    either path.
     An echo centre outside the record, which a caller's t_rx can place
     there, is a ValueError.
     """
@@ -504,30 +521,34 @@ def simulate_frame(
         steps = PULSE_TABLE_STEPS
         frac = np.arange(steps + 1) / steps - 0.5
         table = pulse.waveform((offs[None, :] + frac[:, None]) / fs)
-        # row pointers of the two sparse products: 2 and offs.size
-        # entries per scatterer
-        pair_ptr = np.arange(0, 2 * n_sc + 1, 2)
-        run_ptr = np.arange(0, offs.size * n_sc + 1, offs.size)
-        ones = np.ones(n_sc)
         ex = array.element_x()
         if t_rx is None:
             t_rx = receive_travel_times(field, medium, array, threads)
+        kernel = KERNEL
+        padded = num_samples + 2 * half
 
         def receive(block):
-            # the thread's two matrices, built once; each receiver
-            # rewrites their entries through views of the arrays they
-            # hold, which the constructors may have converted
-            coef = sp.csr_matrix(
-                (np.zeros(2 * n_sc), np.zeros(2 * n_sc, dtype=np.int32),
-                 pair_ptr), shape=(n_sc, steps + 1))
-            coef_w = coef.data.reshape(n_sc, 2)
-            coef_row = coef.indices.reshape(n_sc, 2)
-            # the transposed (scatterers, padded record) pulse matrix
-            echoes_t = sp.csc_matrix(
-                (np.zeros(offs.size * n_sc),
-                 np.zeros(offs.size * n_sc, dtype=np.int32), run_ptr),
-                shape=(num_samples + 2 * half, n_sc))
-            idx = echoes_t.indices.reshape(n_sc, offs.size)
+            if kernel is not None:
+                # the thread's padded record and (scatterers, 2) weights
+                rec = np.empty(padded)
+                weights = np.empty((n_sc, 2))
+            else:
+                # the thread's two matrices, built once; each receiver
+                # rewrites their entries through views of the arrays
+                # they hold, which the constructors may have converted
+                coef = sp.csr_matrix(
+                    (np.zeros(2 * n_sc), np.zeros(2 * n_sc, dtype=np.int32),
+                     np.arange(0, 2 * n_sc + 1, 2)), shape=(n_sc, steps + 1))
+                weights = coef.data.reshape(n_sc, 2)
+                coef_row = coef.indices.reshape(n_sc, 2)
+                # the transposed (scatterers, padded record) pulse matrix
+                echoes_t = sp.csc_matrix(
+                    (np.zeros(offs.size * n_sc),
+                     np.zeros(offs.size * n_sc, dtype=np.int32),
+                     np.arange(0, offs.size * n_sc + 1, offs.size)),
+                    shape=(padded, n_sc))
+                idx = echoes_t.indices.reshape(n_sc, offs.size)
+                ones = np.ones(n_sc)
             for rx in block:
                 rx_pos = np.array([ex[rx], 0.0])
                 r_rx = np.hypot(s[:, 0] - rx_pos[0], s[:, 1] - rx_pos[1])
@@ -537,8 +558,8 @@ def simulate_frame(
                 )
                 k_exact = (t_tx + t_rx[rx]) * fs
                 k0 = np.rint(k_exact)
-                # the products do not check their indices; a NaN time
-                # fails this test too
+                # neither pass checks its indices; a NaN time fails this
+                # test too
                 if not (k0.min() >= 0 and k0.max() < num_samples):
                     raise ValueError(f"receive channel {rx}: an echo lies "
                                      "outside the record; check t_rx")
@@ -547,15 +568,24 @@ def simulate_frame(
                 w = pos - row
                 weight = field.amplitudes * spreading
                 # the pulse interpolated linearly between table rows
-                np.multiply(weight, 1.0 - w, out=coef_w[:, 0])
-                np.multiply(weight, w, out=coef_w[:, 1])
-                coef_row[:, 0] = row
-                coef_row[:, 1] = row + 1
-                vals = coef @ table
-                # column sums over the padded record, added in scatterer order
-                np.add((k0.astype(np.int32) + half)[:, None], offs, out=idx)
-                echoes_t.data = vals.ravel()
-                samples[rx] = (echoes_t @ ones)[half:half + num_samples]
+                np.multiply(weight, 1.0 - w, out=weights[:, 0])
+                np.multiply(weight, w, out=weights[:, 1])
+                if kernel is not None:
+                    rec.fill(0.0)
+                    kernel(table.ctypes.data, offs.size, row.ctypes.data,
+                           weights.ctypes.data, k0.ctypes.data, n_sc,
+                           rec.ctypes.data)
+                else:
+                    coef_row[:, 0] = row
+                    coef_row[:, 1] = row + 1
+                    vals = coef @ table
+                    # column sums over the padded record, added in
+                    # scatterer order
+                    np.add((k0.astype(np.int32) + half)[:, None], offs,
+                           out=idx)
+                    echoes_t.data = vals.ravel()
+                    rec = echoes_t @ ones
+                samples[rx] = rec[half:half + num_samples]
 
         # each thread writes its own rows of samples
         thread_map(receive, _blocks(array.num_elements, threads), threads)

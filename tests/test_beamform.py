@@ -1,6 +1,5 @@
 """Delay-and-sum beamforming."""
 
-import os
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -92,6 +91,27 @@ class TestDASBeamform:
         assert np.all(dmap.valid)
         assert np.allclose(dmap.delays, 0.0)
         assert np.allclose(dmap.ncc, 1.0)
+
+    def test_offsets_are_made_unique_once_per_frame(self, quick_cfg,
+                                                    monkeypatch):
+        """On the quick recon grid one table group holds every receiver,
+        so das_beamform takes np.unique of the offsets once per frame:
+        the call that sizes the table also gives the group its rows."""
+        frame = simulate_frames(quick_cfg, tx_list=[40])[40]
+        cfg = BFConfig(c_bf=1522.5, grid=quick_cfg.full_grid())
+        expected = das_beamform(frame, quick_cfg.array, cfg).rf
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(kwargs)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        out = das_beamform(frame, quick_cfg.array, cfg)
+        monkeypatch.undo()
+        assert calls == [{"return_inverse": True}]
+        assert out.rf.tobytes() == expected.tobytes()
 
     def test_own_record_beamforms_as_the_padded_record(self, quick_cfg):
         """Each frame of a set ends after its own transmit's latest echo.
@@ -328,50 +348,3 @@ class TestNumPyLoop(TestDistanceTableKernel):
     @pytest.fixture(autouse=True)
     def numpy_loop(self, monkeypatch):
         monkeypatch.setattr(beamform, "KERNEL", None)
-
-
-class TestKernelBuild:
-    def test_missing_compiler_falls_back_to_numpy(self, tmp_path, caplog,
-                                                  monkeypatch):
-        """A compiler that is not there leaves no kernel, one warning
-        naming it and nothing raised; das_beamform then runs the NumPy
-        loop and still matches reference_das."""
-        cc = str(tmp_path / "no-such-cc")
-        with caplog.at_level("WARNING", logger="soscorr.beamform"):
-            kernel = beamform.load_kernel(cc=[cc], cache_dir=tmp_path)
-        assert kernel is None
-        [warning] = caplog.records
-        assert cc in warning.getMessage()
-        monkeypatch.setattr(beamform, "KERNEL", kernel)
-        array = TransducerArray()
-        frame = noise_frame(127, 700)
-        cfg = BFConfig(c_bf=1522.5, grid=UNALIGNED, apodization="hann")
-        out = das_beamform(frame, array, cfg)
-        assert out.rf.tobytes() == reference_das(frame, array, cfg).tobytes()
-
-    def test_second_load_hits_the_cache(self, tmp_path, monkeypatch):
-        """A built library is loaded again without running the compiler."""
-        if beamform.load_kernel(cache_dir=tmp_path) is None:
-            pytest.skip("no C compiler on this host")
-        [lib] = tmp_path.iterdir()
-
-        def no_compiler(*args, **kwargs):
-            raise AssertionError("the compiler ran")
-
-        monkeypatch.setattr(beamform.subprocess, "run", no_compiler)
-        assert beamform.load_kernel(cache_dir=tmp_path) is not None
-        assert list(tmp_path.iterdir()) == [lib]
-
-    def test_temp_cache_is_private(self, tmp_path, monkeypatch, caplog):
-        """Where the module's __pycache__ is not writable, the library is
-        cached in a directory of the temp dir private to the user; one
-        that others may write is refused, so no planted library loads."""
-        monkeypatch.setattr(beamform.os, "access", lambda *args: False)
-        monkeypatch.setattr(beamform.tempfile, "tempdir", str(tmp_path))
-        private = tmp_path / f"soscorr-{os.getuid()}"
-        beamform.load_kernel()
-        assert private.stat().st_mode & 0o777 == 0o700
-        private.chmod(0o777)
-        with caplog.at_level("WARNING", logger="soscorr.beamform"):
-            assert beamform.load_kernel() is None
-        assert "not private" in caplog.text

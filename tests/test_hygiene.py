@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from soscorr.beamform import KERNEL_SOURCE
+from soscorr.kernels import KERNEL_SOURCE
 from soscorr.pipeline import _FIELDS, PipelineConfig, dump_config, load_config
 from soscorr.synthsim import Inclusion
 
@@ -253,8 +253,7 @@ def test_one_way_in():
     assert branches == []
 
 
-# modules that only compute: they open and write no file (beamform's
-# kernel library is written by the compiler it runs, not by Python)
+# modules that only compute: they open and write no file
 NUMERICAL = ("geometry", "beamform", "delaytrack", "regress", "tomo",
              "metrics")
 FILE_WRITES = {"open", "write_text", "write_bytes", "savetxt", "tofile"}
@@ -291,7 +290,7 @@ def test_one_table_writer():
 def test_one_frame_codec():
     """Frames have one writer and one reader, each of which hashes the
     buffers it moves: sha256 is called only in synthsim.write_frame and
-    synthsim.read_frame, and in beamform.load_kernel, which names its
+    synthsim.read_frame, and in kernels.load_kernel, which names its
     cached library by the kernel's source and build command, not by a
     frame. Frames are the package's only binary files, so
     no package module reads or writes a file whole as bytes, which
@@ -308,20 +307,31 @@ def test_one_frame_codec():
         for node in parse(path).body
         if called_names(node) & {"read_bytes", "write_bytes"}
     ]
-    assert (hashers, whole) == (["beamform.load_kernel",
+    assert (hashers, whole) == (["kernels.load_kernel",
                                  "synthsim.write_frame",
                                  "synthsim.read_frame"], [])
 
 
 def test_kernel_source_is_package_data():
-    """The C source beamform builds its kernel from is listed as package
-    data: setuptools' package finder ships only .py files, so without
-    the entry every installed copy would run the NumPy loop."""
+    """The C source the kernels module builds its library from is listed
+    as package data: setuptools' package finder ships only .py files, so
+    without the entry every installed copy would run the NumPy and SciPy
+    passes."""
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())
     listed = project["tool"]["setuptools"]["package-data"]["soscorr"]
     assert KERNEL_SOURCE.parent == PACKAGE
     assert KERNEL_SOURCE.name in listed
+
+
+def test_kernel_source_includes_no_libm():
+    """kernels.c includes no <math.h> (nor <tgmath.h>), so no compiled
+    pass calls a libm function and its bytes never rest on libm
+    matching NumPy's loops."""
+    includes = re.findall(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]',
+                          KERNEL_SOURCE.read_text(), re.M)
+    assert "stdint.h" in includes
+    assert {"math.h", "tgmath.h"} & set(includes) == set()
 
 
 def import_file(path: Path) -> None:

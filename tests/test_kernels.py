@@ -1,0 +1,76 @@
+"""The compiled kernel library: its build, its cache and its source."""
+
+import ctypes
+import os
+import shutil
+import subprocess
+
+import pytest
+
+from soscorr import beamform, kernels
+from soscorr.beamform import BFConfig, das_beamform
+from soscorr.geometry import TransducerArray
+
+from test_beamform import UNALIGNED, noise_frame, reference_das
+
+
+class TestKernelBuild:
+    def test_missing_compiler_falls_back_to_numpy(self, tmp_path, caplog,
+                                                  monkeypatch):
+        """A compiler that is not there leaves no library, one warning
+        naming it and nothing raised; das_beamform then runs the NumPy
+        loop and still matches reference_das."""
+        cc = str(tmp_path / "no-such-cc")
+        with caplog.at_level("WARNING", logger="soscorr.kernels"):
+            lib = kernels.load_kernel(cc=[cc], cache_dir=tmp_path)
+        assert lib is None
+        [warning] = caplog.records
+        assert cc in warning.getMessage()
+        monkeypatch.setattr(beamform, "KERNEL", None)
+        array = TransducerArray()
+        frame = noise_frame(127, 700)
+        cfg = BFConfig(c_bf=1522.5, grid=UNALIGNED, apodization="hann")
+        out = das_beamform(frame, array, cfg)
+        assert out.rf.tobytes() == reference_das(frame, array, cfg).tobytes()
+
+    def test_second_load_hits_the_cache(self, tmp_path, monkeypatch):
+        """A built library is loaded again without running the compiler."""
+        if kernels.load_kernel(cache_dir=tmp_path) is None:
+            pytest.skip("no C compiler on this host")
+        [lib] = tmp_path.iterdir()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran")
+
+        monkeypatch.setattr(kernels.subprocess, "run", no_compiler)
+        assert kernels.load_kernel(cache_dir=tmp_path) is not None
+        assert list(tmp_path.iterdir()) == [lib]
+
+    def test_temp_cache_is_private(self, tmp_path, monkeypatch, caplog):
+        """Where the module's __pycache__ is not writable, the library is
+        cached in a directory of the temp dir private to the user; one
+        that others may write is refused, so no planted library loads."""
+        monkeypatch.setattr(kernels.os, "access", lambda *args: False)
+        monkeypatch.setattr(kernels.tempfile, "tempdir", str(tmp_path))
+        private = tmp_path / f"soscorr-{os.getuid()}"
+        kernels.load_kernel()
+        assert private.stat().st_mode & 0o777 == 0o700
+        private.chmod(0o777)
+        with caplog.at_level("WARNING", logger="soscorr.kernels"):
+            assert kernels.load_kernel() is None
+        assert "not private" in caplog.text
+
+    def test_source_builds_with_warnings_as_errors(self, tmp_path):
+        """kernels.c builds with the loader's flags plus -Wall -Wextra
+        -Werror, and the library resolves both passes."""
+        cc = kernels.compiler()
+        if shutil.which(cc[0]) is None:
+            pytest.skip("no C compiler on this host")
+        lib = tmp_path / "kernels.so"
+        build = subprocess.run(
+            [*cc, *kernels.KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(lib), str(kernels.KERNEL_SOURCE)],
+            capture_output=True, text=True)
+        assert build.returncode == 0, build.stderr
+        loaded = ctypes.CDLL(str(lib))
+        assert loaded.das_rx is not None and loaded.synth_rx is not None

@@ -34,7 +34,7 @@ from soscorr.pipeline import (
     simulate_frames,
     write_record,
 )
-from soscorr import beamform, pipeline
+from soscorr import beamform, pipeline, synthsim
 from soscorr.calibrate import (CalibrationDataset, CalibrationEntry,
                                CalibrationModel, build_calibration,
                                export_sweep, load_model, save_model)
@@ -480,6 +480,23 @@ class TestSimulateStage:
             assert (a / name).exists(), name
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_record_names_the_pulse_sum(self, tmp_path, monkeypatch):
+        """simulate.json names the pulse sum that ran: the one the module
+        loaded, and "numpy" where KERNEL is None, whose frames are the
+        same bytes (their manifest digests match)."""
+        cfg = cheap_cfg()
+
+        def run(name):
+            out = cmd_simulate(cfg, tmp_path / name)
+            return (json.loads((out / "simulate.json").read_text()),
+                    (out / "MANIFEST.txt").read_text())
+
+        loaded = "numpy" if synthsim.KERNEL is None else "compiled"
+        record, manifest = run("loaded")
+        assert record == {"synth_kernel": loaded}
+        monkeypatch.setattr(synthsim, "KERNEL", None)
+        assert run("numpy") == ({"synth_kernel": "numpy"}, manifest)
+
     def test_gt_map_matches_background(self, tmp_path):
         cfg = cheap_cfg()
         out = tmp_path / "run"
@@ -502,8 +519,9 @@ class TestSimulateStage:
         the same manifest as writing the collected frames, at a traced
         peak below 2 frames of 6. The float32 frame, whose rows are cast
         as they are simulated and which is written and hashed from its
-        own buffer, takes 1; the receive products, about half a frame at
-        this density, the rest. A float64 frame and its float32 copy
+        own buffer, takes 1; the receive working set the rest, at most
+        about half a frame at this density (the SciPy products, where no
+        compiled kernel loads). A float64 frame and its float32 copy
         would take 3, and holding every frame, as collecting them does,
         near 8."""
         cfg = apply_quick(PipelineConfig(scatterer_density=0.5))

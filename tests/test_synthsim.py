@@ -1,11 +1,14 @@
 """Forward simulator: scatterers, travel times, frames and frame IO."""
 
 import hashlib
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -981,8 +984,9 @@ class TestReceiveLoop:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_sparse_matrices_are_built_once_per_worker(self, monkeypatch,
                                                        threads):
-        """Each receive worker builds its CSR coefficient matrix and its
-        CSC echo matrix once and rewrites their entries per receiver: one
+        """The compiled pulse sum builds no sparse matrix. The SciPy
+        products build each worker's CSR coefficient matrix and CSC echo
+        matrix once and rewrite their entries per receiver: one
         128-receiver transmit builds at most 2 compressed sparse matrices
         per worker, however many receivers a worker runs. The frame still
         equals the table-based loop byte for byte."""
@@ -1004,6 +1008,7 @@ class TestReceiveLoop:
             built.append(type(self).__name__)
             init(self, *args, **kwargs)
 
+        scipy_products = synthsim.KERNEL is None
         monkeypatch.setattr(compressed._cs_matrix, "__init__", counting_init)
         frame = simulate_frame(55, field, medium, pulse, array, t_rx=t_rx,
                                threads=threads)
@@ -1011,7 +1016,10 @@ class TestReceiveLoop:
         ref = table_frame(55, field, medium, pulse, array, frame.num_samples,
                           t_rx)
         assert array.num_elements == 128
-        assert 0 < len(built) <= 2 * threads
+        if scipy_products:
+            assert 0 < len(built) <= 2 * threads
+        else:
+            assert built == []
         assert frame.samples.tobytes() == ref.tobytes()
 
     def test_transmit_leg_is_traced_once_per_frame(self, monkeypatch):
@@ -1043,6 +1051,124 @@ class TestReceiveLoop:
             assert len(calls) == len(txs) + 1
             assert calls == [(cfg.array.num_elements, n_sc, 2)] \
                 + [(n_sc, 2)] * len(txs)
+
+
+class TestSciPyProducts(TestSimulateFrames, TestPulseTable, TestReceiveLoop):
+    """The kernel axis: every check of those classes on the SciPy
+    products, the pulse sum that runs where no compiled kernel loads."""
+
+    @pytest.fixture(autouse=True)
+    def scipy_products(self, monkeypatch):
+        monkeypatch.setattr(synthsim, "KERNEL", None)
+
+
+class TestSynthKernel:
+    def test_pulse_sum_adds_scatterers_in_order(self):
+        """synth_rx on a float64 record, where the float32 frame would
+        hide most last-bit differences: 300 scatterers overlap on a
+        200-sample record, so each sample adds about 100 pulses. The
+        record equals, byte for byte, the loop that adds each
+        scatterer's (0 + a T[row]) + b T[row + 1] in scatterer order,
+        and the SciPy products of the path without a kernel."""
+        import scipy.sparse as sp
+
+        if synthsim.KERNEL is None:
+            pytest.skip("no compiled kernel on this host")
+        rng = np.random.default_rng(5)
+        n, steps, width, num_samples = 300, 256, 129, 200
+        table = rng.standard_normal((steps + 1, width))
+        row = rng.integers(0, steps, n).astype(np.int32)
+        w = rng.standard_normal((n, 2))
+        k0 = rng.integers(0, num_samples, n).astype(np.float64)
+        rec = np.zeros(num_samples + width - 1)
+        synthsim.KERNEL(table.ctypes.data, width, row.ctypes.data,
+                        w.ctypes.data, k0.ctypes.data, n, rec.ctypes.data)
+        loop = np.zeros_like(rec)
+        for i in range(n):
+            k = int(k0[i])
+            loop[k:k + width] += ((0.0 + w[i, 0] * table[row[i]])
+                                  + w[i, 1] * table[row[i] + 1])
+        coef = sp.csr_matrix(
+            (w.ravel(), np.column_stack([row, row + 1]).ravel(),
+             np.arange(0, 2 * n + 1, 2)), shape=(n, steps + 1))
+        echoes_t = sp.csc_matrix(
+            ((coef @ table).ravel(),
+             (k0.astype(np.int32)[:, None] + np.arange(width)).ravel(),
+             np.arange(0, width * n + 1, width)), shape=(rec.size, n))
+        assert rec.tobytes() == loop.tobytes()
+        assert rec.tobytes() == (echoes_t @ np.ones(n)).tobytes()
+        # the order shows: the same terms summed in reverse differ
+        reverse = np.zeros_like(rec)
+        for i in reversed(range(n)):
+            k = int(k0[i])
+            reverse[k:k + width] += ((0.0 + w[i, 0] * table[row[i]])
+                                     + w[i, 1] * table[row[i] + 1])
+        assert reverse.tobytes() != rec.tobytes()
+
+    def test_noisy_frame_is_the_same_on_both_passes(self, monkeypatch):
+        """With noise the frame is float64 until the noise is added; the
+        compiled pulse sum and the SciPy products give the same bytes."""
+        if synthsim.KERNEL is None:
+            pytest.skip("no compiled kernel on this host")
+        medium = make_medium(
+            [Inclusion("ellipse", (0.0, 0.012), (3e-3, 2e-3), 1540.0)])
+        array, pulse = TransducerArray(), PulseSpec()
+        field = gen_scatterers(medium.grid, 0.2, seed=4)
+        t_rx = receive_travel_times(field, medium, array)
+
+        def frame():
+            return simulate_frame(40, field, medium, pulse, array,
+                                  noise_snr_db=20.0, noise_seed=3,
+                                  t_rx=t_rx, threads=2).samples
+
+        compiled = frame()
+        monkeypatch.setattr(synthsim, "KERNEL", None)
+        assert compiled.tobytes() == frame().tobytes()
+
+    def test_failed_build_runs_numpy_and_scipy(self, tmp_path):
+        """A compiler that fails at import leaves both passes' pointers,
+        beamform.KERNEL and synthsim.KERNEL, None, logs one warning and
+        raises nothing; the frame simulated then still equals the
+        table-based loop byte for byte."""
+        import soscorr
+
+        script = """
+import sys, sysconfig
+config_var = sysconfig.get_config_var
+# "false" is found on PATH and fails every build it is asked for
+sysconfig.get_config_var = lambda name: (
+    "false" if name == "CC" else config_var(name))
+import numpy as np
+from soscorr import beamform, synthsim
+from soscorr.geometry import ImagingGrid, TransducerArray
+from soscorr.synthsim import MediumSpec, PulseSpec, ScattererField
+grid = ImagingGrid(x0=-0.02 + 1.5e-4, z0=1.5e-4, dx=3e-4, dz=3e-4,
+                   nx=134, nz=134)
+field = ScattererField(positions=np.array([[0.0, 0.02], [3e-3, 0.011]]),
+                       amplitudes=np.array([1.0, -0.5]))
+frame = synthsim.simulate_frame(50, field, MediumSpec(1500.0, grid),
+                                PulseSpec(), TransducerArray())
+np.save(sys.argv[1], frame.samples)
+print(beamform.KERNEL, synthsim.KERNEL, synthsim.synth_kernel())
+"""
+        out = tmp_path / "frame.npy"
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(soscorr.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script, str(out)],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["None", "None", "numpy"]
+        assert run.stderr.count("compiled kernels not built") == 1
+        field = ScattererField(positions=np.array([[0.0, 0.02],
+                                                   [3e-3, 0.011]]),
+                               amplitudes=np.array([1.0, -0.5]))
+        medium, array, pulse = make_medium(), TransducerArray(), PulseSpec()
+        samples = np.load(out)
+        ref = table_frame(50, field, medium, pulse, array, samples.shape[1],
+                          receive_travel_times(field, medium, array))
+        assert np.any(samples)
+        assert samples.tobytes() == ref.tobytes()
 
 
 class TestFrameIO:

@@ -6,11 +6,13 @@ the pulse center, so matched-SoS beamforming focuses scatterers at
 their true positions and any residual constant offset cancels in the
 differential delay measurements downstream.
 
-Each receiver's pass over the image runs in das_rx of the package's
-compiled library (see :mod:`soscorr.kernels`). It adds the same bytes
-as the NumPy loop it stands beside: inside [0, ns - 1) the truncation
-(int)s equals floor(s), and receivers are added to each pixel in
-ascending order. Where the library does not load, the NumPy loop runs.
+A frame's receivers run in one call of the package's compiled library
+(see :mod:`soscorr.kernels`), or one per group of TABLE_IMAGES
+receivers: das_rx_avx512, 8 pixels a step, where the host has AVX-512F,
+else the scalar das_rx. Each adds the same bytes as the NumPy loop it
+stands beside: inside [0, ns - 1) the truncation (int)s equals
+floor(s), and receivers are added to each pixel in ascending order.
+Where the library does not load, the NumPy loop runs.
 """
 
 from __future__ import annotations
@@ -30,13 +32,20 @@ APODIZATIONS = ("none", "hann")
 # at most nx distinct offsets, so a group of this many receivers fits.
 TABLE_IMAGES = 16
 
-# the compiled per-receiver pass of das_beamform; None runs the NumPy loop
-KERNEL = None if LIBRARY is None else LIBRARY.das_rx
+# the compiled DAS passes: the scalar das_rx, and das_rx_avx512 where
+# the host has AVX-512F (None elsewhere); KERNEL is the one das_beamform
+# runs, the vector pass where there is one, and None runs the NumPy loop
+SCALAR = None if LIBRARY is None else LIBRARY.das_rx
+VECTOR = (LIBRARY.das_rx_avx512
+          if LIBRARY is not None and LIBRARY.das_avx512() else None)
+KERNEL = SCALAR if VECTOR is None else VECTOR
 
 
 def das_kernel() -> str:
-    """The per-receiver pass das_beamform runs: "compiled" or "numpy"."""
-    return "numpy" if KERNEL is None else "compiled"
+    """The pass das_beamform runs: "avx512", "compiled" or "numpy"."""
+    if KERNEL is None:
+        return "numpy"
+    return "avx512" if KERNEL is VECTOR else "compiled"
 
 
 @dataclass(frozen=True)
@@ -59,40 +68,100 @@ class BeamformedFrame:
     grid: ImagingGrid
 
 
+@dataclass(frozen=True)
+class ReceiveTable:
+    """The receive legs of every element over one grid: rows[inv[e, x]]
+    is hypot(|x - x_e|, z) over the grid's depths z, one row per
+    distinct lateral offset |x - x_e|. It depends on neither the
+    transmit nor c_bf, so a caller that beamforms many frames, or one
+    frame at many c_bf, builds it once (:func:`receive_table`) and
+    passes it to each :func:`das_beamform`."""
+
+    grid: ImagingGrid
+    array: TransducerArray
+    rows: np.ndarray  # (distinct offsets, nz), float64
+    inv: np.ndarray  # (num_elements, nx), int64
+
+    def __post_init__(self):
+        # the compiled passes read both arrays through raw pointers
+        rows, inv = self.rows, self.inv
+        if not (rows.dtype == np.float64 and rows.ndim == 2
+                and rows.shape[1] == self.grid.nz
+                and rows.flags.c_contiguous):
+            raise ValueError("table rows must be C-ordered float64 of "
+                             "shape (offsets, grid.nz)")
+        if not (inv.dtype == np.int64 and inv.flags.c_contiguous
+                and inv.shape == (self.array.num_elements, self.grid.nx)
+                and 0 <= inv.min() and inv.max() < rows.shape[0]):
+            raise ValueError("table inv must be C-ordered int64 row "
+                             "indices of shape (num_elements, grid.nx)")
+
+
+def _offsets(array: TransducerArray, grid: ImagingGrid) -> np.ndarray:
+    """|x - x_e| for every element e and grid column x, (n_el, nx)."""
+    return np.abs(grid.x_coords()[None, :] - array.element_x()[:, None])
+
+
+def receive_table(array: TransducerArray,
+                  grid: ImagingGrid) -> ReceiveTable | None:
+    """The grid's :class:`ReceiveTable`; None where its rows do not fit
+    in TABLE_IMAGES images, and das_beamform then builds one table per
+    group of TABLE_IMAGES receivers."""
+    offsets = _offsets(array, grid)
+    u, inv = np.unique(offsets, return_inverse=True)
+    if u.size > TABLE_IMAGES * grid.nx:
+        return None
+    return ReceiveTable(
+        grid=grid, array=array,
+        rows=np.hypot(u[:, None], grid.z_coords()[None, :]),
+        inv=inv.reshape(offsets.shape).astype(np.int64))
+
+
 def das_beamform(
-    frame: ChannelFrame, array: TransducerArray, cfg: BFConfig
+    frame: ChannelFrame, array: TransducerArray, cfg: BFConfig,
+    table: ReceiveTable | None = None,
 ) -> BeamformedFrame:
     """Delay-and-sum with dynamic receive focusing.
 
     rf(p) = sum_rx a(rx) * interp(samples[rx], s(p, rx)) at the sample
     time s(p, rx) = (|p - tx| + |p - rx|) / c_bf * fs - t0 * fs. Linear
     interpolation; sample times outside [0, ns - 1) contribute zero.
+    The samples must be float32, :class:`ChannelFrame`'s type.
 
     The arithmetic is in sample units, with k = fs / c_bf:
     s = |p - rx| k + (|p - tx| k - t0 fs). |p - e| depends only on
-    |x_p - x_e| and z_p, so the receive leg is gathered from a table of
-    hypot * k over the distinct lateral offsets of a group of
-    receivers, and the transmit leg is computed once per frame. One
-    group holds every receiver when their rows fit in TABLE_IMAGES
-    images, as on every pipeline grid, and then the distinct offsets
-    are found once. Images are built column by column, (nx, nz), so
-    each gather reads a contiguous table row. With i0 = floor(s) and
-    f = s - i0 a pixel reads diff[i0] * f + ch[i0] from a float64 copy
-    of the channel and its difference row diff[i] = ch[i + 1] - ch[i].
-    Each receiver's pass runs in KERNEL, the compiled das_rx, or in the
-    NumPy loop when it is None. In the loop, float addition is
-    monotone, so the smallest and largest table entry of a receiver's
-    rows plus those of the transmit leg bound every s; only a receiver
-    whose bound leaves [0, ns - 1) builds the mask of samples outside
-    the record. The arithmetic per pixel and the receiver order of the
-    sum do not depend on the kernel, the table or the bound.
+    |x_p - x_e| and z_p, so the receive leg is gathered from the rows
+    of table, the grid's :class:`ReceiveTable`, and scaled by k per
+    pixel; the transmit leg is computed once per frame. Without a table
+    one is built for the frame, or, where its rows do not fit in
+    TABLE_IMAGES images, one per group of TABLE_IMAGES receivers.
+    Images are built column by column, (nx, nz), so each gather reads a
+    contiguous table row. With i0 = floor(s) and f = s - i0 a pixel
+    reads (c1 - c0) * f + c0, c0 and c1 being the samples i0 and
+    i0 + 1 as float64. Each group runs in one call of KERNEL: the
+    compiled das_rx_avx512 where the host has AVX-512F, else das_rx,
+    or the NumPy loop when it is None. In the loop, float addition and
+    multiplication by k > 0 are monotone, so the smallest and largest
+    table entry of a receiver's rows times k plus those of the
+    transmit leg bound every s; only a receiver whose bound leaves
+    [0, ns - 1) builds the mask of samples outside the record. The
+    arithmetic per pixel and the receiver order of the sum do not
+    depend on the pass, the table or the bound.
     """
     if frame.num_rx != array.num_elements:
         raise ValueError(
             f"frame has {frame.num_rx} channels but array has "
             f"{array.num_elements} elements"
         )
+    if frame.samples.dtype != np.float32:
+        raise ValueError(f"channel samples are {frame.samples.dtype}, "
+                         f"not float32")
     grid = cfg.grid
+    if table is None:
+        table = receive_table(array, grid)
+    elif (table.grid, table.array) != (grid, array):
+        raise ValueError("the receive table was built for another grid "
+                         "or array")
     xc = grid.x_coords()
     z = grid.z_coords()
     n_el = array.num_elements
@@ -103,16 +172,9 @@ def das_beamform(
     s_tx = np.hypot(np.abs(xc - tx_x)[:, None], z[None, :])
     s_tx *= k
     s_tx -= frame.t0 * fs
-
-    apod = np.hanning(n_el) if cfg.apodization == "hann" else None
-    offsets = np.abs(xc[None, :] - array.element_x()[:, None])
-    # the distinct offsets of all receivers: when their rows fit in the
-    # table, one group holds every receiver and reuses them
-    whole = np.unique(offsets, return_inverse=True)
-    n_rows, group = whole[0].size, n_el
-    if n_rows > TABLE_IMAGES * grid.nx:
-        n_rows, group = TABLE_IMAGES * grid.nx, TABLE_IMAGES
-    table = np.empty((n_rows, grid.nz))
+    # v * 1.0 is v, so the unapodized gain changes no bit
+    gain = np.hanning(n_el) if cfg.apodization == "hann" else np.ones(n_el)
+    samples = np.ascontiguousarray(frame.samples)
 
     shape = (grid.nx, grid.nz)
     rf = np.zeros(shape)
@@ -122,34 +184,25 @@ def das_beamform(
         s = np.empty(shape)
         val = np.empty(shape)
         idx = np.empty(shape, dtype=np.intp)
-    ch = np.empty(ns)
-    diff = np.zeros(ns)
-    table_p, s_tx_p, ch_p, diff_p, rf_p = (
-        a.ctypes.data for a in (table, s_tx, ch, diff, rf))
-    for start in range(0, n_el, group):
-        u, inv = whole if group == n_el else np.unique(
-            offsets[start:start + group], return_inverse=True)
-        inv = np.ascontiguousarray(inv.reshape(-1, grid.nx), dtype=np.int64)
-        inv_p = inv.ctypes.data
-        rows = table[:u.size]
-        np.hypot(u[:, None], z[None, :], out=rows)
-        rows *= k
-        if kernel is None:
-            row_lo, row_hi = rows.min(axis=1), rows.max(axis=1)
-        for j, rx in enumerate(range(start, min(start + group, n_el))):
-            ch[:] = frame.samples[rx]
+        ch = np.empty(ns)
+        diff = np.zeros(ns)
+    for start, rows, inv in _table_groups(array, grid, table):
+        n = inv.shape[0]
+        if kernel is not None:
+            kernel(rows.ctypes.data, inv.ctypes.data, s_tx.ctypes.data, k,
+                   samples[start].ctypes.data, ns, gain[start:].ctypes.data,
+                   n, grid.nx, grid.nz, rf.ctypes.data)
+            continue
+        row_lo, row_hi = rows.min(axis=1), rows.max(axis=1)
+        for j, rx in enumerate(range(start, start + n)):
+            ch[:] = samples[rx]
             np.subtract(ch[1:], ch[:-1], out=diff[:-1])
-            if kernel is not None:
-                # v * 1.0 is v, so the unapodized gain changes no bit
-                kernel(table_p, inv_p + j * inv.strides[0], s_tx_p,
-                       ch_p, diff_p, ns, grid.nx, grid.nz,
-                       1.0 if apod is None else apod[rx], rf_p)
-                continue
-            np.take(table, inv[j], axis=0, out=s, mode="clip")
+            np.take(rows, inv[j], axis=0, out=s, mode="clip")
+            s *= k
             s += s_tx
             outside = None
-            if (row_lo[inv[j]].min() + tx_lo < 0
-                    or row_hi[inv[j]].max() + tx_hi >= ns - 1):
+            if (row_lo[inv[j]].min() * k + tx_lo < 0
+                    or row_hi[inv[j]].max() * k + tx_hi >= ns - 1):
                 outside = (s < 0) | (s >= ns - 1)
             # i0 = floor(s), and s becomes the fraction; wrapped indices
             # only occur where the sample is outside and masked below
@@ -162,9 +215,28 @@ def das_beamform(
             val += s
             if outside is not None:
                 val[outside] = 0.0
-            if apod is not None:
-                val *= apod[rx]
+            if cfg.apodization == "hann":
+                val *= gain[rx]
             rf += val
 
     return BeamformedFrame(rf=np.ascontiguousarray(rf.T), c_bf_used=cfg.c_bf,
                            grid=grid)
+
+
+def _table_groups(array: TransducerArray, grid: ImagingGrid,
+                  table: ReceiveTable | None):
+    """(first receiver, rows, inv) of each receiver group: the whole
+    table, or, without one, a table of TABLE_IMAGES receivers at a time
+    in one buffer of TABLE_IMAGES images."""
+    if table is not None:
+        yield 0, table.rows, table.inv
+        return
+    offsets = _offsets(array, grid)
+    z = grid.z_coords()
+    buf = np.empty((TABLE_IMAGES * grid.nx, grid.nz))
+    for start in range(0, array.num_elements, TABLE_IMAGES):
+        u, inv = np.unique(offsets[start:start + TABLE_IMAGES],
+                           return_inverse=True)
+        rows = np.hypot(u[:, None], z[None, :], out=buf[:u.size])
+        yield start, rows, np.ascontiguousarray(
+            inv.reshape(-1, grid.nx), dtype=np.int64)

@@ -1,16 +1,22 @@
 """The package's compiled passes, one C library loaded through ctypes.
 
-kernels.c holds das_rx, one receiver's pass of
-:func:`~soscorr.beamform.das_beamform`, and synth_rx, one receiver's
-pulse sum of :func:`~soscorr.synthsim.simulate_frame`. The first import
-builds it with the host's C compiler into a cached library, once for
-both; ctypes releases the GIL around each call, so threads run the
-passes in parallel. Each pass adds the same bytes as the NumPy or
-SciPy code it stands beside: -ffp-contract=off keeps every product and
-sum rounding on its own, with no fused multiply-add, and the C code
-calls no libm function. Where no compiler is found or the library does
-not load, one warning is logged, LIBRARY is None and those modules run
-their own passes.
+kernels.c holds das_rx, the pass of
+:func:`~soscorr.beamform.das_beamform` over a frame's receivers;
+das_rx_avx512, the same pass 8 pixels a step, built for AVX-512F only
+on x86-64 and run where das_avx512() finds it on the host; and
+synth_rx, one receiver's pulse sum of
+:func:`~soscorr.synthsim.simulate_frame`. The first import builds it
+with the host's C compiler into a cached library, once for all;
+ctypes releases the GIL around each call, so threads run the passes in
+parallel. Each pass adds the same bytes as the NumPy or SciPy code it
+stands beside: -ffp-contract=off keeps every product and sum rounding
+on its own, with no fused multiply-add, the vector pass writes each as
+its own intrinsic, and the C code calls no libm function. The library
+is built for the baseline of its architecture, not with -march, so a
+cached library runs on any host of that architecture; the vector pass
+alone is compiled for AVX-512F and chosen at load. Where no compiler is
+found or the library does not load, one warning is logged, LIBRARY is
+None and those modules run their own passes.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ import tempfile
 from pathlib import Path
 
 KERNEL_SOURCE = Path(__file__).with_name("kernels.c")
-# no -march and no -ffast-math: either could contract or reorder the
-# arithmetic and change the bits
+# no -ffast-math, which could reorder the arithmetic and change the
+# bits; no -march, which would tie the library to the building host's
+# CPU (-ffp-contract=off already forbids fused multiply-add under any)
 KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
@@ -44,7 +51,8 @@ def compiler() -> list[str]:
 def load_kernel(cc: list[str] | None = None,
                 cache_dir: Path | None = None) -> ctypes.CDLL | None:
     """The library of kernels.c, built with cc into cache_dir, with
-    das_rx and synth_rx declared; or None.
+    das_rx, synth_rx and, where das_avx512() says the host has
+    AVX-512F, das_rx_avx512 declared; or None.
 
     cc defaults to :func:`compiler`; cache_dir to the module's
     __pycache__, else a directory private to the user in the temp dir
@@ -91,8 +99,15 @@ def load_kernel(cc: list[str] | None = None,
             "instead: %s", detail)
         return None
     ptr, size = ctypes.c_void_p, ctypes.c_int64
-    lib.das_rx.argtypes = [ptr] * 5 + [size] * 3 + [ctypes.c_double, ptr]
-    lib.das_rx.restype = None
+    lib.das_avx512.argtypes = []
+    lib.das_avx512.restype = ctypes.c_int
+    das = [lib.das_rx]
+    if lib.das_avx512():
+        das.append(lib.das_rx_avx512)
+    for fn in das:
+        fn.argtypes = [ptr] * 3 + [ctypes.c_double, ptr, size, ptr] + \
+            [size] * 3 + [ptr]
+        fn.restype = None
     lib.synth_rx.argtypes = [ptr, size, ptr, ptr, ptr, size, ptr]
     lib.synth_rx.restype = None
     return lib

@@ -21,7 +21,13 @@ from typing import ClassVar
 import numpy as np
 
 from . import calibrate as cal
-from .beamform import BFConfig, das_beamform, das_kernel
+from .beamform import (
+    BFConfig,
+    ReceiveTable,
+    das_beamform,
+    das_kernel,
+    receive_table,
+)
 from .delaytrack import TrackConfig, track_delays
 from .geometry import ImagingGrid, PolarROI, TransducerArray
 from .metrics import RegionLabels, cnr_db, contrast, rmse_map
@@ -427,13 +433,23 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
 
 
 def estimate_slope(
-    frames: dict[int, ChannelFrame], c_bf: float, cfg: PipelineConfig
+    frames: dict[int, ChannelFrame], c_bf: float, cfg: PipelineConfig,
+    table: ReceiveTable | None = None,
 ):
-    """Track the estimation pair at c_bf and fit the angular pattern."""
+    """Track the estimation pair at c_bf and fit the angular pattern.
+
+    table is the estimation grid's receive table; a caller that
+    estimates at many c_bf builds it once (:func:`receive_table`), and
+    without it one is built here for both frames.
+    """
     grid = cfg.estimation_grid()
     bfc = BFConfig(c_bf=c_bf, grid=grid, apodization=ESTIMATION_APODIZATION)
-    fa = das_beamform(frames[cfg.estimation_pair[0]], cfg.array, bfc)
-    fb = das_beamform(frames[cfg.estimation_pair[1]], cfg.array, bfc)
+    if table is None:
+        table = receive_table(cfg.array, grid)
+    fa = das_beamform(frames[cfg.estimation_pair[0]], cfg.array, bfc,
+                      table=table)
+    fb = das_beamform(frames[cfg.estimation_pair[1]], cfg.array, bfc,
+                      table=table)
     dmap = track_delays(fa, fb, ESTIMATION_TRACKING)
     pattern = extract_pattern(dmap, ESTIMATION_ROI)
     fit = FITTERS[ESTIMATION_FIT](pattern)
@@ -464,9 +480,11 @@ def run_calibration_sweep(
     """
     c_true = cfg.background_sos
     deltas = np.arange(delta_c_min, delta_c_max + step / 2, step)
+    # one receive table for every offset, built before the workers start
+    table = receive_table(cfg.array, cfg.estimation_grid())
 
     def one(dc):
-        fit, _, _ = estimate_slope(frames, c_true + dc, cfg)
+        fit, _, _ = estimate_slope(frames, c_true + dc, cfg, table=table)
         return cal.CalibrationEntry(delta_c=float(dc), slope=fit.slope)
 
     entries = thread_map(one, deltas, cfg.threads)
@@ -626,20 +644,24 @@ def cmd_reconstruct(
     trace and reconstruct.json: the solve's converged, iterations,
     grad_norm and message; its rows (measurements in the solve) and
     valid_fraction (tracked nodes kept by min_ncc); the map's
-    clamped_fraction; das_kernel, the DAS pass that ran, "compiled" or
-    "numpy" (see beamform); and rmse_vs_gt_mps when frames_dir holds the
-    config the frames were simulated with, config_resolved.ini. The map
-    is scored against that config's medium on the map's own slowness
-    grid. A config that does not load, or a beamforming grid that
-    reaches below that config's speckle, is refused, named with its
-    file, before any frame is read.
+    clamped_fraction; das_kernel, the DAS pass that ran, "avx512",
+    "compiled" or "numpy" (see beamform); and, when frames_dir holds
+    the config the frames were simulated with, config_resolved.ini,
+    rmse_vs_gt_mps and rmse_flat_mps, the RMSE of a flat map at c_bf,
+    so the record says whether the map beats doing nothing. Where that
+    medium has inclusions, rmse_inclusion_mps and rmse_background_mps
+    split the map's error between the two regions. The map is scored
+    against that config's medium on the map's own slowness grid. A
+    config that does not load, or a beamforming grid that reaches
+    below that config's speckle, is refused, named with its file,
+    before any frame is read.
     """
     frames_dir = Path(frames_dir)
     txs = sorted({e for p in cfg.recon_pairs for e in p})
     slow_grid = cfg.slow_grid()
     grid = cfg.full_grid()
     sim_path = frames_dir / "config_resolved.ini"
-    gt = None
+    gt = labels = None
     if sim_path.exists():
         try:
             sim_cfg = load_config(sim_path)
@@ -653,6 +675,7 @@ def cmd_reconstruct(
                 f"were simulated with, which ends at "
                 f"{speckle_depth * 1e3:.2f} mm")
         gt = sim_cfg.medium().rasterize(slow_grid)
+        labels = region_labels(sim_cfg, slow_grid)
 
     track_cfg = replace(RECON_TRACKING,
                         search_radius=recon_search_radius(cfg, c_bf))
@@ -661,10 +684,14 @@ def cmd_reconstruct(
     # beamformed are held, not the whole set; a frame that is not
     # listed or not present is found before any frame is beamformed
     listed_frames(frames_dir, txs)
+    # one receive table for every frame, built before the workers start
+    table = receive_table(cfg.array, grid)
     images = dict(zip(txs, thread_map(
         lambda tx: das_beamform(read_frame_set(frames_dir, [tx])[tx],
-                                cfg.array, bfc),
+                                cfg.array, bfc, table=table),
         txs, cfg.threads)))
+    # freed before tracking and the solve, whose peak it would raise
+    del table
     dmaps = [track_delays(images[a], images[b], track_cfg)
              for a, b in cfg.recon_pairs]
 
@@ -702,16 +729,25 @@ def cmd_reconstruct(
                    "clamped_fraction": clamped, "das_kernel": das_kernel()}
         if rmse is not None:
             metrics["rmse_vs_gt_mps"] = rmse
+            metrics["rmse_flat_mps"] = rmse_map(np.full_like(gt, c_bf), gt)
+        if labels is not None:
+            for region in ("inclusion", "background"):
+                mask = getattr(labels, region)
+                # an inclusion off the map leaves its region no cell
+                if mask.any():
+                    metrics[f"rmse_{region}_mps"] = rmse_map(
+                        sos_map[mask], gt[mask])
         write_record(out_dir, "reconstruct", metrics)
     return result
 
 
-def region_labels(cfg: PipelineConfig) -> RegionLabels | None:
-    """Inclusion/background masks on the slowness grid, if any inclusion."""
+def region_labels(cfg: PipelineConfig,
+                  grid: ImagingGrid | None = None) -> RegionLabels | None:
+    """Inclusion/background masks of cfg's medium on grid, by default its
+    slowness grid, if any inclusion."""
     if not cfg.inclusions:
         return None
-    grid = cfg.slow_grid()
-    X, Z = grid.meshgrid()
+    X, Z = (cfg.slow_grid() if grid is None else grid).meshgrid()
     inc = np.zeros(X.shape, dtype=bool)
     for i in cfg.inclusions:
         inc |= i.contains(X, Z)

@@ -1,5 +1,7 @@
 """Delay-and-sum beamforming."""
 
+import ctypes
+import mmap
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from soscorr import beamform
-from soscorr.beamform import BFConfig, das_beamform
+from soscorr.beamform import BFConfig, das_beamform, receive_table
 from soscorr.delaytrack import TrackConfig, track_delays
 from soscorr.geometry import ImagingGrid, TransducerArray, element_position
 from soscorr.synthsim import (
@@ -23,6 +25,20 @@ from soscorr.pipeline import (
     default_phantom_set,
     simulate_frames,
 )
+
+
+# each DAS pass by the name a record gives it; a compiled pass the host
+# lacks is None
+PASSES = {"numpy": None, "compiled": beamform.SCALAR,
+          "avx512": beamform.VECTOR}
+
+
+@pytest.fixture(params=list(PASSES))
+def das_pass(request):
+    """Each DAS pass in turn; a compiled pass the host lacks is skipped."""
+    if request.param != "numpy" and PASSES[request.param] is None:
+        pytest.skip(f"no {request.param} DAS pass on this host")
+    return PASSES[request.param]
 
 
 def make_medium():
@@ -96,10 +112,13 @@ class TestDASBeamform:
                                                     monkeypatch):
         """On the quick recon grid one table group holds every receiver,
         so das_beamform takes np.unique of the offsets once per frame:
-        the call that sizes the table also gives the group its rows."""
+        the call that sizes the table also gives the group its rows.
+        Given the grid's receive table, it takes none, and the bytes are
+        the same."""
         frame = simulate_frames(quick_cfg, tx_list=[40])[40]
         cfg = BFConfig(c_bf=1522.5, grid=quick_cfg.full_grid())
         expected = das_beamform(frame, quick_cfg.array, cfg).rf
+        table = receive_table(quick_cfg.array, cfg.grid)
         calls = []
         unique = np.unique
 
@@ -109,9 +128,101 @@ class TestDASBeamform:
 
         monkeypatch.setattr(np, "unique", counting_unique)
         out = das_beamform(frame, quick_cfg.array, cfg)
+        shared = das_beamform(frame, quick_cfg.array, cfg, table=table)
         monkeypatch.undo()
         assert calls == [{"return_inverse": True}]
         assert out.rf.tobytes() == expected.tobytes()
+        assert shared.rf.tobytes() == expected.tobytes()
+
+    def test_table_of_another_grid_is_refused(self, quick_cfg):
+        frame = simulate_frames(quick_cfg, tx_list=[40])[40]
+        cfg = BFConfig(c_bf=1500.0, grid=quick_cfg.full_grid())
+        table = receive_table(quick_cfg.array, quick_cfg.estimation_grid())
+        with pytest.raises(ValueError, match="another grid"):
+            das_beamform(frame, quick_cfg.array, cfg, table=table)
+
+    def test_malformed_table_is_refused(self, quick_cfg):
+        """The compiled passes index rows with inv through raw pointers,
+        so a table whose arrays do not match its grid is refused when it
+        is made."""
+        table = receive_table(quick_cfg.array, quick_cfg.estimation_grid())
+        bad_inv = table.inv.copy()
+        bad_inv[-1, -1] = table.rows.shape[0]
+        for change in ({"inv": bad_inv},
+                       {"inv": table.inv.astype(np.int32)},
+                       {"rows": table.rows.astype(np.float32)},
+                       {"rows": np.asfortranarray(table.rows)},
+                       {"rows": table.rows[:, :-1]}):
+            with pytest.raises(ValueError, match="table"):
+                replace(table, **change)
+
+    def test_samples_other_than_float32_are_refused(self):
+        """ChannelFrame's samples are float32; the compiled passes read
+        them as such, so a float64 record is an error naming its type."""
+        frame = noise_frame(63, 700)
+        frame = replace(frame, samples=frame.samples.astype(np.float64))
+        cfg = BFConfig(c_bf=1500.0, grid=ALIGNED)
+        with pytest.raises(ValueError, match="float64"):
+            das_beamform(frame, TransducerArray(), cfg)
+
+    def test_three_passes_give_the_same_bytes(self, quick_cfg,
+                                              monkeypatch):
+        """Each compiled DAS pass beamforms the quick pipeline frames of
+        ellipse_p40 to the NumPy loop's bytes, on both grids, at three
+        c_bf, with the grid's receive table and without it."""
+        compiled = [p for p in (beamform.SCALAR, beamform.VECTOR)
+                    if p is not None]
+        if not compiled:
+            pytest.skip("no compiled DAS pass on this host")
+        cfg = replace(quick_cfg,
+                      inclusions=dict(default_phantom_set())["ellipse_p40"])
+        frames = simulate_frames(cfg, tx_list=[40, 55])
+        grids = ((cfg.full_grid(), "none"),
+                 (cfg.estimation_grid(), ESTIMATION_APODIZATION))
+        for (grid, apodization), c_bf in product(grids,
+                                                (1477.5, 1500.0, 1522.5)):
+            bfc = BFConfig(c_bf=c_bf, grid=grid, apodization=apodization)
+            table = receive_table(cfg.array, grid)
+            for fr in frames.values():
+                monkeypatch.setattr(beamform, "KERNEL", None)
+                expected = das_beamform(fr, cfg.array, bfc).rf
+                assert np.abs(expected).max() > 0
+                for kernel in compiled:
+                    monkeypatch.setattr(beamform, "KERNEL", kernel)
+                    for tab in (None, table):
+                        out = das_beamform(fr, cfg.array, bfc, table=tab)
+                        assert out.rf.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("num_samples", [1, 2, 40])
+    def test_records_that_end_before_every_pixel_read_zero(
+            self, das_pass, monkeypatch, num_samples):
+        """A 1-sample record (simulate_frame's record of an empty field)
+        leaves no sample interval to read, and a record that ends
+        before the nearest pixel's echo leaves every pixel past it: each
+        pass beamforms both to zeros, on an aligned and an unaligned
+        grid, and the vector pass reads nothing past the record."""
+        monkeypatch.setattr(beamform, "KERNEL", das_pass)
+        array = TransducerArray()
+        for grid in (ALIGNED, UNALIGNED):
+            frame = guarded_frame(63, num_samples)
+            cfg = BFConfig(c_bf=1500.0, grid=grid, apodization="hann")
+            assert sample_index_range(frame, array, cfg)[0] >= num_samples
+            out = das_beamform(frame, array, cfg)
+            assert out.rf.shape == (grid.nz, grid.nx)
+            assert not np.any(out.rf)
+
+    def test_empty_field_frame_beamforms_to_zeros(self, das_pass,
+                                                  monkeypatch):
+        monkeypatch.setattr(beamform, "KERNEL", das_pass)
+        medium = make_medium()
+        array = TransducerArray()
+        empty = ScattererField(positions=np.zeros((0, 2)),
+                               amplitudes=np.zeros(0))
+        frame = simulate_frame(63, empty, medium, PulseSpec(), array)
+        assert frame.num_samples == 1
+        out = das_beamform(frame, array,
+                           BFConfig(c_bf=1500.0, grid=UNALIGNED))
+        assert not np.any(out.rf)
 
     def test_own_record_beamforms_as_the_padded_record(self, quick_cfg):
         """Each frame of a set ends after its own transmit's latest echo.
@@ -212,6 +323,24 @@ def noise_frame(tx, num_samples, t0=1e-7, fs=4e7, seed=0):
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((128, num_samples)).astype(np.float32)
     return ChannelFrame(tx_element=tx, samples=samples, t0=t0, fs=fs)
+
+
+def guarded_frame(tx, num_samples):
+    """noise_frame's record in memory that an unreadable page follows, so
+    a pass that reads past the last sample of the last receiver faults
+    instead of reading whatever lies there."""
+    page = mmap.PAGESIZE
+    nbytes = 128 * num_samples * 4
+    size = -(-nbytes // page) * page
+    buf = mmap.mmap(-1, size + page)
+    base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    mprotect = ctypes.CDLL(None, use_errno=True).mprotect
+    mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    assert mprotect(base + size, page, 0) == 0, ctypes.get_errno()
+    samples = np.frombuffer(buf, np.float32, count=nbytes // 4,
+                            offset=size - nbytes).reshape(128, num_samples)
+    samples[:] = noise_frame(tx, num_samples).samples
+    return replace(noise_frame(tx, 1), samples=samples)
 
 
 def sample_indices(frame, array, cfg):
@@ -339,6 +468,17 @@ class TestDistanceTableKernel:
         # s, val and idx add 3 (25); the per-receiver loop before the
         # table peaked at 14 images
         assert peak < 32 * image
+
+
+class TestScalarKernel(TestDistanceTableKernel):
+    """Every check above on the scalar compiled pass, the one hosts
+    without AVX-512F run."""
+
+    @pytest.fixture(autouse=True)
+    def scalar_pass(self, monkeypatch):
+        if beamform.SCALAR is None:
+            pytest.skip("no compiled DAS pass on this host")
+        monkeypatch.setattr(beamform, "KERNEL", beamform.SCALAR)
 
 
 class TestNumPyLoop(TestDistanceTableKernel):

@@ -608,7 +608,7 @@ class TestCalibrationSweep:
     def test_model_records_its_estimation_grid(self, monkeypatch, tmp_path):
         """The sweep's metadata, and so its models and the model file,
         name the estimation grid the slopes were measured on."""
-        def linear_fit(frames, c_bf, cfg):
+        def linear_fit(frames, c_bf, cfg, table=None):
             return SimpleNamespace(slope=c_bf * 1e-9, r_squared=1.0), None, None
 
         monkeypatch.setattr(pipeline, "estimate_slope", linear_fit)
@@ -624,7 +624,7 @@ class TestCalibrationSweep:
 
     def test_one_held_out_point_is_insufficient(self, monkeypatch):
         """The held-out R^2 of one point is an error, not 0."""
-        def linear_fit(frames, c_bf, cfg):
+        def linear_fit(frames, c_bf, cfg, table=None):
             return SimpleNamespace(slope=c_bf * 1e-9, r_squared=1.0), None, None
 
         monkeypatch.setattr(pipeline, "estimate_slope", linear_fit)
@@ -636,15 +636,117 @@ class TestCalibrationSweep:
             )
 
 
+def inclusion_cfg():
+    return replace(
+        cheap_cfg(), recon_pairs=((40, 56), (56, 72)),
+        inclusions=(Inclusion("ellipse", (0.0, 18e-3), (5e-3, 4e-3),
+                              1540.0),),
+    )
+
+
+def no_table(*args):
+    raise AssertionError("a frame built its own receive table")
+
+
+class TestSharedReceiveTable:
+    """The receive table depends on neither the transmit nor c_bf, so
+    each command builds it once per grid, before its workers start, and
+    every frame and every c_bf reads that one."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The grids pipeline.receive_table is called for; a table built
+        inside das_beamform fails the test."""
+        built = []
+        build = beamform.receive_table
+
+        def counting(array, grid):
+            built.append(grid)
+            return build(array, grid)
+
+        monkeypatch.setattr(pipeline, "receive_table", counting)
+        monkeypatch.setattr(beamform, "receive_table", no_table)
+        return built
+
+    def test_reconstruction_builds_one_table(self, tmp_path, builds):
+        cfg = inclusion_cfg()
+        cmd_simulate(cfg, tmp_path)
+        maps = []
+        for t in (1, 2):
+            builds.clear()
+            res = cmd_reconstruct(replace(cfg, threads=t), tmp_path, 1522.5)
+            assert builds == [cfg.full_grid()]
+            maps.append(res.sos_map.tobytes())
+        assert maps[0] == maps[1]
+
+    def test_sweep_builds_one_table(self, builds):
+        cfg = apply_quick(PipelineConfig(threads=1))
+        frames = simulate_frames(cfg, tx_list=list(cfg.estimation_pair))
+        slopes = []
+        for t in (1, 2):
+            builds.clear()
+            sweep = run_calibration_sweep(
+                replace(cfg, threads=t), frames, delta_c_min=-20.0,
+                delta_c_max=20.0, step=10.0, degrees=(1,),
+                train_selector="every-2")
+            assert builds == [cfg.estimation_grid()]
+            slopes.append([e.slope for e in sweep.dataset.entries])
+        assert len(slopes[0]) == 5
+        assert slopes[0] == slopes[1]
+
+    def test_record_splits_the_error_by_region(self, tmp_path):
+        """With an inclusion in the frames' medium, reconstruct.json holds
+        the map's RMSE over the inclusion's cells and over the rest, and
+        that of a flat map at c_bf; together the regions make up
+        rmse_vs_gt_mps. A region with no cell on the map is left out."""
+        cfg = inclusion_cfg()
+        frames = tmp_path / "frames"
+        cmd_simulate(cfg, frames)
+        res = cmd_reconstruct(cfg, frames, 1522.5, out_dir=tmp_path / "out")
+        metrics = json.loads((tmp_path / "out/reconstruct.json").read_text())
+        grid = cfg.slow_grid()
+        gt = cfg.medium().rasterize(grid)
+        inc = cfg.inclusions[0].contains(*grid.meshgrid())
+        assert 0 < np.count_nonzero(inc) < inc.size
+        err = res.sos_map - gt
+        expected = {
+            "rmse_inclusion_mps": np.sqrt(np.mean(err[inc] ** 2)),
+            "rmse_background_mps": np.sqrt(np.mean(err[~inc] ** 2)),
+            "rmse_flat_mps": np.sqrt(np.mean((1522.5 - gt) ** 2)),
+        }
+        for key, value in expected.items():
+            assert metrics[key] == pytest.approx(value, rel=1e-12)
+        assert metrics["rmse_vs_gt_mps"] ** 2 * inc.size == pytest.approx(
+            metrics["rmse_inclusion_mps"] ** 2 * np.count_nonzero(inc)
+            + metrics["rmse_background_mps"] ** 2 * np.count_nonzero(~inc),
+            rel=1e-9)
+        assert metrics["rmse_flat_mps"] > 20.0
+        # a map that ends above the inclusion has no inclusion cell, so
+        # only the background is scored
+        shallow = replace(cfg, inclusions=(), bf_depth=7e-3)
+        assert shallow.slow_grid().z_max < 14e-3
+        cmd_reconstruct(shallow, frames, 1500.0, out_dir=tmp_path / "shallow")
+        metrics = json.loads(
+            (tmp_path / "shallow/reconstruct.json").read_text())
+        assert "rmse_inclusion_mps" not in metrics
+        assert metrics["rmse_background_mps"] == metrics["rmse_vs_gt_mps"]
+
+    def test_homogeneous_record_has_no_regions(self, tmp_path):
+        """Without an inclusion there is no region to split by; the flat
+        map is still scored."""
+        cfg = replace(inclusion_cfg(), inclusions=())
+        cmd_simulate(cfg, tmp_path)
+        cmd_reconstruct(cfg, tmp_path, 1510.0, out_dir=tmp_path / "out")
+        metrics = json.loads((tmp_path / "out/reconstruct.json").read_text())
+        assert metrics["rmse_flat_mps"] == pytest.approx(10.0, rel=1e-12)
+        assert not {"rmse_inclusion_mps", "rmse_background_mps"} & set(metrics)
+
+
 class TestReconstructStage:
     def test_thread_count_does_not_change_map(self, tmp_path):
         """Two threads beamform three recon transmits, one of them alone;
         four threads are three, one per transmit."""
-        cfg = replace(
-            cheap_cfg(), recon_pairs=((40, 56), (56, 72)),
-            inclusions=(Inclusion("ellipse", (0.0, 18e-3), (5e-3, 4e-3),
-                                  1540.0),),
-        )
+        cfg = inclusion_cfg()
         cmd_simulate(cfg, tmp_path)
         one, *more = (cmd_reconstruct(replace(cfg, threads=t), tmp_path,
                                       1522.5)
@@ -673,8 +775,11 @@ class TestReconstructStage:
 
 
 def loaded_kernel():
-    """The DAS pass the beamform module loaded, as a record names it."""
-    return "numpy" if beamform.KERNEL is None else "compiled"
+    """The DAS pass the beamform module loaded, as a record names it:
+    the vector pass where the host has AVX-512F, else the scalar one."""
+    if beamform.KERNEL is None:
+        return "numpy"
+    return "compiled" if beamform.VECTOR is None else "avx512"
 
 
 def recon_cfg():
@@ -1196,9 +1301,15 @@ class TestCLIExitCodes:
         grid = apply_quick(load_config(other)).slow_grid()
         truth = load_config(resolved).medium().rasterize(grid)
         assert 1540.0 in truth
-        [(sos_map, gt)] = scored
+        # the map, then the flat map at c_bf, then the two regions
+        [(sos_map, gt), (flat, flat_gt), *regions] = scored
         assert gt.shape == sos_map.shape == (grid.nz, grid.nx)
         np.testing.assert_array_equal(gt, truth)
+        np.testing.assert_array_equal(flat_gt, truth)
+        assert np.all(flat == 1500.0)
+        assert sorted(g.size for g, _ in regions) == sorted(
+            [np.count_nonzero(truth == 1540.0),
+             np.count_nonzero(truth == 1500.0)])
         metrics = json.loads((out / "reconstruct.json").read_text())
         assert metrics["rmse_vs_gt_mps"] == rmse_map(sos_map, truth)
 

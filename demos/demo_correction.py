@@ -4,12 +4,13 @@
 Simulates an inclusion phantom, deliberately beamforms with a BF-SoS
 1.5% off, estimates the offset from the (55, 65) pair pattern through
 the calibration model that cmd_calibrate writes, and reconstructs the
-local SoS map before and after correction. It prints both maps' RMSE
-against the ground truth that cmd_simulate writes beside the frames,
-and their inclusion CNR. The frames, the calibration, both maps (CSV,
-each with a grid sidecar), the calibrate, estimate and reconstruct
-records and the report.json that collects them land in the output
-directory.
+local SoS map before and after correction (pipeline.correct_case). It
+prints both maps' RMSE against the ground truth that cmd_simulate
+writes beside the frames, that of a flat map at their c_bf, and their
+inclusion CNR, as the reconstruct records hold them. The frames, the
+calibration, both maps (CSV, each with a grid sidecar), the calibrate,
+estimate and reconstruct records and the report.json that collects
+them land in the output directory.
 
 Run:  python demos/demo_correction.py --out /tmp/corr_demo
 """
@@ -20,16 +21,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from soscorr.calibrate import load_model
-from soscorr.metrics import cnr_db
 from soscorr.pipeline import (
     PipelineConfig,
     apply_quick,
     cmd_calibrate,
-    cmd_estimate,
-    cmd_reconstruct,
     cmd_report,
     cmd_simulate,
-    region_labels,
+    correct_case,
 )
 from soscorr.synthsim import Inclusion
 
@@ -57,23 +55,18 @@ def main():
     print(f"\nsimulating the inclusion phantom; beamforming at "
           f"{c_bf:.1f} m/s (truth {c_true:.0f}) ...")
     frames = cmd_simulate(cfg, args.out / "frames")
-    labels = region_labels(cfg)
 
-    est = cmd_estimate(cfg, frames, model, c_bf,
-                       out_dir=args.out / "estimate")
+    print("estimating, then reconstructing before/after ...")
+    case = correct_case(cfg, frames, model, c_bf, out_dir=args.out)
+    est = case.estimate
     print(f"  estimated offset {est.delta_c_hat:+.2f} m/s -> corrected "
           f"BF-SoS {est.corrected_sos:.2f} m/s")
 
-    print("reconstructing before/after ...")
-    before = cmd_reconstruct(cfg, frames, c_bf, out_dir=args.out / "before")
-    after = cmd_reconstruct(cfg, frames, est.corrected_sos,
-                            out_dir=args.out / "after")
-
-    print(f"\n{'':>10} {'RMSE (m/s)':>11} {'CNR (dB)':>9}")
-    print(f"{'before':>10} {before.rmse_vs_gt:11.2f} "
-          f"{cnr_db(before.sos_map, labels):9.2f}")
-    print(f"{'after':>10} {after.rmse_vs_gt:11.2f} "
-          f"{cnr_db(after.sos_map, labels):9.2f}")
+    print(f"\n{'':>10} {'RMSE (m/s)':>11} {'flat (m/s)':>11} {'CNR (dB)':>9}")
+    for tag, scores in (("before", case.before.scores),
+                        ("after", case.after.scores)):
+        print(f"{tag:>10} {scores['rmse_vs_gt_mps']:11.2f} "
+              f"{scores['rmse_flat_mps']:11.2f} {scores['cnr_db']:9.2f}")
 
     cmd_report(args.out)
     print(f"\nreport: {args.out / 'report' / 'report.json'}")

@@ -10,8 +10,10 @@ seed prints one line: the mean and max |delta_c_hat - delta_c| of the
 offset estimates, then the numbers criterion 4 checks on seed 12345:
 cases whose RMSE fell, the mean RMSE reduction over all cases and per
 offset sign (paper: 63 % over, 29 % under), cases whose CNR rose per
-sign, and the mean share of the true contrast the after maps recover.
-Nothing is asserted; about 20-35 s per seed on 2 cores.
+sign, the mean share of the true contrast the after maps recover, and
+their mean RMSE over the inclusion, over the background and that of a
+flat map at the corrected SoS. Nothing is asserted; about 20-35 s per
+seed on 2 cores.
 
 Run:  python demos/heldout_seeds.py [--seeds 777 2024 31415] [--cal-seed 12345]
 """
@@ -44,28 +46,37 @@ def calibrate(cfg: PipelineConfig) -> CalibrationModel:
 def score(cfg: PipelineConfig, model: CalibrationModel) -> str:
     """Criterion 4's steps and numbers on cfg's scatterer seed."""
     t0 = time.perf_counter()
-    cases = evaluate_phantom_set(cfg, model)
+    cases = list(evaluate_phantom_set(cfg, model).values())
     over = [c for c in cases if c.c_bf_assumed > cfg.background_sos]
     under = [c for c in cases if c.c_bf_assumed < cfg.background_sos]
-    err = [abs(c.delta_c_hat - (c.c_bf_assumed - cfg.background_sos))
+    err = [abs(c.estimate.delta_c_hat - (c.c_bf_assumed - cfg.background_sos))
            for c in cases]
 
     def reduction(group):
         return np.mean([c.rmse_reduction for c in group])
 
     def cnr_up(group):
-        return sum(c.cnr_after_db > c.cnr_before_db for c in group)
+        return sum(c.after.scores["cnr_db"] > c.before.scores["cnr_db"]
+                   for c in group)
 
-    recovery = np.mean([c.contrast_after / c.contrast_true for c in cases])
+    def after(key):
+        return np.mean([c.after.scores[key] for c in cases])
+
+    recovery = np.mean([c.after.scores["contrast_mps"]
+                        / c.after.scores["contrast_true_mps"] for c in cases])
     return (f"|delta_c_hat - delta_c| mean {np.mean(err):.2f}, "
             f"max {np.max(err):.2f} m/s, RMSE lower in "
-            f"{sum(c.rmse_after < c.rmse_before for c in cases)}/{len(cases)}, "
+            f"{sum(c.after.rmse_vs_gt < c.before.rmse_vs_gt for c in cases)}"
+            f"/{len(cases)}, "
             f"mean reduction {reduction(cases):.1%}, "
             f"over {reduction(over):.1%} (paper 63%), "
             f"under {reduction(under):.1%} (paper 29%), "
             f"CNR up over {cnr_up(over)}/{len(over)}, "
             f"under {cnr_up(under)}/{len(under)}, "
             f"mean contrast recovery {recovery:.3f}, "
+            f"after maps' RMSE inclusion {after('rmse_inclusion_mps'):.1f}, "
+            f"background {after('rmse_background_mps'):.2f}, "
+            f"flat at c_hat {after('rmse_flat_mps'):.2f} m/s, "
             f"{time.perf_counter() - t0:.0f} s")
 
 

@@ -1,4 +1,4 @@
-"""Evaluation metrics: map RMSE and inclusion/background CNR."""
+"""Evaluation metrics: map RMSE, inclusion/background CNR, map scores."""
 
 from __future__ import annotations
 
@@ -67,3 +67,25 @@ def cnr_db(sos_map: np.ndarray, labels: RegionLabels) -> float:
         return float("inf")
     return float(10.0 * np.log10(lin))
 
+
+def score_map(sos_map: np.ndarray, gt: np.ndarray,
+              labels: RegionLabels | None, c_bf: float) -> dict:
+    """A map's scores against its ground truth gt, as reconstruct.json
+    writes them: rmse_vs_gt_mps, and rmse_flat_mps, that of a flat map at
+    c_bf. With labels, the RMSE over each region with a cell and, where
+    each region has 2 cells, the contrast of the map and of gt and the
+    map's CNR."""
+    scores = {"rmse_vs_gt_mps": rmse_map(sos_map, gt),
+              "rmse_flat_mps": rmse_map(np.full_like(gt, c_bf), gt)}
+    if labels is None:
+        return scores
+    for region in ("inclusion", "background"):
+        mask = getattr(labels, region)
+        # an inclusion off the map leaves its region no cell
+        if mask.any():
+            scores[f"rmse_{region}_mps"] = rmse_map(sos_map[mask], gt[mask])
+    if min(labels.inclusion.sum(), labels.background.sum()) >= 2:
+        scores["contrast_mps"] = contrast(sos_map, labels)
+        scores["contrast_true_mps"] = contrast(gt, labels)
+        scores["cnr_db"] = cnr_db(sos_map, labels)
+    return scores

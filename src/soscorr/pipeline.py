@@ -30,7 +30,7 @@ from .beamform import (
 )
 from .delaytrack import TrackConfig, track_delays
 from .geometry import ImagingGrid, PolarROI, TransducerArray
-from .metrics import RegionLabels, cnr_db, contrast, rmse_map
+from .metrics import RegionLabels, score_map
 from .regress import FITTERS, extract_pattern
 from .synthsim import (
     ChannelFrame,
@@ -363,8 +363,12 @@ def dump_config(cfg: PipelineConfig) -> str:
 
 
 def write_record(out_dir: Path, command: str, record: dict) -> None:
-    """Write a command's metrics record to out_dir/<command>.json."""
-    (Path(out_dir) / f"{command}.json").write_text(json.dumps(record, indent=2))
+    """Write a command's metrics record to out_dir/<command>.json, as
+    strict JSON: a float that is not finite, such as the -inf dB CNR of
+    a map without contrast, is written as null."""
+    strict = json.loads(json.dumps(record), parse_constant=lambda _: None)
+    (Path(out_dir) / f"{command}.json").write_text(
+        json.dumps(strict, indent=2, allow_nan=False))
 
 
 def generate_frames(cfg: PipelineConfig,
@@ -560,8 +564,8 @@ def cmd_estimate(
     A model built on another estimation grid than the config's (another
     [grids] bf_dx), or on an unknown one, is refused before any frame
     is read. With out_dir, estimate.json also names das_kernel, the DAS
-    pass that ran, "compiled" or "numpy", so a run that fell back to the
-    NumPy loop shows.
+    pass that ran, "avx512", "compiled" or "numpy", so a run that fell
+    back to the NumPy loop shows.
     """
     grid = _grid_line(cfg.estimation_grid())
     built_on = model.metadata.get("estimation_grid", "unknown")
@@ -612,7 +616,11 @@ class ReconResult:
     sos_map: np.ndarray  # absolute SoS, m/s, on the slowness grid
     info: ReconInfo  # the solve's health record
     clamped_fraction: float  # of sos_map's cells clamped to the SoS band
-    rmse_vs_gt: float | None = None
+    scores: dict  # metrics.score_map's, empty without the frames' medium
+
+    @property
+    def rmse_vs_gt(self) -> float | None:
+        return self.scores.get("rmse_vs_gt_mps")
 
 
 def recon_search_radius(cfg: PipelineConfig, c_bf: float) -> int:
@@ -645,23 +653,20 @@ def cmd_reconstruct(
     grad_norm and message; its rows (measurements in the solve) and
     valid_fraction (tracked nodes kept by min_ncc); the map's
     clamped_fraction; das_kernel, the DAS pass that ran, "avx512",
-    "compiled" or "numpy" (see beamform); and, when frames_dir holds
-    the config the frames were simulated with, config_resolved.ini,
-    rmse_vs_gt_mps and rmse_flat_mps, the RMSE of a flat map at c_bf,
-    so the record says whether the map beats doing nothing. Where that
-    medium has inclusions, rmse_inclusion_mps and rmse_background_mps
-    split the map's error between the two regions. The map is scored
-    against that config's medium on the map's own slowness grid. A
-    config that does not load, or a beamforming grid that reaches
-    below that config's speckle, is refused, named with its file,
-    before any frame is read.
+    "compiled" or "numpy" (see beamform); and the result's scores.
+    When frames_dir holds the config the frames were simulated with,
+    config_resolved.ini, metrics.score_map scores the map against that
+    config's medium on the map's own slowness grid, with or without
+    out_dir. A config that does not load, or a beamforming grid that
+    reaches below that config's speckle, is refused, named with its
+    file, before any frame is read.
     """
     frames_dir = Path(frames_dir)
     txs = sorted({e for p in cfg.recon_pairs for e in p})
     slow_grid = cfg.slow_grid()
     grid = cfg.full_grid()
     sim_path = frames_dir / "config_resolved.ini"
-    gt = labels = None
+    sim_cfg = None
     if sim_path.exists():
         try:
             sim_cfg = load_config(sim_path)
@@ -674,8 +679,6 @@ def cmd_reconstruct(
                 f"{grid.z_max * 1e3:.2f} mm deep, below the speckle the frames "
                 f"were simulated with, which ends at "
                 f"{speckle_depth * 1e3:.2f} mm")
-        gt = sim_cfg.medium().rasterize(slow_grid)
-        labels = region_labels(sim_cfg, slow_grid)
 
     track_cfg = replace(RECON_TRACKING,
                         search_radius=recon_search_radius(cfg, c_bf))
@@ -705,9 +708,11 @@ def cmd_reconstruct(
     dsigma, info = reconstruct(L, delays, D)
     sos_map, clamped = to_sos(dsigma, c_bf)
 
-    rmse = rmse_map(sos_map, gt) if gt is not None else None
+    scores = {} if sim_cfg is None else score_map(
+        sos_map, sim_cfg.medium().rasterize(slow_grid),
+        region_labels(sim_cfg, slow_grid), c_bf)
     result = ReconResult(sos_map=sos_map, info=info, clamped_fraction=clamped,
-                         rmse_vs_gt=rmse)
+                         scores=scores)
 
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -726,17 +731,8 @@ def cmd_reconstruct(
                    "grad_norm": info.grad_norm, "message": info.message,
                    "rows": rows,
                    "valid_fraction": rows / sum(m.size for m in masks),
-                   "clamped_fraction": clamped, "das_kernel": das_kernel()}
-        if rmse is not None:
-            metrics["rmse_vs_gt_mps"] = rmse
-            metrics["rmse_flat_mps"] = rmse_map(np.full_like(gt, c_bf), gt)
-        if labels is not None:
-            for region in ("inclusion", "background"):
-                mask = getattr(labels, region)
-                # an inclusion off the map leaves its region no cell
-                if mask.any():
-                    metrics[f"rmse_{region}_mps"] = rmse_map(
-                        sos_map[mask], gt[mask])
+                   "clamped_fraction": clamped, "das_kernel": das_kernel(),
+                   **scores}
         write_record(out_dir, "reconstruct", metrics)
     return result
 
@@ -748,9 +744,7 @@ def region_labels(cfg: PipelineConfig,
     if not cfg.inclusions:
         return None
     X, Z = (cfg.slow_grid() if grid is None else grid).meshgrid()
-    inc = np.zeros(X.shape, dtype=bool)
-    for i in cfg.inclusions:
-        inc |= i.contains(X, Z)
+    inc = np.any([i.contains(X, Z) for i in cfg.inclusions], axis=0)
     return RegionLabels(inclusion=inc, background=~inc)
 
 
@@ -760,7 +754,6 @@ def region_labels(cfg: PipelineConfig,
 
 def default_phantom_set(background_sos: float = 1500.0) -> list[tuple[str, tuple[Inclusion, ...]]]:
     """8 phantoms: 4 elliptical and 4 rectangular inclusions, +-20/40 m/s."""
-    phantoms = []
     specs = [
         ("ellipse_p40", "ellipse", (-4e-3, 20e-3), (5e-3, 4e-3), 40.0),
         ("ellipse_m40", "ellipse", (4e-3, 22e-3), (4e-3, 5e-3), -40.0),
@@ -771,85 +764,65 @@ def default_phantom_set(background_sos: float = 1500.0) -> list[tuple[str, tuple
         ("rect_p20", "rectangle", (0e-3, 24e-3), (6e-3, 4e-3), 20.0),
         ("rect_m20", "rectangle", (4e-3, 18e-3), (5e-3, 5e-3), -20.0),
     ]
-    for name, shape, center, half, dsos in specs:
-        phantoms.append(
-            (
-                name,
-                (
-                    Inclusion(
-                        shape=shape, center=center, half_axes=half,
-                        sos=background_sos + dsos,
-                    ),
-                ),
-            )
-        )
-    return phantoms
+    return [(name, (Inclusion(shape, center, half, background_sos + dsos),))
+            for name, shape, center, half, dsos in specs]
 
 
 @dataclass
 class CaseResult:
-    name: str
+    """One correction case: the estimate from frames beamformed at
+    c_bf_assumed, and the maps before and after correction."""
+
     c_bf_assumed: float
-    delta_c_hat: float
-    corrected_sos: float
-    rmse_before: float
-    rmse_after: float
-    cnr_before_db: float
-    cnr_after_db: float
-    converged: bool
-    # inclusion minus background SoS, m/s: ground truth and after map
-    contrast_true: float
-    contrast_after: float
-    # fractions of the before and after maps clamped to the SoS band
-    clamped_before: float
-    clamped_after: float
+    estimate: EstimateResult
+    before: ReconResult
+    after: ReconResult
 
     @property
     def rmse_reduction(self) -> float:
-        return 1.0 - self.rmse_after / self.rmse_before
+        return 1.0 - self.after.rmse_vs_gt / self.before.rmse_vs_gt
+
+
+def correct_case(
+    cfg: PipelineConfig,
+    frames_dir: Path,
+    model: cal.CalibrationModel,
+    c_bf: float,
+    out_dir: Path | None = None,
+) -> CaseResult:
+    """Estimate the offset of the frames in frames_dir beamformed at
+    c_bf, then reconstruct before and after correction; with out_dir,
+    into its estimate, before and after directories."""
+    est_dir, before_dir, after_dir = (
+        None if out_dir is None else Path(out_dir) / name
+        for name in ("estimate", "before", "after"))
+    est = cmd_estimate(cfg, frames_dir, model, c_bf, est_dir)
+    return CaseResult(
+        c_bf_assumed=c_bf, estimate=est,
+        before=cmd_reconstruct(cfg, frames_dir, c_bf, before_dir),
+        after=cmd_reconstruct(cfg, frames_dir, est.corrected_sos, after_dir))
 
 
 def evaluate_phantom_set(
     base_cfg: PipelineConfig,
     model: cal.CalibrationModel,
-) -> list[CaseResult]:
-    """Before/after-correction reconstruction metrics over the desk-scale
-    phantom set.
+) -> dict[str, CaseResult]:
+    """The :func:`correct_case` of each desk-scale phantom, by name.
 
     Each phantom is beamformed with a deliberately wrong BF-SoS (offsets
     alternate between +1.5 % and -1.5 % of the true background SoS),
-    the offset is estimated and corrected, and both maps
-    are reconstructed and scored against the ground truth, all through
-    a temporary frame directory that cmd_simulate writes.
+    through a temporary frame directory that cmd_simulate writes, so
+    both maps are scored against the ground truth.
     """
-    results = []
+    results = {}
     for i, (name, incs) in enumerate(
             default_phantom_set(base_cfg.background_sos)):
         cfg = replace(base_cfg, inclusions=incs)
         pct = (1.5, -1.5)[i % 2]
         c_bf = cfg.background_sos * (1.0 + pct / 100.0)
-        gt = cfg.medium().rasterize(cfg.slow_grid())
-        labels = region_labels(cfg)
         with tempfile.TemporaryDirectory() as frames_dir:
             cmd_simulate(cfg, frames_dir)
-            est = cmd_estimate(cfg, frames_dir, model, c_bf)
-            before = cmd_reconstruct(cfg, frames_dir, c_bf)
-            after = cmd_reconstruct(cfg, frames_dir, est.corrected_sos)
-        results.append(CaseResult(
-            name=name,
-            c_bf_assumed=c_bf,
-            delta_c_hat=est.delta_c_hat,
-            corrected_sos=est.corrected_sos,
-            rmse_before=before.rmse_vs_gt,
-            rmse_after=after.rmse_vs_gt,
-            cnr_before_db=cnr_db(before.sos_map, labels),
-            cnr_after_db=cnr_db(after.sos_map, labels),
-            converged=after.info.converged,
-            contrast_true=contrast(gt, labels),
-            contrast_after=contrast(after.sos_map, labels),
-            clamped_before=before.clamped_fraction,
-            clamped_after=after.clamped_fraction,
-        ))
+            results[name] = correct_case(cfg, frames_dir, model, c_bf)
     return results
 
 

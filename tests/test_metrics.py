@@ -1,9 +1,11 @@
-"""Image-quality metrics: map RMSE and contrast-to-noise ratio."""
+"""Image-quality metrics: map RMSE, contrast-to-noise ratio and the map
+scorer."""
 
 import numpy as np
 import pytest
 
-from soscorr.metrics import RegionLabels, cnr_db, cnr_linear, rmse_map
+from soscorr.metrics import (RegionLabels, cnr_db, cnr_linear, contrast,
+                             rmse_map, score_map)
 
 
 def labels_top_bottom(shape=(4, 4)):
@@ -72,3 +74,37 @@ class TestCNR:
         bkg = ~inc
         with pytest.raises(ValueError):
             cnr_linear(img, RegionLabels(inclusion=inc, background=bkg))
+
+
+class TestScoreMap:
+    def test_without_regions_scores_map_and_flat_map(self):
+        gt = np.full((3, 3), 1500.0)
+        assert score_map(gt + 2.0, gt, None, 1510.0) == {
+            "rmse_vs_gt_mps": 2.0, "rmse_flat_mps": 10.0}
+
+    def test_regions_contrast_and_cnr(self):
+        labels = labels_top_bottom((2, 2))
+        gt = np.array([[1540.0, 1540.0], [1500.0, 1500.0]])
+        img = np.array([[1536.0, 1534.0], [1501.0, 1499.0]])
+        scores = score_map(img, gt, labels, 1500.0)
+        assert scores == {
+            "rmse_vs_gt_mps": rmse_map(img, gt),
+            "rmse_flat_mps": rmse_map(np.full((2, 2), 1500.0), gt),
+            "rmse_inclusion_mps": rmse_map(img[:1], gt[:1]),
+            "rmse_background_mps": 1.0,
+            "contrast_mps": contrast(img, labels),
+            "contrast_true_mps": 40.0,
+            "cnr_db": cnr_db(img, labels),
+        }
+        assert scores["contrast_mps"] == 35.0
+
+    def test_one_inclusion_cell_has_no_contrast_and_does_not_raise(self):
+        """A contrast or CNR needs 2 cells in each region; a region
+        RMSE needs one."""
+        inc = np.zeros((3, 3), dtype=bool)
+        inc[0, 0] = True
+        gt = np.where(inc, 1540.0, 1500.0)
+        scores = score_map(gt + 1.0, gt, RegionLabels(inc, ~inc), 1500.0)
+        assert set(scores) == {"rmse_vs_gt_mps", "rmse_flat_mps",
+                               "rmse_inclusion_mps", "rmse_background_mps"}
+        assert scores["rmse_inclusion_mps"] == 1.0

@@ -27,19 +27,21 @@ from soscorr.pipeline import (
     cmd_reconstruct,
     cmd_report,
     cmd_simulate,
+    correct_case,
     dump_config,
     load_config,
     recon_search_radius,
+    region_labels,
     run_calibration_sweep,
     simulate_frames,
     write_record,
 )
-from soscorr import beamform, pipeline, synthsim
+from soscorr import beamform, metrics, pipeline, synthsim
 from soscorr.calibrate import (CalibrationDataset, CalibrationEntry,
                                CalibrationModel, build_calibration,
                                export_sweep, load_model, save_model)
 from soscorr.geometry import ImagingGrid, element_position
-from soscorr.metrics import rmse_map
+from soscorr.metrics import cnr_db, contrast, rmse_map
 from soscorr.regress import (
     EmptyPatternError,
     InsufficientDataError,
@@ -644,6 +646,11 @@ def inclusion_cfg():
     )
 
 
+# the keys of a reconstruct record that are not map scores
+HEALTH_KEYS = {"converged", "iterations", "grad_norm", "message", "rows",
+               "valid_fraction", "clamped_fraction", "das_kernel"}
+
+
 def no_table(*args):
     raise AssertionError("a frame built its own receive table")
 
@@ -698,7 +705,8 @@ class TestSharedReceiveTable:
         """With an inclusion in the frames' medium, reconstruct.json holds
         the map's RMSE over the inclusion's cells and over the rest, and
         that of a flat map at c_bf; together the regions make up
-        rmse_vs_gt_mps. A region with no cell on the map is left out."""
+        rmse_vs_gt_mps. A region with no cell on the map is left out, and
+        so are the contrasts and the CNR, which need 2 cells in each."""
         cfg = inclusion_cfg()
         frames = tmp_path / "frames"
         cmd_simulate(cfg, frames)
@@ -728,18 +736,51 @@ class TestSharedReceiveTable:
         cmd_reconstruct(shallow, frames, 1500.0, out_dir=tmp_path / "shallow")
         metrics = json.loads(
             (tmp_path / "shallow/reconstruct.json").read_text())
-        assert "rmse_inclusion_mps" not in metrics
+        assert not {"rmse_inclusion_mps", "contrast_mps", "contrast_true_mps",
+                    "cnr_db"} & set(metrics)
         assert metrics["rmse_background_mps"] == metrics["rmse_vs_gt_mps"]
 
     def test_homogeneous_record_has_no_regions(self, tmp_path):
-        """Without an inclusion there is no region to split by; the flat
-        map is still scored."""
+        """Without an inclusion there is no region to split by, nor a
+        contrast or CNR; the flat map is still scored."""
         cfg = replace(inclusion_cfg(), inclusions=())
         cmd_simulate(cfg, tmp_path)
         cmd_reconstruct(cfg, tmp_path, 1510.0, out_dir=tmp_path / "out")
         metrics = json.loads((tmp_path / "out/reconstruct.json").read_text())
         assert metrics["rmse_flat_mps"] == pytest.approx(10.0, rel=1e-12)
-        assert not {"rmse_inclusion_mps", "rmse_background_mps"} & set(metrics)
+        assert set(metrics) - HEALTH_KEYS == {"rmse_vs_gt_mps",
+                                              "rmse_flat_mps"}
+
+
+class TestCorrectCase:
+    def test_case_holds_its_records_scores(self, tmp_path):
+        """A correction case's two maps carry the scores their
+        reconstruct records hold, bit for bit, and its estimate is the
+        one its estimate record holds. The contrast and the CNR are those
+        metrics computes again from the map and the frames' medium."""
+        cfg = inclusion_cfg()
+        frames = cmd_simulate(cfg, tmp_path / "frames")
+        out = tmp_path / "case"
+        case = correct_case(cfg, frames, WIDE_MODEL, 1522.5, out_dir=out)
+        assert case.c_bf_assumed == 1522.5
+        estimated = json.loads((out / "estimate/estimate.json").read_text())
+        assert estimated["corrected_sos_mps"] == case.estimate.corrected_sos
+        labels = region_labels(cfg)
+        for step in ("before", "after"):
+            res = getattr(case, step)
+            record = json.loads((out / step / "reconstruct.json").read_text())
+            assert set(record) - HEALTH_KEYS == set(res.scores) == {
+                "rmse_vs_gt_mps", "rmse_flat_mps", "rmse_inclusion_mps",
+                "rmse_background_mps", "contrast_mps", "contrast_true_mps",
+                "cnr_db"}
+            for key, value in res.scores.items():
+                assert struct.pack("<d", record[key]) == \
+                    struct.pack("<d", value), key
+            assert res.rmse_vs_gt == record["rmse_vs_gt_mps"]
+            assert res.scores["contrast_mps"] == contrast(res.sos_map, labels)
+            assert res.scores["cnr_db"] == cnr_db(res.sos_map, labels)
+        gt = cfg.medium().rasterize(cfg.slow_grid())
+        assert case.after.scores["contrast_true_mps"] == contrast(gt, labels)
 
 
 class TestReconstructStage:
@@ -1004,6 +1045,22 @@ class TestReport:
         # the report directory lies inside the run directory: it is not
         # read back in
         assert cmd_report(run) == report
+
+    def test_record_is_strict_json(self, tmp_path):
+        """A float that is not finite, such as the -inf dB CNR of a map
+        without contrast or a NaN gradient norm, is written as null, at
+        any depth, so a strict parser reads the record."""
+        write_record(tmp_path, "reconstruct", {
+            "cnr_db": -np.inf, "grad_norm": float("nan"), "rows": 3,
+            "runs": [{"x": np.float64(np.inf)}, (1.5, float("-inf"))]})
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        text = (tmp_path / "reconstruct.json").read_text()
+        assert json.loads(text, parse_constant=refuse) == {
+            "cnr_db": None, "grad_norm": None, "rows": 3,
+            "runs": [{"x": None}, [1.5, None]]}
 
     def test_empty_run_dir_raises(self, tmp_path):
         d = tmp_path / "empty"
@@ -1290,7 +1347,7 @@ class TestCLIExitCodes:
             scored.append((sos_map, gt))
             return rmse_map(sos_map, gt)
 
-        monkeypatch.setattr(pipeline, "rmse_map", keep)
+        monkeypatch.setattr(metrics, "rmse_map", keep)
         out = tmp_path / "rec"
         rc = cli_main([
             "--config", str(other), "--out", str(out), "--quick",
@@ -1310,8 +1367,8 @@ class TestCLIExitCodes:
         assert sorted(g.size for g, _ in regions) == sorted(
             [np.count_nonzero(truth == 1540.0),
              np.count_nonzero(truth == 1500.0)])
-        metrics = json.loads((out / "reconstruct.json").read_text())
-        assert metrics["rmse_vs_gt_mps"] == rmse_map(sos_map, truth)
+        record = json.loads((out / "reconstruct.json").read_text())
+        assert record["rmse_vs_gt_mps"] == rmse_map(sos_map, truth)
 
     def test_frame_config_that_does_not_load_is_two_before_frames_are_read(
             self, workspace, capsys, monkeypatch, tmp_path):

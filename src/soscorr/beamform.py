@@ -37,7 +37,7 @@ TABLE_IMAGES = 16
 # runs, the vector pass where there is one, and None runs the NumPy loop
 SCALAR = None if LIBRARY is None else LIBRARY.das_rx
 VECTOR = (LIBRARY.das_rx_avx512
-          if LIBRARY is not None and LIBRARY.das_avx512() else None)
+          if LIBRARY is not None and LIBRARY.avx512() else None)
 KERNEL = SCALAR if VECTOR is None else VECTOR
 
 

@@ -2,21 +2,25 @@
 
 kernels.c holds das_rx, the pass of
 :func:`~soscorr.beamform.das_beamform` over a frame's receivers;
-das_rx_avx512, the same pass 8 pixels a step, built for AVX-512F only
-on x86-64 and run where das_avx512() finds it on the host; and
-synth_rx, one receiver's pulse sum of
-:func:`~soscorr.synthsim.simulate_frame`. The first import builds it
-with the host's C compiler into a cached library, once for all;
-ctypes releases the GIL around each call, so threads run the passes in
-parallel. Each pass adds the same bytes as the NumPy or SciPy code it
-stands beside: -ffp-contract=off keeps every product and sum rounding
-on its own, with no fused multiply-add, the vector pass writes each as
-its own intrinsic, and the C code calls no libm function. The library
-is built for the baseline of its architecture, not with -march, so a
-cached library runs on any host of that architecture; the vector pass
-alone is compiled for AVX-512F and chosen at load. Where no compiler is
-found or the library does not load, one warning is logged, LIBRARY is
-None and those modules run their own passes.
+trace_rays, the heterogeneous ray trace of one block of
+:func:`~soscorr.synthsim.travel_times`; das_rx_avx512 and
+trace_rays_avx512, the same passes 8 pixels or rays a step, built for
+AVX-512F only on x86-64 and run where avx512() finds it on the host;
+and rx_sinc and synth_rx, which form a receive channel of
+:func:`~soscorr.synthsim.simulate_frame` from its travel times,
+distances and directivities' sines and sum its pulses. The first import
+builds it with the host's C compiler into a cached library, once for
+all; ctypes releases the GIL around each call, so threads run the
+passes in parallel. Each pass gives the same bytes as the NumPy or
+SciPy code it stands beside: -ffp-contract=off keeps every product and
+sum rounding on its own, with no fused multiply-add, the vector passes
+write each as its own intrinsic, and the C code calls no libm function.
+The library is built for the baseline of its architecture, not with
+-march, so a cached library runs on any host of that architecture; the
+vector passes are compiled for AVX-512F and chosen at load, and on
+x86-64 synth_rx is built for both, the loader picking one. Where no
+compiler is found or the library does not load, one warning is logged,
+LIBRARY is None and those modules run their own passes.
 """
 
 from __future__ import annotations
@@ -51,8 +55,9 @@ def compiler() -> list[str]:
 def load_kernel(cc: list[str] | None = None,
                 cache_dir: Path | None = None) -> ctypes.CDLL | None:
     """The library of kernels.c, built with cc into cache_dir, with
-    das_rx, synth_rx and, where das_avx512() says the host has
-    AVX-512F, das_rx_avx512 declared; or None.
+    das_rx, trace_rays, rx_sinc, synth_rx and, where avx512() says the
+    host has AVX-512F, das_rx_avx512 and trace_rays_avx512 declared; or
+    None.
 
     cc defaults to :func:`compiler`; cache_dir to the module's
     __pycache__, else a directory private to the user in the temp dir
@@ -99,17 +104,26 @@ def load_kernel(cc: list[str] | None = None,
             "instead: %s", detail)
         return None
     ptr, size = ctypes.c_void_p, ctypes.c_int64
-    lib.das_avx512.argtypes = []
-    lib.das_avx512.restype = ctypes.c_int
-    das = [lib.das_rx]
-    if lib.das_avx512():
+    lib.avx512.argtypes = []
+    lib.avx512.restype = ctypes.c_int
+    das, trace = [lib.das_rx], [lib.trace_rays]
+    if lib.avx512():
         das.append(lib.das_rx_avx512)
+        trace.append(lib.trace_rays_avx512)
     for fn in das:
         fn.argtypes = [ptr] * 3 + [ctypes.c_double, ptr, size, ptr] + \
             [size] * 3 + [ptr]
         fn.restype = None
-    lib.synth_rx.argtypes = [ptr, size, ptr, ptr, ptr, size, ptr]
-    lib.synth_rx.restype = None
+    for fn in trace:
+        fn.argtypes = [ptr, ptr, ptr, size, ptr, size, ctypes.c_double, ptr,
+                       ptr]
+        fn.restype = None
+    lib.rx_sinc.argtypes = [ptr] * 3 + [size] * 2 + [ctypes.c_double] * 4 \
+        + [ptr] * 2
+    lib.rx_sinc.restype = None
+    lib.synth_rx.argtypes = [ptr, size, size] + [ptr] * 9 + \
+        [size, ctypes.c_double, ctypes.c_double, size, ptr]
+    lib.synth_rx.restype = ctypes.c_int
     return lib
 
 

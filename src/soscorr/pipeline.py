@@ -387,14 +387,15 @@ def generate_frames(cfg: PipelineConfig,
     medium = cfg.medium()
     fld = gen_scatterers(cfg.scatterer_grid(), cfg.scatterer_density, cfg.seed)
     txs = tx_list if tx_list is not None else cfg.required_tx()
-    # the receive leg does not depend on the transmit: its tables are
-    # built once per field and shared by every transmit
-    t_rx = receive_travel_times(fld, medium, cfg.array, cfg.threads)
+    # the receive leg does not depend on the transmit: its travel times
+    # and distances are built once per field and shared by every transmit
+    t_rx, r_rx = receive_travel_times(fld, medium, cfg.array, cfg.threads,
+                                      lengths=True)
     for tx in txs:
         yield simulate_frame(
             tx, fld, medium, cfg.pulse, cfg.array,
             noise_snr_db=cfg.noise_snr_db, noise_seed=cfg.seed + tx,
-            t_rx=t_rx, threads=cfg.threads,
+            t_rx=t_rx, threads=cfg.threads, r_rx=r_rx,
         )
 
 
@@ -421,8 +422,8 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
     """Simulate and persist all frames the configured pipeline needs, and
     the ground-truth SoS map with its grid; each frame is written before
     the next one is simulated. simulate.json names synth_kernel, the
-    pulse sum that ran, "compiled" or "numpy" (see synthsim), so a run
-    that fell back to the SciPy products shows."""
+    receive channel that ran, "compiled" or "numpy" (see synthsim), so a
+    run that fell back to the SciPy products shows."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_frame_set(out_dir, generate_frames(cfg), cfg.medium())

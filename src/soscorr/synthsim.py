@@ -46,13 +46,17 @@ TRACE_CHUNK = 1 << 13
 # pulse linearly between rows, within 1e-7 of its peak at the default pulse
 PULSE_TABLE_STEPS = 256
 
-# the compiled per-receiver pulse sum of simulate_frame; None runs the
-# SciPy products
+# the compiled receive channel of simulate_frame; None runs the NumPy
+# prelude and the SciPy products
 KERNEL = None if LIBRARY is None else LIBRARY.synth_rx
+# the compiled heterogeneous ray trace of travel_times, 8 rays a step
+# where the host has AVX-512F; None runs the NumPy block
+TRACE = None if LIBRARY is None else (
+    LIBRARY.trace_rays_avx512 if LIBRARY.avx512() else LIBRARY.trace_rays)
 
 
 def synth_kernel() -> str:
-    """The per-receiver pulse sum simulate_frame runs: "compiled" or
+    """The receive channel simulate_frame runs: "compiled" or
     "numpy"."""
     return "numpy" if KERNEL is None else "compiled"
 
@@ -154,6 +158,14 @@ class Inclusion:
             return (-b - root) / a, (-b + root) / a
         # on the edge counts as inside, as in contains
         return slab_clip(p.T, d.T, (cx - hx, cz - hz), (cx + hx, cz + hz))
+
+    def trace_fields(self) -> list[float]:
+        """The inclusion as trace_rays reads it (kernels.c's INC_*
+        order): 1 for an ellipse else 0, the centre, the half axes, the
+        SoS, and the corners crossing gives slab_clip."""
+        (cx, cz), (hx, hz) = self.center, self.half_axes
+        return [float(self.shape == "ellipse"), cx, cz, hx, hz, self.sos,
+                cx - hx, cz - hz, cx + hx, cz + hz]
 
 
 @dataclass(frozen=True)
@@ -289,11 +301,10 @@ def _check_bounds(points: np.ndarray, medium: MediumSpec) -> None:
     lo_z, hi_z = g.z_min - wz, g.z_max + wz
     x = points[..., 0]
     z = points[..., 1]
-    if (
-        np.any(x < lo_x)
-        or np.any(x > hi_x)
-        or np.any(z < min(lo_z, -1e-9))
-        or np.any(z > hi_z)
+    # written so that a NaN coordinate fails too
+    if not (
+        np.all((x >= lo_x) & (x <= hi_x))
+        and np.all((z >= min(lo_z, -1e-9)) & (z <= hi_z))
     ):
         raise ValueError("point outside 2x imaging extent")
 
@@ -304,7 +315,8 @@ def travel_times(
     medium: MediumSpec,
     *,
     threads: int = 1,
-) -> np.ndarray:
+    lengths: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Straight-ray travel time(s) between point pairs, in seconds.
 
     Exact for the piecewise-constant medium: each ray is cut at the
@@ -318,7 +330,14 @@ def travel_times(
     calling one included (threads - 1 are started; see
     :func:`thread_map`); each block writes its own slice of the one
     output table and each ray has its own arithmetic, so the times
-    depend neither on the block size nor on the thread count.
+    depend neither on the block size nor on the thread count. With
+    lengths, returns (times, lengths), the second the rays' lengths,
+    the np.hypot of each ray's end point minus its start.
+
+    NumPy takes each block's end points and lengths; the cuts, their
+    order and the pieces run in TRACE, the compiled trace, which holds
+    no GIL, or, where TRACE is None, in a NumPy block of the same
+    arithmetic. Both give the same bytes.
     """
     p_from = np.atleast_2d(np.asarray(p_from, dtype=float))
     p_to = np.atleast_2d(np.asarray(p_to, dtype=float))
@@ -331,15 +350,29 @@ def travel_times(
     p_from = np.broadcast_to(p_from, shape).reshape(-1, shape[-2], 2)
     p_to = np.broadcast_to(p_to, shape).reshape(-1, shape[-2], 2)
     out = np.empty(p_from.shape[:2])
+    dist_out = np.empty(out.shape) if lengths else None
+    kernel = None if medium.is_homogeneous else TRACE
+    if kernel is not None:
+        fields = np.array([inc.trace_fields() for inc in medium.inclusions])
 
     # each block copies its own end points as (2, rays) rows of x and z,
     # so nothing of the table's size but out is allocated
     def trace(block):
-        p = np.moveaxis(p_from[block], -1, 0).reshape(2, -1)
+        p = np.ascontiguousarray(
+            np.moveaxis(p_from[block], -1, 0).reshape(2, -1))
         d = np.moveaxis(p_to[block], -1, 0).reshape(2, -1) - p
         dist = np.hypot(d[0], d[1])
+        if dist_out is not None:
+            dist_out[block] = dist.reshape(dist_out[block].shape)
         if medium.is_homogeneous:
             times = dist / medium.background_sos
+        elif kernel is not None:
+            times = np.empty(dist.size)
+            # a column of 8 lanes per cut, as the vector pass needs
+            cuts = np.empty((2 + 2 * len(fields), 8))
+            kernel(p.ctypes.data, d.ctypes.data, dist.ctypes.data, dist.size,
+                   fields.ctypes.data, len(fields), medium.background_sos,
+                   cuts.ctypes.data, times.ctypes.data)
         else:
             # one row of cuts per ray end and inclusion boundary
             t = np.empty((2 + 2 * len(medium.inclusions), dist.size))
@@ -362,6 +395,8 @@ def travel_times(
         out[block] = times.reshape(out[block].shape)
 
     thread_map(trace, _ray_blocks(*out.shape), threads)
+    if lengths:
+        return out.reshape(shape[:-1]), dist_out.reshape(shape[:-1])
     return out.reshape(shape[:-1])
 
 
@@ -394,10 +429,11 @@ def _samples_needed(
     t_tx to them: the receive leg to the farthest element at SOS_MIN,
     plus the pulse's half-width."""
     ex = array.element_x()
-    # farthest receive element bounds the two-way time
-    d_rx_max = np.hypot(
-        np.max(np.abs(s[:, 0:1] - ex[None, :]), axis=1), s[:, 1]
-    )
+    # farthest receive element bounds the two-way time; a rounded
+    # difference is monotone in the element's x, so its largest size
+    # over the array is at one of the two end elements
+    d_rx_max = np.hypot(np.maximum(np.abs(s[:, 0] - ex.min()),
+                                   np.abs(s[:, 0] - ex.max())), s[:, 1])
     t_max = float(np.max(t_tx + d_rx_max / SOS_MIN))
     return int(np.ceil((t_max + pulse.support_halfwidth) * pulse.sampling_frequency)) + 1
 
@@ -407,18 +443,27 @@ def receive_travel_times(
     medium: MediumSpec,
     array: TransducerArray,
     threads: int = 1,
-) -> np.ndarray:
+    *,
+    lengths: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Scatterer-to-element travel times, shape (num_elements, n).
 
     One broadcast :func:`travel_times` call on `threads` threads, the
     calling one included; threads - 1 are started.
     Each ray is traced on its own, so the table equals a per-element
-    loop of calls byte for byte, whatever the thread count.
+    loop of calls byte for byte, whatever the thread count. With
+    lengths, returns (times, distances), the second the table of ray
+    lengths, which :func:`simulate_frame` takes as r_rx.
     """
     ex = array.element_x()
     rx = np.column_stack([ex, np.zeros_like(ex)])
     return travel_times(field.positions[None, :, :], rx[:, None, :], medium,
-                        threads=threads)
+                        threads=threads, lengths=lengths)
+
+
+def _outside_the_record(rx: int) -> ValueError:
+    return ValueError(f"receive channel {rx}: an echo lies outside the "
+                      "record; check t_rx")
 
 
 def _element_directivity(
@@ -444,6 +489,8 @@ def simulate_frame(
     noise_seed: int = 0,
     t_rx: np.ndarray | None = None,
     threads: int = 1,
+    *,
+    r_rx: np.ndarray | None = None,
 ) -> ChannelFrame:
     """Channel data for one diverging-wave transmit.
 
@@ -454,9 +501,11 @@ def simulate_frame(
     element width of one pitch. Deterministic given the field;
     optional additive white Gaussian noise at the given finite SNR (in
     dB over the clean frame power). t_rx, shape (num_rx, n_scatterers),
-    holds the receive travel times from :func:`receive_travel_times`;
-    they do not depend on the transmit, so a caller simulating several
-    transmits of one field builds them once.
+    holds the receive travel times from :func:`receive_travel_times`,
+    and r_rx the receive distances it gives with lengths; they do not
+    depend on the transmit, so a caller simulating several transmits of
+    one field builds them once. Without r_rx the distances are taken
+    per group of receivers, by the same np.hypot.
 
     The record starts at t = 0 and ends where this transmit's latest
     echo can end: the transmit leg, already traced for the echo times,
@@ -477,19 +526,21 @@ def simulate_frame(
     That is the arithmetic and the summation order of a loop that
     gathers and weights two table rows per scatterer and sums its
     in-record terms with bincount, so frames equal that loop's byte for
-    byte. The sum runs in KERNEL, the compiled synth_rx; each thread
-    zeroes its one padded record per receiver and builds no sparse
-    matrix. Where KERNEL is None it is two SciPy products: a CSR matrix
-    with weights a at column row and b at row + 1 of each scatterer's
-    row, times the table, then the column sums of the (scatterers,
-    padded record) matrix of those pulses, a CSC matrix-vector product
-    that adds into each sample in scatterer order. Each thread builds
-    the two matrices once, their row pointers fixed, and each receiver
-    rewrites their weights, columns and pulse values in place. The
-    distances, directivities, spreading and rounding stay in NumPy on
-    either path.
+    byte. NumPy takes the receive directivities, whose sinc needs
+    np.sin, as whole arrays over a few receivers at a time; the rest of
+    a channel, from the spreading and the rounded echo times to the
+    pulse sum, runs in KERNEL, the compiled synth_rx, which holds no
+    GIL and adds into each thread's one zeroed padded record. Where
+    KERNEL is None a NumPy prelude forms the weights and two SciPy
+    products sum the pulses: a CSR matrix with weights a at column row
+    and b at row + 1 of each scatterer's row, times the table, then the
+    column sums of the (scatterers, padded record) matrix of those
+    pulses, a CSC matrix-vector product that adds into each sample in
+    scatterer order. Each thread builds the two matrices once, their
+    row pointers fixed, and each receiver rewrites their weights,
+    columns and pulse values in place.
     An echo centre outside the record, which a caller's t_rx can place
-    there, is a ValueError.
+    there, is a ValueError naming the channel.
     """
     if not 0 <= tx < array.num_elements:
         raise ValueError(f"tx element {tx} out of range")
@@ -505,10 +556,9 @@ def simulate_frame(
 
     if n_sc > 0:
         tx_pos = np.array(element_position(array, tx))
-        t_tx = travel_times(tx_pos[None, :], s, medium)
+        t_tx, r_tx = travel_times(tx_pos[None, :], s, medium, lengths=True)
         num_samples = _samples_needed(t_tx, s, pulse, array)
         samples = np.zeros((array.num_elements, num_samples), dtype=dtype)
-        r_tx = np.hypot(s[:, 0] - tx_pos[0], s[:, 1] - tx_pos[1])
         wavelength = medium.background_sos / pulse.center_frequency
         d_tx = _element_directivity(
             s[:, 0] - tx_pos[0], r_tx, array.pitch, wavelength
@@ -523,15 +573,37 @@ def simulate_frame(
         table = pulse.waveform((offs[None, :] + frac[:, None]) / fs)
         ex = array.element_x()
         if t_rx is None:
-            t_rx = receive_travel_times(field, medium, array, threads)
+            t_rx, r_rx = receive_travel_times(field, medium, array, threads,
+                                              lengths=True)
+        # the compiled pass reads the tables' rows through raw pointers
+        t_rx = np.ascontiguousarray(t_rx, dtype=float)
+        if r_rx is not None:
+            r_rx = np.ascontiguousarray(r_rx, dtype=float)
+        for name, t in (("t_rx", t_rx), ("r_rx", r_rx)):
+            if t is not None and t.shape != (array.num_elements, n_sc):
+                raise ValueError(f"{name} has shape {t.shape}, not "
+                                 f"{(array.num_elements, n_sc)}")
         kernel = KERNEL
         padded = num_samples + 2 * half
+        # receivers whose distances and directivities NumPy takes in one
+        # array, a few TRACE_CHUNK-sized blocks
+        group = max(1, TRACE_CHUNK // n_sc)
+        if kernel is not None:
+            sinc_args = LIBRARY.rx_sinc
+            sx = np.ascontiguousarray(s[:, 0])
+            amp = np.ascontiguousarray(field.amplitudes, dtype=float)
+            # the table, then each scatterer's amplitude and transmit leg
+            fixed = [table.ctypes.data, offs.size, steps,
+                     *(a.ctypes.data for a in (amp, r_tx, d_tx, t_tx))]
+            row_bytes = 8 * n_sc
 
         def receive(block):
             if kernel is not None:
-                # the thread's padded record and (scatterers, 2) weights
+                # the thread's padded record, and its group's sines,
+                # sine arguments and cosines of the receive directivity
                 rec = np.empty(padded)
-                weights = np.empty((n_sc, 2))
+                sinc = np.empty((3, group, n_sc))
+                sin_y, y, cos_t = (a.ctypes.data for a in sinc)
             else:
                 # the thread's two matrices, built once; each receiver
                 # rewrites their entries through views of the arrays
@@ -549,33 +621,45 @@ def simulate_frame(
                     shape=(padded, n_sc))
                 idx = echoes_t.indices.reshape(n_sc, offs.size)
                 ones = np.ones(n_sc)
-            for rx in block:
-                rx_pos = np.array([ex[rx], 0.0])
-                r_rx = np.hypot(s[:, 0] - rx_pos[0], s[:, 1] - rx_pos[1])
-                spreading = 1.0 / np.maximum(r_tx * r_rx, R_MIN**2) * d_tx
-                spreading *= _element_directivity(
-                    s[:, 0] - rx_pos[0], r_rx, array.pitch, wavelength
-                )
-                k_exact = (t_tx + t_rx[rx]) * fs
-                k0 = np.rint(k_exact)
-                # neither pass checks its indices; a NaN time fails this
-                # test too
-                if not (k0.min() >= 0 and k0.max() < num_samples):
-                    raise ValueError(f"receive channel {rx}: an echo lies "
-                                     "outside the record; check t_rx")
-                pos = (k0 - k_exact + 0.5) * steps
-                row = np.minimum(pos.astype(np.int32), steps - 1)
-                w = pos - row
-                weight = field.amplitudes * spreading
-                # the pulse interpolated linearly between table rows
-                np.multiply(weight, 1.0 - w, out=weights[:, 0])
-                np.multiply(weight, w, out=weights[:, 1])
+            for start in range(block[0], block[-1] + 1, group):
+                rows = slice(start, min(start + group, block[-1] + 1))
+                n_rows = rows.stop - rows.start
+                r = (np.hypot(s[:, 0] - ex[rows, None], s[:, 1])
+                     if r_rx is None else r_rx[rows])
                 if kernel is not None:
-                    rec.fill(0.0)
-                    kernel(table.ctypes.data, offs.size, row.ctypes.data,
-                           weights.ctypes.data, k0.ctypes.data, n_sc,
-                           rec.ctypes.data)
-                else:
+                    sinc_args(sx.ctypes.data, ex[rows].ctypes.data,
+                              r.ctypes.data, n_rows, n_sc, array.pitch,
+                              wavelength, np.pi, np.finfo(float).eps, y,
+                              cos_t)
+                    np.sin(sinc[1, :n_rows], out=sinc[0, :n_rows])
+                    for i, rx in enumerate(range(rows.start, rows.stop)):
+                        rec.fill(0.0)
+                        if kernel(*fixed, t_rx.ctypes.data + rx * row_bytes,
+                                  *(a + i * row_bytes
+                                    for a in (r.ctypes.data, sin_y, y, cos_t)),
+                                  n_sc, fs, R_MIN**2, num_samples,
+                                  rec.ctypes.data):
+                            raise _outside_the_record(rx)
+                        samples[rx] = rec[half:half + num_samples]
+                    continue
+                d_rx = _element_directivity(s[:, 0] - ex[rows, None], r,
+                                            array.pitch, wavelength)
+                for i, rx in enumerate(range(rows.start, rows.stop)):
+                    spreading = 1.0 / np.maximum(r_tx * r[i], R_MIN**2) * d_tx
+                    spreading *= d_rx[i]
+                    k_exact = (t_tx + t_rx[rx]) * fs
+                    k0 = np.rint(k_exact)
+                    # the SciPy products do not check their indices; a
+                    # NaN time fails this test too
+                    if not (k0.min() >= 0 and k0.max() < num_samples):
+                        raise _outside_the_record(rx)
+                    pos = (k0 - k_exact + 0.5) * steps
+                    row = np.minimum(pos.astype(np.int32), steps - 1)
+                    w = pos - row
+                    weight = field.amplitudes * spreading
+                    # the pulse interpolated linearly between table rows
+                    np.multiply(weight, 1.0 - w, out=weights[:, 0])
+                    np.multiply(weight, w, out=weights[:, 1])
                     coef_row[:, 0] = row
                     coef_row[:, 1] = row + 1
                     vals = coef @ table
@@ -584,8 +668,7 @@ def simulate_frame(
                     np.add((k0.astype(np.int32) + half)[:, None], offs,
                            out=idx)
                     echoes_t.data = vals.ravel()
-                    rec = echoes_t @ ones
-                samples[rx] = rec[half:half + num_samples]
+                    samples[rx] = (echoes_t @ ones)[half:half + num_samples]
 
         # each thread writes its own rows of samples
         thread_map(receive, _blocks(array.num_elements, threads), threads)

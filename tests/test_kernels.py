@@ -65,19 +65,19 @@ class TestKernelBuild:
     def test_source_builds_with_warnings_as_errors(self, tmp_path):
         """kernels.c builds with the loader's flags plus -Wall -Wextra
         -Werror, and at -O0 too, where no inlining hides an intrinsic
-        that the vector pass's target does not allow. Each library
+        that the vector passes' target does not allow. Each library
         resolves every function the source defines: on x86-64 the
-        vector pass and its CPU test, elsewhere the CPU test alone,
+        vector passes and their CPU test, elsewhere the CPU test alone,
         which then reports no vector pass."""
         cc = kernels.compiler()
         if shutil.which(cc[0]) is None:
             pytest.skip("no C compiler on this host")
         defined = set(re.findall(r"^(?:void|int) (\w+)\(",
                                  kernels.KERNEL_SOURCE.read_text(), re.M))
-        assert defined == {"das_rx", "das_avx512", "das_rx_avx512",
-                           "synth_rx"}
+        assert defined == {"das_rx", "avx512", "das_rx_avx512", "trace_rays",
+                           "trace_rays_avx512", "rx_sinc", "synth_rx"}
         if platform.machine() not in ("x86_64", "AMD64"):
-            defined.discard("das_rx_avx512")
+            defined -= {"das_rx_avx512", "trace_rays_avx512"}
         for opt in ("-O3", "-O0"):
             lib = tmp_path / f"kernels{opt}.so"
             build = subprocess.run(
@@ -88,4 +88,24 @@ class TestKernelBuild:
             loaded = ctypes.CDLL(str(lib))
             for name in sorted(defined):
                 assert getattr(loaded, name) is not None, (opt, name)
-            assert loaded.das_avx512() in (0, 1)
+            assert loaded.avx512() in (0, 1)
+
+    def test_library_imports_no_libm_symbol(self, tmp_path):
+        """The library load_kernel builds imports nothing but the
+        loader's weak symbols: no libm function, such as the sqrt that
+        __builtin_sqrt calls for a negative argument under -fmath-errno,
+        nor any other, such as a memset that -O3 makes of a zeroing
+        loop. The source's include lines alone would not show either."""
+        nm = shutil.which("nm")
+        if nm is None:
+            pytest.skip("no nm on this host")
+        if kernels.load_kernel(cache_dir=tmp_path) is None:
+            pytest.skip("no C compiler on this host")
+        [lib] = tmp_path.iterdir()
+        listed = subprocess.run([nm, "-D", "--undefined-only", str(lib)],
+                                capture_output=True, text=True, check=True)
+        names = {line.split()[-1].split("@")[0]
+                 for line in listed.stdout.splitlines() if line.strip()}
+        assert names <= {"_ITM_deregisterTMCloneTable",
+                         "_ITM_registerTMCloneTable", "__cxa_finalize",
+                         "__gmon_start__"}

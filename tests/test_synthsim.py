@@ -196,6 +196,17 @@ class TestTravelTimes:
         with pytest.raises(ValueError):
             travel_times([0, 0], [0, 0.5], m)
 
+    @pytest.mark.parametrize("k", [0, 1], ids=["x", "z"])
+    def test_nan_point_raises(self, k):
+        """A NaN coordinate is no point inside the extent: it raises,
+        where the trace would only carry it into NaN times."""
+        m = make_medium([Inclusion("ellipse", (0, 0.01), (2e-3, 2e-3),
+                                   1550.0)])
+        p = np.array([[0.0, 0.01], [1e-3, 0.02]])
+        p[1, k] = np.nan
+        with pytest.raises(ValueError, match="outside 2x imaging extent"):
+            travel_times(p, [0.0, 0.0], m)
+
     def test_out_of_extent_point_in_a_broadcast_call(self):
         """Bounds are checked on the given points, before broadcasting:
         one stray scatterer of a receive table still raises."""
@@ -498,6 +509,90 @@ class TestTraceLayout:
                 == t[rays].tobytes()
 
 
+def trace_edge_cases():
+    """{name: (inclusions, p, q)}: the rays of the travel_times tests'
+    edge cases, and the degenerate rays of each TestTraceLayout medium."""
+    E, R = TestExactTravelTimes, TestTraceLayout
+    circle = Inclusion("ellipse", (0, 0.01), (3e-3, 3e-3), 1550.0)
+    square = Inclusion("rectangle", (0, 0.01), (3e-3, 3e-3), 1550.0)
+    inner = Inclusion("ellipse", (0, 0.01), (1e-3, 1e-3), 1450.0)
+    rect = Inclusion("rectangle", (0.0, 0.01), (2e-3, 2e-3), 1540.0)
+    ell = Inclusion("ellipse", (5e-3, 0.01), (2e-3, 2e-3), 1460.0)
+    cz, hx, hz = 2.0**-6, 2.0**-9, 2.0**-10
+    edge = Inclusion("rectangle", (0.0, cz), (hx, hz), 1540.0)
+    cases = {
+        "zero-length-in-a-batch": (
+            (rect, ell), [[0.0, 0.01], [5e-3, 0.01], [-0.01, 0.02], [0, 0]],
+            [[0.0, 0.01], [5e-3, 0.01], [-0.01, 0.02], [0.0, 0.02]]),
+        "tangent-to-an-ellipse": (
+            (Inclusion("ellipse", (0.0, 0.01), (3e-3, 2e-3), 1550.0),),
+            [[-0.01, 0.008]], [[0.01, 0.008]]),
+        "along-a-rectangle-edge": (
+            (edge,), [[hx, 0.0], [-0.005, cz - hz]],
+            [[hx, 0.03], [0.005, cz - hz]]),
+        "vertical-and-horizontal": (
+            (Inclusion("rectangle", (0.0, 0.02), (2e-3, 1e-3), 1540.0),
+             Inclusion("ellipse", (-8e-3, 0.01), (2e-3, 1e-3), 1460.0)),
+            [[-0.005, 0.02], [-0.005, 0.0225], [-0.015, 0.01], [0.0, 0.0],
+             [-8e-3, 0.0], [0.0025, 0.0]],
+            [[0.005, 0.02], [0.005, 0.0225], [-0.001, 0.01], [0.0, 0.03],
+             [-8e-3, 0.03], [0.0025, 0.03]]),
+        "rectangle-then-ellipse": (
+            (R.OVER_RECT, E.ELLIPSE, R.OVER_ELL),
+            [[-0.01, 0.01]], [[0.01, 0.01]]),
+        "inner-last-wins": ((circle, inner), [[0, 0]], [[0, 0.02]]),
+        "outer-last-wins": ((inner, circle), [[0, 0]], [[0, 0.02]]),
+    }
+    for inc in (circle, square):
+        cases[f"starting-or-ending-inside-{inc.shape}"] = (
+            (inc,), [[0, 0.01], [0, 0.02], [-1e-3, 0.009]],
+            [[0, 0.02], [0, 0.01], [1e-3, 0.011]])
+    for count in (4, 5):
+        incs = (R.OVER_RECT, R.OVER_ELL, R.INNER, R.ELLIPSE, R.RECT)[:count]
+        cases[f"{2 * count + 1}-pieces"] = (incs, *R().rays(incs, n=301))
+    for name, incs in R.MEDIA.items():
+        cases[f"degenerate-{name}"] = (incs, *degenerate_rays(incs))
+    return cases
+
+
+class TestTracePasses:
+    """Every trace pass on the edge cases of the travel_times tests,
+    byte for byte the NumPy block's times, signed zeros and infinities
+    included: the scalar trace_rays and, where the host has AVX-512F,
+    trace_rays_avx512, whose 8-ray steps end mid-step on most batches
+    here."""
+
+    CASES = trace_edge_cases()
+
+    @pytest.mark.parametrize("name", ["scalar", "avx512"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_pass_equals_numpy_block(self, monkeypatch, case, name):
+        lib = synthsim.LIBRARY
+        if lib is None or (name == "avx512" and not lib.avx512()):
+            pytest.skip(f"no {name} trace on this host")
+        incs, p, q = self.CASES[case]
+        m = make_medium(incs)
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        monkeypatch.setattr(synthsim, "TRACE", None)
+        ref = travel_times(p, q, m)
+        table_ref = travel_times(p[None], q[::-1, None], m)
+        monkeypatch.setattr(
+            synthsim, "TRACE",
+            lib.trace_rays if name == "scalar" else lib.trace_rays_avx512)
+        assert travel_times(p, q, m).tobytes() == ref.tobytes()
+        assert travel_times(p[None], q[::-1, None], m).tobytes() \
+            == table_ref.tobytes()
+
+
+class TestNumPyTrace(TestExactTravelTimes, TestTraceLayout):
+    """The trace axis: every check of those classes on the NumPy block,
+    the trace that runs where no compiled kernel loads."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_trace(self, monkeypatch):
+        monkeypatch.setattr(synthsim, "TRACE", None)
+
+
 class TestMediumSpec:
     def test_last_inclusion_wins(self):
         a = Inclusion("ellipse", (0, 0.01), (3e-3, 3e-3), 1550.0)
@@ -612,20 +707,32 @@ class TestSimulateFrame:
         b = simulate_frame(63, doubled, self.medium, self.pulse, self.array)
         assert np.allclose(b.samples, 2.0 * a.samples, atol=1e-6)
 
-    @pytest.mark.parametrize("t", [1e-4, -1e-4, np.nan],
-                             ids=["past-the-end", "before-the-start", "nan"])
-    def test_echo_outside_the_record_raises(self, t):
-        """A caller's t_rx that puts an echo centre outside the record is
-        an error, not a sum that drops it or writes past the frame."""
-        field = self.one_scatterer()
+    @pytest.mark.parametrize("t, one", [(1e-4, False), (-1e-4, False),
+                                        (np.nan, False), (np.nan, True)],
+                             ids=["past-the-end", "before-the-start", "nan",
+                                  "one-nan"])
+    def test_echo_outside_the_record_raises(self, monkeypatch, t, one):
+        """A caller's t_rx that puts an echo centre outside the record,
+        or is NaN for one scatterer of three, is an error naming the
+        receive channel, not a sum that drops it or writes past the
+        frame: on the compiled receive channel and on the NumPy
+        prelude, with and without the receive distances."""
+        field = ScattererField(
+            positions=np.array([(0.0, 0.02), (4e-3, 0.015), (-3e-3, 0.01)]),
+            amplitudes=np.array([1.0, -0.5, 0.25]))
         n = simulate_frame(63, field, self.medium, self.pulse,
                            self.array).num_samples
-        t_rx = receive_travel_times(field, self.medium, self.array)
+        t_rx, r_rx = receive_travel_times(field, self.medium, self.array,
+                                          lengths=True)
         assert np.isnan(t) or abs(t) * self.pulse.sampling_frequency > n
-        t_rx[7] = t
-        with pytest.raises(ValueError, match="channel 7.*outside the record"):
-            simulate_frame(63, field, self.medium, self.pulse, self.array,
-                           t_rx=t_rx)
+        t_rx[7, 1 if one else slice(None)] = t
+        for kernel in (synthsim.KERNEL, None):
+            monkeypatch.setattr(synthsim, "KERNEL", kernel)
+            for dist in (r_rx, None):
+                with pytest.raises(ValueError,
+                                   match="channel 7.*outside the record"):
+                    simulate_frame(63, field, self.medium, self.pulse,
+                                   self.array, t_rx=t_rx, r_rx=dist)
 
     def test_deterministic(self):
         field = self.one_scatterer((0.002, 0.015))
@@ -1066,23 +1173,41 @@ class TestSynthKernel:
     def test_pulse_sum_adds_scatterers_in_order(self):
         """synth_rx on a float64 record, where the float32 frame would
         hide most last-bit differences: 300 scatterers overlap on a
-        200-sample record, so each sample adds about 100 pulses. The
-        record equals, byte for byte, the loop that adds each
-        scatterer's (0 + a T[row]) + b T[row + 1] in scatterer order,
-        and the SciPy products of the path without a kernel."""
+        200-sample record, so each sample adds about 100 pulses, and a
+        fifth of them are closer than R_MIN to both elements. The record
+        equals, byte for byte, the NumPy prelude's weights, rows and
+        echo indices with each scatterer's (0 + a T[row]) + b T[row + 1]
+        added in scatterer order, and the SciPy products of the path
+        without a kernel."""
         import scipy.sparse as sp
 
         if synthsim.KERNEL is None:
             pytest.skip("no compiled kernel on this host")
         rng = np.random.default_rng(5)
-        n, steps, width, num_samples = 300, 256, 129, 200
+        n, steps, width, num_samples, fs = 300, 256, 129, 200, 1.6e8
         table = rng.standard_normal((steps + 1, width))
-        row = rng.integers(0, steps, n).astype(np.int32)
-        w = rng.standard_normal((n, 2))
-        k0 = rng.integers(0, num_samples, n).astype(np.float64)
+        amp, sin_y = rng.standard_normal((2, n))
+        d_tx, cos_t = rng.uniform(0.0, 1.0, (2, n))
+        y = rng.uniform(1e-3, 3.0, n)
+        r_tx, r_rx = rng.uniform(1e-4, 0.03, (2, n))
+        r_tx[:60] = r_rx[:60] = 5e-4
+        t_tx, t_rx = rng.uniform(0.0, (num_samples - 1) / fs / 2, (2, n))
         rec = np.zeros(num_samples + width - 1)
-        synthsim.KERNEL(table.ctypes.data, width, row.ctypes.data,
-                        w.ctypes.data, k0.ctypes.data, n, rec.ctypes.data)
+        ok = synthsim.KERNEL(
+            table.ctypes.data, width, steps,
+            *(a.ctypes.data for a in (amp, r_tx, d_tx, t_tx, t_rx, r_rx,
+                                      sin_y, y, cos_t)),
+            n, fs, R_MIN**2, num_samples, rec.ctypes.data)
+        assert ok == 0
+        spreading = 1.0 / np.maximum(r_tx * r_rx, R_MIN**2) * d_tx
+        spreading *= sin_y / y * cos_t
+        k_exact = (t_tx + t_rx) * fs
+        k0 = np.rint(k_exact)
+        pos = (k0 - k_exact + 0.5) * steps
+        row = np.minimum(pos.astype(np.int32), steps - 1)
+        w = pos - row
+        weight = amp * spreading
+        w = np.column_stack([weight * (1.0 - w), weight * w])
         loop = np.zeros_like(rec)
         for i in range(n):
             k = int(k0[i])
@@ -1104,6 +1229,36 @@ class TestSynthKernel:
             reverse[k:k + width] += ((0.0 + w[i, 0] * table[row[i]])
                                      + w[i, 1] * table[row[i] + 1])
         assert reverse.tobytes() != rec.tobytes()
+
+    def test_receive_directivity_is_element_directivity(self):
+        """rx_sinc's sine arguments and cosines, with np.sin between,
+        give _element_directivity's bytes over a group of receivers:
+        scatterers on an element's axis (a sinc of 0), at an element
+        (a distance under the 1e-9 floor), at grazing incidence and in
+        between, the distances the receive table's own."""
+        if synthsim.LIBRARY is None:
+            pytest.skip("no compiled kernel on this host")
+        array = TransducerArray()
+        ex = array.element_x()
+        rng = np.random.default_rng(9)
+        sx = np.concatenate([ex[3:6], [ex[4] + 1e-12],
+                             rng.uniform(-0.02, 0.02, 200)])
+        sz = np.concatenate([[0.01, 0.0, 1e-12, 0.0],
+                             rng.uniform(0.0, 0.03, 200)])
+        rows = slice(3, 8)
+        r = receive_travel_times(
+            ScattererField(np.column_stack([sx, sz]), np.ones(sx.size)),
+            make_medium(), array, lengths=True)[1][rows]
+        wavelength = 1500.0 / 5e6
+        y, cos_t = np.empty((2,) + r.shape)
+        synthsim.LIBRARY.rx_sinc(
+            sx.ctypes.data, ex[rows].ctypes.data, r.ctypes.data, r.shape[0],
+            sx.size, array.pitch, wavelength, np.pi, np.finfo(float).eps,
+            y.ctypes.data, cos_t.ctypes.data)
+        ref = synthsim._element_directivity(sx - ex[rows, None], r,
+                                            array.pitch, wavelength)
+        assert (np.sin(y) / y * cos_t).tobytes() == ref.tobytes()
+        assert np.any(ref == 1.0) and np.any(ref == 0.0)
 
     def test_noisy_frame_is_the_same_on_both_passes(self, monkeypatch):
         """With noise the frame is float64 until the noise is added; the

@@ -6,13 +6,14 @@ the pulse center, so matched-SoS beamforming focuses scatterers at
 their true positions and any residual constant offset cancels in the
 differential delay measurements downstream.
 
-A frame's receivers run in one call of the package's compiled library
-(see :mod:`soscorr.kernels`), or one per group of TABLE_IMAGES
+A frame's receivers run in one call of kernels.DAS, the DAS pass that
+:mod:`soscorr.kernels` picks, or one per group of TABLE_IMAGES
 receivers: das_rx_avx512, 8 pixels a step, where the host has AVX-512F,
 else the scalar das_rx. Each adds the same bytes as the NumPy loop it
 stands beside: inside [0, ns - 1) the truncation (int)s equals
 floor(s), and receivers are added to each pixel in ascending order.
-Where the library does not load, the NumPy loop runs.
+Where DAS is None, as where the library does not load, the NumPy loop
+runs.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .geometry import ImagingGrid, TransducerArray, element_position
-from .kernels import LIBRARY
 from .synthsim import ChannelFrame, SOS_MAX, SOS_MIN
 
 
@@ -31,22 +32,6 @@ APODIZATIONS = ("none", "hann")
 # Sample-time table holds at most this many nx*nz images; one receiver adds
 # at most nx distinct offsets, so a group of this many receivers fits.
 TABLE_IMAGES = 16
-
-# the compiled DAS passes: the scalar das_rx, and das_rx_avx512 where
-# the host has AVX-512F (None elsewhere); KERNEL is the one das_beamform
-# runs, the vector pass where there is one, and None runs the NumPy loop
-SCALAR = None if LIBRARY is None else LIBRARY.das_rx
-VECTOR = (LIBRARY.das_rx_avx512
-          if LIBRARY is not None and LIBRARY.avx512() else None)
-KERNEL = SCALAR if VECTOR is None else VECTOR
-
-
-def das_kernel() -> str:
-    """The pass das_beamform runs: "avx512", "compiled" or "numpy"."""
-    if KERNEL is None:
-        return "numpy"
-    return "avx512" if KERNEL is VECTOR else "compiled"
-
 
 @dataclass(frozen=True)
 class BFConfig:
@@ -138,15 +123,15 @@ def das_beamform(
     Images are built column by column, (nx, nz), so each gather reads a
     contiguous table row. With i0 = floor(s) and f = s - i0 a pixel
     reads (c1 - c0) * f + c0, c0 and c1 being the samples i0 and
-    i0 + 1 as float64. Each group runs in one call of KERNEL: the
-    compiled das_rx_avx512 where the host has AVX-512F, else das_rx,
-    or the NumPy loop when it is None. In the loop, float addition and
-    multiplication by k > 0 are monotone, so the smallest and largest
-    table entry of a receiver's rows times k plus those of the
-    transmit leg bound every s; only a receiver whose bound leaves
-    [0, ns - 1) builds the mask of samples outside the record. The
-    arithmetic per pixel and the receiver order of the sum do not
-    depend on the pass, the table or the bound.
+    i0 + 1 as float64. Each group runs in one call of kernels.DAS,
+    read at call time: the compiled das_rx_avx512 where the host has
+    AVX-512F, else das_rx, or the NumPy loop when it is None. In the
+    loop, float addition and multiplication by k > 0 are monotone, so
+    the smallest and largest table entry of a receiver's rows times k
+    plus those of the transmit leg bound every s; only a receiver
+    whose bound leaves [0, ns - 1) builds the mask of samples outside
+    the record. The arithmetic per pixel and the receiver order of the
+    sum do not depend on the pass, the table or the bound.
     """
     if frame.num_rx != array.num_elements:
         raise ValueError(
@@ -178,7 +163,7 @@ def das_beamform(
 
     shape = (grid.nx, grid.nz)
     rf = np.zeros(shape)
-    kernel = KERNEL
+    kernel = kernels.DAS
     if kernel is None:
         tx_lo, tx_hi = s_tx.min(), s_tx.max()
         s = np.empty(shape)

@@ -1,26 +1,28 @@
-"""The package's compiled passes, one C library loaded through ctypes.
+"""The package's compiled passes, one C library loaded through ctypes,
+and the one module that picks and names them.
 
 kernels.c holds das_rx, the pass of
 :func:`~soscorr.beamform.das_beamform` over a frame's receivers;
 trace_rays, the heterogeneous ray trace of one block of
 :func:`~soscorr.synthsim.travel_times`; das_rx_avx512 and
 trace_rays_avx512, the same passes 8 pixels or rays a step, built for
-AVX-512F only on x86-64 and run where avx512() finds it on the host;
-and rx_sinc and synth_rx, which form a receive channel of
-:func:`~soscorr.synthsim.simulate_frame` from its travel times,
-distances and directivities' sines and sum its pulses. The first import
-builds it with the host's C compiler into a cached library, once for
-all; ctypes releases the GIL around each call, so threads run the
+AVX-512F only on x86-64; and rx_sinc and synth_rx, which form a receive
+channel of :func:`~soscorr.synthsim.simulate_frame` from its travel
+times, distances and directivities' sines and sum its pulses. The first
+import builds it with the host's C compiler into a cached library, once
+for all; ctypes releases the GIL around each call, so threads run the
 passes in parallel. Each pass gives the same bytes as the NumPy or
 SciPy code it stands beside: -ffp-contract=off keeps every product and
 sum rounding on its own, with no fused multiply-add, the vector passes
 write each as its own intrinsic, and the C code calls no libm function.
 The library is built for the baseline of its architecture, not with
--march, so a cached library runs on any host of that architecture; the
-vector passes are compiled for AVX-512F and chosen at load, and on
-x86-64 synth_rx is built for both, the loader picking one. Where no
-compiler is found or the library does not load, one warning is logged,
-LIBRARY is None and those modules run their own passes.
+-march, so a cached library runs on any host of that architecture.
+DAS and TRACE are the vector bodies where avx512() finds AVX-512F on
+the host, else the scalar ones; SYNTH is synth_rx, which on x86-64 is
+built for both, the loader picking one, and SINC is rx_sinc. Callers
+read them at call time, and run their NumPy or SciPy code where one is
+None, as all are where the library does not build or load (one warning
+is logged); :func:`passes` names what runs.
 """
 
 from __future__ import annotations
@@ -52,12 +54,25 @@ def compiler() -> list[str]:
     return cc
 
 
+_PTR, _SIZE, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_DAS = (None, [_PTR] * 3 + [_F64, _PTR, _SIZE, _PTR] + [_SIZE] * 3 + [_PTR])
+_TRACE = (None, [_PTR, _PTR, _PTR, _SIZE, _PTR, _SIZE, _F64, _PTR, _PTR])
+# (restype, argtypes) of every function kernels.c exports; a vector
+# body, built on x86-64 only, shares its scalar twin's entry
+SIGNATURES = {
+    "avx512": (ctypes.c_int, []),
+    "das_rx": _DAS, "das_rx_avx512": _DAS,
+    "trace_rays": _TRACE, "trace_rays_avx512": _TRACE,
+    "rx_sinc": (None, [_PTR] * 3 + [_SIZE] * 2 + [_F64] * 4 + [_PTR] * 2),
+    "synth_rx": (ctypes.c_int, [_PTR, _SIZE, _SIZE] + [_PTR] * 9
+                 + [_SIZE, _F64, _F64, _SIZE, _PTR]),
+}
+
+
 def load_kernel(cc: list[str] | None = None,
                 cache_dir: Path | None = None) -> ctypes.CDLL | None:
     """The library of kernels.c, built with cc into cache_dir, with
-    das_rx, trace_rays, rx_sinc, synth_rx and, where avx512() says the
-    host has AVX-512F, das_rx_avx512 and trace_rays_avx512 declared; or
-    None.
+    every function of SIGNATURES that it holds declared; or None.
 
     cc defaults to :func:`compiler`; cache_dir to the module's
     __pycache__, else a directory private to the user in the temp dir
@@ -103,29 +118,40 @@ def load_kernel(cc: list[str] | None = None,
             "compiled kernels not built, the NumPy and SciPy passes run "
             "instead: %s", detail)
         return None
-    ptr, size = ctypes.c_void_p, ctypes.c_int64
-    lib.avx512.argtypes = []
-    lib.avx512.restype = ctypes.c_int
-    das, trace = [lib.das_rx], [lib.trace_rays]
-    if lib.avx512():
-        das.append(lib.das_rx_avx512)
-        trace.append(lib.trace_rays_avx512)
-    for fn in das:
-        fn.argtypes = [ptr] * 3 + [ctypes.c_double, ptr, size, ptr] + \
-            [size] * 3 + [ptr]
-        fn.restype = None
-    for fn in trace:
-        fn.argtypes = [ptr, ptr, ptr, size, ptr, size, ctypes.c_double, ptr,
-                       ptr]
-        fn.restype = None
-    lib.rx_sinc.argtypes = [ptr] * 3 + [size] * 2 + [ctypes.c_double] * 4 \
-        + [ptr] * 2
-    lib.rx_sinc.restype = None
-    lib.synth_rx.argtypes = [ptr, size, size] + [ptr] * 9 + \
-        [size, ctypes.c_double, ctypes.c_double, size, ptr]
-    lib.synth_rx.restype = ctypes.c_int
+    for name, (restype, argtypes) in SIGNATURES.items():
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.restype, fn.argtypes = restype, argtypes
     return lib
+
+
+def _pass_name(fn) -> str:
+    """The pass fn as a record names it: "numpy" where it is None;
+    "avx512" for a vector body, or for synth_rx where avx512() is 1, as
+    its loader picks the AVX-512F clone by the same CPU test; else
+    "compiled"."""
+    if fn is None:
+        return "numpy"
+    vector = fn.__name__.endswith("_avx512") or fn is SYNTH and \
+        LIBRARY.avx512()
+    return "avx512" if vector else "compiled"
+
+
+def passes() -> dict[str, str]:
+    """The passes that run now, as every command record names them:
+    das_kernel (DAS), trace_kernel (TRACE) and synth_kernel (SYNTH)."""
+    return {"das_kernel": _pass_name(DAS), "trace_kernel": _pass_name(TRACE),
+            "synth_kernel": _pass_name(SYNTH)}
 
 
 # built at import, so no timed stage pays for the compiler
 LIBRARY = load_kernel()
+# the pass each caller runs, read at call time; None runs its NumPy or
+# SciPy code
+DAS = TRACE = SYNTH = SINC = None
+if LIBRARY is not None:
+    if LIBRARY.avx512():
+        DAS, TRACE = LIBRARY.das_rx_avx512, LIBRARY.trace_rays_avx512
+    else:
+        DAS, TRACE = LIBRARY.das_rx, LIBRARY.trace_rays
+    SYNTH, SINC = LIBRARY.synth_rx, LIBRARY.rx_sinc

@@ -25,11 +25,11 @@ from .beamform import (
     BFConfig,
     ReceiveTable,
     das_beamform,
-    das_kernel,
     receive_table,
 )
 from .delaytrack import TrackConfig, track_delays
 from .geometry import ImagingGrid, PolarROI, TransducerArray
+from .kernels import passes
 from .metrics import RegionLabels, score_map
 from .regress import FITTERS, extract_pattern
 from .synthsim import (
@@ -44,7 +44,6 @@ from .synthsim import (
     read_frame_set,
     receive_travel_times,
     simulate_frame,
-    synth_kernel,
     thread_map,
     write_frame_set,
 )
@@ -421,9 +420,9 @@ def _grid_line(grid: ImagingGrid) -> str:
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
     """Simulate and persist all frames the configured pipeline needs, and
     the ground-truth SoS map with its grid; each frame is written before
-    the next one is simulated. simulate.json names synth_kernel, the
-    receive channel that ran, "compiled" or "numpy" (see synthsim), so a
-    run that fell back to the SciPy products shows."""
+    the next one is simulated. simulate.json names the compiled passes
+    (:func:`~soscorr.kernels.passes`), so a run that fell back to the
+    NumPy trace or the SciPy products shows."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_frame_set(out_dir, generate_frames(cfg), cfg.medium())
@@ -433,7 +432,7 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
     (out_dir / "gt_sos.csv.txt").write_text(_grid_sidecar(
         "ground-truth SoS in m/s on the slowness grid\n", grid))
     (out_dir / "config_resolved.ini").write_text(dump_config(cfg))
-    write_record(out_dir, "simulate", {"synth_kernel": synth_kernel()})
+    write_record(out_dir, "simulate", passes())
     return out_dir
 
 
@@ -513,12 +512,13 @@ def cmd_calibrate(cfg: PipelineConfig, out_dir: Path,
     is built: simulates the estimation pair's frames and sweeps the
     offset over +-half_range m/s in CALIBRATION_STEP steps.
 
-    calibrate.json {"rows": report_rows} holds the held-out score of a
+    calibrate.json holds report_rows, the held-out score of a
     calibration_degree fit on every second offset, the split that
     calibration_sweep.csv marks; calibration_model.txt is that degree
-    fitted on every offset. The returned sweep holds the every-second
-    fit. The medium and half_range are checked before the output
-    directory is made.
+    fitted on every offset; the record also names the compiled passes
+    (:func:`~soscorr.kernels.passes`). The returned sweep holds the
+    every-second fit. The medium and half_range are checked before the
+    output directory is made.
     """
     if cfg.inclusions:
         raise ConfigError("calibration requires a homogeneous medium: "
@@ -541,7 +541,8 @@ def cmd_calibrate(cfg: PipelineConfig, out_dir: Path,
         result.dataset, degree=degree, train_selector="every-1"))
     cal.export_sweep(out_dir / "calibration_sweep.csv", result.dataset,
                      result.models[degree])
-    write_record(out_dir, "calibrate", {"rows": result.report_rows})
+    write_record(out_dir, "calibrate",
+                 {"rows": result.report_rows, **passes()})
     (out_dir / "config_resolved.ini").write_text(dump_config(cfg))
     return result
 
@@ -564,9 +565,9 @@ def cmd_estimate(
 
     A model built on another estimation grid than the config's (another
     [grids] bf_dx), or on an unknown one, is refused before any frame
-    is read. With out_dir, estimate.json also names das_kernel, the DAS
-    pass that ran, "avx512", "compiled" or "numpy", so a run that fell
-    back to the NumPy loop shows.
+    is read. With out_dir, estimate.json also names the compiled passes
+    (:func:`~soscorr.kernels.passes`), so a run that fell back to the
+    NumPy loop shows.
     """
     grid = _grid_line(cfg.estimation_grid())
     built_on = model.metadata.get("estimation_grid", "unknown")
@@ -607,7 +608,7 @@ def cmd_estimate(
             "fit_iterations": fit.iterations,
             "fit_converged": fit.converged,
             "valid_fraction": float(np.mean(dmap.valid)),
-            "das_kernel": das_kernel(),
+            **passes(),
         })
     return result
 
@@ -653,8 +654,8 @@ def cmd_reconstruct(
     trace and reconstruct.json: the solve's converged, iterations,
     grad_norm and message; its rows (measurements in the solve) and
     valid_fraction (tracked nodes kept by min_ncc); the map's
-    clamped_fraction; das_kernel, the DAS pass that ran, "avx512",
-    "compiled" or "numpy" (see beamform); and the result's scores.
+    clamped_fraction; the compiled passes
+    (:func:`~soscorr.kernels.passes`); and the result's scores.
     When frames_dir holds the config the frames were simulated with,
     config_resolved.ini, metrics.score_map scores the map against that
     config's medium on the map's own slowness grid, with or without
@@ -732,8 +733,7 @@ def cmd_reconstruct(
                    "grad_norm": info.grad_norm, "message": info.message,
                    "rows": rows,
                    "valid_fraction": rows / sum(m.size for m in masks),
-                   "clamped_fraction": clamped, "das_kernel": das_kernel(),
-                   **scores}
+                   "clamped_fraction": clamped, **passes(), **scores}
         write_record(out_dir, "reconstruct", metrics)
     return result
 

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from . import kernels
 from .geometry import ImagingGrid, TransducerArray, element_position, slab_clip
-from .kernels import LIBRARY
 
 SOS_MIN = 1300.0
 SOS_MAX = 1700.0
@@ -45,21 +45,6 @@ TRACE_CHUNK = 1 << 13
 # pulse table rows per sample period: simulate_frame interpolates the
 # pulse linearly between rows, within 1e-7 of its peak at the default pulse
 PULSE_TABLE_STEPS = 256
-
-# the compiled receive channel of simulate_frame; None runs the NumPy
-# prelude and the SciPy products
-KERNEL = None if LIBRARY is None else LIBRARY.synth_rx
-# the compiled heterogeneous ray trace of travel_times, 8 rays a step
-# where the host has AVX-512F; None runs the NumPy block
-TRACE = None if LIBRARY is None else (
-    LIBRARY.trace_rays_avx512 if LIBRARY.avx512() else LIBRARY.trace_rays)
-
-
-def synth_kernel() -> str:
-    """The receive channel simulate_frame runs: "compiled" or
-    "numpy"."""
-    return "numpy" if KERNEL is None else "compiled"
-
 
 def thread_map(fn, items, threads: int) -> list:
     """[fn(item) for item in items], run on `threads` threads, the
@@ -335,9 +320,9 @@ def travel_times(
     the np.hypot of each ray's end point minus its start.
 
     NumPy takes each block's end points and lengths; the cuts, their
-    order and the pieces run in TRACE, the compiled trace, which holds
-    no GIL, or, where TRACE is None, in a NumPy block of the same
-    arithmetic. Both give the same bytes.
+    order and the pieces run in kernels.TRACE, the compiled trace, read
+    at call time, which holds no GIL, or, where it is None, in a NumPy
+    block of the same arithmetic. Both give the same bytes.
     """
     p_from = np.atleast_2d(np.asarray(p_from, dtype=float))
     p_to = np.atleast_2d(np.asarray(p_to, dtype=float))
@@ -351,7 +336,7 @@ def travel_times(
     p_to = np.broadcast_to(p_to, shape).reshape(-1, shape[-2], 2)
     out = np.empty(p_from.shape[:2])
     dist_out = np.empty(out.shape) if lengths else None
-    kernel = None if medium.is_homogeneous else TRACE
+    kernel = None if medium.is_homogeneous else kernels.TRACE
     if kernel is not None:
         fields = np.array([inc.trace_fields() for inc in medium.inclusions])
 
@@ -529,16 +514,17 @@ def simulate_frame(
     byte. NumPy takes the receive directivities, whose sinc needs
     np.sin, as whole arrays over a few receivers at a time; the rest of
     a channel, from the spreading and the rounded echo times to the
-    pulse sum, runs in KERNEL, the compiled synth_rx, which holds no
-    GIL and adds into each thread's one zeroed padded record. Where
-    KERNEL is None a NumPy prelude forms the weights and two SciPy
-    products sum the pulses: a CSR matrix with weights a at column row
-    and b at row + 1 of each scatterer's row, times the table, then the
-    column sums of the (scatterers, padded record) matrix of those
-    pulses, a CSC matrix-vector product that adds into each sample in
-    scatterer order. Each thread builds the two matrices once, their
-    row pointers fixed, and each receiver rewrites their weights,
-    columns and pulse values in place.
+    pulse sum, runs in kernels.SYNTH, the compiled synth_rx, which holds
+    no GIL and adds into each thread's one zeroed padded record; the
+    sine arguments come from kernels.SINC, rx_sinc. Both are read at
+    call time. Where SYNTH is None a NumPy prelude forms the weights
+    and two SciPy products sum the pulses: a CSR matrix with weights a
+    at column row and b at row + 1 of each scatterer's row, times the
+    table, then the column sums of the (scatterers, padded record)
+    matrix of those pulses, a CSC matrix-vector product that adds into
+    each sample in scatterer order. Each thread builds the two matrices
+    once, their row pointers fixed, and each receiver rewrites their
+    weights, columns and pulse values in place.
     An echo centre outside the record, which a caller's t_rx can place
     there, is a ValueError naming the channel.
     """
@@ -583,13 +569,13 @@ def simulate_frame(
             if t is not None and t.shape != (array.num_elements, n_sc):
                 raise ValueError(f"{name} has shape {t.shape}, not "
                                  f"{(array.num_elements, n_sc)}")
-        kernel = KERNEL
+        kernel = kernels.SYNTH
         padded = num_samples + 2 * half
         # receivers whose distances and directivities NumPy takes in one
         # array, a few TRACE_CHUNK-sized blocks
         group = max(1, TRACE_CHUNK // n_sc)
         if kernel is not None:
-            sinc_args = LIBRARY.rx_sinc
+            sinc_args = kernels.SINC
             sx = np.ascontiguousarray(s[:, 0])
             amp = np.ascontiguousarray(field.amplitudes, dtype=float)
             # the table, then each scatterer's amplitude and transmit leg

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from soscorr import beamform
+from soscorr import kernels
 from soscorr.beamform import BFConfig, das_beamform, receive_table
 from soscorr.delaytrack import TrackConfig, track_delays
 from soscorr.geometry import ImagingGrid, TransducerArray, element_position
@@ -29,8 +29,9 @@ from soscorr.pipeline import (
 
 # each DAS pass by the name a record gives it; a compiled pass the host
 # lacks is None
-PASSES = {"numpy": None, "compiled": beamform.SCALAR,
-          "avx512": beamform.VECTOR}
+LIB = kernels.LIBRARY
+PASSES = {"numpy": None, "compiled": None if LIB is None else LIB.das_rx,
+          "avx512": LIB.das_rx_avx512 if LIB and LIB.avx512() else None}
 
 
 @pytest.fixture(params=list(PASSES))
@@ -170,8 +171,8 @@ class TestDASBeamform:
         """Each compiled DAS pass beamforms the quick pipeline frames of
         ellipse_p40 to the NumPy loop's bytes, on both grids, at three
         c_bf, with the grid's receive table and without it."""
-        compiled = [p for p in (beamform.SCALAR, beamform.VECTOR)
-                    if p is not None]
+        compiled = [PASSES[name] for name in ("compiled", "avx512")
+                    if PASSES[name] is not None]
         if not compiled:
             pytest.skip("no compiled DAS pass on this host")
         cfg = replace(quick_cfg,
@@ -184,11 +185,11 @@ class TestDASBeamform:
             bfc = BFConfig(c_bf=c_bf, grid=grid, apodization=apodization)
             table = receive_table(cfg.array, grid)
             for fr in frames.values():
-                monkeypatch.setattr(beamform, "KERNEL", None)
+                monkeypatch.setattr(kernels, "DAS", None)
                 expected = das_beamform(fr, cfg.array, bfc).rf
                 assert np.abs(expected).max() > 0
                 for kernel in compiled:
-                    monkeypatch.setattr(beamform, "KERNEL", kernel)
+                    monkeypatch.setattr(kernels, "DAS", kernel)
                     for tab in (None, table):
                         out = das_beamform(fr, cfg.array, bfc, table=tab)
                         assert out.rf.tobytes() == expected.tobytes()
@@ -201,7 +202,7 @@ class TestDASBeamform:
         before the nearest pixel's echo leaves every pixel past it: each
         pass beamforms both to zeros, on an aligned and an unaligned
         grid, and the vector pass reads nothing past the record."""
-        monkeypatch.setattr(beamform, "KERNEL", das_pass)
+        monkeypatch.setattr(kernels, "DAS", das_pass)
         array = TransducerArray()
         for grid in (ALIGNED, UNALIGNED):
             frame = guarded_frame(63, num_samples)
@@ -213,7 +214,7 @@ class TestDASBeamform:
 
     def test_empty_field_frame_beamforms_to_zeros(self, das_pass,
                                                   monkeypatch):
-        monkeypatch.setattr(beamform, "KERNEL", das_pass)
+        monkeypatch.setattr(kernels, "DAS", das_pass)
         medium = make_medium()
         array = TransducerArray()
         empty = ScattererField(positions=np.zeros((0, 2)),
@@ -476,9 +477,9 @@ class TestScalarKernel(TestDistanceTableKernel):
 
     @pytest.fixture(autouse=True)
     def scalar_pass(self, monkeypatch):
-        if beamform.SCALAR is None:
+        if PASSES["compiled"] is None:
             pytest.skip("no compiled DAS pass on this host")
-        monkeypatch.setattr(beamform, "KERNEL", beamform.SCALAR)
+        monkeypatch.setattr(kernels, "DAS", PASSES["compiled"])
 
 
 class TestNumPyLoop(TestDistanceTableKernel):
@@ -487,4 +488,4 @@ class TestNumPyLoop(TestDistanceTableKernel):
 
     @pytest.fixture(autouse=True)
     def numpy_loop(self, monkeypatch):
-        monkeypatch.setattr(beamform, "KERNEL", None)
+        monkeypatch.setattr(kernels, "DAS", None)

@@ -313,6 +313,28 @@ def test_one_frame_codec():
                                  "synthsim.read_frame"], [])
 
 
+# the names kernels binds to the library and to the passes it picks
+PASS_NAMES = {"LIBRARY", "DAS", "TRACE", "SYNTH", "SINC"}
+
+
+def test_one_pass_owner():
+    """kernels picks and names the compiled passes, and the callers read
+    its choice at call time: no other package module loads LIBRARY,
+    imports one of PASS_NAMES from kernels, or binds a module-level
+    name to a library function."""
+    owners = [
+        f"{path.stem}.{getattr(node, 'name', '<module>')}"
+        for path in MODULES if path.stem != "kernels"
+        for node in parse(path).body
+        if "LIBRARY" in loads(node)
+        or isinstance(node, ast.ImportFrom) and node.module == "kernels"
+        and {a.name for a in node.names} & PASS_NAMES
+        or isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None and loads(node.value) & PASS_NAMES
+    ]
+    assert owners == []
+
+
 def test_kernel_source_is_package_data():
     """The C source the kernels module builds its library from is listed
     as package data: setuptools' package finder ships only .py files, so

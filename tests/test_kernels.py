@@ -9,11 +9,15 @@ import subprocess
 
 import pytest
 
-from soscorr import beamform, kernels
+from soscorr import kernels
 from soscorr.beamform import BFConfig, das_beamform
 from soscorr.geometry import TransducerArray
 
 from test_beamform import UNALIGNED, noise_frame, reference_das
+
+# a function kernels.c exports: a definition at the start of a line,
+# which no static one is
+EXPORTED = re.compile(r"^(?:void|int) (\w+)\(", re.M)
 
 
 class TestKernelBuild:
@@ -28,7 +32,7 @@ class TestKernelBuild:
         assert lib is None
         [warning] = caplog.records
         assert cc in warning.getMessage()
-        monkeypatch.setattr(beamform, "KERNEL", None)
+        monkeypatch.setattr(kernels, "DAS", None)
         array = TransducerArray()
         frame = noise_frame(127, 700)
         cfg = BFConfig(c_bf=1522.5, grid=UNALIGNED, apodization="hann")
@@ -72,8 +76,7 @@ class TestKernelBuild:
         cc = kernels.compiler()
         if shutil.which(cc[0]) is None:
             pytest.skip("no C compiler on this host")
-        defined = set(re.findall(r"^(?:void|int) (\w+)\(",
-                                 kernels.KERNEL_SOURCE.read_text(), re.M))
+        defined = set(EXPORTED.findall(kernels.KERNEL_SOURCE.read_text()))
         assert defined == {"das_rx", "avx512", "das_rx_avx512", "trace_rays",
                            "trace_rays_avx512", "rx_sinc", "synth_rx"}
         if platform.machine() not in ("x86_64", "AMD64"):
@@ -109,3 +112,59 @@ class TestKernelBuild:
         assert names <= {"_ITM_deregisterTMCloneTable",
                          "_ITM_registerTMCloneTable", "__cxa_finalize",
                          "__gmon_start__"}
+
+
+class TestSignatureTable:
+    def test_every_export_has_an_entry(self):
+        """SIGNATURES declares every function kernels.c exports, and
+        nothing else, so a pass added to the source without its entry
+        fails here."""
+        assert set(kernels.SIGNATURES) == set(
+            EXPORTED.findall(kernels.KERNEL_SOURCE.read_text()))
+
+    def test_loaded_functions_take_their_entry(self):
+        """Every function the loaded library holds has its entry's
+        restype and argtypes, so none is called with ctypes' default
+        int conversions; off x86-64 only the vector bodies are absent."""
+        lib = kernels.LIBRARY
+        if lib is None:
+            pytest.skip("no C compiler on this host")
+        x86 = platform.machine() in ("x86_64", "AMD64")
+        for name in EXPORTED.findall(kernels.KERNEL_SOURCE.read_text()):
+            restype, argtypes = kernels.SIGNATURES[name]
+            fn = getattr(lib, name, None)
+            if fn is None:
+                assert name.endswith("_avx512") and not x86, name
+                continue
+            assert (fn.restype, list(fn.argtypes)) == (restype, argtypes), \
+                name
+
+
+class TestPasses:
+    def test_names_follow_the_bound_passes(self, monkeypatch):
+        """passes() names what kernels binds at call time: a vector body
+        "avx512", its scalar twin "compiled" and None "numpy". synth_rx
+        reads "avx512" exactly where avx512() is 1, since its loader
+        picks the AVX-512F clone by the same CPU test."""
+        lib = kernels.LIBRARY
+        if lib is None:
+            pytest.skip("no C compiler on this host")
+        loaded = "avx512" if lib.avx512() else "compiled"
+        assert kernels.passes() == {"das_kernel": loaded,
+                                    "trace_kernel": loaded,
+                                    "synth_kernel": loaded}
+        assert (kernels.DAS, kernels.TRACE) == (
+            (lib.das_rx_avx512, lib.trace_rays_avx512) if lib.avx512()
+            else (lib.das_rx, lib.trace_rays))
+        assert (kernels.SYNTH, kernels.SINC) == (lib.synth_rx, lib.rx_sinc)
+        monkeypatch.setattr(kernels, "DAS", lib.das_rx)
+        monkeypatch.setattr(kernels, "TRACE", None)
+        assert kernels.passes() == {"das_kernel": "compiled",
+                                    "trace_kernel": "numpy",
+                                    "synth_kernel": loaded}
+        monkeypatch.setattr(kernels, "DAS", None)
+        monkeypatch.setattr(kernels, "TRACE", lib.trace_rays)
+        monkeypatch.setattr(kernels, "SYNTH", None)
+        assert kernels.passes() == {"das_kernel": "numpy",
+                                    "trace_kernel": "compiled",
+                                    "synth_kernel": "numpy"}

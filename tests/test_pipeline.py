@@ -36,7 +36,7 @@ from soscorr.pipeline import (
     simulate_frames,
     write_record,
 )
-from soscorr import beamform, metrics, pipeline, synthsim
+from soscorr import beamform, kernels, metrics, pipeline
 from soscorr.calibrate import (CalibrationDataset, CalibrationEntry,
                                CalibrationModel, build_calibration,
                                export_sweep, load_model, save_model)
@@ -482,23 +482,6 @@ class TestSimulateStage:
             assert (a / name).exists(), name
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_record_names_the_pulse_sum(self, tmp_path, monkeypatch):
-        """simulate.json names the pulse sum that ran: the one the module
-        loaded, and "numpy" where KERNEL is None, whose frames are the
-        same bytes (their manifest digests match)."""
-        cfg = cheap_cfg()
-
-        def run(name):
-            out = cmd_simulate(cfg, tmp_path / name)
-            return (json.loads((out / "simulate.json").read_text()),
-                    (out / "MANIFEST.txt").read_text())
-
-        loaded = "numpy" if synthsim.KERNEL is None else "compiled"
-        record, manifest = run("loaded")
-        assert record == {"synth_kernel": loaded}
-        monkeypatch.setattr(synthsim, "KERNEL", None)
-        assert run("numpy") == ({"synth_kernel": "numpy"}, manifest)
-
     def test_gt_map_matches_background(self, tmp_path):
         cfg = cheap_cfg()
         out = tmp_path / "run"
@@ -580,7 +563,7 @@ class TestCalibrationSweep:
         assert model.domain == expected.domain == (-40.0, 40.0)
         assert model.training_indices == tuple(range(17))
         assert json.loads((tmp_path / "calibrate.json").read_text()) == \
-            {"rows": sweep.report_rows}
+            {"rows": sweep.report_rows, **loaded_passes()}
         [row] = sweep.report_rows
         assert (row["n_train"], row["n_test"]) == (9, 8)
         table = (tmp_path / "calibration_sweep.csv").read_text().splitlines()
@@ -648,7 +631,8 @@ def inclusion_cfg():
 
 # the keys of a reconstruct record that are not map scores
 HEALTH_KEYS = {"converged", "iterations", "grad_norm", "message", "rows",
-               "valid_fraction", "clamped_fraction", "das_kernel"}
+               "valid_fraction", "clamped_fraction", "das_kernel",
+               "trace_kernel", "synth_kernel"}
 
 
 def no_table(*args):
@@ -815,12 +799,15 @@ class TestReconstructStage:
         assert peak < 5 * frame_bytes
 
 
-def loaded_kernel():
-    """The DAS pass the beamform module loaded, as a record names it:
-    the vector pass where the host has AVX-512F, else the scalar one."""
-    if beamform.KERNEL is None:
-        return "numpy"
-    return "compiled" if beamform.VECTOR is None else "avx512"
+def loaded_passes():
+    """The passes kernels picked at import, as a record names them: on
+    a host with AVX-512F the vector DAS and trace and synth_rx's
+    AVX-512F clone, else the scalar ones; "numpy" without the library."""
+    lib = kernels.LIBRARY
+    name = "numpy" if lib is None else "avx512" if lib.avx512() else \
+        "compiled"
+    return dict.fromkeys(("das_kernel", "trace_kernel", "synth_kernel"),
+                         name)
 
 
 def recon_cfg():
@@ -866,23 +853,12 @@ class TestReconMetrics:
             "rows": rows,
             "valid_fraction": rows / (n_pairs * n_nodes),
             "clamped_fraction": res.clamped_fraction,
-            "das_kernel": loaded_kernel(),
+            **loaded_passes(),
         }
         assert metrics["iterations"] > 0 and metrics["message"]
         assert 0 < metrics["valid_fraction"] <= 1
         assert res.clamped_fraction == 0.0
         assert res.rmse_vs_gt is None
-
-    def test_numpy_fallback_is_named_and_maps_the_same(
-            self, frames_dir, run, tmp_path, monkeypatch):
-        """With no compiled kernel the record names the NumPy loop, and
-        the map is the compiled kernel's, byte for byte."""
-        monkeypatch.setattr(beamform, "KERNEL", None)
-        res = cmd_reconstruct(recon_cfg(), frames_dir, 1500.0,
-                              out_dir=tmp_path)
-        metrics = json.loads((tmp_path / "reconstruct.json").read_text())
-        assert metrics["das_kernel"] == "numpy"
-        assert res.sos_map.tobytes() == run[1].sos_map.tobytes()
 
     def test_rmse_is_added_with_ground_truth(self, frames_dir, run):
         """The ground truth is the medium of the frame directory's
@@ -910,6 +886,74 @@ class TestReconMetrics:
         assert lines[1] == "c_bf 1500.0"
         assert lines[2:] == pipeline._grid_sidecar(
             "", recon_cfg().slow_grid()).splitlines()
+
+
+# each pass a record names, and the kernels global that picks it
+SWITCHES = {"das_kernel": "DAS", "trace_kernel": "TRACE",
+            "synth_kernel": "SYNTH"}
+
+
+def passes_cfg():
+    """The cheap config with an inclusion, so the ray trace runs."""
+    return replace(cheap_cfg(), inclusions=(
+        Inclusion("ellipse", (0.0, 18e-3), (5e-3, 4e-3), 1540.0),))
+
+
+class TestRecordPasses:
+    """Each command's record names the passes as kernels.passes() does:
+    as loaded, and with each of DAS, TRACE and SYNTH set to None in turn,
+    where the matching name reads "numpy" and the command writes the
+    same bytes, the rest of its record included."""
+
+    @pytest.fixture(scope="class")
+    def frames_dir(self, tmp_path_factory):
+        """passes_cfg's frames, simulated with the passes as loaded."""
+        return cmd_simulate(passes_cfg(), tmp_path_factory.mktemp("passes"))
+
+    @staticmethod
+    def check(tmp_path, run, command, outputs):
+        """run(out_dir) writes command.json and the files outputs into
+        out_dir."""
+        def written(label):
+            run(tmp_path / label)
+            return (json.loads((tmp_path / label / f"{command}.json")
+                               .read_text()),
+                    [(tmp_path / label / name).read_bytes()
+                     for name in outputs])
+
+        record, loaded = written("loaded")
+        assert kernels.passes() == loaded_passes()
+        assert {k: record[k] for k in SWITCHES} == loaded_passes()
+        for name, switch in SWITCHES.items():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, switch, None)
+                named = {**loaded_passes(), name: "numpy"}
+                assert kernels.passes() == named
+                assert written(switch) == ({**record, **named}, loaded)
+
+    def test_simulate_record(self, tmp_path):
+        self.check(tmp_path, lambda out: cmd_simulate(passes_cfg(), out),
+                   "simulate", ["MANIFEST.txt"])
+
+    def test_calibrate_record(self, tmp_path):
+        self.check(tmp_path, lambda out: pipeline.cmd_calibrate(
+            cheap_cfg(), out, half_range=10.0), "calibrate",
+            ["calibration_model.txt", "calibration_sweep.csv"])
+
+    def test_estimate_record(self, frames_dir, tmp_path):
+        self.check(tmp_path, lambda out: pipeline.cmd_estimate(
+            passes_cfg(), frames_dir, WIDE_MODEL, 1510.0, out_dir=out),
+            "estimate", ["pattern.csv", "delay_map.csv"])
+
+    def test_reconstruct_record(self, frames_dir, tmp_path):
+        def run(out):
+            res = cmd_reconstruct(passes_cfg(), frames_dir, 1510.0,
+                                  out_dir=out)
+            # the map's own bytes, which sos_map.csv rounds
+            np.save(out / "sos_map.npy", res.sos_map)
+
+        self.check(tmp_path, run, "reconstruct",
+                   ["sos_map.npy", "objective_trace.csv"])
 
 
 class TestCommandTables:
@@ -969,8 +1013,8 @@ class TestCommandTables:
             "convention", "c_bf_assumed", "observed_slope_s_per_rad",
             "delta_c_hat_mps", "corrected_sos_mps", "fit_r_squared",
             "fit_iterations", "fit_converged", "valid_fraction",
-            "das_kernel"}
-        assert record["das_kernel"] == loaded_kernel()
+            "das_kernel", "trace_kernel", "synth_kernel"}
+        assert {k: record[k] for k in kernels.passes()} == loaded_passes()
         assert record["fit_iterations"] == fit.iterations > 0
         assert record["fit_converged"] is fit.converged is True
         assert record["valid_fraction"] == dmap.valid.sum() / dmap.valid.size
@@ -1865,7 +1909,7 @@ class TestReportRoundTrip:
 
         rows = returned["cmd_calibrate"].report_rows
         assert json.loads((run / "cal" / "calibrate.json").read_text()) == \
-            {"rows": rows}
+            {"rows": rows, **loaded_passes()}
 
         report_argv = ["--out", str(run / "report"), "report",
                        "--run-dir", str(run)]
@@ -1875,7 +1919,7 @@ class TestReportRoundTrip:
         report = json.loads(first)
         assert report["missing"] == []
         [calibrated] = report["calibrate"]
-        assert calibrated == {"dir": "cal", "rows": rows}
+        assert calibrated == {"dir": "cal", "rows": rows, **loaded_passes()}
         [estimated] = report["estimate"]
         assert estimated["dir"] == "est"
         assert estimated["delta_c_hat_mps"] == \

@@ -33,7 +33,7 @@ from soscorr.synthsim import (
     write_frame,
     write_frame_set,
 )
-from soscorr import synthsim
+from soscorr import kernels, synthsim
 
 
 def make_medium(inclusions=(), background=1500.0):
@@ -567,17 +567,17 @@ class TestTracePasses:
     @pytest.mark.parametrize("name", ["scalar", "avx512"])
     @pytest.mark.parametrize("case", list(CASES))
     def test_pass_equals_numpy_block(self, monkeypatch, case, name):
-        lib = synthsim.LIBRARY
+        lib = kernels.LIBRARY
         if lib is None or (name == "avx512" and not lib.avx512()):
             pytest.skip(f"no {name} trace on this host")
         incs, p, q = self.CASES[case]
         m = make_medium(incs)
         p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-        monkeypatch.setattr(synthsim, "TRACE", None)
+        monkeypatch.setattr(kernels, "TRACE", None)
         ref = travel_times(p, q, m)
         table_ref = travel_times(p[None], q[::-1, None], m)
         monkeypatch.setattr(
-            synthsim, "TRACE",
+            kernels, "TRACE",
             lib.trace_rays if name == "scalar" else lib.trace_rays_avx512)
         assert travel_times(p, q, m).tobytes() == ref.tobytes()
         assert travel_times(p[None], q[::-1, None], m).tobytes() \
@@ -590,7 +590,7 @@ class TestNumPyTrace(TestExactTravelTimes, TestTraceLayout):
 
     @pytest.fixture(autouse=True)
     def numpy_trace(self, monkeypatch):
-        monkeypatch.setattr(synthsim, "TRACE", None)
+        monkeypatch.setattr(kernels, "TRACE", None)
 
 
 class TestMediumSpec:
@@ -726,8 +726,8 @@ class TestSimulateFrame:
                                           lengths=True)
         assert np.isnan(t) or abs(t) * self.pulse.sampling_frequency > n
         t_rx[7, 1 if one else slice(None)] = t
-        for kernel in (synthsim.KERNEL, None):
-            monkeypatch.setattr(synthsim, "KERNEL", kernel)
+        for kernel in (kernels.SYNTH, None):
+            monkeypatch.setattr(kernels, "SYNTH", kernel)
             for dist in (r_rx, None):
                 with pytest.raises(ValueError,
                                    match="channel 7.*outside the record"):
@@ -1115,7 +1115,7 @@ class TestReceiveLoop:
             built.append(type(self).__name__)
             init(self, *args, **kwargs)
 
-        scipy_products = synthsim.KERNEL is None
+        scipy_products = kernels.SYNTH is None
         monkeypatch.setattr(compressed._cs_matrix, "__init__", counting_init)
         frame = simulate_frame(55, field, medium, pulse, array, t_rx=t_rx,
                                threads=threads)
@@ -1166,7 +1166,7 @@ class TestSciPyProducts(TestSimulateFrames, TestPulseTable, TestReceiveLoop):
 
     @pytest.fixture(autouse=True)
     def scipy_products(self, monkeypatch):
-        monkeypatch.setattr(synthsim, "KERNEL", None)
+        monkeypatch.setattr(kernels, "SYNTH", None)
 
 
 class TestSynthKernel:
@@ -1181,7 +1181,7 @@ class TestSynthKernel:
         without a kernel."""
         import scipy.sparse as sp
 
-        if synthsim.KERNEL is None:
+        if kernels.SYNTH is None:
             pytest.skip("no compiled kernel on this host")
         rng = np.random.default_rng(5)
         n, steps, width, num_samples, fs = 300, 256, 129, 200, 1.6e8
@@ -1193,7 +1193,7 @@ class TestSynthKernel:
         r_tx[:60] = r_rx[:60] = 5e-4
         t_tx, t_rx = rng.uniform(0.0, (num_samples - 1) / fs / 2, (2, n))
         rec = np.zeros(num_samples + width - 1)
-        ok = synthsim.KERNEL(
+        ok = kernels.SYNTH(
             table.ctypes.data, width, steps,
             *(a.ctypes.data for a in (amp, r_tx, d_tx, t_tx, t_rx, r_rx,
                                       sin_y, y, cos_t)),
@@ -1236,7 +1236,7 @@ class TestSynthKernel:
         scatterers on an element's axis (a sinc of 0), at an element
         (a distance under the 1e-9 floor), at grazing incidence and in
         between, the distances the receive table's own."""
-        if synthsim.LIBRARY is None:
+        if kernels.SINC is None:
             pytest.skip("no compiled kernel on this host")
         array = TransducerArray()
         ex = array.element_x()
@@ -1251,7 +1251,7 @@ class TestSynthKernel:
             make_medium(), array, lengths=True)[1][rows]
         wavelength = 1500.0 / 5e6
         y, cos_t = np.empty((2,) + r.shape)
-        synthsim.LIBRARY.rx_sinc(
+        kernels.SINC(
             sx.ctypes.data, ex[rows].ctypes.data, r.ctypes.data, r.shape[0],
             sx.size, array.pitch, wavelength, np.pi, np.finfo(float).eps,
             y.ctypes.data, cos_t.ctypes.data)
@@ -1263,7 +1263,7 @@ class TestSynthKernel:
     def test_noisy_frame_is_the_same_on_both_passes(self, monkeypatch):
         """With noise the frame is float64 until the noise is added; the
         compiled pulse sum and the SciPy products give the same bytes."""
-        if synthsim.KERNEL is None:
+        if kernels.SYNTH is None:
             pytest.skip("no compiled kernel on this host")
         medium = make_medium(
             [Inclusion("ellipse", (0.0, 0.012), (3e-3, 2e-3), 1540.0)])
@@ -1277,14 +1277,14 @@ class TestSynthKernel:
                                   t_rx=t_rx, threads=2).samples
 
         compiled = frame()
-        monkeypatch.setattr(synthsim, "KERNEL", None)
+        monkeypatch.setattr(kernels, "SYNTH", None)
         assert compiled.tobytes() == frame().tobytes()
 
     def test_failed_build_runs_numpy_and_scipy(self, tmp_path):
-        """A compiler that fails at import leaves both passes' pointers,
-        beamform.KERNEL and synthsim.KERNEL, None, logs one warning and
-        raises nothing; the frame simulated then still equals the
-        table-based loop byte for byte."""
+        """A compiler that fails at import leaves the library and the
+        four passes kernels binds None, names each pass "numpy", logs
+        one warning and raises nothing; the frame simulated then still
+        equals the table-based loop byte for byte."""
         import soscorr
 
         script = """
@@ -1294,7 +1294,7 @@ config_var = sysconfig.get_config_var
 sysconfig.get_config_var = lambda name: (
     "false" if name == "CC" else config_var(name))
 import numpy as np
-from soscorr import beamform, synthsim
+from soscorr import kernels, synthsim
 from soscorr.geometry import ImagingGrid, TransducerArray
 from soscorr.synthsim import MediumSpec, PulseSpec, ScattererField
 grid = ImagingGrid(x0=-0.02 + 1.5e-4, z0=1.5e-4, dx=3e-4, dz=3e-4,
@@ -1304,7 +1304,8 @@ field = ScattererField(positions=np.array([[0.0, 0.02], [3e-3, 0.011]]),
 frame = synthsim.simulate_frame(50, field, MediumSpec(1500.0, grid),
                                 PulseSpec(), TransducerArray())
 np.save(sys.argv[1], frame.samples)
-print(beamform.KERNEL, synthsim.KERNEL, synthsim.synth_kernel())
+print(kernels.LIBRARY, kernels.DAS, kernels.TRACE, kernels.SYNTH, kernels.SINC,
+      *kernels.passes().values())
 """
         out = tmp_path / "frame.npy"
         env = {**os.environ,
@@ -1313,7 +1314,7 @@ print(beamform.KERNEL, synthsim.KERNEL, synthsim.synth_kernel())
                              capture_output=True, text=True, env=env,
                              timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["None", "None", "numpy"]
+        assert run.stdout.split() == ["None"] * 5 + ["numpy"] * 3
         assert run.stderr.count("compiled kernels not built") == 1
         field = ScattererField(positions=np.array([[0.0, 0.02],
                                                    [3e-3, 0.011]]),

@@ -125,13 +125,9 @@ def das_beamform(
     reads (c1 - c0) * f + c0, c0 and c1 being the samples i0 and
     i0 + 1 as float64. Each group runs in one call of kernels.DAS,
     read at call time: the compiled das_rx_avx512 where the host has
-    AVX-512F, else das_rx, or the NumPy loop when it is None. In the
-    loop, float addition and multiplication by k > 0 are monotone, so
-    the smallest and largest table entry of a receiver's rows times k
-    plus those of the transmit leg bound every s; only a receiver
-    whose bound leaves [0, ns - 1) builds the mask of samples outside
-    the record. The arithmetic per pixel and the receiver order of the
-    sum do not depend on the pass, the table or the bound.
+    AVX-512F, else das_rx, or the NumPy loop when it is None. The
+    arithmetic per pixel and the receiver order of the sum do not
+    depend on the pass or the table.
     """
     if frame.num_rx != array.num_elements:
         raise ValueError(
@@ -165,7 +161,6 @@ def das_beamform(
     rf = np.zeros(shape)
     kernel = kernels.DAS
     if kernel is None:
-        tx_lo, tx_hi = s_tx.min(), s_tx.max()
         s = np.empty(shape)
         val = np.empty(shape)
         idx = np.empty(shape, dtype=np.intp)
@@ -178,17 +173,13 @@ def das_beamform(
                    samples[start].ctypes.data, ns, gain[start:].ctypes.data,
                    n, grid.nx, grid.nz, rf.ctypes.data)
             continue
-        row_lo, row_hi = rows.min(axis=1), rows.max(axis=1)
         for j, rx in enumerate(range(start, start + n)):
             ch[:] = samples[rx]
             np.subtract(ch[1:], ch[:-1], out=diff[:-1])
             np.take(rows, inv[j], axis=0, out=s, mode="clip")
             s *= k
             s += s_tx
-            outside = None
-            if (row_lo[inv[j]].min() * k + tx_lo < 0
-                    or row_hi[inv[j]].max() * k + tx_hi >= ns - 1):
-                outside = (s < 0) | (s >= ns - 1)
+            outside = (s < 0) | (s >= ns - 1)
             # i0 = floor(s), and s becomes the fraction; wrapped indices
             # only occur where the sample is outside and masked below
             np.floor(s, out=val)
@@ -198,8 +189,7 @@ def das_beamform(
             val *= s
             np.take(ch, idx, out=s, mode="wrap")
             val += s
-            if outside is not None:
-                val[outside] = 0.0
+            val[outside] = 0.0
             if cfg.apodization == "hann":
                 val *= gain[rx]
             rf += val

@@ -67,7 +67,7 @@ static inline double rint_np(double x)
  * i0 and i0 + 1 read as doubles: the arithmetic of the NumPy loop,
  * which scales the table by k, and adds the receivers in ascending
  * order. das_rx is the scalar pass; das_rx_avx512 runs 8 pixels a
- * step where das_avx512() says the host has AVX-512F.
+ * step where avx512() says the host has AVX-512F.
  */
 void das_rx(const double *table, const int64_t *inv, const double *s_tx,
             double k, const float *ch, int64_t ns, const double *gain,

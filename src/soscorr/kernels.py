@@ -11,8 +11,8 @@ channel of :func:`~soscorr.synthsim.simulate_frame` from its travel
 times, distances and directivities' sines and sum its pulses. The first
 import builds it with the host's C compiler into a cached library, once
 for all; ctypes releases the GIL around each call, so threads run the
-passes in parallel. Each pass gives the same bytes as the NumPy or
-SciPy code it stands beside: -ffp-contract=off keeps every product and
+passes in parallel. Each pass gives the same bytes as the NumPy code
+it stands beside: -ffp-contract=off keeps every product and
 sum rounding on its own, with no fused multiply-add, the vector passes
 write each as its own intrinsic, and the C code calls no libm function.
 The library is built for the baseline of its architecture, not with
@@ -20,8 +20,8 @@ The library is built for the baseline of its architecture, not with
 DAS and TRACE are the vector bodies where avx512() finds AVX-512F on
 the host, else the scalar ones; SYNTH is synth_rx, which on x86-64 is
 built for both, the loader picking one, and SINC is rx_sinc. Callers
-read them at call time, and run their NumPy or SciPy code where one is
-None, as all are where the library does not build or load (one warning
+read them at call time, and run their NumPy code where one is None,
+as all are where the library does not build or load (one warning
 is logged); :func:`passes` names what runs.
 """
 
@@ -115,8 +115,8 @@ def load_kernel(cc: list[str] | None = None,
     except (OSError, subprocess.CalledProcessError) as err:
         detail = getattr(err, "stderr", None) or err
         logging.getLogger(__name__).warning(
-            "compiled kernels not built, the NumPy and SciPy passes run "
-            "instead: %s", detail)
+            "compiled kernels not built, the NumPy passes run instead: %s",
+            detail)
         return None
     for name, (restype, argtypes) in SIGNATURES.items():
         fn = getattr(lib, name, None)
@@ -138,16 +138,16 @@ def _pass_name(fn) -> str:
 
 
 def passes() -> dict[str, str]:
-    """The passes that run now, as every command record names them:
-    das_kernel (DAS), trace_kernel (TRACE) and synth_kernel (SYNTH)."""
+    """The passes that run now, by the names a command record gives
+    those it ran: das_kernel (DAS), trace_kernel (TRACE) and
+    synth_kernel (SYNTH)."""
     return {"das_kernel": _pass_name(DAS), "trace_kernel": _pass_name(TRACE),
             "synth_kernel": _pass_name(SYNTH)}
 
 
 # built at import, so no timed stage pays for the compiler
 LIBRARY = load_kernel()
-# the pass each caller runs, read at call time; None runs its NumPy or
-# SciPy code
+# the pass each caller runs, read at call time; None runs its NumPy code
 DAS = TRACE = SYNTH = SINC = None
 if LIBRARY is not None:
     if LIBRARY.avx512():

@@ -370,6 +370,12 @@ def write_record(out_dir: Path, command: str, record: dict) -> None:
         json.dumps(strict, indent=2, allow_nan=False))
 
 
+def _passes_ran(*names: str) -> dict[str, str]:
+    """The entries of :func:`~soscorr.kernels.passes` that names lists:
+    the passes a command runs, which its record names."""
+    return {k: v for k, v in passes().items() if k in names}
+
+
 def generate_frames(cfg: PipelineConfig,
                     tx_list: list[int] | None = None) -> Iterator[ChannelFrame]:
     """Channel data for the required transmits, one frame at a time.
@@ -420,9 +426,10 @@ def _grid_line(grid: ImagingGrid) -> str:
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
     """Simulate and persist all frames the configured pipeline needs, and
     the ground-truth SoS map with its grid; each frame is written before
-    the next one is simulated. simulate.json names the compiled passes
-    (:func:`~soscorr.kernels.passes`), so a run that fell back to the
-    NumPy trace or the SciPy products shows."""
+    the next one is simulated. simulate.json names the passes it ran
+    (:func:`_passes_ran`): synth_kernel, and trace_kernel where the
+    medium has an inclusion, so a run that fell back to a NumPy pass
+    shows."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_frame_set(out_dir, generate_frames(cfg), cfg.medium())
@@ -432,7 +439,9 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
     (out_dir / "gt_sos.csv.txt").write_text(_grid_sidecar(
         "ground-truth SoS in m/s on the slowness grid\n", grid))
     (out_dir / "config_resolved.ini").write_text(dump_config(cfg))
-    write_record(out_dir, "simulate", passes())
+    # a homogeneous medium's travel times take no ray trace
+    traced = () if cfg.medium().is_homogeneous else ("trace_kernel",)
+    write_record(out_dir, "simulate", _passes_ran(*traced, "synth_kernel"))
     return out_dir
 
 
@@ -515,10 +524,10 @@ def cmd_calibrate(cfg: PipelineConfig, out_dir: Path,
     calibrate.json holds report_rows, the held-out score of a
     calibration_degree fit on every second offset, the split that
     calibration_sweep.csv marks; calibration_model.txt is that degree
-    fitted on every offset; the record also names the compiled passes
-    (:func:`~soscorr.kernels.passes`). The returned sweep holds the
-    every-second fit. The medium and half_range are checked before the
-    output directory is made.
+    fitted on every offset; the record also names the passes it ran,
+    das_kernel and synth_kernel (:func:`_passes_ran`). The returned
+    sweep holds the every-second fit. The medium and half_range are
+    checked before the output directory is made.
     """
     if cfg.inclusions:
         raise ConfigError("calibration requires a homogeneous medium: "
@@ -542,7 +551,8 @@ def cmd_calibrate(cfg: PipelineConfig, out_dir: Path,
     cal.export_sweep(out_dir / "calibration_sweep.csv", result.dataset,
                      result.models[degree])
     write_record(out_dir, "calibrate",
-                 {"rows": result.report_rows, **passes()})
+                 {"rows": result.report_rows,
+                  **_passes_ran("das_kernel", "synth_kernel")})
     (out_dir / "config_resolved.ini").write_text(dump_config(cfg))
     return result
 
@@ -565,8 +575,8 @@ def cmd_estimate(
 
     A model built on another estimation grid than the config's (another
     [grids] bf_dx), or on an unknown one, is refused before any frame
-    is read. With out_dir, estimate.json also names the compiled passes
-    (:func:`~soscorr.kernels.passes`), so a run that fell back to the
+    is read. With out_dir, estimate.json also names the DAS pass it ran,
+    das_kernel (:func:`_passes_ran`), so a run that fell back to the
     NumPy loop shows.
     """
     grid = _grid_line(cfg.estimation_grid())
@@ -608,7 +618,7 @@ def cmd_estimate(
             "fit_iterations": fit.iterations,
             "fit_converged": fit.converged,
             "valid_fraction": float(np.mean(dmap.valid)),
-            **passes(),
+            **_passes_ran("das_kernel"),
         })
     return result
 
@@ -654,8 +664,8 @@ def cmd_reconstruct(
     trace and reconstruct.json: the solve's converged, iterations,
     grad_norm and message; its rows (measurements in the solve) and
     valid_fraction (tracked nodes kept by min_ncc); the map's
-    clamped_fraction; the compiled passes
-    (:func:`~soscorr.kernels.passes`); and the result's scores.
+    clamped_fraction; the DAS pass it ran, das_kernel
+    (:func:`_passes_ran`); and the result's scores.
     When frames_dir holds the config the frames were simulated with,
     config_resolved.ini, metrics.score_map scores the map against that
     config's medium on the map's own slowness grid, with or without
@@ -733,7 +743,8 @@ def cmd_reconstruct(
                    "grad_norm": info.grad_norm, "message": info.message,
                    "rows": rows,
                    "valid_fraction": rows / sum(m.size for m in masks),
-                   "clamped_fraction": clamped, **passes(), **scores}
+                   "clamped_fraction": clamped, **_passes_ran("das_kernel"),
+                   **scores}
         write_record(out_dir, "reconstruct", metrics)
     return result
 

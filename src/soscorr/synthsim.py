@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
 from .geometry import ImagingGrid, TransducerArray, element_position, slab_clip
@@ -505,33 +504,29 @@ def simulate_frame(
 
     Each channel sums, for every scatterer in order, its pulse: the two
     rows of the pulse table T around its echo time, weighted a and b,
-    (0 + a T[row]) + b T[row + 1], into a float64 record padded by the
-    pulse's half-width on both sides, so a pulse cut at either end of
-    the record keeps its in-record part and the padding is dropped.
-    That is the arithmetic and the summation order of a loop that
-    gathers and weights two table rows per scatterer and sums its
-    in-record terms with bincount, so frames equal that loop's byte for
-    byte. NumPy takes the receive directivities, whose sinc needs
-    np.sin, as whole arrays over a few receivers at a time; the rest of
-    a channel, from the spreading and the rounded echo times to the
-    pulse sum, runs in kernels.SYNTH, the compiled synth_rx, which holds
-    no GIL and adds into each thread's one zeroed padded record; the
-    sine arguments come from kernels.SINC, rx_sinc. Both are read at
-    call time. Where SYNTH is None a NumPy prelude forms the weights
-    and two SciPy products sum the pulses: a CSR matrix with weights a
-    at column row and b at row + 1 of each scatterer's row, times the
-    table, then the column sums of the (scatterers, padded record)
-    matrix of those pulses, a CSC matrix-vector product that adds into
-    each sample in scatterer order. Each thread builds the two matrices
-    once, their row pointers fixed, and each receiver rewrites their
-    weights, columns and pulse values in place.
+    a T[row] + b T[row + 1], added with bincount into a float64 record
+    padded by the pulse's half-width on both sides, so a pulse cut at
+    either end of the record keeps its in-record part and the padding
+    is dropped. That NumPy loop, one receiver at a time, runs where
+    kernels.SYNTH is None and defines the frame's bytes. Elsewhere
+    NumPy takes the receive directivities, whose sinc needs np.sin, as
+    whole arrays over a few receivers at a time; the rest of a channel,
+    from the spreading and the rounded echo times to the pulse sum,
+    runs in kernels.SYNTH, the compiled synth_rx, which holds no GIL,
+    adds the same terms in the same order into each thread's one zeroed
+    padded record, and so gives the same bytes; the sine arguments come
+    from kernels.SINC, rx_sinc. Both are read at call time.
     An echo centre outside the record, which a caller's t_rx can place
-    there, is a ValueError naming the channel.
+    there, is a ValueError naming the channel. r_rx without t_rx is a
+    ValueError too: the traced distances would replace it.
     """
     if not 0 <= tx < array.num_elements:
         raise ValueError(f"tx element {tx} out of range")
     if noise_snr_db is not None and not np.isfinite(noise_snr_db):
         raise ValueError(f"noise_snr_db must be finite, got {noise_snr_db}")
+    if r_rx is not None and t_rx is None:
+        raise ValueError("r_rx given without t_rx: pass both, or neither "
+                         "to trace them")
     fs = pulse.sampling_frequency
     s = field.positions
     n_sc = s.shape[0]
@@ -591,22 +586,10 @@ def simulate_frame(
                 sinc = np.empty((3, group, n_sc))
                 sin_y, y, cos_t = (a.ctypes.data for a in sinc)
             else:
-                # the thread's two matrices, built once; each receiver
-                # rewrites their entries through views of the arrays
-                # they hold, which the constructors may have converted
-                coef = sp.csr_matrix(
-                    (np.zeros(2 * n_sc), np.zeros(2 * n_sc, dtype=np.int32),
-                     np.arange(0, 2 * n_sc + 1, 2)), shape=(n_sc, steps + 1))
-                weights = coef.data.reshape(n_sc, 2)
-                coef_row = coef.indices.reshape(n_sc, 2)
-                # the transposed (scatterers, padded record) pulse matrix
-                echoes_t = sp.csc_matrix(
-                    (np.zeros(offs.size * n_sc),
-                     np.zeros(offs.size * n_sc, dtype=np.int32),
-                     np.arange(0, offs.size * n_sc + 1, offs.size)),
-                    shape=(padded, n_sc))
-                idx = echoes_t.indices.reshape(n_sc, offs.size)
-                ones = np.ones(n_sc)
+                # the thread's (scatterers, pulse) padded-record indices,
+                # and its lower-row and upper-row pulse values
+                idx = np.empty((n_sc, offs.size), dtype=np.intp)
+                vals, upper = np.empty((2, n_sc, offs.size))
             for start in range(block[0], block[-1] + 1, group):
                 rows = slice(start, min(start + group, block[-1] + 1))
                 n_rows = rows.stop - rows.start
@@ -635,26 +618,27 @@ def simulate_frame(
                     spreading *= d_rx[i]
                     k_exact = (t_tx + t_rx[rx]) * fs
                     k0 = np.rint(k_exact)
-                    # the SciPy products do not check their indices; a
-                    # NaN time fails this test too
+                    # a NaN time fails this test too
                     if not (k0.min() >= 0 and k0.max() < num_samples):
                         raise _outside_the_record(rx)
                     pos = (k0 - k_exact + 0.5) * steps
-                    row = np.minimum(pos.astype(np.int32), steps - 1)
+                    row = np.minimum(pos.astype(np.intp), steps - 1)
                     w = pos - row
                     weight = field.amplitudes * spreading
-                    # the pulse interpolated linearly between table rows
-                    np.multiply(weight, 1.0 - w, out=weights[:, 0])
-                    np.multiply(weight, w, out=weights[:, 1])
-                    coef_row[:, 0] = row
-                    coef_row[:, 1] = row + 1
-                    vals = coef @ table
-                    # column sums over the padded record, added in
-                    # scatterer order
-                    np.add((k0.astype(np.int32) + half)[:, None], offs,
+                    # the pulse interpolated linearly between table rows;
+                    # "clip" gathers in place, where "raise" copies through
+                    # a buffer, and clips nothing, as row + 1 <= steps
+                    np.take(table, row, axis=0, out=vals, mode="clip")
+                    vals *= (weight * (1.0 - w))[:, None]
+                    np.take(table, row + 1, axis=0, out=upper, mode="clip")
+                    upper *= (weight * w)[:, None]
+                    vals += upper
+                    # added over the padded record in scatterer order
+                    np.add((k0.astype(np.intp) + half)[:, None], offs,
                            out=idx)
-                    echoes_t.data = vals.ravel()
-                    samples[rx] = (echoes_t @ ones)[half:half + num_samples]
+                    samples[rx] = np.bincount(
+                        idx.ravel(), weights=vals.ravel(),
+                        minlength=padded)[half:half + num_samples]
 
         # each thread writes its own rows of samples
         thread_map(receive, _blocks(array.num_elements, threads), threads)

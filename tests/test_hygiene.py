@@ -267,18 +267,25 @@ def called_names(node: ast.AST) -> set[str]:
             and isinstance(n.func, (ast.Name, ast.Attribute))}
 
 
-def imports_csv(tree: ast.AST) -> bool:
-    return any(isinstance(n, ast.Import) and any(a.name == "csv"
-                                                 for a in n.names)
-               or isinstance(n, ast.ImportFrom) and n.module == "csv"
-               for n in ast.walk(tree))
+def imported(tree: ast.AST) -> set[str]:
+    """Dotted names of the modules, and the names from them, that a
+    tree imports: scipy.sparse for "import scipy.sparse as sp" and for
+    "from scipy import sparse" alike."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names |= {a.name for a in n.names}
+        elif isinstance(n, ast.ImportFrom) and n.module and not n.level:
+            names |= {n.module} | {f"{n.module}.{a.name}" for a in n.names}
+    return names
 
 
 def test_one_table_writer():
     """CSV tables have one writer, np.savetxt, called outside the
     numerical modules: no package module imports csv, and none of
     NUMERICAL opens or writes a file."""
-    importers = [path.stem for path in MODULES if imports_csv(parse(path))]
+    importers = [path.stem for path in MODULES
+                 if "csv" in imported(parse(path))]
     writers = [
         f"{path.stem}.{getattr(node, 'name', '<module>')}"
         for path in MODULES if path.stem in NUMERICAL
@@ -286,6 +293,16 @@ def test_one_table_writer():
         if called_names(node) & FILE_WRITES
     ]
     assert (importers, writers) == ([], [])
+
+
+def test_one_sparse_module():
+    """tomo, whose path matrix and TV operator are sparse, is the one
+    package module that imports scipy.sparse: the simulator sums its
+    pulses with NumPy where no compiled pass runs."""
+    importers = [path.stem for path in MODULES
+                 if any(name == "scipy.sparse" or name.startswith(
+                     "scipy.sparse.") for name in imported(parse(path)))]
+    assert importers == ["tomo"]
 
 
 def test_one_frame_codec():
@@ -338,8 +355,7 @@ def test_one_pass_owner():
 def test_kernel_source_is_package_data():
     """The C source the kernels module builds its library from is listed
     as package data: setuptools' package finder ships only .py files, so
-    without the entry every installed copy would run the NumPy and SciPy
-    passes."""
+    without the entry every installed copy would run the NumPy passes."""
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())
     listed = project["tool"]["setuptools"]["package-data"]["soscorr"]

@@ -499,16 +499,20 @@ class TestSimulateStage:
         assert (a / "frame_tx055.sosc").read_bytes() != \
             (b / "frame_tx055.sosc").read_bytes()
 
-    def test_frames_stream_to_disk(self, tmp_path):
+    @pytest.mark.parametrize("synth", ["loaded", "numpy"])
+    def test_frames_stream_to_disk(self, tmp_path, monkeypatch, synth):
         """cmd_simulate writes each transmit before it simulates the next:
         the same manifest as writing the collected frames, at a traced
-        peak below 2 frames of 6. The float32 frame, whose rows are cast
+        peak below 2 frames of 6, with the pulse sum as loaded and with
+        kernels.SYNTH None. The float32 frame, whose rows are cast
         as they are simulated and which is written and hashed from its
         own buffer, takes 1; the receive working set the rest, at most
-        about half a frame at this density (the SciPy products, where no
-        compiled kernel loads). A float64 frame and its float32 copy
-        would take 3, and holding every frame, as collecting them does,
-        near 8."""
+        about half a frame at this density (the NumPy pulse sum's
+        per-thread index and pulse arrays). A float64 frame and its
+        float32 copy would take 3, and holding every frame, as
+        collecting them does, near 8."""
+        if synth == "numpy":
+            monkeypatch.setattr(kernels, "SYNTH", None)
         cfg = apply_quick(PipelineConfig(scatterer_density=0.5))
         assert len(cfg.required_tx()) == 6
         whole = tmp_path / "whole"
@@ -563,7 +567,8 @@ class TestCalibrationSweep:
         assert model.domain == expected.domain == (-40.0, 40.0)
         assert model.training_indices == tuple(range(17))
         assert json.loads((tmp_path / "calibrate.json").read_text()) == \
-            {"rows": sweep.report_rows, **loaded_passes()}
+            {"rows": sweep.report_rows,
+             **loaded_passes("das_kernel", "synth_kernel")}
         [row] = sweep.report_rows
         assert (row["n_train"], row["n_test"]) == (9, 8)
         table = (tmp_path / "calibration_sweep.csv").read_text().splitlines()
@@ -631,8 +636,7 @@ def inclusion_cfg():
 
 # the keys of a reconstruct record that are not map scores
 HEALTH_KEYS = {"converged", "iterations", "grad_norm", "message", "rows",
-               "valid_fraction", "clamped_fraction", "das_kernel",
-               "trace_kernel", "synth_kernel"}
+               "valid_fraction", "clamped_fraction", "das_kernel"}
 
 
 def no_table(*args):
@@ -799,15 +803,15 @@ class TestReconstructStage:
         assert peak < 5 * frame_bytes
 
 
-def loaded_passes():
-    """The passes kernels picked at import, as a record names them: on
-    a host with AVX-512F the vector DAS and trace and synth_rx's
-    AVX-512F clone, else the scalar ones; "numpy" without the library."""
+def loaded_passes(*names):
+    """The passes of names that kernels picked at import, as a record
+    names them: on a host with AVX-512F the vector DAS and trace and
+    synth_rx's AVX-512F clone, else the scalar ones; "numpy" without the
+    library."""
     lib = kernels.LIBRARY
     name = "numpy" if lib is None else "avx512" if lib.avx512() else \
         "compiled"
-    return dict.fromkeys(("das_kernel", "trace_kernel", "synth_kernel"),
-                         name)
+    return dict.fromkeys(names, name)
 
 
 def recon_cfg():
@@ -853,7 +857,7 @@ class TestReconMetrics:
             "rows": rows,
             "valid_fraction": rows / (n_pairs * n_nodes),
             "clamped_fraction": res.clamped_fraction,
-            **loaded_passes(),
+            **loaded_passes("das_kernel"),
         }
         assert metrics["iterations"] > 0 and metrics["message"]
         assert 0 < metrics["valid_fraction"] <= 1
@@ -900,10 +904,12 @@ def passes_cfg():
 
 
 class TestRecordPasses:
-    """Each command's record names the passes as kernels.passes() does:
-    as loaded, and with each of DAS, TRACE and SYNTH set to None in turn,
-    where the matching name reads "numpy" and the command writes the
-    same bytes, the rest of its record included."""
+    """Each command's record names the passes it runs as
+    kernels.passes() does: as loaded, and with each of DAS, TRACE and
+    SYNTH set to None in turn. Where the command runs that pass its
+    name reads "numpy" and the command writes the same bytes, the rest
+    of its record included; where it does not, the record and the
+    outputs are the same bytes."""
 
     @pytest.fixture(scope="class")
     def frames_dir(self, tmp_path_factory):
@@ -911,39 +917,53 @@ class TestRecordPasses:
         return cmd_simulate(passes_cfg(), tmp_path_factory.mktemp("passes"))
 
     @staticmethod
-    def check(tmp_path, run, command, outputs):
-        """run(out_dir) writes command.json and the files outputs into
-        out_dir."""
+    def check(tmp_path, run, command, outputs, ran):
+        """run(out_dir) writes command.json, naming the passes of ran,
+        and the files outputs into out_dir."""
         def written(label):
             run(tmp_path / label)
-            return (json.loads((tmp_path / label / f"{command}.json")
-                               .read_text()),
-                    [(tmp_path / label / name).read_bytes()
-                     for name in outputs])
+            return [(tmp_path / label / name).read_bytes()
+                    for name in (f"{command}.json", *outputs)]
 
-        record, loaded = written("loaded")
-        assert kernels.passes() == loaded_passes()
-        assert {k: record[k] for k in SWITCHES} == loaded_passes()
+        loaded = written("loaded")
+        record = json.loads(loaded[0])
+        assert kernels.passes() == loaded_passes(*SWITCHES)
+        assert {k: record[k] for k in SWITCHES if k in record} \
+            == loaded_passes(*ran)
         for name, switch in SWITCHES.items():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, switch, None)
-                named = {**loaded_passes(), name: "numpy"}
-                assert kernels.passes() == named
-                assert written(switch) == ({**record, **named}, loaded)
+                assert kernels.passes() == {**loaded_passes(*SWITCHES),
+                                            name: "numpy"}
+                switched = written(switch)
+                if name in ran:
+                    assert json.loads(switched[0]) == {**record,
+                                                       name: "numpy"}
+                    assert switched[1:] == loaded[1:]
+                else:
+                    assert switched == loaded
 
     def test_simulate_record(self, tmp_path):
         self.check(tmp_path, lambda out: cmd_simulate(passes_cfg(), out),
-                   "simulate", ["MANIFEST.txt"])
+                   "simulate", ["MANIFEST.txt"],
+                   ["trace_kernel", "synth_kernel"])
+
+    def test_homogeneous_simulate_record(self, tmp_path):
+        """Without an inclusion the travel times take no ray trace, and
+        simulate.json names the pulse sum alone."""
+        self.check(tmp_path, lambda out: cmd_simulate(cheap_cfg(), out),
+                   "simulate", ["MANIFEST.txt"], ["synth_kernel"])
 
     def test_calibrate_record(self, tmp_path):
         self.check(tmp_path, lambda out: pipeline.cmd_calibrate(
             cheap_cfg(), out, half_range=10.0), "calibrate",
-            ["calibration_model.txt", "calibration_sweep.csv"])
+            ["calibration_model.txt", "calibration_sweep.csv"],
+            ["das_kernel", "synth_kernel"])
 
     def test_estimate_record(self, frames_dir, tmp_path):
         self.check(tmp_path, lambda out: pipeline.cmd_estimate(
             passes_cfg(), frames_dir, WIDE_MODEL, 1510.0, out_dir=out),
-            "estimate", ["pattern.csv", "delay_map.csv"])
+            "estimate", ["pattern.csv", "delay_map.csv"], ["das_kernel"])
 
     def test_reconstruct_record(self, frames_dir, tmp_path):
         def run(out):
@@ -953,7 +973,7 @@ class TestRecordPasses:
             np.save(out / "sos_map.npy", res.sos_map)
 
         self.check(tmp_path, run, "reconstruct",
-                   ["sos_map.npy", "objective_trace.csv"])
+                   ["sos_map.npy", "objective_trace.csv"], ["das_kernel"])
 
 
 class TestCommandTables:
@@ -1013,8 +1033,8 @@ class TestCommandTables:
             "convention", "c_bf_assumed", "observed_slope_s_per_rad",
             "delta_c_hat_mps", "corrected_sos_mps", "fit_r_squared",
             "fit_iterations", "fit_converged", "valid_fraction",
-            "das_kernel", "trace_kernel", "synth_kernel"}
-        assert {k: record[k] for k in kernels.passes()} == loaded_passes()
+            "das_kernel"}
+        assert loaded_passes("das_kernel").items() <= record.items()
         assert record["fit_iterations"] == fit.iterations > 0
         assert record["fit_converged"] is fit.converged is True
         assert record["valid_fraction"] == dmap.valid.sum() / dmap.valid.size
@@ -1909,7 +1929,7 @@ class TestReportRoundTrip:
 
         rows = returned["cmd_calibrate"].report_rows
         assert json.loads((run / "cal" / "calibrate.json").read_text()) == \
-            {"rows": rows, **loaded_passes()}
+            {"rows": rows, **loaded_passes("das_kernel", "synth_kernel")}
 
         report_argv = ["--out", str(run / "report"), "report",
                        "--run-dir", str(run)]
@@ -1919,7 +1939,8 @@ class TestReportRoundTrip:
         report = json.loads(first)
         assert report["missing"] == []
         [calibrated] = report["calibrate"]
-        assert calibrated == {"dir": "cal", "rows": rows, **loaded_passes()}
+        assert calibrated == {"dir": "cal", "rows": rows,
+                              **loaded_passes("das_kernel", "synth_kernel")}
         [estimated] = report["estimate"]
         assert estimated["dir"] == "est"
         assert estimated["delta_c_hat_mps"] == \

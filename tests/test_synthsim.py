@@ -716,7 +716,7 @@ class TestSimulateFrame:
         or is NaN for one scatterer of three, is an error naming the
         receive channel, not a sum that drops it or writes past the
         frame: on the compiled receive channel and on the NumPy
-        prelude, with and without the receive distances."""
+        pulse sum, with and without the receive distances."""
         field = ScattererField(
             positions=np.array([(0.0, 0.02), (4e-3, 0.015), (-3e-3, 0.01)]),
             amplitudes=np.array([1.0, -0.5, 0.25]))
@@ -733,6 +733,19 @@ class TestSimulateFrame:
                                    match="channel 7.*outside the record"):
                     simulate_frame(63, field, self.medium, self.pulse,
                                    self.array, t_rx=t_rx, r_rx=dist)
+
+    def test_distances_without_times_raise(self, monkeypatch):
+        """r_rx without t_rx is an error naming both, on the compiled
+        receive channel and on the NumPy pulse sum, rather than
+        distances silently replaced by traced ones."""
+        field = self.one_scatterer()
+        _, r_rx = receive_travel_times(field, self.medium, self.array,
+                                       lengths=True)
+        for kernel in (kernels.SYNTH, None):
+            monkeypatch.setattr(kernels, "SYNTH", kernel)
+            with pytest.raises(ValueError, match="r_rx given without t_rx"):
+                simulate_frame(63, field, self.medium, self.pulse,
+                               self.array, r_rx=r_rx)
 
     def test_deterministic(self):
         field = self.one_scatterer((0.002, 0.015))
@@ -1088,47 +1101,6 @@ class TestSimulateFrames:
 class TestReceiveLoop:
     """The structure of simulate_frame's receive loop, counted."""
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_sparse_matrices_are_built_once_per_worker(self, monkeypatch,
-                                                       threads):
-        """The compiled pulse sum builds no sparse matrix. The SciPy
-        products build each worker's CSR coefficient matrix and CSC echo
-        matrix once and rewrite their entries per receiver: one
-        128-receiver transmit builds at most 2 compressed sparse matrices
-        per worker, however many receivers a worker runs. The frame still
-        equals the table-based loop byte for byte."""
-        import scipy.sparse._compressed as compressed
-
-        array, pulse = TransducerArray(), PulseSpec()
-        medium = make_medium(
-            [Inclusion("ellipse", (0.0, 0.012), (3e-3, 2e-3), 1540.0)])
-        rng = np.random.default_rng(8)
-        field = ScattererField(
-            positions=np.column_stack([rng.uniform(-0.019, 0.019, 300),
-                                       rng.uniform(0.003, 0.03, 300)]),
-            amplitudes=rng.standard_normal(300))
-        t_rx = receive_travel_times(field, medium, array)
-        built = []
-        init = compressed._cs_matrix.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(type(self).__name__)
-            init(self, *args, **kwargs)
-
-        scipy_products = kernels.SYNTH is None
-        monkeypatch.setattr(compressed._cs_matrix, "__init__", counting_init)
-        frame = simulate_frame(55, field, medium, pulse, array, t_rx=t_rx,
-                               threads=threads)
-        monkeypatch.undo()
-        ref = table_frame(55, field, medium, pulse, array, frame.num_samples,
-                          t_rx)
-        assert array.num_elements == 128
-        if scipy_products:
-            assert 0 < len(built) <= 2 * threads
-        else:
-            assert built == []
-        assert frame.samples.tobytes() == ref.tobytes()
-
     def test_transmit_leg_is_traced_once_per_frame(self, monkeypatch):
         """simulate_frames traces the receive table once and each
         frame's transmit leg once, which also sets the frame's record
@@ -1161,11 +1133,13 @@ class TestReceiveLoop:
 
 
 class TestSciPyProducts(TestSimulateFrames, TestPulseTable, TestReceiveLoop):
-    """The kernel axis: every check of those classes on the SciPy
-    products, the pulse sum that runs where no compiled kernel loads."""
+    """The kernel axis: every check of those classes on the NumPy
+    pulse sum, the bincount loop that runs where no compiled kernel
+    loads. The class keeps the name of the SciPy products that loop
+    replaced, so its inherited test ids stay."""
 
     @pytest.fixture(autouse=True)
-    def scipy_products(self, monkeypatch):
+    def numpy_pulse_sum(self, monkeypatch):
         monkeypatch.setattr(kernels, "SYNTH", None)
 
 
@@ -1177,10 +1151,7 @@ class TestSynthKernel:
         fifth of them are closer than R_MIN to both elements. The record
         equals, byte for byte, the NumPy prelude's weights, rows and
         echo indices with each scatterer's (0 + a T[row]) + b T[row + 1]
-        added in scatterer order, and the SciPy products of the path
-        without a kernel."""
-        import scipy.sparse as sp
-
+        added in scatterer order."""
         if kernels.SYNTH is None:
             pytest.skip("no compiled kernel on this host")
         rng = np.random.default_rng(5)
@@ -1213,15 +1184,7 @@ class TestSynthKernel:
             k = int(k0[i])
             loop[k:k + width] += ((0.0 + w[i, 0] * table[row[i]])
                                   + w[i, 1] * table[row[i] + 1])
-        coef = sp.csr_matrix(
-            (w.ravel(), np.column_stack([row, row + 1]).ravel(),
-             np.arange(0, 2 * n + 1, 2)), shape=(n, steps + 1))
-        echoes_t = sp.csc_matrix(
-            ((coef @ table).ravel(),
-             (k0.astype(np.int32)[:, None] + np.arange(width)).ravel(),
-             np.arange(0, width * n + 1, width)), shape=(rec.size, n))
         assert rec.tobytes() == loop.tobytes()
-        assert rec.tobytes() == (echoes_t @ np.ones(n)).tobytes()
         # the order shows: the same terms summed in reverse differ
         reverse = np.zeros_like(rec)
         for i in reversed(range(n)):
@@ -1262,7 +1225,7 @@ class TestSynthKernel:
 
     def test_noisy_frame_is_the_same_on_both_passes(self, monkeypatch):
         """With noise the frame is float64 until the noise is added; the
-        compiled pulse sum and the SciPy products give the same bytes."""
+        compiled pulse sum and the NumPy one give the same bytes."""
         if kernels.SYNTH is None:
             pytest.skip("no compiled kernel on this host")
         medium = make_medium(
@@ -1280,7 +1243,7 @@ class TestSynthKernel:
         monkeypatch.setattr(kernels, "SYNTH", None)
         assert compiled.tobytes() == frame().tobytes()
 
-    def test_failed_build_runs_numpy_and_scipy(self, tmp_path):
+    def test_failed_build_runs_numpy(self, tmp_path):
         """A compiler that fails at import leaves the library and the
         four passes kernels binds None, names each pass "numpy", logs
         one warning and raises nothing; the frame simulated then still

@@ -10,7 +10,10 @@ columns from a running sum across columns. The peak lag is refined by
 a 3-point parabola. Tracked lags are converted to seconds through the
 two-way axial time of the beamformed grid, and the sign is oriented so
 that the reported delay equals the differential echo-shift model
-(1/c - 1/c_bf) * (d_a - d_b) for a frame pair (a, b).
+(1/c - 1/c_bf) * (d_a - d_b) for a frame pair (a, b). Where
+kernels.NCC is set, one compiled pass runs that NumPy arithmetic, in
+its order, on frames of float64 rows and more than one column; the
+NumPy code runs otherwise and defines the bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .beamform import BeamformedFrame
 from .geometry import ImagingGrid
 
@@ -95,42 +99,19 @@ def _pool_columns(q: np.ndarray, xs: np.ndarray, h: int) -> np.ndarray:
     return c[..., hi] - c[..., lo]
 
 
-def track_delays(
-    frame_a: BeamformedFrame, frame_b: BeamformedFrame, cfg: TrackConfig
-) -> DelayMap:
-    """Delay map between two beamformed frames of a transmit pair.
-
-    Each node correlates an axial window of frame a with lagged windows
-    of frame b. With lateral_window > 1 the dot products and energies
-    of the columns around the node are summed before normalizing, a 2-D
-    kernel that pools independent speckle columns. A node is valid when
-    its window of a has energy, its peak NCC reaches min_ncc and the
-    peak lies inside the search range: a peak at the first or last lag
-    was not located.
-    """
-    if frame_a.grid != frame_b.grid:
-        raise ValueError("frames must share the same grid")
-    if frame_a.c_bf_used != frame_b.c_bf_used:
-        raise ValueError("frames must share the same beamforming SoS")
-
-    grid = frame_a.grid
+def _track(rf_a: np.ndarray, rf_b: np.ndarray, cfg: TrackConfig,
+           zs: np.ndarray, xs: np.ndarray, scale: float):
+    """(delays, peak NCC, valid) at the nodes zs and columns xs: the NumPy
+    body of :func:`track_delays`, whose arithmetic the NCC pass keeps."""
     w = cfg.window_len
     r = cfg.search_radius
     h = cfg.lateral_window // 2
     # NCC does not see a column's mean; removing it keeps the running
     # sums small, so they lose no precision on a DC offset
-    a, b = (f.rf - f.rf.mean(axis=0, dtype=float) for f in (frame_a, frame_b))
-    nz, nx = a.shape
-    z_last = nz - w - r
-    if z_last < r:
-        raise ValueError(
-            f"grid depth ({nz} px) too small for window {w} + search {r}"
-        )
-    # node n's window of a starts at zs[n] = r + n * axial_step
-    zs = np.arange(r, z_last + 1, cfg.axial_step)
-    xs = np.arange(0, nx, cfg.lateral_step)
+    a, b = (rf - rf.mean(axis=0, dtype=float) for rf in (rf_a, rf_b))
+    nx = a.shape[1]
     lags = np.arange(-r, r + 1)
-    at_nodes = slice(r, z_last + 1, cfg.axial_step)
+    at_nodes = slice(r, zs[-1] + 1, cfg.axial_step)
     b_starts = zs[:, None] + lags  # (nodes, lags) windows of b
 
     sum_a, energy_a = _window_stats(a, w)
@@ -170,9 +151,59 @@ def track_delays(
     )
     valid = (peak >= cfg.min_ncc) & (ea[:, 0] > 0) & interior
     # negated so the delay matches (1/c - 1/c_bf) * (d_a - d_b)
-    delays = np.where(
-        valid, -(lags[am] + frac) * (2.0 * grid.dz / frame_a.c_bf_used), 0.0
-    )
+    delays = np.where(valid, -(lags[am] + frac) * scale, 0.0)
+    return delays, peak, valid
+
+
+def track_delays(
+    frame_a: BeamformedFrame, frame_b: BeamformedFrame, cfg: TrackConfig
+) -> DelayMap:
+    """Delay map between two beamformed frames of a transmit pair.
+
+    Each node correlates an axial window of frame a with lagged windows
+    of frame b. With lateral_window > 1 the dot products and energies
+    of the columns around the node are summed before normalizing, a 2-D
+    kernel that pools independent speckle columns. A node is valid when
+    its window of a has energy, its peak NCC reaches min_ncc and the
+    peak lies inside the search range: a peak at the first or last lag
+    was not located.
+    """
+    if frame_a.grid != frame_b.grid:
+        raise ValueError("frames must share the same grid")
+    if frame_a.c_bf_used != frame_b.c_bf_used:
+        raise ValueError("frames must share the same beamforming SoS")
+
+    grid = frame_a.grid
+    w = cfg.window_len
+    r = cfg.search_radius
+    nz, nx = frame_a.rf.shape
+    z_last = nz - w - r
+    if z_last < r:
+        raise ValueError(
+            f"grid depth ({nz} px) too small for window {w} + search {r}"
+        )
+    # node n's window of a starts at zs[n] = r + n * axial_step
+    zs = np.arange(r, z_last + 1, cfg.axial_step)
+    xs = np.arange(0, nx, cfg.lateral_step)
+    scale = 2.0 * grid.dz / frame_a.c_bf_used
+    kernel = kernels.NCC
+    # one column makes NumPy's column sums pairwise, which the pass's
+    # running sums are not
+    if kernel is not None and nx > 1 and frame_b.rf.shape == (nz, nx) \
+            and all(f.rf.dtype == np.float64 and f.rf.flags.c_contiguous
+                    for f in (frame_a, frame_b)):
+        shape = (zs.size, xs.size)
+        delays, peak = np.empty(shape), np.empty(shape)
+        valid = np.empty(shape, dtype=bool)
+        args = [frame_a.rf.ctypes.data, frame_b.rf.ctypes.data, nz, nx, w,
+                r, cfg.axial_step, cfg.lateral_step, cfg.lateral_window // 2,
+                cfg.min_ncc, scale]
+        outputs = [a.ctypes.data for a in (delays, peak, valid)]
+        work = np.zeros(kernel(*args, None, *outputs))
+        kernel(*args, work.ctypes.data, *outputs)
+    else:
+        delays, peak, valid = _track(frame_a.rf, frame_b.rf, cfg, zs, xs,
+                                     scale)
 
     meas_grid = ImagingGrid(
         x0=grid.x0 + xs[0] * grid.dx,

@@ -455,9 +455,10 @@ void rx_sinc(const double *sx, const double *ex, const double *r,
  * samples: row = min((int)pos, steps - 1), w = pos - row, and
  * (0.0 + a T[row][j]) + b T[row + 1][j], with a = weight (1 - w) and
  * b = weight w, is added into rec[k0 + j] for j in [0, width). That is
- * the NumPy prelude's arithmetic, then SciPy's csr_matvecs, whose
- * output rows start at 0, and csc_matvec, which adds each scatterer's
- * column times 1.0 in scatterer order. width is the padding on both
+ * the arithmetic of simulate_frame's NumPy loop, whose bincount adds
+ * each scatterer's two weighted rows into the record in scatterer
+ * order; the 0.0 + changes no bit there, as a record sample, which
+ * starts at 0.0, never holds -0.0. width is the padding on both
  * sides plus one, so a k0 in [0, num_samples) keeps every read and
  * write inside T and rec. Returns 0, or 1 at the first scatterer whose
  * k0 is outside that range or NaN, leaving rec part-written. On x86-64
@@ -497,4 +498,328 @@ int synth_rx(const double *table, int64_t width, int64_t steps,
             out[j] += (0.0 + a * lo[j]) + b * hi[j];
     }
     return 0;
+}
+
+/* A CSR matrix in SELL-8 (Kreutzer et al., SIAM J. Sci. Comput. 2014),
+ * its rows sorted by length, longest first, and cut into slices of 8.
+ * Lane l of slice s holds row row[8 s + l], len[8 s + l] terms long;
+ * its term k sits at col and val[start[s] + 8 k + l], in the row's CSR
+ * order, and the slice is as wide as its first, longest row. A lane
+ * past n_rows, and a term past its row's length, holds column 0 and
+ * value 0.0, and is masked out.
+ */
+typedef struct {
+    int64_t n_rows, n_slices;
+    const int64_t *start, *len;
+    const int32_t *row, *col;
+    const double *val;
+} sell8;
+
+/* Fill a sell8's len, row, col and val from the CSR arrays indptr,
+ * indices and data of n_rows rows, with order the rows sorted by
+ * length, longest first, and start its slices' offsets. */
+void sell8_pack(const int64_t *indptr, const int64_t *indices,
+                const double *data, const int64_t *order, int64_t n_rows,
+                const int64_t *start, int64_t *len, int32_t *row,
+                int32_t *col, double *val)
+{
+    for (int64_t s = 0; s < (n_rows + 7) / 8; s++) {
+        int64_t lo[8];
+        for (int64_t l = 0; l < 8; l++) {
+            const int64_t i = 8 * s + l, r = i < n_rows ? order[i] : -1;
+            lo[l] = r < 0 ? 0 : indptr[r];
+            len[i] = r < 0 ? 0 : indptr[r + 1] - lo[l];
+            row[i] = r < 0 ? 0 : (int32_t)r;
+        }
+        /* term by term, so the slice is written in order */
+        for (int64_t o = start[s], k = 0; o < start[s + 1]; o += 8, k++)
+            for (int64_t l = 0; l < 8; l++) {
+                const int on = k < len[8 * s + l];
+                col[o + l] = on ? (int32_t)indices[lo[l] + k] : 0;
+                val[o + l] = on ? data[lo[l] + k] : 0.0;
+            }
+    }
+}
+
+#if defined(__x86_64__)
+#define V8 __attribute__((target("avx512f"), always_inline)) static inline
+
+/* y = m x for the g <= 4 slices from s, which run side by side: each
+ * lane sums its row's products in order from 0.0, a mul and a masked
+ * add per term, the arithmetic of SciPy's csr_matvec, and the sums are
+ * scattered to their rows of y. */
+V8 void sell8_slices(const sell8 *m, int64_t s, int g, const double *x,
+                     double *y)
+{
+    __m512d acc[4];
+    __m512i len[4];
+    int64_t width[4];
+    for (int j = 0; j < g; j++) {
+        acc[j] = _mm512_setzero_pd();
+        len[j] = _mm512_loadu_si512(m->len + 8 * (s + j));
+        width[j] = (m->start[s + j + 1] - m->start[s + j]) / 8;
+    }
+    for (int64_t k = 0; k < width[0]; k++) {
+        const __m512i kk = _mm512_set1_epi64(k);
+        for (int j = 0; j < g; j++) {
+            if (k >= width[j])
+                continue;
+            const int64_t o = m->start[s + j] + 8 * k;
+            const __mmask8 on = _mm512_cmpgt_epi64_mask(len[j], kk);
+            const __m512d xk = _mm512_mask_i32gather_pd(
+                _mm512_setzero_pd(), on,
+                _mm256_loadu_si256((const __m256i *)(m->col + o)), x, 8);
+            acc[j] = _mm512_mask_add_pd(
+                acc[j], on, acc[j],
+                _mm512_mul_pd(_mm512_loadu_pd(m->val + o), xk));
+        }
+    }
+    for (int j = 0; j < g; j++) {
+        const int64_t left = m->n_rows - 8 * (s + j);
+        _mm512_mask_i32scatter_pd(
+            y, left >= 8 ? 0xff : (__mmask8)((1u << left) - 1),
+            _mm256_loadu_si256((const __m256i *)(m->row + 8 * (s + j))),
+            acc[j], 8);
+    }
+}
+
+V8 void sell8_matvec(const sell8 *m, const double *x, double *y)
+{
+    int64_t s = 0;
+    for (; s + 4 <= m->n_slices; s += 4)
+        sell8_slices(m, s, 4, x, y);
+    for (; s < m->n_slices; s++)
+        sell8_slices(m, s, 1, x, y);
+}
+
+/* For the n values y, less b[i] where b is not NULL: r = y - b and
+ * root = sqrt(r r + e2), u = root - eps and, in place of y, r / root:
+ * the NumPy arithmetic of the Charbonnier term and its derivative. */
+V8 void charbonnier(double *y, const double *b, int64_t n, double eps,
+                    double e2, double *u)
+{
+    const __m512d ve = _mm512_set1_pd(eps), ve2 = _mm512_set1_pd(e2);
+    for (int64_t i = 0; i < n; i += 8) {
+        const __mmask8 m = n - i >= 8
+            ? 0xff : (__mmask8)((1u << (n - i)) - 1);
+        __m512d r = _mm512_maskz_loadu_pd(m, y + i);
+        if (b)
+            r = _mm512_sub_pd(r, _mm512_maskz_loadu_pd(m, b + i));
+        const __m512d root = _mm512_sqrt_pd(
+            _mm512_add_pd(_mm512_mul_pd(r, r), ve2));
+        _mm512_mask_storeu_pd(u + i, m, _mm512_sub_pd(root, ve));
+        _mm512_mask_storeu_pd(y + i, m, _mm512_div_pd(r, root));
+    }
+}
+#undef V8
+
+/* The objective of soscorr.tomo.make_objective at x and its gradient,
+ * with e2 = eps * eps: r = A x - b and g = D x; ua = sqrt(r r + e2) -
+ * eps and ud likewise of g, which the caller sums as NumPy does; and
+ * grad = At (r / sqrt(r r + e2)) + lam (Dt (g / sqrt(g g + e2))), where
+ * At and Dt are SciPy's own transposes of A and D. work holds
+ * A.n_rows + D.n_rows + At.n_rows doubles. Every product and sum is
+ * its own intrinsic, so the bytes are those of the SciPy objective.
+ */
+__attribute__((target("avx512f")))
+void solve_avx512(const sell8 *a, const sell8 *at, const sell8 *d,
+                  const sell8 *dt, const double *x, const double *b,
+                  double eps, double e2, double lam, double *ua, double *ud,
+                  double *grad, double *work)
+{
+    double *qa = work, *qd = work + a->n_rows, *gd = qd + d->n_rows;
+    sell8_matvec(a, x, qa);
+    charbonnier(qa, b, a->n_rows, eps, e2, ua);
+    sell8_matvec(d, x, qd);
+    charbonnier(qd, 0, d->n_rows, eps, e2, ud);
+    sell8_matvec(at, qa, grad);
+    sell8_matvec(dt, qd, gd);
+    const __m512d vl = _mm512_set1_pd(lam);
+    const int64_t n = at->n_rows;
+    for (int64_t i = 0; i < n; i += 8) {
+        const __mmask8 m = n - i >= 8
+            ? 0xff : (__mmask8)((1u << (n - i)) - 1);
+        _mm512_mask_storeu_pd(grad + i, m, _mm512_add_pd(
+            _mm512_maskz_loadu_pd(m, grad + i),
+            _mm512_mul_pd(vl, _mm512_maskz_loadu_pd(m, gd + i))));
+    }
+}
+#endif
+
+/* The running sums of _pool_columns over a row q of nx columns, into
+ * the n_xs columns of out: q itself at xs[i] = i xstep where h is 0,
+ * else c[hi] - c[lo] of c, the row's cumulative sum after a leading 0
+ * (c holds nx + 1 doubles, c[0] zero), with hi = min(x + h, nx - 1) + 1
+ * and lo = max(x - h, 0). */
+static void pool_row(const double *q, int64_t nx, int64_t xstep,
+                     int64_t n_xs, int64_t h, double *c, double *out)
+{
+    if (h == 0) {
+        for (int64_t i = 0; i < n_xs; i++)
+            out[i] = q[i * xstep];
+        return;
+    }
+    for (int64_t x = 0; x < nx; x++)
+        c[x + 1] = x ? c[x] + q[x] : q[0];
+    for (int64_t i = 0; i < n_xs; i++) {
+        const int64_t x = i * xstep;
+        const int64_t hi = (x + h < nx - 1 ? x + h : nx - 1) + 1;
+        out[i] = c[hi] - c[x - h > 0 ? x - h : 0];
+    }
+}
+
+/* A frame's columns less their means, into a, and the sums and the
+ * energies, clamped at 0, of its windows of w rows by start, into sums
+ * and energy: _window_stats' running sums c1 of a and c2 of a a down
+ * each column, in c1 and c2, nz + 1 rows each, row 0 zero. Each mean
+ * is its column summed in order from 0.0, as NumPy sums a frame of
+ * more than one column, over nz; c1's row 1 holds the means until the
+ * running sums overwrite it. */
+static void window_stats(const double *rf, int64_t nz, int64_t nx,
+                         int64_t w, double *a, double *c1, double *c2,
+                         double *sums, double *energy)
+{
+    double *mean = c1 + nx;
+    for (int64_t x = 0; x < nx; x++)
+        mean[x] = 0.0 + rf[x];
+    for (int64_t z = 1; z < nz; z++)
+        for (int64_t x = 0; x < nx; x++)
+            mean[x] += rf[z * nx + x];
+    for (int64_t x = 0; x < nx; x++)
+        mean[x] /= (double)nz;
+    for (int64_t z = 0; z < nz; z++)
+        for (int64_t x = 0; x < nx; x++)
+            a[z * nx + x] = rf[z * nx + x] - mean[x];
+    for (int64_t z = 0; z < nz; z++)
+        for (int64_t x = 0; x < nx; x++) {
+            const double v = a[z * nx + x];
+            const int64_t o = (z + 1) * nx + x;
+            c1[o] = z ? c1[o - nx] + v : v;
+            c2[o] = z ? c2[o - nx] + v * v : v * v;
+        }
+    for (int64_t z = 0; z + w <= nz; z++)
+        for (int64_t x = 0; x < nx; x++) {
+            const int64_t o = z * nx + x, e = (z + w) * nx + x;
+            const double s = c1[e] - c1[o];
+            sums[o] = s;
+            energy[o] = max_np((c2[e] - c2[o]) - s * s / (double)w, 0.0);
+        }
+}
+
+/* The numeric body of soscorr.delaytrack.track_delays, with its
+ * arithmetic and its order: frames rf_a and rf_b of nz by nx > 1
+ * doubles; windows of w rows at the nodes zs[n] = r + n step, searched
+ * over the lags -r .. r; the columns xs[i] = i xstep, pooled over
+ * h on either side. Each lag's dots come from a running sum over
+ * blocks of gcd(w, step) rows of a[z] b[z + lag], each block summed in
+ * order from 0.0, less (sum_a / w) sum_b; then pooled, and divided by
+ * sqrt(pooled energy of a) sqrt(pooled energy of b) where that is
+ * above 0, else 0.0. The first maximum over the lags, a NaN first,
+ * gives peak and the lag, refined by _parabolic_offset where the lag
+ * is interior; a node is valid where peak >= min_ncc, its pooled
+ * energy of a is above 0 and the lag interior, and its delay is
+ * -(lag + frac) scale there, else 0.0. Writes n_nodes by n_xs delays,
+ * peak and valid, and returns the doubles of work it uses; with work
+ * NULL it computes nothing else. work must be zeroed.
+ */
+int64_t ncc_track(const double *rf_a, const double *rf_b, int64_t nz,
+                  int64_t nx, int64_t w, int64_t r, int64_t step,
+                  int64_t xstep, int64_t h, double min_ncc, double scale,
+                  double *work, double *delays, double *peak,
+                  uint8_t *valid)
+{
+    const int64_t n_nodes = (nz - w - r - r) / step + 1;
+    const int64_t n_lags = 2 * r + 1, n_xs = (nx - 1) / xstep + 1;
+    const int64_t n_win = nz - w + 1;
+    int64_t g = w, t = step;
+    while (t) {
+        const int64_t u = g % t;
+        g = t;
+        t = u;
+    }
+    const int64_t n_blocks = ((n_nodes - 1) * step + w) / g;
+    const int64_t n_frame = nz * nx, n_cum = (nz + 1) * nx;
+    const int64_t need = 2 * n_frame + 2 * n_cum + 4 * n_win * nx
+                         + (n_blocks + 1) * nx + 2 * nx + 1 + n_xs
+                         + (n_nodes + n_win) * n_xs
+                         + n_nodes * n_lags * n_xs;
+    if (!work)
+        return need;
+    double *a = work, *b = a + n_frame, *c1 = b + n_frame,
+           *c2 = c1 + n_cum, *sa = c2 + n_cum, *ea = sa + n_win * nx,
+           *sb = ea + n_win * nx, *eb = sb + n_win * nx,
+           *run = eb + n_win * nx, *dots = run + (n_blocks + 1) * nx,
+           *cum = dots + nx, *pd = cum + nx + 1, *ra = pd + n_xs,
+           *rb = ra + n_nodes * n_xs, *ncc = rb + n_win * n_xs;
+    window_stats(rf_a, nz, nx, w, a, c1, c2, sa, ea);
+    window_stats(rf_b, nz, nx, w, b, c1, c2, sb, eb);
+    /* the roots of the pooled energies: of a at each node, of b at each
+     * window start, which many nodes and lags share; a root is above 0
+     * where its energy is */
+    for (int64_t n = 0; n < n_nodes; n++)
+        pool_row(ea + (r + n * step) * nx, nx, xstep, n_xs, h, cum,
+                 ra + n * n_xs);
+    for (int64_t z = 0; z < n_win; z++)
+        pool_row(eb + z * nx, nx, xstep, n_xs, h, cum, rb + z * n_xs);
+    for (int64_t i = 0; i < (n_nodes + n_win) * n_xs; i++)
+        ra[i] = sqrt_np(ra[i]);
+    for (int64_t k = 0; k < n_lags; k++) {
+        const int64_t lag = k - r;
+        for (int64_t j = 0; j < n_blocks; j++) {
+            double *blk = run + (j + 1) * nx;
+            for (int64_t i = 0; i < g; i++) {
+                const double *pa = a + (r + j * g + i) * nx;
+                const double *pb = b + (r + lag + j * g + i) * nx;
+                for (int64_t x = 0; x < nx; x++)
+                    blk[x] = (i ? blk[x] : 0.0) + pa[x] * pb[x];
+            }
+            if (j)
+                for (int64_t x = 0; x < nx; x++)
+                    blk[x] = blk[x - nx] + blk[x];
+        }
+        for (int64_t n = 0; n < n_nodes; n++) {
+            const int64_t z = r + n * step, lo = n * step / g;
+            const double *hi_row = run + (lo + w / g) * nx,
+                         *lo_row = run + lo * nx, *s_a = sa + z * nx,
+                         *s_b = sb + (z + lag) * nx;
+            for (int64_t x = 0; x < nx; x++)
+                dots[x] = (hi_row[x] - lo_row[x])
+                          - s_a[x] / (double)w * s_b[x];
+            pool_row(dots, nx, xstep, n_xs, h, cum, pd);
+            const double *root_a = ra + n * n_xs,
+                         *root_b = rb + (z + lag) * n_xs;
+            double *out = ncc + (n * n_lags + k) * n_xs;
+            for (int64_t i = 0; i < n_xs; i++) {
+                const double denom = root_a[i] * root_b[i];
+                out[i] = denom > 0.0 ? pd[i] / denom : 0.0;
+            }
+        }
+    }
+    for (int64_t n = 0; n < n_nodes; n++)
+        for (int64_t i = 0; i < n_xs; i++) {
+            const double *v = ncc + n * n_lags * n_xs + i;
+            int64_t am = 0;
+            double best = v[0];
+            for (int64_t k = 1; k < n_lags && best == best; k++)
+                if (!(v[k * n_xs] <= best)) {
+                    best = v[k * n_xs];
+                    am = k;
+                }
+            const int inner = am > 0 && am < n_lags - 1;
+            double frac = 0.0;
+            if (inner) {
+                const double cm1 = v[(am - 1) * n_xs];
+                const double cp1 = v[(am + 1) * n_xs];
+                const double den = cm1 - 2.0 * best + cp1;
+                const double off = 0.5 * (cm1 - cp1) / den;
+                frac = clip_np(__builtin_fabs(den) > 0.0 ? off : 0.0,
+                               -1.0, 1.0);
+            }
+            const int64_t o = n * n_xs + i;
+            const int ok = best >= min_ncc && ra[o] > 0.0 && inner;
+            peak[o] = best;
+            valid[o] = (uint8_t)ok;
+            delays[o] = ok ? -((double)(am - r) + frac) * scale : 0.0;
+        }
+    return need;
 }

@@ -6,23 +6,30 @@ kernels.c holds das_rx, the pass of
 trace_rays, the heterogeneous ray trace of one block of
 :func:`~soscorr.synthsim.travel_times`; das_rx_avx512 and
 trace_rays_avx512, the same passes 8 pixels or rays a step, built for
-AVX-512F only on x86-64; and rx_sinc and synth_rx, which form a receive
+AVX-512F only on x86-64; rx_sinc and synth_rx, which form a receive
 channel of :func:`~soscorr.synthsim.simulate_frame` from its travel
-times, distances and directivities' sines and sum its pulses. The first
+times, distances and directivities' sines and sum its pulses;
+solve_avx512, the value and gradient of
+:func:`~soscorr.tomo.make_objective` on matrices that sell8_pack lays
+out as SELL-8, built for AVX-512F only on x86-64; and ncc_track, the
+numeric body of :func:`~soscorr.delaytrack.track_delays`. The first
 import builds it with the host's C compiler into a cached library, once
 for all; ctypes releases the GIL around each call, so threads run the
-passes in parallel. Each pass gives the same bytes as the NumPy code
-it stands beside: -ffp-contract=off keeps every product and
+passes in parallel. Each pass gives the same bytes as the NumPy or
+SciPy code it stands beside: -ffp-contract=off keeps every product and
 sum rounding on its own, with no fused multiply-add, the vector passes
 write each as its own intrinsic, and the C code calls no libm function.
 The library is built for the baseline of its architecture, not with
 -march, so a cached library runs on any host of that architecture.
 DAS and TRACE are the vector bodies where avx512() finds AVX-512F on
 the host, else the scalar ones; SYNTH is synth_rx, which on x86-64 is
-built for both, the loader picking one, and SINC is rx_sinc. Callers
-read them at call time, and run their NumPy code where one is None,
-as all are where the library does not build or load (one warning
-is logged); :func:`passes` names what runs.
+built for both, the loader picking one, and SINC is rx_sinc. SOLVE is
+solve_avx512, with SELL its packer, only where avx512() finds AVX-512F:
+it has no scalar body, as a scalar CSR product is no faster than
+SciPy's. NCC is ncc_track. Callers read them at call time, and run
+their NumPy or SciPy code where one is None, as all are where the
+library does not build or load (one warning is logged); :func:`passes`
+names what runs.
 """
 
 from __future__ import annotations
@@ -66,6 +73,10 @@ SIGNATURES = {
     "rx_sinc": (None, [_PTR] * 3 + [_SIZE] * 2 + [_F64] * 4 + [_PTR] * 2),
     "synth_rx": (ctypes.c_int, [_PTR, _SIZE, _SIZE] + [_PTR] * 9
                  + [_SIZE, _F64, _F64, _SIZE, _PTR]),
+    "sell8_pack": (None, [_PTR] * 4 + [_SIZE] + [_PTR] * 5),
+    "solve_avx512": (None, [_PTR] * 6 + [_F64] * 3 + [_PTR] * 4),
+    "ncc_track": (_SIZE, [_PTR, _PTR] + [_SIZE] * 7 + [_F64, _F64]
+                  + [_PTR] * 4),
 }
 
 
@@ -139,19 +150,21 @@ def _pass_name(fn) -> str:
 
 def passes() -> dict[str, str]:
     """The passes that run now, by the names a command record gives
-    those it ran: das_kernel (DAS), trace_kernel (TRACE) and
-    synth_kernel (SYNTH)."""
+    those it ran: das_kernel (DAS), trace_kernel (TRACE), synth_kernel
+    (SYNTH), solve_kernel (SOLVE) and ncc_kernel (NCC)."""
     return {"das_kernel": _pass_name(DAS), "trace_kernel": _pass_name(TRACE),
-            "synth_kernel": _pass_name(SYNTH)}
+            "synth_kernel": _pass_name(SYNTH),
+            "solve_kernel": _pass_name(SOLVE), "ncc_kernel": _pass_name(NCC)}
 
 
 # built at import, so no timed stage pays for the compiler
 LIBRARY = load_kernel()
 # the pass each caller runs, read at call time; None runs its NumPy code
-DAS = TRACE = SYNTH = SINC = None
+DAS = TRACE = SYNTH = SINC = SOLVE = SELL = NCC = None
 if LIBRARY is not None:
     if LIBRARY.avx512():
         DAS, TRACE = LIBRARY.das_rx_avx512, LIBRARY.trace_rays_avx512
+        SOLVE, SELL = LIBRARY.solve_avx512, LIBRARY.sell8_pack
     else:
         DAS, TRACE = LIBRARY.das_rx, LIBRARY.trace_rays
-    SYNTH, SINC = LIBRARY.synth_rx, LIBRARY.rx_sinc
+    SYNTH, SINC, NCC = LIBRARY.synth_rx, LIBRARY.rx_sinc, LIBRARY.ncc_track

@@ -525,9 +525,9 @@ def cmd_calibrate(cfg: PipelineConfig, out_dir: Path,
     calibration_degree fit on every second offset, the split that
     calibration_sweep.csv marks; calibration_model.txt is that degree
     fitted on every offset; the record also names the passes it ran,
-    das_kernel and synth_kernel (:func:`_passes_ran`). The returned
-    sweep holds the every-second fit. The medium and half_range are
-    checked before the output directory is made.
+    das_kernel, synth_kernel and ncc_kernel (:func:`_passes_ran`). The
+    returned sweep holds the every-second fit. The medium and half_range
+    are checked before the output directory is made.
     """
     if cfg.inclusions:
         raise ConfigError("calibration requires a homogeneous medium: "
@@ -552,7 +552,8 @@ def cmd_calibrate(cfg: PipelineConfig, out_dir: Path,
                      result.models[degree])
     write_record(out_dir, "calibrate",
                  {"rows": result.report_rows,
-                  **_passes_ran("das_kernel", "synth_kernel")})
+                  **_passes_ran("das_kernel", "synth_kernel",
+                                "ncc_kernel")})
     (out_dir / "config_resolved.ini").write_text(dump_config(cfg))
     return result
 
@@ -575,9 +576,9 @@ def cmd_estimate(
 
     A model built on another estimation grid than the config's (another
     [grids] bf_dx), or on an unknown one, is refused before any frame
-    is read. With out_dir, estimate.json also names the DAS pass it ran,
-    das_kernel (:func:`_passes_ran`), so a run that fell back to the
-    NumPy loop shows.
+    is read. With out_dir, estimate.json also names the passes it ran,
+    das_kernel and ncc_kernel (:func:`_passes_ran`), so a run that fell
+    back to a NumPy loop shows.
     """
     grid = _grid_line(cfg.estimation_grid())
     built_on = model.metadata.get("estimation_grid", "unknown")
@@ -618,7 +619,7 @@ def cmd_estimate(
             "fit_iterations": fit.iterations,
             "fit_converged": fit.converged,
             "valid_fraction": float(np.mean(dmap.valid)),
-            **_passes_ran("das_kernel"),
+            **_passes_ran("das_kernel", "ncc_kernel"),
         })
     return result
 
@@ -664,8 +665,8 @@ def cmd_reconstruct(
     trace and reconstruct.json: the solve's converged, iterations,
     grad_norm and message; its rows (measurements in the solve) and
     valid_fraction (tracked nodes kept by min_ncc); the map's
-    clamped_fraction; the DAS pass it ran, das_kernel
-    (:func:`_passes_ran`); and the result's scores.
+    clamped_fraction; the passes it ran, das_kernel, ncc_kernel and
+    solve_kernel (:func:`_passes_ran`); and the result's scores.
     When frames_dir holds the config the frames were simulated with,
     config_resolved.ini, metrics.score_map scores the map against that
     config's medium on the map's own slowness grid, with or without
@@ -743,7 +744,8 @@ def cmd_reconstruct(
                    "grad_norm": info.grad_norm, "message": info.message,
                    "rows": rows,
                    "valid_fraction": rows / sum(m.size for m in masks),
-                   "clamped_fraction": clamped, **_passes_ran("das_kernel"),
+                   "clamped_fraction": clamped,
+                   **_passes_ran("das_kernel", "ncc_kernel", "solve_kernel"),
                    **scores}
         write_record(out_dir, "reconstruct", metrics)
     return result

@@ -8,11 +8,14 @@ minimizes the Charbonnier-smoothed L1 objective
     phi(t) = sqrt(t^2 + eps^2) - eps,
 
 with L-BFGS. The unknown is the slowness deviation from 1/c_bf, so a
-zero delay vector maps to the zero solution.
+zero delay vector maps to the zero solution. Where kernels.SOLVE is
+set, the objective's products and terms run in one compiled pass over
+the matrices laid out as SELL-8, with the SciPy objective's bytes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass
 
@@ -20,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
+from . import kernels
 from .geometry import ImagingGrid, TransducerArray, element_position, slab_clip
 from .synthsim import SOS_MAX, SOS_MIN
 
@@ -189,6 +193,35 @@ def tv_operator(grid: ImagingGrid) -> sp.csr_matrix:
                      format="csr")
 
 
+class _Sell8(ctypes.Structure):
+    """kernels.c's sell8: a CSR matrix in SELL-8, rows sorted by length."""
+
+    _fields_ = [("n_rows", ctypes.c_int64), ("n_slices", ctypes.c_int64),
+                *((name, ctypes.c_void_p)
+                  for name in ("start", "len", "row", "col", "val"))]
+
+
+def _sell8(m: sp.csr_matrix) -> _Sell8:
+    """m packed by kernels.SELL into SELL-8; the struct holds its arrays."""
+    indptr = np.ascontiguousarray(m.indptr, dtype=np.int64)
+    lengths = np.diff(indptr)
+    order = np.argsort(-lengths, kind="stable")
+    n_slices = -(-m.shape[0] // 8)
+    # a slice is as wide as its first row, the longest
+    start = np.zeros(n_slices + 1, dtype=np.int64)
+    np.cumsum(8 * lengths[order[::8]], out=start[1:])
+    arrays = (start, np.empty(8 * n_slices, np.int64),
+              np.empty(8 * n_slices, np.int32),
+              np.empty(start[-1], np.int32), np.empty(start[-1]))
+    source = (indptr, np.ascontiguousarray(m.indices, dtype=np.int64),
+              np.ascontiguousarray(m.data), order)
+    kernels.SELL(*(a.ctypes.data for a in source), m.shape[0],
+                 *(a.ctypes.data for a in arrays))
+    sell = _Sell8(m.shape[0], n_slices, *(a.ctypes.data for a in arrays))
+    sell.arrays = arrays
+    return sell
+
+
 def make_objective(
     L: sp.csr_matrix,
     delays: np.ndarray,
@@ -199,7 +232,11 @@ def make_objective(
     """Smoothed L1 data + TV objective: sigma -> (value, analytic gradient).
 
     L.T and D.T are built once in CSR form here, so an iterative solver
-    does not transpose them on every call.
+    does not transpose them on every call. Where kernels.SOLVE is set
+    and L and D are float64 CSR matrices, the four matrices are packed
+    once, here, and each call runs the compiled pass; only the two sums
+    of the value stay in NumPy, so the value and gradient keep the bytes
+    of the SciPy objective, which runs otherwise.
     """
     LT, DT = L.T.tocsr(), D.T.tocsr()
 
@@ -213,7 +250,29 @@ def make_objective(
         grad = LT @ (r / sr) + lam_eff * (DT @ (g / sg))
         return f, grad
 
-    return objective
+    solve, b = kernels.SOLVE, np.ascontiguousarray(delays, dtype=float)
+    if solve is None or b.shape != (L.shape[0],) or not all(
+            getattr(m, "format", None) == "csr" and m.dtype == np.float64
+            and max(m.shape) < 2**31 for m in (L, D)):
+        return objective
+    n = L.shape[1]
+    x, grad = np.empty(n), np.empty(n)
+    ua, ud = np.empty(L.shape[0]), np.empty(D.shape[0])
+    work = np.empty(L.shape[0] + D.shape[0] + n)
+    # byref and data_as keep each struct and array alive with the closure
+    args = (*(ctypes.byref(_sell8(m)) for m in (L, LT, D, DT)),
+            *(a.ctypes.data_as(ctypes.c_void_p) for a in (x, b)),
+            float(eps), float(eps * eps), float(lam_eff),
+            *(a.ctypes.data_as(ctypes.c_void_p) for a in (ua, ud, grad, work)))
+
+    def compiled(sigma: np.ndarray) -> tuple[float, np.ndarray]:
+        if np.shape(sigma) != (n,):
+            return objective(sigma)
+        x[...] = sigma
+        solve(*args)
+        return float(ua.sum() + lam_eff * ud.sum()), grad.copy()
+
+    return compiled
 
 
 def reconstruct(

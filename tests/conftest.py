@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from soscorr import kernels
 from soscorr.pipeline import (
     PipelineConfig,
     apply_quick,
@@ -51,3 +52,24 @@ def sweep81(full_cfg, est_frames):
         full_cfg, est_frames, step=1.0, train_selector="every-4",
         degrees=(1, 3, 5),
     )
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(name) wraps kernels' pass name, for the test, to
+    count its calls into the list it returns; it skips the test where
+    the pass is not loaded."""
+    def wrap(name):
+        fn = getattr(kernels, name)
+        if fn is None:
+            pytest.skip(f"kernels.{name} is not loaded on this host")
+        calls = []
+
+        def call(*args):
+            calls.append(1)
+            return fn(*args)
+
+        monkeypatch.setattr(kernels, name, call)
+        return calls
+
+    return wrap

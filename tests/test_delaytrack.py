@@ -9,6 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
+from soscorr import kernels
 from soscorr.beamform import BeamformedFrame
 from soscorr.delaytrack import (DelayMap, TrackConfig, _pool_columns,
                                track_delays)
@@ -342,6 +343,78 @@ class TestAgainstReference:
         ref = self.assert_matches(fa, fb, cfg)
         assert ref.delays.shape[0] == 9
         assert np.any(ref.valid)
+
+
+class TestCompiledTracker:
+    """track_delays with kernels.NCC loaded gives the DelayMap bytes of
+    the NumPy tracker, which runs with it None."""
+
+    @pytest.fixture(autouse=True)
+    def ncc_calls(self, count_calls):
+        """The calls of kernels.NCC in the test."""
+        self.calls = count_calls("NCC")
+
+    def assert_maps_match(self, fa, fb, cfg, compiled=True):
+        """The two trackers' maps of (fa, fb); returns the NumPy one's."""
+        start = len(self.calls)
+        out = track_delays(fa, fb, cfg)
+        assert len(self.calls) - start == (2 if compiled else 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "NCC", None)
+            ref = track_delays(fa, fb, cfg)
+        assert out.grid == ref.grid
+        for name in ("delays", "ncc", "valid"):
+            got, want = getattr(out, name), getattr(ref, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), name
+        return ref
+
+    @pytest.mark.parametrize("setup", ["estimation", "reconstruction"])
+    def test_pipeline_setups(self, setup):
+        """The two trackers the pipeline runs on noisy speckle: blocks of
+        2 rows with one column, and of 16 rows pooled over 5 columns."""
+        cfg = ESTIMATION_TRACKING if setup == "estimation" else replace(
+            RECON_TRACKING, search_radius=recon_search_radius(
+                apply_quick(PipelineConfig()), 1522.5))
+        fa, fb = shifted_frames(3, nz=cfg.window_len + 2 * cfg.search_radius
+                                + 8 * cfg.axial_step, nx=20)
+        rng = np.random.default_rng(4)
+        fb = replace(fb, rf=fb.rf + 0.3 * fb.rf.std()
+                     * rng.standard_normal(fb.rf.shape))
+        ref = self.assert_maps_match(fa, fb, cfg)
+        assert np.any(ref.valid)
+
+    @pytest.mark.parametrize("lateral_window", [1, 5])
+    @pytest.mark.parametrize("axial_step", [1, 2, 16])
+    @pytest.mark.parametrize("column", [None, "zero", "dc"])
+    def test_blocks_pooling_and_columns(self, lateral_window, axial_step,
+                                        column):
+        """Blocks of 1, 2 and 16 rows, one column or five pooled, every
+        second column kept; a zero column's windows have no energy, so
+        their NCC is 0.0 and no node of theirs is valid."""
+        fa, fb = reference_case(2, None, column)
+        cfg = TrackConfig(window_len=64, search_radius=4, min_ncc=0.95,
+                          lateral_window=lateral_window,
+                          lateral_step=2, axial_step=axial_step)
+        ref = self.assert_maps_match(fa, fb, cfg)
+        if column == "zero" and lateral_window == 1:
+            assert not np.any(ref.valid[:, 1])
+            assert np.all(ref.ncc[:, 1] == 0.0)
+
+    def test_peak_on_the_last_lag(self):
+        """A sinusoid 7 samples deeper, searched over +-4: every peak is
+        on the last lag, and no node is valid."""
+        fa, fb = shifted_frames(7, period=60)
+        ref = self.assert_maps_match(fa, fb, TrackConfig(window_len=64,
+                                                         search_radius=4))
+        assert not np.any(ref.valid)
+
+    def test_two_columns_run_the_pass_and_one_does_not(self):
+        """Two columns are the narrowest frame the pass takes; with one,
+        NumPy's column sums are pairwise, so the NumPy tracker runs."""
+        cfg = TrackConfig(window_len=64, search_radius=4)
+        self.assert_maps_match(*shifted_frames(2, nx=2), cfg)
+        self.assert_maps_match(*shifted_frames(2, nx=1), cfg, compiled=False)
 
 
 class TestTrackDelays:

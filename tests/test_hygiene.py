@@ -331,7 +331,8 @@ def test_one_frame_codec():
 
 
 # the names kernels binds to the library and to the passes it picks
-PASS_NAMES = {"LIBRARY", "DAS", "TRACE", "SYNTH", "SINC"}
+PASS_NAMES = {"LIBRARY", "DAS", "TRACE", "SYNTH", "SINC", "SOLVE", "SELL",
+              "NCC"}
 
 
 def test_one_pass_owner():

@@ -17,7 +17,7 @@ from test_beamform import UNALIGNED, noise_frame, reference_das
 
 # a function kernels.c exports: a definition at the start of a line,
 # which no static one is
-EXPORTED = re.compile(r"^(?:void|int) (\w+)\(", re.M)
+EXPORTED = re.compile(r"^(?:void|int|int64_t) (\w+)\(", re.M)
 
 
 class TestKernelBuild:
@@ -78,9 +78,11 @@ class TestKernelBuild:
             pytest.skip("no C compiler on this host")
         defined = set(EXPORTED.findall(kernels.KERNEL_SOURCE.read_text()))
         assert defined == {"das_rx", "avx512", "das_rx_avx512", "trace_rays",
-                           "trace_rays_avx512", "rx_sinc", "synth_rx"}
+                           "trace_rays_avx512", "rx_sinc", "synth_rx",
+                           "sell8_pack", "solve_avx512", "ncc_track"}
         if platform.machine() not in ("x86_64", "AMD64"):
-            defined -= {"das_rx_avx512", "trace_rays_avx512"}
+            defined -= {"das_rx_avx512", "trace_rays_avx512",
+                        "solve_avx512"}
         for opt in ("-O3", "-O0"):
             lib = tmp_path / f"kernels{opt}.so"
             build = subprocess.run(
@@ -145,26 +147,41 @@ class TestPasses:
         """passes() names what kernels binds at call time: a vector body
         "avx512", its scalar twin "compiled" and None "numpy". synth_rx
         reads "avx512" exactly where avx512() is 1, since its loader
-        picks the AVX-512F clone by the same CPU test."""
+        picks the AVX-512F clone by the same CPU test. The objective has
+        no scalar body, so SOLVE is None without AVX-512F; the tracker
+        has no vector one."""
         lib = kernels.LIBRARY
         if lib is None:
             pytest.skip("no C compiler on this host")
-        loaded = "avx512" if lib.avx512() else "compiled"
-        assert kernels.passes() == {"das_kernel": loaded,
-                                    "trace_kernel": loaded,
-                                    "synth_kernel": loaded}
+        vector = bool(lib.avx512())
+        loaded = "avx512" if vector else "compiled"
+        assert kernels.passes() == {
+            "das_kernel": loaded, "trace_kernel": loaded,
+            "synth_kernel": loaded,
+            "solve_kernel": "avx512" if vector else "numpy",
+            "ncc_kernel": "compiled"}
         assert (kernels.DAS, kernels.TRACE) == (
-            (lib.das_rx_avx512, lib.trace_rays_avx512) if lib.avx512()
+            (lib.das_rx_avx512, lib.trace_rays_avx512) if vector
             else (lib.das_rx, lib.trace_rays))
-        assert (kernels.SYNTH, kernels.SINC) == (lib.synth_rx, lib.rx_sinc)
+        assert (kernels.SYNTH, kernels.SINC, kernels.NCC) == (
+            lib.synth_rx, lib.rx_sinc, lib.ncc_track)
+        assert (kernels.SOLVE, kernels.SELL) == (
+            (lib.solve_avx512, lib.sell8_pack) if vector else (None, None))
         monkeypatch.setattr(kernels, "DAS", lib.das_rx)
         monkeypatch.setattr(kernels, "TRACE", None)
-        assert kernels.passes() == {"das_kernel": "compiled",
-                                    "trace_kernel": "numpy",
-                                    "synth_kernel": loaded}
+        monkeypatch.setattr(kernels, "NCC", None)
+        assert kernels.passes() == {
+            "das_kernel": "compiled", "trace_kernel": "numpy",
+            "synth_kernel": loaded,
+            "solve_kernel": "avx512" if vector else "numpy",
+            "ncc_kernel": "numpy"}
         monkeypatch.setattr(kernels, "DAS", None)
         monkeypatch.setattr(kernels, "TRACE", lib.trace_rays)
         monkeypatch.setattr(kernels, "SYNTH", None)
+        monkeypatch.setattr(kernels, "SOLVE", None)
+        monkeypatch.setattr(kernels, "NCC", lib.ncc_track)
         assert kernels.passes() == {"das_kernel": "numpy",
                                     "trace_kernel": "compiled",
-                                    "synth_kernel": "numpy"}
+                                    "synth_kernel": "numpy",
+                                    "solve_kernel": "numpy",
+                                    "ncc_kernel": "compiled"}

@@ -568,7 +568,7 @@ class TestCalibrationSweep:
         assert model.training_indices == tuple(range(17))
         assert json.loads((tmp_path / "calibrate.json").read_text()) == \
             {"rows": sweep.report_rows,
-             **loaded_passes("das_kernel", "synth_kernel")}
+             **loaded_passes("das_kernel", "synth_kernel", "ncc_kernel")}
         [row] = sweep.report_rows
         assert (row["n_train"], row["n_test"]) == (9, 8)
         table = (tmp_path / "calibration_sweep.csv").read_text().splitlines()
@@ -636,7 +636,8 @@ def inclusion_cfg():
 
 # the keys of a reconstruct record that are not map scores
 HEALTH_KEYS = {"converged", "iterations", "grad_norm", "message", "rows",
-               "valid_fraction", "clamped_fraction", "das_kernel"}
+               "valid_fraction", "clamped_fraction", "das_kernel",
+               "solve_kernel", "ncc_kernel"}
 
 
 def no_table(*args):
@@ -805,13 +806,20 @@ class TestReconstructStage:
 
 def loaded_passes(*names):
     """The passes of names that kernels picked at import, as a record
-    names them: on a host with AVX-512F the vector DAS and trace and
-    synth_rx's AVX-512F clone, else the scalar ones; "numpy" without the
+    names them: on a host with AVX-512F the vector DAS, trace and
+    objective and synth_rx's AVX-512F clone, else the scalar ones and
+    the SciPy objective, which has no scalar twin; the tracker, which
+    has no vector body, "compiled" either way; "numpy" without the
     library."""
     lib = kernels.LIBRARY
-    name = "numpy" if lib is None else "avx512" if lib.avx512() else \
-        "compiled"
-    return dict.fromkeys(names, name)
+    if lib is None:
+        return dict.fromkeys(names, "numpy")
+    vector = "avx512" if lib.avx512() else "compiled"
+    loaded = {"das_kernel": vector, "trace_kernel": vector,
+              "synth_kernel": vector,
+              "solve_kernel": "avx512" if lib.avx512() else "numpy",
+              "ncc_kernel": "compiled"}
+    return {name: loaded[name] for name in names}
 
 
 def recon_cfg():
@@ -857,7 +865,7 @@ class TestReconMetrics:
             "rows": rows,
             "valid_fraction": rows / (n_pairs * n_nodes),
             "clamped_fraction": res.clamped_fraction,
-            **loaded_passes("das_kernel"),
+            **loaded_passes("das_kernel", "solve_kernel", "ncc_kernel"),
         }
         assert metrics["iterations"] > 0 and metrics["message"]
         assert 0 < metrics["valid_fraction"] <= 1
@@ -894,7 +902,8 @@ class TestReconMetrics:
 
 # each pass a record names, and the kernels global that picks it
 SWITCHES = {"das_kernel": "DAS", "trace_kernel": "TRACE",
-            "synth_kernel": "SYNTH"}
+            "synth_kernel": "SYNTH", "solve_kernel": "SOLVE",
+            "ncc_kernel": "NCC"}
 
 
 def passes_cfg():
@@ -905,11 +914,11 @@ def passes_cfg():
 
 class TestRecordPasses:
     """Each command's record names the passes it runs as
-    kernels.passes() does: as loaded, and with each of DAS, TRACE and
-    SYNTH set to None in turn. Where the command runs that pass its
-    name reads "numpy" and the command writes the same bytes, the rest
-    of its record included; where it does not, the record and the
-    outputs are the same bytes."""
+    kernels.passes() does: as loaded, and with each of DAS, TRACE,
+    SYNTH, SOLVE and NCC set to None in turn. Where the command runs
+    that pass its name reads "numpy" and the command writes the same
+    bytes, the rest of its record included; where it does not, the
+    record and the outputs are the same bytes."""
 
     @pytest.fixture(scope="class")
     def frames_dir(self, tmp_path_factory):
@@ -958,12 +967,13 @@ class TestRecordPasses:
         self.check(tmp_path, lambda out: pipeline.cmd_calibrate(
             cheap_cfg(), out, half_range=10.0), "calibrate",
             ["calibration_model.txt", "calibration_sweep.csv"],
-            ["das_kernel", "synth_kernel"])
+            ["das_kernel", "synth_kernel", "ncc_kernel"])
 
     def test_estimate_record(self, frames_dir, tmp_path):
         self.check(tmp_path, lambda out: pipeline.cmd_estimate(
             passes_cfg(), frames_dir, WIDE_MODEL, 1510.0, out_dir=out),
-            "estimate", ["pattern.csv", "delay_map.csv"], ["das_kernel"])
+            "estimate", ["pattern.csv", "delay_map.csv"],
+            ["das_kernel", "ncc_kernel"])
 
     def test_reconstruct_record(self, frames_dir, tmp_path):
         def run(out):
@@ -973,7 +983,8 @@ class TestRecordPasses:
             np.save(out / "sos_map.npy", res.sos_map)
 
         self.check(tmp_path, run, "reconstruct",
-                   ["sos_map.npy", "objective_trace.csv"], ["das_kernel"])
+                   ["sos_map.npy", "objective_trace.csv"],
+                   ["das_kernel", "solve_kernel", "ncc_kernel"])
 
 
 class TestCommandTables:
@@ -1033,8 +1044,9 @@ class TestCommandTables:
             "convention", "c_bf_assumed", "observed_slope_s_per_rad",
             "delta_c_hat_mps", "corrected_sos_mps", "fit_r_squared",
             "fit_iterations", "fit_converged", "valid_fraction",
-            "das_kernel"}
-        assert loaded_passes("das_kernel").items() <= record.items()
+            "das_kernel", "ncc_kernel"}
+        assert loaded_passes("das_kernel", "ncc_kernel").items() \
+            <= record.items()
         assert record["fit_iterations"] == fit.iterations > 0
         assert record["fit_converged"] is fit.converged is True
         assert record["valid_fraction"] == dmap.valid.sum() / dmap.valid.size
@@ -1929,7 +1941,8 @@ class TestReportRoundTrip:
 
         rows = returned["cmd_calibrate"].report_rows
         assert json.loads((run / "cal" / "calibrate.json").read_text()) == \
-            {"rows": rows, **loaded_passes("das_kernel", "synth_kernel")}
+            {"rows": rows, **loaded_passes("das_kernel", "synth_kernel",
+                                           "ncc_kernel")}
 
         report_argv = ["--out", str(run / "report"), "report",
                        "--run-dir", str(run)]
@@ -1940,7 +1953,8 @@ class TestReportRoundTrip:
         assert report["missing"] == []
         [calibrated] = report["calibrate"]
         assert calibrated == {"dir": "cal", "rows": rows,
-                              **loaded_passes("das_kernel", "synth_kernel")}
+                              **loaded_passes("das_kernel", "synth_kernel",
+                                              "ncc_kernel")}
         [estimated] = report["estimate"]
         assert estimated["dir"] == "est"
         assert estimated["delta_c_hat_mps"] == \

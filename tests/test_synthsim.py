@@ -1245,7 +1245,7 @@ class TestSynthKernel:
 
     def test_failed_build_runs_numpy(self, tmp_path):
         """A compiler that fails at import leaves the library and the
-        four passes kernels binds None, names each pass "numpy", logs
+        seven passes kernels binds None, names each pass "numpy", logs
         one warning and raises nothing; the frame simulated then still
         equals the table-based loop byte for byte."""
         import soscorr
@@ -1268,7 +1268,7 @@ frame = synthsim.simulate_frame(50, field, MediumSpec(1500.0, grid),
                                 PulseSpec(), TransducerArray())
 np.save(sys.argv[1], frame.samples)
 print(kernels.LIBRARY, kernels.DAS, kernels.TRACE, kernels.SYNTH, kernels.SINC,
-      *kernels.passes().values())
+      kernels.SOLVE, kernels.SELL, kernels.NCC, *kernels.passes().values())
 """
         out = tmp_path / "frame.npy"
         env = {**os.environ,
@@ -1277,7 +1277,7 @@ print(kernels.LIBRARY, kernels.DAS, kernels.TRACE, kernels.SYNTH, kernels.SINC,
                              capture_output=True, text=True, env=env,
                              timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["None"] * 5 + ["numpy"] * 3
+        assert run.stdout.split() == ["None"] * 8 + ["numpy"] * 5
         assert run.stderr.count("compiled kernels not built") == 1
         field = ScattererField(positions=np.array([[0.0, 0.02],
                                                    [3e-3, 0.011]]),

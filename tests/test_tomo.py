@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from soscorr import tomo
+from soscorr import kernels, tomo
 from soscorr.geometry import ImagingGrid, TransducerArray, element_position
-from soscorr.pipeline import PipelineConfig, apply_quick
+from soscorr.pipeline import (RECON_TRACKING, PipelineConfig, apply_quick,
+                              recon_search_radius)
 from soscorr.tomo import (
     TV_AXIAL_WEIGHT,
     TV_LATERAL_WEIGHT,
@@ -380,6 +381,137 @@ class TestReconstruct:
         delays[0] = np.nan
         with pytest.raises(SolverError):
             reconstruct(L, delays, D)
+
+
+def config_problem(cfg, seed=0):
+    """(L, D): cfg's path matrix over its recon pairs, each keeping a
+    random two thirds of the nodes of the measurement grid that the
+    reconstruction tracker gives cfg's beamforming grid at c_bf 1522.5,
+    and the TV operator of cfg's slowness grid."""
+    grid, t = cfg.full_grid(), RECON_TRACKING
+    r = recon_search_radius(cfg, 1522.5)
+    meas = ImagingGrid(
+        x0=grid.x0, z0=grid.z0 + (r + (t.window_len - 1) / 2.0) * grid.dz,
+        dx=grid.dx * t.lateral_step, dz=grid.dz * t.axial_step,
+        nx=len(range(0, grid.nx, t.lateral_step)),
+        nz=len(range(r, grid.nz - t.window_len - r + 1, t.axial_step)))
+    rng = np.random.default_rng(seed)
+    masks = [rng.random((meas.nz, meas.nx)) < 2 / 3 for _ in cfg.recon_pairs]
+    slow = cfg.slow_grid()
+    L = build_path_matrix(list(cfg.recon_pairs), meas, slow, masks,
+                          cfg.array)
+    return L, tv_operator(slow)
+
+
+class TestCompiledObjective:
+    """make_objective and reconstruct with kernels.SOLVE loaded give the
+    bytes of the SciPy objective, which runs with it None."""
+
+    @pytest.fixture(autouse=True)
+    def solve_calls(self, count_calls):
+        """The calls of kernels.SOLVE in the test."""
+        self.calls = count_calls("SOLVE")
+
+    def assert_objectives_match(self, monkeypatch, L, D, delays, lam_eff=0.3,
+                                eps=1e-2, compiled=True):
+        calls, start = self.calls, len(self.calls)
+        loaded = make_objective(L, delays, D, lam_eff, eps)
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "SOLVE", None)
+            scipy_objective = make_objective(L, delays, D, lam_eff, eps)
+        rng = np.random.default_rng(7)
+        xs = [np.zeros(L.shape[1]), *rng.standard_normal((3, L.shape[1]))]
+        for x in xs:
+            f, grad = loaded(x)
+            f_ref, grad_ref = scipy_objective(x)
+            assert type(f) is float and f == f_ref
+            assert grad.dtype == grad_ref.dtype == np.float64
+            assert grad.tobytes() == grad_ref.tobytes()
+        assert len(calls) - start == (len(xs) if compiled else 0)
+
+    @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+    def test_config_problems(self, monkeypatch, quick):
+        """The reconstruction's own sizes, scaled as reconstruct scales
+        them, with the default config's 6 pairs and the quick one's 3."""
+        cfg = apply_quick(PipelineConfig()) if quick else PipelineConfig()
+        L, D = config_problem(cfg)
+        cell = float(np.sqrt(L.slow_grid.dx * L.slow_grid.dz))
+        A = L.matrix * (1.0 / cell)
+        rng = np.random.default_rng(1)
+        lam_eff = tomo.LAM * A.shape[0] / D.shape[0]
+        self.assert_objectives_match(monkeypatch, A, D,
+                                     rng.standard_normal(A.shape[0]),
+                                     lam_eff, tomo.L1_EPSILON)
+
+    @pytest.mark.parametrize("rows", [1, 7, 9, 31, 33, 37, 70])
+    def test_row_counts_and_an_empty_row(self, monkeypatch, rows):
+        """Row counts that fill no whole slice of 8, nor 4 slices side by
+        side, and a row with no term, in L and in D."""
+        L = sp.random(rows, 23, density=0.4, random_state=rows, format="lil")
+        L[rows // 2, :] = 0.0
+        D = sp.random(rows + 3, 23, density=0.3, random_state=rows + 1,
+                      format="lil")
+        D[0, :] = 0.0
+        delays = np.random.default_rng(rows).standard_normal(rows)
+        self.assert_objectives_match(monkeypatch, L.tocsr(), D.tocsr(),
+                                     delays)
+
+    def test_identity_and_index_widths(self, monkeypatch):
+        """sp.eye in CSR, and CSR matrices with int64 indices, run the
+        pass; a DIA sp.eye runs the SciPy objective, whose products
+        follow DIA's order."""
+        L, D = config_problem(apply_quick(PipelineConfig()))
+        wide = L.matrix.copy()
+        wide.indices = wide.indices.astype(np.int64)
+        wide.indptr = wide.indptr.astype(np.int64)
+        assert L.matrix.indices.dtype == np.int32
+        delays = np.random.default_rng(2).standard_normal(wide.shape[0])
+        self.assert_objectives_match(monkeypatch, wide, D, delays)
+        n = D.shape[1]
+        eye = sp.eye(n, format="csr")
+        self.assert_objectives_match(monkeypatch, eye, D, np.ones(n))
+        self.assert_objectives_match(monkeypatch, eye, eye, np.ones(n))
+        self.assert_objectives_match(monkeypatch, sp.eye(n), D, np.ones(n),
+                                     compiled=False)
+
+    def test_reconstruct_keeps_its_bytes(self, monkeypatch):
+        """The quick config's problem solved to the end: the same map
+        bytes and the same ReconInfo, trace, iterations, gradient norm
+        and message included."""
+        L, D = config_problem(apply_quick(PipelineConfig()), seed=3)
+        X, Z = L.slow_grid.meshgrid()
+        inc = (X / 4e-3) ** 2 + ((Z - 14e-3) / 4e-3) ** 2 <= 1.0
+        sigma = np.where(inc, 1.0 / 1540.0, 1.0 / 1500.0) - 1.0 / 1522.5
+        delays = L.matrix @ sigma.ravel()
+        dsigma, info = reconstruct(L, delays, D)
+        assert len(self.calls) > info.iterations > 0
+        monkeypatch.setattr(kernels, "SOLVE", None)
+        dsigma_ref, info_ref = reconstruct(L, delays, D)
+        assert dsigma.tobytes() == dsigma_ref.tobytes()
+        assert info == info_ref
+
+    def test_nonfinite_values_raise_solver_error(self, monkeypatch):
+        """With the pass loaded a non-finite delay is refused before the
+        solve, and a delay so far above the median, by which reconstruct
+        scales the delays, that the objective overflows raises
+        SolverError from the first evaluation, as with SciPy's."""
+        L, D = config_problem(apply_quick(PipelineConfig()))
+        calls = self.calls
+        for bad in (np.nan, np.inf):
+            delays = np.zeros(L.matrix.shape[0])
+            delays[5] = bad
+            with pytest.raises(SolverError, match="non-finite delays"):
+                reconstruct(L, delays, D)
+        assert calls == []
+        huge = np.ones(L.matrix.shape[0])
+        huge[0] = 1e300
+        with pytest.raises(SolverError, match="objective or gradient"):
+            reconstruct(L, huge, D)
+        assert calls == [1]
+        monkeypatch.setattr(kernels, "SOLVE", None)
+        with pytest.raises(SolverError, match="objective or gradient"), \
+                np.errstate(over="ignore"):
+            reconstruct(L, huge, D)
 
 
 class TestToSos:
